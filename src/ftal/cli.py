@@ -13,6 +13,7 @@ out).  FTAL_FUEL sets the default fuel bound; the --fuel flag wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import sys
 from . import harness, machine, parser, pretty, registry
 from .errors import CheckError, FtalError
 from .parser import ParseError
-from .syntax import Component, Program
+from .syntax import Program
 from .typecheck import check_program
 
 EXIT_OK = 0
@@ -29,8 +30,6 @@ EXIT_PARSE = 2
 EXIT_STUCK = 3
 EXIT_DISTINGUISHED = 4
 EXIT_INCONCLUSIVE = 5
-
-DEFAULT_FUEL = 100000
 
 
 def _default_fuel() -> int:
@@ -42,7 +41,7 @@ def _default_fuel() -> int:
                 return n
         except ValueError:
             pass
-    return DEFAULT_FUEL
+    return machine.DEFAULT_FUEL
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -75,8 +74,8 @@ def _read_program(args) -> Program:
 def _outcome_payload(out: machine.Outcome) -> dict:
     payload = {"kind": out.kind, "steps": out.steps}
     if out.kind in ("f-value", "halted"):
-        payload["value"] = harness._value_str(out.value)
-        payload["stack"] = [machine._word_str(w) for w in out.stack]
+        payload["value"] = pretty.value_str(out.value)
+        payload["stack"] = [pretty.word_str(w) for w in out.stack]
     if out.kind == "stuck":
         payload["reason"] = out.reason
         payload["detail"] = out.detail
@@ -85,13 +84,13 @@ def _outcome_payload(out: machine.Outcome) -> dict:
 
 def _outcome_human(out: machine.Outcome) -> str:
     if out.kind == "f-value":
-        text = harness._value_str(out.value)
+        text = pretty.value_str(out.value)
         if out.stack:
-            text += f"; stack [{', '.join(machine._word_str(w) for w in out.stack)}]"
+            text += f"; stack [{', '.join(pretty.word_str(w) for w in out.stack)}]"
         return text
     if out.kind == "halted":
-        words = ", ".join(machine._word_str(w) for w in out.stack)
-        return f"halted {harness._value_str(out.value)}; stack [{words}]"
+        words = ", ".join(pretty.word_str(w) for w in out.stack)
+        return f"halted {pretty.value_str(out.value)}; stack [{words}]"
     if out.kind == "stuck":
         detail = f" ({out.detail})" if out.detail else ""
         return f"stuck after {out.steps} steps: {out.reason}{detail}"
@@ -148,14 +147,13 @@ def cmd_trace(args) -> int:
 def cmd_eq(args) -> int:
     job = harness.load_job(args.job)
     if args.fuel_given:
-        job = harness.EquivJob(job.left, job.right, job.type_text,
-                               job.inputs, args.fuel)
+        job = dataclasses.replace(job, fuel=args.fuel)
     result = harness.run_job(job)
     if args.json:
         print(json.dumps(result, sort_keys=True))
     else:
         line = result["verdict"]
-        if "witness" in result:
+        if result.get("witness") is not None:
             line += f" (witness input {result['witness']})"
         print(line)
         for row in result["rows"]:
@@ -210,7 +208,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         if with_fuel:
             p.add_argument("--fuel", type=int, default=None,
                            help="step budget (default: FTAL_FUEL or "
-                                f"{DEFAULT_FUEL})")
+                                f"{machine.DEFAULT_FUEL})")
         if with_entry:
             p.add_argument("--entry", choices=("auto", "f", "t"),
                            default="auto",

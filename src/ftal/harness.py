@@ -26,8 +26,6 @@ from .errors import CheckError
 from .syntax import App, IntVal, Program, Tm, UnitVal, alpha_equal
 from .typecheck import check_program
 
-DEFAULT_FUEL = 100000
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -47,19 +45,13 @@ class Observation:
 
     def render(self) -> dict:
         if self.kind == "terminated":
-            d = {"kind": "terminated", "value": _value_str(self.value)}
+            d = {"kind": "terminated", "value": pretty.value_str(self.value)}
             if self.stack is not None:
                 d["stack_depth"] = len(self.stack)
             return d
         if self.kind == "running":
             return {"kind": "running", "fuel": self.fuel}
         return {"kind": "stuck", "reason": self.reason}
-
-
-def _value_str(v: Tm | None) -> str:
-    if isinstance(v, IntVal):
-        return machine._int_str(v.n)
-    return pretty.tm(v) if v is not None else "?"
 
 
 def observe(out: machine.Outcome, fuel: int) -> Observation:
@@ -111,7 +103,7 @@ def load_job(path: str | pathlib.Path) -> EquivJob:
         right=base / data["right"],
         type_text=data["type"],
         inputs=tuple(int(n) for n in inputs),
-        fuel=int(data.get("fuel", DEFAULT_FUEL)),
+        fuel=int(data.get("fuel", machine.DEFAULT_FUEL)),
         compare_stack=bool(data.get("compare_stack", False)),
     )
 

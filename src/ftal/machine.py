@@ -13,14 +13,12 @@ boundary cannot collide and runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .boundary import export_value, import_value
 from .errors import TranslationError
 from .syntax import (
-    KIND_MARKER,
-    KIND_STACK,
     KIND_TYPE,
     Aop,
     App,
@@ -68,11 +66,12 @@ from .syntax import (
     Var,
     kind_of_name,
     rename_locations,
-    seq_of,
     subst_terms,
     substitute,
 )
 from . import pretty
+
+DEFAULT_FUEL = 100000
 
 STUCK_UNBOUND_REGISTER = "unbound-register"
 STUCK_UNBOUND_LOCATION = "unbound-location"
@@ -195,36 +194,6 @@ def is_value(e: Tm) -> bool:
     return False
 
 
-def _int_str(n: int) -> str:
-    """Decimal rendering that stays cheap for enormous integers."""
-    if -10 ** 40 < n < 10 ** 40:
-        return str(n)
-    return f"<int ~10^{int(n.bit_length() * 0.30103)}>"
-
-
-def _word_str(w) -> str:
-    if isinstance(w, IntVal):
-        return _int_str(w.n)
-    if isinstance(w, UnitVal):
-        return "()"
-    if isinstance(w, Loc):
-        return w.name
-    if isinstance(w, Inst):
-        base = w
-        while isinstance(base, Inst):
-            base = base.val
-        return f"{_word_str(base)}[..]"
-    if isinstance(w, Fold):
-        return f"fold({_word_str(w.e)})"
-    if isinstance(w, Pack):
-        return f"pack({_word_str(w.val)})"
-    if isinstance(w, Lam):
-        return "<fun>"
-    if isinstance(w, TupleVal):
-        return "(..)"
-    return "<value>"
-
-
 def _short(s: str, limit: int = 80) -> str:
     return s if len(s) <= limit else s[: limit - 2] + ".."
 
@@ -275,7 +244,7 @@ class Machine:
 
     def _setreg(self, rd: str, w) -> None:
         self.regs[rd] = w
-        self._delta[rd] = _word_str(w)
+        self._delta[rd] = pretty.word_str(w)
 
     def _getreg(self, r: str):
         if r not in self.regs:
@@ -297,7 +266,7 @@ class Machine:
             omegas.extend(extra)
         if not isinstance(word, Loc):
             raise _Stuck(STUCK_TYPE_CONFUSION,
-                         f"jump through non-code word {_word_str(word)}")
+                         f"jump through non-code word {pretty.word_str(word)}")
         entry = self.heap.get(word.name)
         if entry is None:
             raise _Stuck(STUCK_UNBOUND_LOCATION, word.name)

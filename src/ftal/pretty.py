@@ -4,6 +4,9 @@ Output reparses to an alpha-equal tree. Components render multi-line;
 everything else renders inline. Binops are always parenthesized and prefix
 forms wrap non-atomic operands, so no precedence table is needed on the
 reading side beyond the grammar itself.
+
+``int_str``, ``word_str`` and ``value_str`` render run-time values for
+outcomes, trace records and equivalence reports.
 """
 
 from __future__ import annotations
@@ -257,29 +260,42 @@ def program(p: Program) -> str:
     return "entry F\n" + tm(p.main) + "\n"
 
 
-def pretty(node: Node) -> str:
-    """Render any syntax node."""
-    match node:
-        case Program():
-            return program(node)
-        case Component():
-            return component(node)
-        case HeapBinding():
-            return "\n".join(binding_lines(node, 0))
-        case CodeBlock():
-            return "\n".join(
-                binding_lines(HeapBinding("_", "box", node), 0)
-            ).split(" -> ", 1)[1]
-        case ISeq():
-            return "\n".join(iseq_lines(node, 0))
-        case Instr():
-            return instr(node)
-        case Ty():
-            return ty(node)
-        case Stk():
-            return stk(node)
-        case Mk():
-            return mk(node)
-        case Tm():
-            return tm(node)
-    raise TypeError(f"pretty: unhandled node {node!r}")
+# Values, as run output, trace records and eq rows show them.
+
+
+def int_str(n: int) -> str:
+    """Decimal rendering that stays cheap for enormous integers."""
+    if -10 ** 40 < n < 10 ** 40:
+        return str(n)
+    return f"<int ~10^{int(n.bit_length() * 0.30103)}>"
+
+
+def word_str(w) -> str:
+    """A short rendering of a machine word, as registers and stacks hold it."""
+    if isinstance(w, IntVal):
+        return int_str(w.n)
+    if isinstance(w, UnitVal):
+        return "()"
+    if isinstance(w, Loc):
+        return w.name
+    if isinstance(w, Inst):
+        base = w
+        while isinstance(base, Inst):
+            base = base.val
+        return f"{word_str(base)}[..]"
+    if isinstance(w, Fold):
+        return f"fold({word_str(w.e)})"
+    if isinstance(w, Pack):
+        return f"pack({word_str(w.val)})"
+    if isinstance(w, Lam):
+        return "<fun>"
+    if isinstance(w, TupleVal):
+        return "(..)"
+    return "<value>"
+
+
+def value_str(v: Tm | None) -> str:
+    """A final value in full, except that a huge integer is abbreviated."""
+    if isinstance(v, IntVal):
+        return int_str(v.n)
+    return tm(v) if v is not None else "?"

@@ -93,15 +93,15 @@ def _run_row(entry: ProgramEntry, fuel: int) -> tuple[bool, str]:
         ok = (out.kind == "halted" and isinstance(out.value, IntVal)
               and out.value.n == entry.value
               and len(out.stack) == entry.stack_depth)
-        return ok, f"{out.kind} {harness._value_str(out.value)}"
+        return ok, f"{out.kind} {pretty.value_str(out.value)}"
     if entry.value is not None:
         ok = (out.kind == "f-value" and isinstance(out.value, IntVal)
               and out.value.n == entry.value
               and len(out.stack) == entry.stack_depth)
-        return ok, f"{out.kind} {harness._value_str(out.value)}"
+        return ok, f"{out.kind} {pretty.value_str(out.value)}"
     ok = (out.kind == "f-value" and isinstance(out.value, UnitVal)
           and len(out.stack) == entry.stack_depth)
-    return ok, f"{out.kind} {harness._value_str(out.value)}"
+    return ok, f"{out.kind} {pretty.value_str(out.value)}"
 
 
 def _job_row(name: str, want_verdict: str, want_witness) -> tuple[bool, str]:

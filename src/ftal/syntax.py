@@ -1,10 +1,21 @@
 """Abstract syntax shared by the functional language F and the assembly T.
 
-Every node is a frozen dataclass; all operations build new nodes. Variables
-live in four namespaces: type variables, stack variables, return-marker
-variables, and F term variables. Heap labels are a fifth, nominal namespace
-(never alpha-renamed, only explicitly renamed by the machine when it merges
-heap fragments).
+Every node is a frozen dataclass; all operations build new nodes. Names
+live in five namespaces: type variables, stack variables, return-marker
+variables, F term variables, and heap labels.
+
+Binding is declared once, in ``SCHEMA``: for each node class, its child
+fields with their shapes, and the names it binds with their namespace and
+scope. One engine reads that table for ``free_names``, ``substitute``
+(capture-avoiding, in any namespace) and ``alpha_equal``;
+``subst_terms`` and ``rename_locations`` are adapters onto
+``substitute``. A new node class needs one ``SCHEMA`` entry and nothing
+else here. The engine walks instruction sequences with a loop, so its
+stack depth does not grow with the length of a block.
+
+Heap labels are nominal: a component binds its labels, which shadows
+them, but they are never freshened, and alpha-equality compares them by
+name.
 
 The kind of a type-level variable is determined by its spelling: names
 starting with ``z`` are stack variables, names starting with ``eps`` are
@@ -14,7 +25,8 @@ names keep their prefix so freshening preserves kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import count
 
 KIND_TYPE = "type"
 KIND_STACK = "stack"
@@ -24,10 +36,6 @@ KIND_LOC = "loc"
 
 REGISTERS = ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "ra")
 _REG_ORDER = {r: i for i, r in enumerate(REGISTERS)}
-
-AOPS = ("add", "sub", "mul")
-BINOP_TO_AOP = {"+": "add", "-": "sub", "*": "mul"}
-AOP_TO_BINOP = {v: k for k, v in BINOP_TO_AOP.items()}
 
 
 def kind_of_name(name: str) -> str:
@@ -547,154 +555,133 @@ class Program(Node):
 
 
 # ---------------------------------------------------------------------------
-# Free names
+# Binding schema
 
-def _binder_kinds(binders) -> set[tuple[str, str]]:
-    return {(kind_of_name(b), b) for b in binders}
+# Shapes of child fields: one node; a tuple of nodes; (name, node) pairs
+# (chi, Lam params); a node or None; Lam.stack, which is None or a pair
+# of tuples of types; a component's heap, whose bindings pair up by label
+# when compared.
+NODE, TUPLE, PAIRS, OPT, STACK, HEAP = "node", "tuple", "pairs", "opt", "stack", "heap"
+SPELLED = "spelled"  # binder kind: each name's own, by kind_of_name
+TAIL = "tail"  # binder scope: the rest of the enclosing Seq
 
 
-def _free(node, bound: frozenset, out: set) -> None:
-    match node:
-        case TVar(name):
-            if (KIND_TYPE, name) not in bound:
-                out.add((KIND_TYPE, name))
-        case SVar(name):
-            if (KIND_STACK, name) not in bound:
-                out.add((KIND_STACK, name))
-        case MEps(name):
-            if (KIND_MARKER, name) not in bound:
-                out.add((KIND_MARKER, name))
-        case Var(name):
-            if (KIND_TERM, name) not in bound:
-                out.add((KIND_TERM, name))
-        case Loc(name):
-            if (KIND_LOC, name) not in bound:
-                out.add((KIND_LOC, name))
-        case TyUnit() | TyInt() | SNil() | MReg() | MIdx() | MOut() | IntVal() | UnitVal() | Reg():
-            pass
-        case Arrow(params, ret):
-            for t in params:
-                _free(t, bound, out)
-            _free(ret, bound, out)
-        case StackArrow(params, phi_in, phi_out, ret):
-            for t in (*params, *phi_in, *phi_out, ret):
-                _free(t, bound, out)
-        case TyTuple(items):
-            for t in items:
-                _free(t, bound, out)
-        case Mu(var, body) | Exists(var, body):
-            _free(body, bound | {(KIND_TYPE, var)}, out)
-        case Ref(psi) | Box(psi):
-            _free(psi, bound, out)
-        case CodeT(binders, chi, sigma, q):
-            b2 = bound | _binder_kinds(binders)
-            for _, t in chi:
-                _free(t, b2, out)
-            _free(sigma, b2, out)
-            _free(q, b2, out)
-        case SCons(head, tail):
-            _free(head, bound, out)
-            _free(tail, bound, out)
-        case MHalt(tau, sigma):
-            _free(tau, bound, out)
-            _free(sigma, bound, out)
-        case Binop(_, left, right):
-            _free(left, bound, out)
-            _free(right, bound, out)
-        case If0(c, t, e):
-            _free(c, bound, out)
-            _free(t, bound, out)
-            _free(e, bound, out)
-        case Lam(params, body, stack):
-            for _, t in params:
-                _free(t, bound, out)
-            if stack is not None:
-                for t in (*stack[0], *stack[1]):
-                    _free(t, bound, out)
-            _free(body, bound | {(KIND_TERM, x) for x, _ in params}, out)
-        case App(fn, args):
-            _free(fn, bound, out)
-            for a in args:
-                _free(a, bound, out)
-        case TupleVal(items):
-            for e in items:
-                _free(e, bound, out)
-        case Proj(_, e) | Unfold(e):
-            _free(e, bound, out)
-        case Fold(ann, e):
-            _free(ann, bound, out)
-            _free(e, bound, out)
-        case Let(var, ann, rhs, body):
-            if ann is not None:
-                _free(ann, bound, out)
-            _free(rhs, bound, out)
-            _free(body, bound | {(KIND_TERM, var)}, out)
-        case SeqE(first, second):
-            _free(first, bound, out)
-            _free(second, bound, out)
-        case Boundary(ann, comp):
-            _free(ann, bound, out)
-            _free(comp, bound, out)
-        case Pack(wit, val, ann):
-            _free(wit, bound, out)
-            _free(val, bound, out)
-            _free(ann, bound, out)
-        case Inst(val, omega):
-            _free(val, bound, out)
-            _free(omega, bound, out)
-        case Aop(_, _, _, u) | Bnz(_, u) | Mv(_, u) | UnfoldI(_, u):
-            _free(u, bound, out)
-        case Ld() | St() | Ralloc() | Balloc() | Salloc() | Sfree() | Sld() | Sst():
-            pass
-        case Unpack(_, _, u):
-            _free(u, bound, out)
-        case Protect(phi, _):
-            for t in phi:
-                _free(t, bound, out)
-        case ImportI(_, sigma0, zeta, ann, body):
-            _free(sigma0, bound, out)
-            _free(ann, bound, out)
-            _free(body, bound | {(KIND_STACK, zeta)}, out)
-        case Seq(head, tail):
-            match head:
-                case Unpack(tv, _, _):
-                    _free(head, bound, out)
-                    _free(tail, bound | {(KIND_TYPE, tv)}, out)
-                case Protect(_, zeta):
-                    _free(head, bound, out)
-                    _free(tail, bound | {(KIND_STACK, zeta)}, out)
-                case _:
-                    _free(head, bound, out)
-                    _free(tail, bound, out)
-        case Jmp(u):
-            _free(u, bound, out)
-        case Call(u, sigma0, qret):
-            _free(u, bound, out)
-            _free(sigma0, bound, out)
-            _free(qret, bound, out)
-        case Ret():
-            pass
-        case Halt(ann, sigma, _):
-            _free(ann, bound, out)
-            _free(sigma, bound, out)
-        case CodeBlock(binders, chi, sigma, q, body):
-            b2 = bound | _binder_kinds(binders)
-            for _, t in chi:
-                _free(t, b2, out)
-            _free(sigma, b2, out)
-            _free(q, b2, out)
-            _free(body, b2, out)
-        case HeapBinding(_, _, value):
-            _free(value, bound, out)
-        case Component(body, heap):
-            b2 = bound | {(KIND_LOC, hb.label) for hb in heap}
-            _free(body, b2, out)
-            for hb in heap:
-                _free(hb, b2, out)
-        case Program(_, main):
-            _free(main, bound, out)
-        case _:
-            raise TypeError(f"free names: unhandled node {node!r}")
+class Schema:
+    """How one node class holds syntax and binds names.
+
+    ``children`` are the fields that hold syntax, each given as (field,
+    shape), or as a bare field name for one node; every other field is a
+    plain attribute (an operator, a register, an index) compared by
+    equality. ``binds`` is (field, kind, scope): the field holding the
+    bound names, their namespace, and the sibling fields they scope over
+    (or TAIL). ``var`` is the namespace of a node that is a variable
+    occurrence.
+    """
+
+    def __init__(self, cls, *children, binds=None, var=None):
+        self.cls, self.var, self.binds = cls, var, binds
+        self.bfield, self.bkind, scope = binds or (None, None, ())
+        self.tail = scope == TAIL
+        # Binds over siblings; labels are nominal, so only shadow.
+        self.scoped = self.bfield is not None and not self.tail
+        self.bound = self.scoped and self.bkind != KIND_LOC
+        shapes = dict((c, NODE) if isinstance(c, str) else c for c in children)
+        names = [f.name for f in fields(cls)]
+        # (field, shape or None for an attribute, in the binder's scope).
+        self.fields = tuple((n, shapes.get(n), self.scoped and n in scope) for n in names)
+        self.children = tuple(f for f in self.fields if f[1] is not None)
+        # A TAIL binder is compared as an attribute, except at a Seq head.
+        self.attrs = tuple(n for n in names if n not in shapes and (n != self.bfield or self.tail))
+        self.typelevel = issubclass(cls, (Ty, Stk, Mk))
+
+
+_LEAVES = (TyUnit, TyInt, SNil, MReg, MIdx, MOut, IntVal, UnitVal, Reg,
+           Ld, St, Ralloc, Balloc, Salloc, Sfree, Sld, Sst, Ret)
+SCHEMA: dict = {sc.cls: sc for sc in (
+    *(Schema(cls) for cls in _LEAVES),
+    Schema(TVar, var=KIND_TYPE),
+    Schema(SVar, var=KIND_STACK),
+    Schema(MEps, var=KIND_MARKER),
+    Schema(Var, var=KIND_TERM),
+    Schema(Loc, var=KIND_LOC),
+    Schema(Arrow, ("params", TUPLE), "ret"),
+    Schema(StackArrow, ("params", TUPLE), ("phi_in", TUPLE), ("phi_out", TUPLE), "ret"),
+    Schema(TyTuple, ("items", TUPLE)),
+    *(Schema(cls, "body", binds=("var", KIND_TYPE, ("body",))) for cls in (Mu, Exists)),
+    *(Schema(cls, "psi") for cls in (Ref, Box)),
+    Schema(CodeT, ("chi", PAIRS), "sigma", "q", binds=("binders", SPELLED, ("chi", "sigma", "q"))),
+    Schema(SCons, "head", "tail"),
+    Schema(MHalt, "tau", "sigma"),
+    Schema(Binop, "left", "right"),
+    Schema(If0, "cond", "then", "els"),
+    Schema(Lam, ("params", PAIRS), "body", ("stack", STACK), binds=("params", KIND_TERM, ("body",))),
+    Schema(App, "fn", ("args", TUPLE)),
+    Schema(TupleVal, ("items", TUPLE)),
+    Schema(Proj, "e"),
+    Schema(Fold, "ann", "e"),
+    Schema(Unfold, "e"),
+    Schema(Let, ("ann", OPT), "rhs", "body", binds=("var", KIND_TERM, ("body",))),
+    Schema(SeqE, "first", "second"),
+    Schema(Boundary, "ann", "comp"),
+    Schema(Pack, "wit", "val", "ann"),
+    Schema(Inst, "val", "omega"),
+    *(Schema(cls, "u") for cls in (Aop, Bnz, Mv, UnfoldI, Jmp)),
+    Schema(Unpack, "u", binds=("tv", KIND_TYPE, TAIL)),
+    Schema(Protect, ("phi", TUPLE), binds=("zeta", KIND_STACK, TAIL)),
+    Schema(ImportI, "sigma0", "ann", "body", binds=("zeta", KIND_STACK, ("body",))),
+    Schema(Seq, "head", "tail"),
+    Schema(Call, "u", "sigma0", "qret"),
+    Schema(Halt, "ann", "sigma"),
+    Schema(CodeBlock, ("chi", PAIRS), "sigma", "q", "body",
+           binds=("binders", SPELLED, ("chi", "sigma", "q", "body"))),
+    Schema(HeapBinding, "value"),
+    Schema(Component, "body", ("heap", HEAP), binds=("heap", KIND_LOC, ("body", "heap"))),
+    Schema(Program, "main"),
+)}
+
+_VAR_NODES = {sc.var: cls for cls, sc in SCHEMA.items() if sc.var}
+_TYPE_KINDS = (KIND_TYPE, KIND_STACK, KIND_MARKER)
+
+
+def _binders(sc: Schema, node) -> list:
+    """The (kind, name) pairs a node binds."""
+    value = getattr(node, sc.bfield)
+    if isinstance(value, str):
+        value = (value,)
+    names = [x if isinstance(x, str) else x[0] if isinstance(x, tuple) else x.label for x in value]
+    if sc.bkind == SPELLED:
+        return [(kind_of_name(n), n) for n in names]
+    return [(sc.bkind, n) for n in names]
+
+
+def _renamed(value, keys: list):
+    """A binder field (a name, names, or Lam params) renamed to ``keys``."""
+    if isinstance(value, str):
+        return keys[0][1]
+    return tuple(k[1] if isinstance(x, str) else (k[1], x[1]) for k, x in zip(keys, value))
+
+
+def _split(shape, value):
+    """A child field as (its frame, its nodes); the frame is everything
+    alpha-equality compares apart from the nodes."""
+    if shape == NODE:
+        return None, (value,)
+    if shape == TUPLE:
+        return len(value), value
+    if shape == PAIRS:
+        return tuple(n for n, _ in value), [x for _, x in value]
+    if shape == HEAP:
+        heap = sorted(value, key=lambda hb: hb.label)
+        return [hb.label for hb in heap], heap
+    if value is None:
+        return None, ()
+    if shape == OPT:
+        return False, (value,)
+    return (len(value[0]), len(value[1])), value[0] + value[1]
+
+
+# ---------------------------------------------------------------------------
+# Free names and fresh names
 
 
 def free_names(node) -> frozenset:
@@ -704,18 +691,26 @@ def free_names(node) -> frozenset:
     return frozenset(out)
 
 
-def free_type_names(node) -> frozenset:
-    return frozenset(p for p in free_names(node) if p[0] in (KIND_TYPE, KIND_STACK, KIND_MARKER))
+def _free(node, bound: frozenset, out: set) -> None:
+    while type(node) is Seq:
+        _free(node.head, bound, out)
+        sc = SCHEMA[type(node.head)]
+        if sc.tail:
+            bound = bound.union(_binders(sc, node.head))
+        node = node.tail
+    sc = SCHEMA[type(node)]
+    if sc.var is not None:
+        if (sc.var, node.name) not in bound:
+            out.add((sc.var, node.name))
+        return
+    inner = bound.union(_binders(sc, node)) if sc.scoped else bound
+    for name, shape, scoped in sc.children:
+        for child in _split(shape, getattr(node, name))[1]:
+            _free(child, inner if scoped else bound, out)
 
 
 def var_node(kind: str, name: str) -> Node:
-    if kind == KIND_TYPE:
-        return TVar(name)
-    if kind == KIND_STACK:
-        return SVar(name)
-    if kind == KIND_MARKER:
-        return MEps(name)
-    raise ValueError(kind)
+    return _VAR_NODES[kind](name)
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -733,386 +728,124 @@ def fresh_name(base: str, avoid) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Substitution (type-level variables: types, stacks, markers)
+# Substitution
 
 
 def substitute(node, mapping: dict):
-    """Capture-avoiding substitution of type-level variables.
+    """Capture-avoiding substitution of free names of any kind.
 
-    ``mapping`` sends (kind, name) pairs to replacement nodes of that kind.
+    ``mapping`` sends (kind, name) pairs to replacements: a type, stack or
+    marker for the type-level kinds, a term for KIND_TERM, a Loc for
+    KIND_LOC. A binder that would capture a free name of a replacement is
+    freshened first; heap labels never are.
     """
     if not mapping:
         return node
-    avoid: set = set()
-    for v in mapping.values():
-        avoid |= free_names(v)
-    return _subst(node, mapping, frozenset(avoid))
-
-
-def _subst_binder(binders, mapping, avoid):
-    """Shadow mapping entries and freshen binders that would capture.
-
-    Returns (new_binders, mapping-for-scope, renaming-for-scope).
-    """
-    live = {k: v for k, v in mapping.items() if k not in _binder_kinds(binders)}
-    renaming: dict = {}
-    new_binders = []
-    taken = {n for _, n in avoid} | set(binders)
-    for b in binders:
-        kb = kind_of_name(b)
-        if live and (kb, b) in avoid:
-            nb = fresh_name(b, taken)
-            taken.add(nb)
-            renaming[(kb, b)] = var_node(kb, nb)
-            new_binders.append(nb)
-        else:
-            new_binders.append(b)
-    return tuple(new_binders), live, renaming
-
-
-def _subst(node, mapping: dict, avoid: frozenset):
-    if not mapping:
-        return node
-    match node:
-        case TVar(name):
-            return mapping.get((KIND_TYPE, name), node)
-        case SVar(name):
-            return mapping.get((KIND_STACK, name), node)
-        case MEps(name):
-            return mapping.get((KIND_MARKER, name), node)
-        case TyUnit() | TyInt() | SNil() | MReg() | MIdx() | MOut() | IntVal() | UnitVal() | Reg() | Var() | Loc():
-            return node
-        case Arrow(params, ret):
-            return Arrow(tuple(_subst(t, mapping, avoid) for t in params), _subst(ret, mapping, avoid))
-        case StackArrow(params, phi_in, phi_out, ret):
-            return StackArrow(
-                tuple(_subst(t, mapping, avoid) for t in params),
-                tuple(_subst(t, mapping, avoid) for t in phi_in),
-                tuple(_subst(t, mapping, avoid) for t in phi_out),
-                _subst(ret, mapping, avoid),
-            )
-        case TyTuple(items):
-            return TyTuple(tuple(_subst(t, mapping, avoid) for t in items))
-        case Mu(var, body):
-            nb, live, ren = _subst_binder((var,), mapping, avoid)
-            body2 = _subst(body, ren, frozenset()) if ren else body
-            return Mu(nb[0], _subst(body2, live, avoid)) if live or ren else node
-        case Exists(var, body):
-            nb, live, ren = _subst_binder((var,), mapping, avoid)
-            body2 = _subst(body, ren, frozenset()) if ren else body
-            return Exists(nb[0], _subst(body2, live, avoid)) if live or ren else node
-        case Ref(psi):
-            return Ref(_subst(psi, mapping, avoid))
-        case Box(psi):
-            return Box(_subst(psi, mapping, avoid))
-        case CodeT(binders, chi, sigma, q):
-            nb, live, ren = _subst_binder(binders, mapping, avoid)
-            if not live and not ren:
-                return node
-
-            def go(x):
-                x2 = _subst(x, ren, frozenset()) if ren else x
-                return _subst(x2, live, avoid)
-
-            return CodeT(nb, tuple((r, go(t)) for r, t in chi), go(sigma), go(q))
-        case SCons(head, tail):
-            return SCons(_subst(head, mapping, avoid), _subst(tail, mapping, avoid))
-        case MHalt(tau, sigma):
-            return MHalt(_subst(tau, mapping, avoid), _subst(sigma, mapping, avoid))
-        case Binop(op, left, right):
-            return Binop(op, _subst(left, mapping, avoid), _subst(right, mapping, avoid))
-        case If0(c, t, e):
-            return If0(_subst(c, mapping, avoid), _subst(t, mapping, avoid), _subst(e, mapping, avoid))
-        case Lam(params, body, stack):
-            return Lam(
-                tuple((x, _subst(t, mapping, avoid)) for x, t in params),
-                _subst(body, mapping, avoid),
-                None
-                if stack is None
-                else (
-                    tuple(_subst(t, mapping, avoid) for t in stack[0]),
-                    tuple(_subst(t, mapping, avoid) for t in stack[1]),
-                ),
-            )
-        case App(fn, args):
-            return App(_subst(fn, mapping, avoid), tuple(_subst(a, mapping, avoid) for a in args))
-        case TupleVal(items):
-            return TupleVal(tuple(_subst(e, mapping, avoid) for e in items))
-        case Proj(idx, e):
-            return Proj(idx, _subst(e, mapping, avoid))
-        case Fold(ann, e):
-            return Fold(_subst(ann, mapping, avoid), _subst(e, mapping, avoid))
-        case Unfold(e):
-            return Unfold(_subst(e, mapping, avoid))
-        case Let(var, ann, rhs, body):
-            return Let(
-                var,
-                None if ann is None else _subst(ann, mapping, avoid),
-                _subst(rhs, mapping, avoid),
-                _subst(body, mapping, avoid),
-            )
-        case SeqE(first, second):
-            return SeqE(_subst(first, mapping, avoid), _subst(second, mapping, avoid))
-        case Boundary(ann, comp):
-            return Boundary(_subst(ann, mapping, avoid), _subst(comp, mapping, avoid))
-        case Pack(wit, val, ann):
-            return Pack(_subst(wit, mapping, avoid), _subst(val, mapping, avoid), _subst(ann, mapping, avoid))
-        case Inst(val, omega):
-            return Inst(_subst(val, mapping, avoid), _subst(omega, mapping, avoid))
-        case Aop(op, rd, rs, u):
-            return Aop(op, rd, rs, _subst(u, mapping, avoid))
-        case Bnz(r, u):
-            return Bnz(r, _subst(u, mapping, avoid))
-        case Ld() | St() | Ralloc() | Balloc() | Salloc() | Sfree() | Sld() | Sst():
-            return node
-        case Mv(rd, u):
-            return Mv(rd, _subst(u, mapping, avoid))
-        case Unpack(tv, rd, u):
-            return Unpack(tv, rd, _subst(u, mapping, avoid))
-        case UnfoldI(rd, u):
-            return UnfoldI(rd, _subst(u, mapping, avoid))
-        case Protect(phi, zeta):
-            return Protect(tuple(_subst(t, mapping, avoid) for t in phi), zeta)
-        case ImportI(rd, sigma0, zeta, ann, body):
-            nb, live, ren = _subst_binder((zeta,), mapping, avoid)
-            body2 = _subst(body, ren, frozenset()) if ren else body
-            return ImportI(
-                rd,
-                _subst(sigma0, mapping, avoid),
-                nb[0],
-                _subst(ann, mapping, avoid),
-                _subst(body2, live, avoid),
-            )
-        case Seq(head, tail):
-            match head:
-                case Unpack(tv, _, _):
-                    nb, live, ren = _subst_binder((tv,), mapping, avoid)
-                    head2 = _subst(head, mapping, avoid)
-                    if ren:
-                        head2 = Unpack(nb[0], head2.rd, head2.u)
-                        tail = _subst(tail, ren, frozenset())
-                    return Seq(head2, _subst(tail, live, avoid))
-                case Protect(_, zeta):
-                    nb, live, ren = _subst_binder((zeta,), mapping, avoid)
-                    head2 = _subst(head, mapping, avoid)
-                    if ren:
-                        head2 = Protect(head2.phi, nb[0])
-                        tail = _subst(tail, ren, frozenset())
-                    return Seq(head2, _subst(tail, live, avoid))
-                case _:
-                    return Seq(_subst(head, mapping, avoid), _subst(tail, mapping, avoid))
-        case Jmp(u):
-            return Jmp(_subst(u, mapping, avoid))
-        case Call(u, sigma0, qret):
-            return Call(_subst(u, mapping, avoid), _subst(sigma0, mapping, avoid), _subst(qret, mapping, avoid))
-        case Ret():
-            return node
-        case Halt(ann, sigma, reg):
-            return Halt(_subst(ann, mapping, avoid), _subst(sigma, mapping, avoid), reg)
-        case CodeBlock(binders, chi, sigma, q, body):
-            nb, live, ren = _subst_binder(binders, mapping, avoid)
-            if not live and not ren:
-                return node
-
-            def go(x):
-                x2 = _subst(x, ren, frozenset()) if ren else x
-                return _subst(x2, live, avoid)
-
-            return CodeBlock(nb, tuple((r, go(t)) for r, t in chi), go(sigma), go(q), go(body))
-        case HeapBinding(label, nu, value):
-            return HeapBinding(label, nu, _subst(value, mapping, avoid))
-        case Component(body, heap):
-            return Component(_subst(body, mapping, avoid), tuple(_subst(hb, mapping, avoid) for hb in heap))
-        case Program(entry, main):
-            return Program(entry, _subst(main, mapping, avoid))
-        case _:
-            raise TypeError(f"substitute: unhandled node {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# Term-variable substitution (F beta reduction, import bodies)
+    return _subst(node, (_pass(mapping),))
 
 
 def subst_terms(node, mapping: dict):
     """Capture-avoiding substitution of F term variables (name -> term)."""
-    if not mapping:
-        return node
-    avoid: set = set()
-    for v in mapping.values():
-        avoid |= free_names(v)
-    return _subst_tm(node, mapping, frozenset(avoid))
-
-
-def _subst_tm(node, mapping: dict, avoid: frozenset):
-    if not mapping:
-        return node
-    match node:
-        case Var(name):
-            return mapping.get(name, node)
-        case Lam(params, body, stack):
-            names = [x for x, _ in params]
-            live = {k: v for k, v in mapping.items() if k not in names}
-            taken = {n for _, n in avoid} | set(names)
-            renaming = {}
-            new_params = []
-            for x, t in params:
-                if live and (KIND_TERM, x) in avoid:
-                    nx = fresh_name(x, taken)
-                    taken.add(nx)
-                    renaming[x] = Var(nx)
-                    new_params.append((nx, t))
-                else:
-                    new_params.append((x, t))
-            body2 = _subst_tm(body, renaming, frozenset()) if renaming else body
-            return Lam(tuple(new_params), _subst_tm(body2, live, avoid), stack)
-        case Let(var, ann, rhs, body):
-            rhs2 = _subst_tm(rhs, mapping, avoid)
-            live = {k: v for k, v in mapping.items() if k != var}
-            if live and (KIND_TERM, var) in avoid:
-                nv = fresh_name(var, {n for _, n in avoid} | {var})
-                body = _subst_tm(body, {var: Var(nv)}, frozenset())
-                var = nv
-            return Let(var, ann, rhs2, _subst_tm(body, live, avoid))
-        case IntVal() | UnitVal() | Reg() | Loc():
-            return node
-        case Binop(op, left, right):
-            return Binop(op, _subst_tm(left, mapping, avoid), _subst_tm(right, mapping, avoid))
-        case If0(c, t, e):
-            return If0(_subst_tm(c, mapping, avoid), _subst_tm(t, mapping, avoid), _subst_tm(e, mapping, avoid))
-        case App(fn, args):
-            return App(_subst_tm(fn, mapping, avoid), tuple(_subst_tm(a, mapping, avoid) for a in args))
-        case TupleVal(items):
-            return TupleVal(tuple(_subst_tm(e, mapping, avoid) for e in items))
-        case Proj(idx, e):
-            return Proj(idx, _subst_tm(e, mapping, avoid))
-        case Fold(ann, e):
-            return Fold(ann, _subst_tm(e, mapping, avoid))
-        case Unfold(e):
-            return Unfold(_subst_tm(e, mapping, avoid))
-        case SeqE(first, second):
-            return SeqE(_subst_tm(first, mapping, avoid), _subst_tm(second, mapping, avoid))
-        case Boundary(ann, comp):
-            return Boundary(ann, _subst_tm(comp, mapping, avoid))
-        case Pack(wit, val, ann):
-            return Pack(wit, _subst_tm(val, mapping, avoid), ann)
-        case Inst(val, omega):
-            return Inst(_subst_tm(val, mapping, avoid), omega)
-        case Aop(op, rd, rs, u):
-            return Aop(op, rd, rs, _subst_tm(u, mapping, avoid))
-        case Bnz(r, u):
-            return Bnz(r, _subst_tm(u, mapping, avoid))
-        case Ld() | St() | Ralloc() | Balloc() | Salloc() | Sfree() | Sld() | Sst():
-            return node
-        case Mv(rd, u):
-            return Mv(rd, _subst_tm(u, mapping, avoid))
-        case Unpack(tv, rd, u):
-            return Unpack(tv, rd, _subst_tm(u, mapping, avoid))
-        case UnfoldI(rd, u):
-            return UnfoldI(rd, _subst_tm(u, mapping, avoid))
-        case Protect():
-            return node
-        case ImportI(rd, sigma0, zeta, ann, body):
-            return ImportI(rd, sigma0, zeta, ann, _subst_tm(body, mapping, avoid))
-        case Seq(head, tail):
-            return Seq(_subst_tm(head, mapping, avoid), _subst_tm(tail, mapping, avoid))
-        case Jmp(u):
-            return Jmp(_subst_tm(u, mapping, avoid))
-        case Call(u, sigma0, qret):
-            return Call(_subst_tm(u, mapping, avoid), sigma0, qret)
-        case Ret() | Halt():
-            return node
-        case CodeBlock(binders, chi, sigma, q, body):
-            return CodeBlock(binders, chi, sigma, q, _subst_tm(body, mapping, avoid))
-        case HeapBinding(label, nu, value):
-            return HeapBinding(label, nu, _subst_tm(value, mapping, avoid))
-        case Component(body, heap):
-            return Component(_subst_tm(body, mapping, avoid), tuple(_subst_tm(hb, mapping, avoid) for hb in heap))
-        case Program(entry, main):
-            return Program(entry, _subst_tm(main, mapping, avoid))
-        case _:
-            raise TypeError(f"subst_terms: unhandled node {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# Location renaming (heap merge)
+    return substitute(node, {(KIND_TERM, x): v for x, v in mapping.items()})
 
 
 def rename_locations(node, mapping: dict):
     """Rename free heap labels; a component that rebinds a label shadows it."""
-    if not mapping:
+    return substitute(node, {(KIND_LOC, old): Loc(new) for old, new in mapping.items()})
+
+
+# One traversal applies a tuple of passes, each as if to the whole result
+# of the one before. A pass is (mapping, the names free in its
+# replacements, whether it maps a type-level kind). Freshening a binder
+# puts a renaming pass for its scope ahead of the pass that needed it.
+
+
+def _pass(mapping: dict) -> tuple:
+    avoid: set = set()
+    for v in mapping.values():
+        avoid |= free_names(v)
+    return mapping, frozenset(avoid), any(k in _TYPE_KINDS for k, _ in mapping)
+
+
+def _enter(keys: list, passes: tuple, node):
+    """The passes for the scope of ``node``'s binders, and the binders if
+    freshened. A fresh name avoids every name free in ``node`` or named by
+    a pass, so that it neither captures nor is substituted."""
+    inner, renamed = [], False
+    for mapping, avoid, typed in passes:
+        live = mapping
+        if any(k in mapping for k in keys):
+            live = {k: v for k, v in mapping.items() if k not in keys}
+            if not live:
+                continue
+        renaming, taken = {}, None
+        for i, (kind, name) in enumerate(keys):
+            if kind != KIND_LOC and (kind, name) in avoid:
+                if taken is None:
+                    taken = {n for _, n in free_names(node)} | {n for _, n in keys}
+                    for m, a, _ in passes:
+                        taken.update(n for _, n in m)
+                        taken.update(n for _, n in a)
+                keys[i] = (kind, fresh_name(name, taken))
+                taken.add(keys[i][1])
+                renaming[(kind, name)] = var_node(*keys[i])
+        if renaming:
+            inner.append(_pass(renaming))
+            renamed = True
+        inner.append((live, avoid, typed))
+    return tuple(inner), keys if renamed else None
+
+
+def _subst(node, passes: tuple):
+    if not passes:
         return node
-    match node:
-        case Loc(name):
-            new = mapping.get(name)
-            return Loc(new) if new is not None else node
-        case Component(body, heap):
-            live = {k: v for k, v in mapping.items() if k not in {hb.label for hb in heap}}
-            return Component(
-                rename_locations(body, live),
-                tuple(HeapBinding(hb.label, hb.nu, rename_locations(hb.value, live)) for hb in heap),
-            )
-        case TVar() | TyUnit() | TyInt() | SNil() | SVar() | MReg() | MIdx() | MEps() | MOut():
-            return node
-        case IntVal() | UnitVal() | Reg() | Var():
-            return node
-        case Arrow() | StackArrow() | TyTuple() | Mu() | Exists() | Ref() | Box() | CodeT() | SCons() | MHalt():
-            return node  # types carry no locations
-        case Binop(op, left, right):
-            return Binop(op, rename_locations(left, mapping), rename_locations(right, mapping))
-        case If0(c, t, e):
-            return If0(rename_locations(c, mapping), rename_locations(t, mapping), rename_locations(e, mapping))
-        case Lam(params, body, stack):
-            return Lam(params, rename_locations(body, mapping), stack)
-        case App(fn, args):
-            return App(rename_locations(fn, mapping), tuple(rename_locations(a, mapping) for a in args))
-        case TupleVal(items):
-            return TupleVal(tuple(rename_locations(e, mapping) for e in items))
-        case Proj(idx, e):
-            return Proj(idx, rename_locations(e, mapping))
-        case Fold(ann, e):
-            return Fold(ann, rename_locations(e, mapping))
-        case Unfold(e):
-            return Unfold(rename_locations(e, mapping))
-        case Let(var, ann, rhs, body):
-            return Let(var, ann, rename_locations(rhs, mapping), rename_locations(body, mapping))
-        case SeqE(first, second):
-            return SeqE(rename_locations(first, mapping), rename_locations(second, mapping))
-        case Boundary(ann, comp):
-            return Boundary(ann, rename_locations(comp, mapping))
-        case Pack(wit, val, ann):
-            return Pack(wit, rename_locations(val, mapping), ann)
-        case Inst(val, omega):
-            return Inst(rename_locations(val, mapping), omega)
-        case Aop(op, rd, rs, u):
-            return Aop(op, rd, rs, rename_locations(u, mapping))
-        case Bnz(r, u):
-            return Bnz(r, rename_locations(u, mapping))
-        case Ld() | St() | Ralloc() | Balloc() | Salloc() | Sfree() | Sld() | Sst() | Protect():
-            return node
-        case Mv(rd, u):
-            return Mv(rd, rename_locations(u, mapping))
-        case Unpack(tv, rd, u):
-            return Unpack(tv, rd, rename_locations(u, mapping))
-        case UnfoldI(rd, u):
-            return UnfoldI(rd, rename_locations(u, mapping))
-        case ImportI(rd, sigma0, zeta, ann, body):
-            return ImportI(rd, sigma0, zeta, ann, rename_locations(body, mapping))
-        case Seq(head, tail):
-            return Seq(rename_locations(head, mapping), rename_locations(tail, mapping))
-        case Jmp(u):
-            return Jmp(rename_locations(u, mapping))
-        case Call(u, sigma0, qret):
-            return Call(rename_locations(u, mapping), sigma0, qret)
-        case Ret() | Halt():
-            return node
-        case CodeBlock(binders, chi, sigma, q, body):
-            return CodeBlock(binders, chi, sigma, q, rename_locations(body, mapping))
-        case HeapBinding(label, nu, value):
-            return HeapBinding(label, nu, rename_locations(value, mapping))
-        case Program(entry, main):
-            return Program(entry, rename_locations(main, mapping))
-        case _:
-            raise TypeError(f"rename_locations: unhandled node {node!r}")
+    sc = SCHEMA[type(node)]
+    if sc.var is not None:
+        key = (sc.var, node.name)
+        for i, (mapping, _, _) in enumerate(passes):
+            if key in mapping:
+                return _subst(mapping[key], passes[i + 1:])
+        return node
+    if not sc.children or (sc.typelevel and not any(p[2] for p in passes)):
+        return node
+    if sc.cls is Seq:
+        heads = []
+        while type(node) is Seq and passes:
+            head, head_sc = node.head, SCHEMA[type(node.head)]
+            if head_sc.tail:
+                tail_passes, keys = _enter(_binders(head_sc, head), passes, node)
+                head = _rebuild(head, head_sc, passes, passes, keys)
+                passes = tail_passes
+            else:
+                head = _subst(head, passes)
+            heads.append(head)
+            node = node.tail
+        node = _subst(node, passes)
+        for head in reversed(heads):
+            node = Seq(head, node)
+        return node
+    if not sc.scoped:
+        return _rebuild(node, sc, passes, passes, None)
+    return _rebuild(node, sc, passes, *_enter(_binders(sc, node), passes, node))
+
+
+def _rebuild(node, sc: Schema, outer: tuple, inner: tuple, keys):
+    args = []
+    for name, shape, scoped in sc.fields:
+        v = getattr(node, name)
+        if keys is not None and name == sc.bfield:
+            v = _renamed(v, keys)
+        p = inner if scoped else outer
+        if shape == NODE or (shape == OPT and v is not None):
+            v = _subst(v, p)
+        elif shape == TUPLE or shape == HEAP:
+            v = tuple([_subst(x, p) for x in v])
+        elif shape == PAIRS:
+            v = tuple([(n, _subst(x, p)) for n, x in v])
+        elif shape == STACK and v is not None:
+            v = (tuple([_subst(x, p) for x in v[0]]), tuple([_subst(x, p) for x in v[1]]))
+        args.append(v)
+    return sc.cls(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,258 +857,59 @@ def alpha_equal(a, b) -> bool:
 
     Heap labels are nominal: components must bind the same label set.
     """
-    return _alpha(a, b, {}, {}, [0])
+    return _alpha(a, b, {}, {}, count(1))
 
 
-def _bind(env_a, env_b, ka, kb, counter):
-    if ka[0] != kb[0]:
+def _bind(env_a, env_b, keys_a, keys_b, counter):
+    if len(keys_a) != len(keys_b) or any(ka[0] != kb[0] for ka, kb in zip(keys_a, keys_b)):
         return None, None
-    counter[0] += 1
-    ea = dict(env_a)
-    eb = dict(env_b)
-    ea[ka] = counter[0]
-    eb[kb] = counter[0]
-    return ea, eb
-
-
-def _var_eq(env_a, env_b, ka, kb) -> bool:
-    ia = env_a.get(ka)
-    ib = env_b.get(kb)
-    if ia is None and ib is None:
-        return ka == kb
-    return ia is not None and ia == ib
+    env_a, env_b = dict(env_a), dict(env_b)
+    for ka, kb in zip(keys_a, keys_b):
+        env_a[ka] = env_b[kb] = next(counter)
+    return env_a, env_b
 
 
 def _alpha(a, b, env_a, env_b, counter) -> bool:
-    if a is b and not env_a and not env_b:
-        return True
-    if type(a) is not type(b):
-        return False
-    match a, b:
-        case (TVar(na), TVar(nb)):
-            return _var_eq(env_a, env_b, (KIND_TYPE, na), (KIND_TYPE, nb))
-        case (SVar(na), SVar(nb)):
-            return _var_eq(env_a, env_b, (KIND_STACK, na), (KIND_STACK, nb))
-        case (MEps(na), MEps(nb)):
-            return _var_eq(env_a, env_b, (KIND_MARKER, na), (KIND_MARKER, nb))
-        case (Var(na), Var(nb)):
-            return _var_eq(env_a, env_b, (KIND_TERM, na), (KIND_TERM, nb))
-        case (Loc(na), Loc(nb)):
-            return na == nb
-        case (TyUnit(), TyUnit()) | (TyInt(), TyInt()) | (SNil(), SNil()) | (MOut(), MOut()) | (UnitVal(), UnitVal()):
+    while True:
+        if a is b and not env_a and not env_b:
             return True
-        case (MReg(ra_), MReg(rb)):
-            return ra_ == rb
-        case (MIdx(ia), MIdx(ib)):
-            return ia == ib
-        case (IntVal(na), IntVal(nb)):
-            return na == nb
-        case (Reg(na), Reg(nb)):
-            return na == nb
-        case (Arrow(pa, ra_), Arrow(pb, rb)):
-            return (
-                len(pa) == len(pb)
-                and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(pa, pb))
-                and _alpha(ra_, rb, env_a, env_b, counter)
-            )
-        case (StackArrow(pa, ia, oa, ra_), StackArrow(pb, ib, ob, rb)):
-            return (
-                len(pa) == len(pb)
-                and len(ia) == len(ib)
-                and len(oa) == len(ob)
-                and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(pa, pb))
-                and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(ia, ib))
-                and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(oa, ob))
-                and _alpha(ra_, rb, env_a, env_b, counter)
-            )
-        case (TyTuple(ta), TyTuple(tb)):
-            return len(ta) == len(tb) and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(ta, tb))
-        case (Mu(va, ba), Mu(vb, bb)) | (Exists(va, ba), Exists(vb, bb)):
-            ea, eb = _bind(env_a, env_b, (KIND_TYPE, va), (KIND_TYPE, vb), counter)
-            return ea is not None and _alpha(ba, bb, ea, eb, counter)
-        case (Ref(xa), Ref(xb)) | (Box(xa), Box(xb)):
-            return _alpha(xa, xb, env_a, env_b, counter)
-        case (CodeT(ba, ca, sa, qa), CodeT(bb, cb, sb, qb)):
-            if len(ba) != len(bb):
+        if type(a) is not type(b):
+            return False
+        if type(a) is not Seq:
+            return _alpha_node(a, b, SCHEMA[type(a)], env_a, env_b, counter)
+        ha, hb = a.head, b.head
+        sc = SCHEMA[type(ha)]
+        if type(hb) is not type(ha) or not _alpha_node(ha, hb, sc, env_a, env_b, counter, sc.tail):
+            return False
+        if sc.tail:
+            env_a, env_b = _bind(env_a, env_b, _binders(sc, ha), _binders(sc, hb), counter)
+            if env_a is None:
                 return False
-            ea, eb = dict(env_a), dict(env_b)
-            for xa, xb in zip(ba, bb):
-                ea, eb = _bind(ea, eb, (kind_of_name(xa), xa), (kind_of_name(xb), xb), counter)
-                if ea is None:
-                    return False
-            if [r for r, _ in ca] != [r for r, _ in cb]:
-                return False
-            return (
-                all(_alpha(ta, tb, ea, eb, counter) for (_, ta), (_, tb) in zip(ca, cb))
-                and _alpha(sa, sb, ea, eb, counter)
-                and _alpha(qa, qb, ea, eb, counter)
-            )
-        case (SCons(ha, ta), SCons(hb, tb)):
-            return _alpha(ha, hb, env_a, env_b, counter) and _alpha(ta, tb, env_a, env_b, counter)
-        case (MHalt(ta, sa), MHalt(tb, sb)):
-            return _alpha(ta, tb, env_a, env_b, counter) and _alpha(sa, sb, env_a, env_b, counter)
-        case (Binop(oa, la, ra_), Binop(ob, lb, rb)):
-            return oa == ob and _alpha(la, lb, env_a, env_b, counter) and _alpha(ra_, rb, env_a, env_b, counter)
-        case (If0(ca, ta, ea2), If0(cb, tb, eb2)):
-            return (
-                _alpha(ca, cb, env_a, env_b, counter)
-                and _alpha(ta, tb, env_a, env_b, counter)
-                and _alpha(ea2, eb2, env_a, env_b, counter)
-            )
-        case (Lam(pa, ba, ska), Lam(pb, bb, skb)):
-            if len(pa) != len(pb):
-                return False
-            if (ska is None) != (skb is None):
-                return False
-            if ska is not None:
-                if len(ska[0]) != len(skb[0]) or len(ska[1]) != len(skb[1]):
-                    return False
-                if not all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(ska[0], skb[0])):
-                    return False
-                if not all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(ska[1], skb[1])):
-                    return False
-            if not all(_alpha(ta, tb, env_a, env_b, counter) for (_, ta), (_, tb) in zip(pa, pb)):
-                return False
-            ea, eb = dict(env_a), dict(env_b)
-            for (xa, _), (xb, _) in zip(pa, pb):
-                ea, eb = _bind(ea, eb, (KIND_TERM, xa), (KIND_TERM, xb), counter)
-            return _alpha(ba, bb, ea, eb, counter)
-        case (App(fa, aa), App(fb, ab)):
-            return (
-                len(aa) == len(ab)
-                and _alpha(fa, fb, env_a, env_b, counter)
-                and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(aa, ab))
-            )
-        case (TupleVal(ia), TupleVal(ib)):
-            return len(ia) == len(ib) and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(ia, ib))
-        case (Proj(na, ea2), Proj(nb, eb2)):
-            return na == nb and _alpha(ea2, eb2, env_a, env_b, counter)
-        case (Fold(ta, ea2), Fold(tb, eb2)):
-            return _alpha(ta, tb, env_a, env_b, counter) and _alpha(ea2, eb2, env_a, env_b, counter)
-        case (Unfold(ea2), Unfold(eb2)):
-            return _alpha(ea2, eb2, env_a, env_b, counter)
-        case (Let(va, anna, ra_, ba), Let(vb, annb, rb, bb)):
-            if (anna is None) != (annb is None):
-                return False
-            if anna is not None and not _alpha(anna, annb, env_a, env_b, counter):
-                return False
-            if not _alpha(ra_, rb, env_a, env_b, counter):
-                return False
-            ea, eb = _bind(env_a, env_b, (KIND_TERM, va), (KIND_TERM, vb), counter)
-            return _alpha(ba, bb, ea, eb, counter)
-        case (SeqE(fa, sa), SeqE(fb, sb)):
-            return _alpha(fa, fb, env_a, env_b, counter) and _alpha(sa, sb, env_a, env_b, counter)
-        case (Boundary(ta, ca), Boundary(tb, cb)):
-            return _alpha(ta, tb, env_a, env_b, counter) and _alpha(ca, cb, env_a, env_b, counter)
-        case (Pack(wa, va, aa), Pack(wb, vb, ab)):
-            return (
-                _alpha(wa, wb, env_a, env_b, counter)
-                and _alpha(va, vb, env_a, env_b, counter)
-                and _alpha(aa, ab, env_a, env_b, counter)
-            )
-        case (Inst(va, oa), Inst(vb, ob)):
-            return _alpha(va, vb, env_a, env_b, counter) and _alpha(oa, ob, env_a, env_b, counter)
-        case (Aop(oa, da, sa, ua), Aop(ob, db, sb, ub)):
-            return oa == ob and da == db and sa == sb and _alpha(ua, ub, env_a, env_b, counter)
-        case (Bnz(ra_, ua), Bnz(rb, ub)):
-            return ra_ == rb and _alpha(ua, ub, env_a, env_b, counter)
-        case (Ld(da, sa, ia), Ld(db, sb, ib)):
-            return da == db and sa == sb and ia == ib
-        case (St(da, ia, sa), St(db, ib, sb)):
-            return da == db and ia == ib and sa == sb
-        case (Ralloc(da, na), Ralloc(db, nb)) | (Balloc(da, na), Balloc(db, nb)):
-            return da == db and na == nb
-        case (Mv(da, ua), Mv(db, ub)):
-            return da == db and _alpha(ua, ub, env_a, env_b, counter)
-        case (Salloc(na), Salloc(nb)) | (Sfree(na), Sfree(nb)):
-            return na == nb
-        case (Sld(da, ia), Sld(db, ib)):
-            return da == db and ia == ib
-        case (Sst(ia, sa), Sst(ib, sb)):
-            return ia == ib and sa == sb
-        case (UnfoldI(da, ua), UnfoldI(db, ub)):
-            return da == db and _alpha(ua, ub, env_a, env_b, counter)
-        case (Protect(pa, za), Protect(pb, zb)):
-            # zeta's scope is the enclosing Seq tail; compared there.
-            return (
-                len(pa) == len(pb)
-                and za == zb
-                and all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(pa, pb))
-            )
-        case (ImportI(da, s0a, za, ta, ba), ImportI(db, s0b, zb, tb, bb)):
-            if da != db:
-                return False
-            if not _alpha(s0a, s0b, env_a, env_b, counter):
-                return False
-            if not _alpha(ta, tb, env_a, env_b, counter):
-                return False
-            ea, eb = _bind(env_a, env_b, (KIND_STACK, za), (KIND_STACK, zb), counter)
-            return ea is not None and _alpha(ba, bb, ea, eb, counter)
-        case (Seq(ha, ta), Seq(hb, tb)):
-            match ha, hb:
-                case (Unpack(va, da, ua), Unpack(vb, db, ub)):
-                    if da != db or not _alpha(ua, ub, env_a, env_b, counter):
-                        return False
-                    ea, eb = _bind(env_a, env_b, (KIND_TYPE, va), (KIND_TYPE, vb), counter)
-                    return ea is not None and _alpha(ta, tb, ea, eb, counter)
-                case (Protect(pa2, za), Protect(pb2, zb)):
-                    if len(pa2) != len(pb2):
-                        return False
-                    if not all(_alpha(x, y, env_a, env_b, counter) for x, y in zip(pa2, pb2)):
-                        return False
-                    ea, eb = _bind(env_a, env_b, (KIND_STACK, za), (KIND_STACK, zb), counter)
-                    return ea is not None and _alpha(ta, tb, ea, eb, counter)
-                case _:
-                    if type(ha) is not type(hb):
-                        return False
-                    return _alpha(ha, hb, env_a, env_b, counter) and _alpha(ta, tb, env_a, env_b, counter)
-        case (Unpack(va, da, ua), Unpack(vb, db, ub)):
-            return va == vb and da == db and _alpha(ua, ub, env_a, env_b, counter)
-        case (Jmp(ua), Jmp(ub)):
-            return _alpha(ua, ub, env_a, env_b, counter)
-        case (Call(ua, sa, qa), Call(ub, sb, qb)):
-            return (
-                _alpha(ua, ub, env_a, env_b, counter)
-                and _alpha(sa, sb, env_a, env_b, counter)
-                and _alpha(qa, qb, env_a, env_b, counter)
-            )
-        case (Ret(ra_, xa), Ret(rb, xb)):
-            return ra_ == rb and xa == xb
-        case (Halt(ta, sa, ra_), Halt(tb, sb, rb)):
-            return (
-                ra_ == rb
-                and _alpha(ta, tb, env_a, env_b, counter)
-                and _alpha(sa, sb, env_a, env_b, counter)
-            )
-        case (CodeBlock(ba, ca, sa, qa, ia), CodeBlock(bb, cb, sb, qb, ib)):
-            if len(ba) != len(bb):
-                return False
-            ea, eb = dict(env_a), dict(env_b)
-            for xa, xb in zip(ba, bb):
-                ea, eb = _bind(ea, eb, (kind_of_name(xa), xa), (kind_of_name(xb), xb), counter)
-                if ea is None:
-                    return False
-            if [r for r, _ in ca] != [r for r, _ in cb]:
-                return False
-            return (
-                all(_alpha(ta, tb, ea, eb, counter) for (_, ta), (_, tb) in zip(ca, cb))
-                and _alpha(sa, sb, ea, eb, counter)
-                and _alpha(qa, qb, ea, eb, counter)
-                and _alpha(ia, ib, ea, eb, counter)
-            )
-        case (Component(ba, ha), Component(bb, hb)):
-            da = {x.label: x for x in ha}
-            db = {x.label: x for x in hb}
-            if set(da) != set(db):
-                return False
-            if not _alpha(ba, bb, env_a, env_b, counter):
-                return False
-            for lbl in da:
-                xa, xb = da[lbl], db[lbl]
-                if xa.nu != xb.nu or not _alpha(xa.value, xb.value, env_a, env_b, counter):
-                    return False
-            return True
-        case (Program(ea2, ma), Program(eb2, mb)):
-            return ea2 == eb2 and _alpha(ma, mb, env_a, env_b, counter)
-        case _:
-            raise TypeError(f"alpha_equal: unhandled pair {type(a).__name__}")
+        a, b = a.tail, b.tail
+
+
+def _alpha_node(a, b, sc: Schema, env_a, env_b, counter, at_head=False) -> bool:
+    if sc.var == KIND_LOC:
+        return a.name == b.name
+    if sc.var is not None:
+        ia = env_a.get((sc.var, a.name))
+        ib = env_b.get((sc.var, b.name))
+        return ia == ib and (ia is not None or a.name == b.name)
+    for name in sc.attrs:
+        if getattr(a, name) != getattr(b, name) and not (at_head and name == sc.bfield):
+            return False
+    inner_a, inner_b = env_a, env_b
+    if sc.bound:
+        inner_a, inner_b = _bind(env_a, env_b, _binders(sc, a), _binders(sc, b), counter)
+        if inner_a is None:
+            return False
+    for name, shape, scoped in sc.children:
+        frame_a, nodes_a = _split(shape, getattr(a, name))
+        frame_b, nodes_b = _split(shape, getattr(b, name))
+        # Bound names are matched by _bind, not compared.
+        if frame_a != frame_b and not (sc.bound and name == sc.bfield):
+            return False
+        ea, eb = (inner_a, inner_b) if scoped else (env_a, env_b)
+        if not all(_alpha(x, y, ea, eb, counter) for x, y in zip(nodes_a, nodes_b)):
+            return False
+    return True

@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+import json
 import pathlib
 
 import pytest
@@ -31,6 +32,32 @@ def corpus_dir() -> pathlib.Path:
 
 def corpus_text(name: str) -> str:
     return (CORPUS_DIR / f"{name}.ftal").read_text()
+
+
+# -- bare target-language equivalence jobs ----------------------------------
+
+# Two halting programs that leave {word} on the stack and 1 in r1.
+BARE = """entry T
+(
+  mv r1, {word};
+  salloc 1;
+  sst 0, r1;
+  mv r1, {result};
+  halt[int, int :: *] r1
+)
+"""
+
+
+def write_bare_job(tmp_path, left_word, right_word, compare_stack):
+    for side, word in (("left", left_word), ("right", right_word)):
+        (tmp_path / f"{side}.ftal").write_text(
+            BARE.format(word=word, result=1))
+    payload = {"left": "left.ftal", "right": "right.ftal",
+               "type": "int", "fuel": 1000,
+               "compare_stack": compare_stack}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    return path
 
 
 # -- strategies -------------------------------------------------------------

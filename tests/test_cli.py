@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import write_bare_job
 from ftal import cli, machine, registry
 from ftal import syntax as S
 
@@ -151,6 +152,15 @@ def test_eq_fuel_flag_overrides_the_job(capsys):
         capsys, ["eq", "--fuel", "24", str(registry.job_path("factorial"))])
     assert code == 5
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize("fuel", [[], ["--fuel", "100"]])
+def test_eq_fuel_flag_keeps_stack_comparison(capsys, tmp_path, fuel):
+    # The halting stacks differ only in content, which the job compares.
+    job_file = write_bare_job(tmp_path, 7, 8, compare_stack=True)
+    code, out, _ = run_cli(capsys, ["eq", *fuel, str(job_file)])
+    assert code == 4
+    assert out.splitlines()[0] == "distinguished"
 
 
 def test_fmt_is_idempotent(capsys, tmp_path):

@@ -1,0 +1,86 @@
+"""A program far deeper than Python's recursion limit: one heap block of
+3000 straight-line instructions. It runs to its halt, and every syntax
+traversal walks it to the end."""
+
+import pytest
+
+from ftal import cli, parser, pretty
+from ftal import syntax as S
+
+N = 3000
+
+
+def deep_source(n: int) -> str:
+    """A component whose one block runs n instructions, then halts with
+    1 in r1; every other instruction mentions the block's own label."""
+    lines = ["entry T", "(", "  mv r1, 1;", "  jmp l", ", where",
+             "  l -> code[]{r1: int; *} ret(int, *)."]
+    lines += ["    mv r2, l;" if i % 2 else "    add r1, r1, 0;"
+              for i in range(n)]
+    lines += ["    halt[int, *] r1", ")"]
+    return "\n".join(lines) + "\n"
+
+
+def spine(iseq):
+    """The instructions of a sequence, and its terminator."""
+    heads = []
+    while isinstance(iseq, S.Seq):
+        heads.append(iseq.head)
+        iseq = iseq.tail
+    return heads, iseq
+
+
+def moves_to(block, label):
+    heads, end = spine(block.body)
+    assert len(heads) == N and isinstance(end, S.Halt)
+    return all(h.u == S.Loc(label) for h in heads if isinstance(h, S.Mv))
+
+
+def check_run(path, prog, capsys):
+    assert cli.main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "halted 1; stack []"
+
+
+def check_free_names(path, prog, capsys):
+    assert S.free_names(prog) == frozenset()
+    assert S.free_names(prog.main.heap[0].value) == {(S.KIND_LOC, "l")}
+
+
+def check_substitute(path, prog, capsys):
+    block = prog.main.heap[0].value
+    got = S.substitute(block, {(S.KIND_LOC, "l"): S.Loc("k"),
+                               (S.KIND_STACK, "z"): S.SNil()})
+    assert moves_to(got, "k")
+
+
+def check_subst_terms(path, prog, capsys):
+    block = prog.main.heap[0].value
+    assert moves_to(S.subst_terms(block, {"x": S.IntVal(0)}), "l")
+
+
+def check_rename_locations(path, prog, capsys):
+    block = prog.main.heap[0].value
+    assert moves_to(S.rename_locations(block, {"l": "l#0"}), "l#0")
+    # The component binds l, so renaming from outside changes nothing.
+    assert moves_to(S.rename_locations(prog.main, {"l": "l#0"}).heap[0].value, "l")
+
+
+def check_alpha_equal(path, prog, capsys):
+    assert S.alpha_equal(prog, parser.parse_program(pretty.program(prog)))
+    changed = S.rename_locations(prog.main.heap[0].value, {"l": "l#0"})
+    assert not S.alpha_equal(prog.main.heap[0].value, changed)
+
+
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deep") / "deep.ftal"
+    path.write_text(deep_source(N))
+    return path, parser.parse_program(path.read_text())
+
+
+@pytest.mark.parametrize("check", [
+    check_run, check_free_names, check_substitute, check_subst_terms,
+    check_rename_locations, check_alpha_equal,
+], ids=lambda f: f.__name__[len("check_"):])
+def test_deep_program(deep, capsys, check):
+    check(*deep, capsys)

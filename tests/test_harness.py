@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import write_bare_job
 from ftal import harness, machine, parser, registry
 from ftal import syntax as S
 
@@ -112,29 +113,6 @@ def test_stack_contents_compared_only_on_request():
 
 
 # -- bare target-language jobs ----------------------------------------------
-
-
-BARE = """entry T
-(
-  mv r1, {word};
-  salloc 1;
-  sst 0, r1;
-  mv r1, {result};
-  halt[int, int :: *] r1
-)
-"""
-
-
-def write_bare_job(tmp_path, left_word, right_word, compare_stack):
-    for side, word in (("left", left_word), ("right", right_word)):
-        (tmp_path / f"{side}.ftal").write_text(
-            BARE.format(word=word, result=1))
-    payload = {"left": "left.ftal", "right": "right.ftal",
-               "type": "int", "fuel": 1000,
-               "compare_stack": compare_stack}
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(payload))
-    return path
 
 
 def test_bare_programs_probe_once_without_inputs(tmp_path):

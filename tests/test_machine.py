@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import corpus_text
-from ftal import machine, parser
+from ftal import machine, parser, pretty
 from ftal import syntax as S
 
 FUEL = 100000
@@ -258,13 +258,13 @@ def test_stuck_outcome_counts_completed_steps_only():
 
 
 def test_small_integers_render_exactly():
-    assert machine._int_str(0) == "0"
-    assert machine._int_str(-7) == "-7"
-    assert machine._int_str(10 ** 39) == str(10 ** 39)
+    assert pretty.int_str(0) == "0"
+    assert pretty.int_str(-7) == "-7"
+    assert pretty.int_str(10 ** 39) == str(10 ** 39)
 
 
 def test_huge_integers_render_as_magnitude_digests():
-    s = machine._int_str(10 ** 5000)
+    s = pretty.int_str(10 ** 5000)
     assert s.startswith("<int ~10^")
     assert len(s) < 30
 

@@ -1,6 +1,9 @@
 """Syntax-tree basics: alpha equality, substitution, helpers."""
 
-from hypothesis import given
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import source_terms, source_types
 from ftal import syntax as S
@@ -156,3 +159,140 @@ def test_free_names_entries_are_kind_name_pairs(e):
         assert isinstance(name, str) and kind in (
             S.KIND_TERM, S.KIND_TYPE, S.KIND_STACK, S.KIND_MARKER,
             S.KIND_LOC)
+
+
+def test_every_node_class_has_one_schema_entry():
+    nodes = {c for c in vars(S).values() if isinstance(c, type)
+             and issubclass(c, S.Node) and dataclasses.is_dataclass(c)}
+    assert nodes and nodes == set(S.SCHEMA)
+    for cls, schema in S.SCHEMA.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert schema.cls is cls
+        assert {name for name, _, _ in schema.children} <= names, cls
+        if schema.binds is not None:
+            field, _, scope = schema.binds
+            assert field in names, cls
+            assert scope == S.TAIL or set(scope) <= names, cls
+
+
+def test_substitute_renames_term_and_label_namespaces():
+    term = S.Lam((("x", S.TyInt()),), S.App(S.Var("y"), (S.Var("x"),)))
+    got = S.substitute(term, {(S.KIND_TERM, "y"): S.Var("x")})
+    assert S.alpha_equal(got, S.subst_terms(term, {"y": S.Var("x")}))
+    assert S.free_names(got) == {(S.KIND_TERM, "x")}
+    jmp = S.Jmp(S.Loc("l"))
+    got = S.substitute(jmp, {(S.KIND_LOC, "l"): S.Loc("m")})
+    assert got == S.rename_locations(jmp, {"l": "m"}) == S.Jmp(S.Loc("m"))
+
+
+def test_unpack_binds_over_the_rest_of_the_sequence():
+    body = S.seq_of([S.Unpack("a", "r1", S.Reg("r2")),
+                     S.Mv("r3", S.Inst(S.Reg("r1"), S.TVar("a")))],
+                    S.Halt(S.TVar("a"), S.SNil(), "r1"))
+    assert S.free_names(body) == frozenset()
+    # a := b leaves the bound a alone; b := a renames the binder.
+    assert S.substitute(body, {(S.KIND_TYPE, "a"): S.TyInt()}) == body
+    renamed = S.seq_of([S.Unpack("b", "r1", S.Reg("r2")),
+                        S.Mv("r3", S.Inst(S.Reg("r1"), S.TVar("b")))],
+                       S.Halt(S.TVar("b"), S.SNil(), "r1"))
+    assert S.alpha_equal(body, renamed)
+    assert not S.alpha_equal(body, S.Seq(renamed.head, body.tail))
+
+
+def test_renaming_a_binder_avoids_capture_by_an_inner_binder():
+    # code[z]{; z} holding code[z#0]{; z}: substituting the free a := z
+    # renames the outer z to z#0, so the inner z#0 must move as well.
+    inner = S.CodeT(("z#0",), (), S.SVar("z"), S.MOut())
+    outer = S.CodeT(("z",), (("r1", S.Box(inner)), ("r2", S.TVar("a"))),
+                    S.SVar("z"), S.MOut())
+    got = S.substitute(outer, {(S.KIND_TYPE, "a"): S.Ref(S.TyTuple(
+        (S.CodeT((), (), S.SVar("z"), S.MOut()),)))})
+    (_, boxed), _ = got.chi
+    assert got.binders == ("z#0",)
+    assert boxed.psi.sigma == S.SVar("z#0")
+    assert boxed.psi.binders != ("z#0",)
+
+
+# -- capture avoidance on generated syntax -----------------------------------
+
+# Few names, several of them spelled like fresh names, so that binders
+# collide with the free names of replacements and with each other. Sorts
+# mix freely within types, stacks and markers: binding does not look at
+# them.
+TY_NAMES = st.sampled_from(("a", "b", "a#0"))
+STK_NAMES = st.sampled_from(("z", "z2", "z#0"))
+TM_NAMES = st.sampled_from(("x", "y", "x#0"))
+binders = st.lists(st.sampled_from(("a", "a#0", "z", "z#0", "eps", "eps#0")),
+                   max_size=3, unique=True).map(tuple)
+
+type_level = st.recursive(
+    st.one_of(TY_NAMES.map(S.TVar), STK_NAMES.map(S.SVar),
+              st.sampled_from(("eps", "eps#0")).map(S.MEps), st.just(S.TyInt())),
+    lambda inner: st.one_of(
+        st.builds(lambda ps, r: S.Arrow(tuple(ps), r),
+                  st.lists(inner, max_size=2), inner),
+        st.builds(S.Mu, TY_NAMES, inner),
+        st.builds(S.Exists, TY_NAMES, inner),
+        st.builds(S.SCons, inner, inner),
+        st.builds(lambda bs, t, s, q: S.CodeT(bs, (("r1", t),), s, q),
+                  binders, inner, inner, inner),
+    ), max_leaves=8)
+
+
+def components(terms):
+    instrs = st.one_of(
+        st.builds(S.Mv, st.just("r1"), terms),
+        st.builds(S.Unpack, TY_NAMES, st.just("r1"), terms),
+        st.builds(lambda t, z: S.Protect((t,), z), type_level, STK_NAMES),
+        st.builds(lambda s, z, t, b: S.ImportI("r1", s, z, t, b),
+                  type_level, STK_NAMES, type_level, terms),
+    )
+    iseqs = st.builds(lambda hs, t, s: S.seq_of(hs, S.Halt(t, s, "r1")),
+                      st.lists(instrs, max_size=3), type_level, type_level)
+    return st.builds(
+        lambda body, bs, code: S.Component(body, (S.HeapBinding(
+            "l", "box", S.CodeBlock(bs, (), S.SNil(), S.MOut(), code)),)),
+        iseqs, binders, iseqs)
+
+
+def terms_over(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(lambda ps, b: S.Lam(tuple(ps), b),
+                  st.lists(st.tuples(TM_NAMES, type_level), max_size=2,
+                           unique_by=lambda p: p[0]), inner),
+        st.builds(S.Let, TM_NAMES, st.none(), inner, inner),
+        st.builds(S.Inst, inner, type_level),
+        st.builds(S.Boundary, type_level, components(inner)),
+    ), max_leaves=6)
+
+
+terms = terms_over(st.one_of(TM_NAMES.map(S.Var), st.just(S.Loc("l"))))
+nodes = st.one_of(type_level, terms, components(terms))
+replacements = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("a", "a#0", "z", "z#0", "eps", "eps#0")).map(
+        lambda n: (S.kind_of_name(n), n)), type_level),
+    # Labels are nominal, so a component may capture one: replacements
+    # name no free label.
+    st.tuples(TM_NAMES.map(lambda n: (S.KIND_TERM, n)),
+              terms_over(TM_NAMES.map(S.Var))),
+    st.just(((S.KIND_LOC, "l"), S.Loc("m"))),
+), min_size=1, max_size=3).map(dict)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(nodes, replacements)
+def test_substitution_neither_captures_nor_loses_names(node, mapping):
+    free = S.free_names(node)
+    want = set(free - set(mapping))
+    for key in set(mapping) & free:
+        want |= S.free_names(mapping[key])
+    assert S.free_names(S.substitute(node, mapping)) == want
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(nodes)
+def test_renaming_a_free_name_away_and_back_is_alpha_equal(node):
+    for kind, name in S.free_names(node) - {(S.KIND_LOC, "l")}:
+        away = S.substitute(node, {(kind, name): S.var_node(kind, "q9")})
+        back = S.substitute(away, {(kind, "q9"): S.var_node(kind, name)})
+        assert S.alpha_equal(back, node)
