@@ -7,7 +7,9 @@ equivalence job), fmt (reprint a program from its syntax tree), corpus
 
 Exit codes are a total function of what happened: 0 success, 1 type
 error, 2 parse error, 3 stuck, 4 distinguished, 5 inconclusive (fuel ran
-out).  FTAL_FUEL sets the default fuel bound; the --fuel flag wins.
+out), 6 resource limit (the interpreter ran out of recursion depth or
+memory on a program too deep or too large for it).  FTAL_FUEL sets the
+default fuel bound; the --fuel flag wins.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_PARSE = 2
 EXIT_STUCK = 3
 EXIT_DISTINGUISHED = 4
 EXIT_INCONCLUSIVE = 5
+EXIT_RESOURCE = 6
 
 
 def _default_fuel() -> int:
@@ -269,6 +272,11 @@ def main(argv=None) -> int:
         return _fail(args, "io", str(e), EXIT_PARSE)
     except json.JSONDecodeError as e:
         return _fail(args, "parse", f"bad job file: {e}", EXIT_PARSE)
+    except RecursionError:
+        return _fail(args, "resource", "program nested too deeply for the "
+                     "interpreter's recursion limit", EXIT_RESOURCE)
+    except MemoryError:
+        return _fail(args, "resource", "out of memory", EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,24 @@
 
 The configuration is a focus (a source expression being decomposed, a
 value being plugged back into its context, or a target instruction
-sequence), a stack of evaluation frames, and a memory of registers, a
-value stack, and a heap.  Every transition costs one unit of fuel and can
-emit one JSON-ready trace record.
+sequence), a stack of evaluation frames, a memory of registers, a value
+stack, and a heap, and a type environment for the target code in focus.
+Every transition costs one unit of fuel.
+
+Types are erased: a jump does not substitute its instantiations into the
+target block.  It enters the block under an environment that maps each
+binder to its closed instantiation, one per (label, instantiation), and
+``unpack`` and ``protect`` extend or shadow it over the rest of the
+sequence.  A word is closed against the environment when an instruction
+reads it as a literal operand, and an ``import`` when it runs, so every
+word in a register, on the stack or in the heap, and every term handed to
+the source language, is closed.  Each environment caches what it closed.
+
+A step returns a record with its number, language, jump kind and stack
+depth.  The rest of a JSON-ready trace record, the redex text and the
+registers it set, is rendered only while ``run`` has a trace sink (or
+for a direct call of ``step``); the text is that of the instruction with
+the environment applied, so it reads as if the block had been rewritten.
 
 Heap labels are renamed to label#k with a machine-owned counter when a
 component's bindings are merged in, so repeated entry into the same
@@ -13,12 +28,14 @@ boundary cannot collide and runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .boundary import export_value, import_value
 from .errors import TranslationError
 from .syntax import (
+    KIND_STACK,
     KIND_TYPE,
     Aop,
     App,
@@ -64,10 +81,13 @@ from .syntax import (
     UnitVal,
     Unpack,
     Var,
+    free_names,
+    fresh_name,
     kind_of_name,
     rename_locations,
     subst_terms,
     substitute,
+    var_node,
 )
 from . import pretty
 
@@ -182,6 +202,29 @@ class FrImport:
     rd: str
     ann: Ty
     rest: ISeq
+    env: "_Env"
+
+
+class _Env:
+    """A type environment: (kind, binder) -> closed omega, with caches of
+    what was closed and rendered under it, keyed by node identity (each
+    entry keeps its node alive, so an id is never reused while cached)."""
+
+    __slots__ = ("map", "avoid", "closed", "texts", "under")
+
+    def __init__(self, mapping: dict):
+        self.map = mapping
+        # Names free in the omegas; a binder among them gets renamed.
+        self.avoid = frozenset().union(*map(free_names, mapping.values()))
+        self.closed: dict = {}  # id(node) -> (node, node closed)
+        self.texts: dict = {}  # id(node) -> (node, redex text)
+        self.under: dict = {}  # (id(instr), value) -> (instr, env, shown)
+
+
+_AOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# Literal operands that carry types.
+_TYPED = (Inst, Pack, Fold)
 
 
 def is_value(e: Tm) -> bool:
@@ -210,6 +253,13 @@ class Machine:
         self.steps = 0
         self._outcome: Outcome | None = None
         self._delta: dict = {}
+        # Whether step renders the redex and register text.
+        self._render = True
+        # The type environment of the code in focus.  Source code is
+        # closed and runs under the empty one: control reaches it from
+        # target code only by import and halt, which switch to it.
+        self._root = self.env = _Env({})
+        self._envs: dict = {}  # (label, *omegas) -> _Env
         if prog.entry == "F":
             self.mode = "F"
             self.focus: Tm | ISeq = prog.main
@@ -244,20 +294,34 @@ class Machine:
 
     def _setreg(self, rd: str, w) -> None:
         self.regs[rd] = w
-        self._delta[rd] = pretty.word_str(w)
+        self._delta[rd] = w
 
     def _getreg(self, r: str):
         if r not in self.regs:
             raise _Stuck(STUCK_UNBOUND_REGISTER, r)
         return self.regs[r]
 
+    def _close(self, node):
+        """``node`` with the type environment applied."""
+        env = self.env
+        if not env.map:
+            return node
+        hit = env.closed.get(id(node))
+        if hit is None:
+            hit = env.closed[id(node)] = (node, substitute(node, env.map))
+        return hit[1]
+
     def _resolve(self, u: Tm):
         """A word for an instruction operand."""
         if isinstance(u, Reg):
             return self._getreg(u.name)
+        if isinstance(u, _TYPED):
+            return self._close(u)
         return u
 
     def _jump(self, word, extra=None) -> ISeq:
+        """Enter the block ``word`` names, under the environment of its
+        instantiations; returns the block's body."""
         omegas: list = []
         while isinstance(word, Inst):
             omegas.insert(0, word.omega)
@@ -278,12 +342,42 @@ class Machine:
             raise _Stuck(STUCK_UNINSTANTIATED,
                          f"{word.name} wants {len(block.binders)} "
                          f"instantiations, got {len(omegas)}")
-        body = block.body
-        if omegas:
-            mapping = {(kind_of_name(b), b): om
-                       for b, om in zip(block.binders, omegas)}
-            body = substitute(body, mapping)
-        return body
+        if not omegas:
+            self.env = self._root
+            return block.body
+        key = (word.name, *omegas)
+        env = self._envs.get(key)
+        if env is None:
+            env = self._envs[key] = _Env(
+                {(kind_of_name(b), b): om
+                 for b, om in zip(block.binders, omegas)})
+        self.env = env
+        return block.body
+
+    def _under(self, seq: Seq, field: str, key: tuple, value):
+        """The environment over the tail of ``seq``, whose head binds
+        ``key`` by its ``field``: to ``value``, or, for None, to nothing
+        (it shadows).  Also the head as a rewritten block would show it:
+        rewriting renamed a binder that would capture a free name of an
+        omega, unless the binder shadowed every name it mapped."""
+        env, ins = self.env, seq.head
+        hit = env.under.get((id(ins), value))
+        if hit is None:
+            mapping = {k: v for k, v in env.map.items() if k != key}
+            shown = ins
+            if mapping and key in env.avoid:
+                taken = {n for _, n in free_names(seq)} | {key[1]}
+                taken.update(n for _, n in env.map)
+                taken.update(n for _, n in env.avoid)
+                name = fresh_name(key[1], taken)
+                mapping[key] = var_node(key[0], name)
+                shown = replace(ins, **{field: name})
+            if value is not None:
+                mapping[key] = value
+            hit = env.under[(id(ins), value)] = (
+                ins, _Env(mapping) if mapping else self._root, shown)
+        self.env = hit[1]
+        return hit[2]
 
     # ------------------------------------------------------------------
     # Stepping
@@ -293,11 +387,13 @@ class Machine:
 
     def step(self) -> dict | None:
         """Perform one transition; returns its trace record, or None once
-        the machine is terminal."""
+        the machine is terminal.  Inside an untraced ``run`` the record
+        has no redex or registers_delta."""
         if self._outcome is not None:
             return None
         self._delta = {}
         lang = "T" if isinstance(self.focus, ISeq) else "F"
+        env = self.env
         try:
             redex, jump = self._transition()
         except _Stuck as s:
@@ -305,23 +401,30 @@ class Machine:
                                     detail=s.detail, steps=self.steps)
             return None
         self.steps += 1
-        record = {
+        if not self._render:
+            return {"step": self.steps, "lang": lang, "jump": jump,
+                    "stack_depth": len(self.stack)}
+        return {
             "step": self.steps,
             "lang": lang,
-            "redex": redex,
+            "redex": redex if isinstance(redex, str) else _redex(redex, env),
             "jump": jump,
-            "registers_delta": dict(sorted(self._delta.items())),
+            "registers_delta": {r: pretty.word_str(w)
+                                for r, w in sorted(self._delta.items())},
             "stack_depth": len(self.stack),
         }
-        return record
 
     def run(self, fuel: int, trace: Callable[[dict], None] | None = None) -> Outcome:
-        for _ in range(fuel):
-            record = self.step()
-            if record is None:
-                break
-            if trace is not None:
-                trace(record)
+        self._render = trace is not None
+        try:
+            for _ in range(fuel):
+                record = self.step()
+                if record is None:
+                    break
+                if trace is not None:
+                    trace(record)
+        finally:
+            self._render = True
         if self._outcome is None:
             return Outcome("running", steps=self.steps)
         return self._outcome
@@ -329,6 +432,8 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _transition(self):
+        """One transition; returns (redex, jump kind).  The redex is the
+        trace text, or the target node to render it from."""
         focus = self.focus
         if isinstance(focus, ISeq):
             return self._step_target(focus)
@@ -408,9 +513,7 @@ class Machine:
             left = frame.left
             if not (isinstance(left, IntVal) and isinstance(v, IntVal)):
                 raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
-            n = {"+": left.n + v.n, "-": left.n - v.n,
-                 "*": left.n * v.n}[frame.op]
-            self.focus = IntVal(n)
+            self.focus = IntVal(_BINOPS[frame.op](left.n, v.n))
             return f"binop {frame.op}", None
         if isinstance(frame, FrIf0):
             if not isinstance(v, IntVal):
@@ -477,6 +580,7 @@ class Machine:
                 raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
             self._setreg(frame.rd, w)
             self.focus = frame.rest
+            self.env = frame.env
             self.returning = False
             return "export", "boundary"
         raise _Stuck(STUCK_TYPE_CONFUSION,
@@ -496,17 +600,18 @@ class Machine:
 
     def _step_target(self, iseq: ISeq):
         if isinstance(iseq, Seq):
-            return self._step_instr(iseq.head, iseq.tail)
+            return self._step_instr(iseq)
         if isinstance(iseq, Jmp):
             self.focus = self._jump(self._resolve(iseq.u))
-            return _short(f"jmp {pretty.tm(iseq.u)}"), "jmp"
+            return iseq, "jmp"
         if isinstance(iseq, Call):
             self.focus = self._jump(self._resolve(iseq.u),
-                                    [iseq.sigma0, iseq.qret])
-            return _short(f"call {pretty.tm(iseq.u)}"), "call"
+                                    (self._close(iseq.sigma0),
+                                     self._close(iseq.qret)))
+            return iseq, "call"
         if isinstance(iseq, Ret):
             self.focus = self._jump(self._getreg(iseq.r))
-            return f"ret {iseq.r} {{{iseq.r2}}}", "ret"
+            return iseq, "ret"
         if isinstance(iseq, Halt):
             w = self._getreg(iseq.reg)
             if not self.frames:
@@ -514,11 +619,12 @@ class Machine:
                                         stack=tuple(self.stack),
                                         steps=self.steps + 1)
                 self.focus = UnitVal()
-                return f"halt {iseq.reg}", "halt"
+                return iseq, "halt"
             frame = self.frames[-1]
             if not isinstance(frame, FrBoundary):
                 raise _Stuck(STUCK_HALT_OUTSIDE, "")
             self.frames.pop()
+            self.env = self._root
             try:
                 v = import_value(frame.ann, w, self.heap, self._fresh)
             except TranslationError as t:
@@ -528,20 +634,19 @@ class Machine:
                 raise _Stuck(reason, t.message)
             self.focus = v
             self.returning = True
-            return f"halt {iseq.reg}", "halt"
+            return iseq, "halt"
         raise _Stuck(STUCK_TYPE_CONFUSION,
                      f"not an instruction sequence: {type(iseq).__name__}")
 
-    def _step_instr(self, ins, tail: ISeq):
+    def _step_instr(self, seq: Seq):
+        ins, tail = seq.head, seq.tail
         jump = None
         if isinstance(ins, Aop):
             a = self._getreg(ins.rs)
             b = self._resolve(ins.u)
             if not (isinstance(a, IntVal) and isinstance(b, IntVal)):
                 raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
-            n = {"add": a.n + b.n, "sub": a.n - b.n,
-                 "mul": a.n * b.n}[ins.op]
-            self._setreg(ins.rd, IntVal(n))
+            self._setreg(ins.rd, IntVal(_AOPS[ins.op](a.n, b.n)))
             self.focus = tail
         elif isinstance(ins, Bnz):
             c = self._getreg(ins.r)
@@ -617,7 +722,8 @@ class Machine:
             if not isinstance(w, Pack):
                 raise _Stuck(STUCK_TYPE_CONFUSION, "unpack of a non-package")
             self._setreg(ins.rd, w.val)
-            self.focus = substitute(tail, {(KIND_TYPE, ins.tv): w.wit})
+            ins = self._under(seq, "tv", (KIND_TYPE, ins.tv), w.wit)
+            self.focus = tail
         elif isinstance(ins, UnfoldI):
             w = self._resolve(ins.u)
             if not isinstance(w, Fold):
@@ -625,16 +731,49 @@ class Machine:
             self._setreg(ins.rd, w.e)
             self.focus = tail
         elif isinstance(ins, Protect):
+            key = (KIND_STACK, ins.zeta)
+            # Only a zeta that shadows a binder, or would capture a free
+            # name of an omega, changes the environment.
+            if key in self.env.map or key in self.env.avoid:
+                ins = self._under(seq, "zeta", key, None)
             self.focus = tail
         elif isinstance(ins, ImportI):
-            self.frames.append(FrImport(ins.rd, ins.ann, tail))
-            self.focus = ins.body
+            closed = self._close(ins)
+            self.frames.append(FrImport(ins.rd, closed.ann, tail, self.env))
+            self.env = self._root
+            self.focus = closed.body
             self.returning = False
-            return _short(f"import {ins.rd}"), "boundary"
+            return ins, "boundary"
         else:
             raise _Stuck(STUCK_TYPE_CONFUSION,
                          f"unknown instruction {type(ins).__name__}")
-        return _short(pretty.instr(ins)), jump
+        return ins, jump
+
+
+def _redex(node, env: _Env) -> str:
+    """The trace text of the target redex ``node`` under ``env``; cached
+    only under a block's environment, since code that runs under the
+    empty one may be a component rebuilt for each crossing."""
+    if not env.map:
+        return _redex_text(node, env.map)
+    hit = env.texts.get(id(node))
+    if hit is None:
+        hit = env.texts[id(node)] = (node, _redex_text(node, env.map))
+    return hit[1]
+
+
+def _redex_text(node, mapping: dict) -> str:
+    if isinstance(node, Ret):
+        return f"ret {node.r} {{{node.r2}}}"
+    if isinstance(node, Halt):
+        return f"halt {node.reg}"
+    if isinstance(node, ImportI):
+        return _short(f"import {node.rd}")
+    if isinstance(node, Jmp):
+        return _short(f"jmp {pretty.tm(substitute(node.u, mapping))}")
+    if isinstance(node, Call):
+        return _short(f"call {pretty.tm(substitute(node.u, mapping))}")
+    return _short(pretty.instr(substitute(node, mapping)))
 
 
 def load(prog: Program) -> Machine:

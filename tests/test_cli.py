@@ -2,6 +2,10 @@
 resolution, and machine-readable output on all paths."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -223,3 +227,39 @@ def test_bad_job_file_is_a_parse_error(capsys, tmp_path):
     p.write_text("{not json")
     code, _, err = run_cli(capsys, ["eq", str(p)])
     assert code == 2
+
+
+# -- resource limits ----------------------------------------------------------
+
+# Inputs that exhaust the interpreter's recursion depth: the parser
+# descends several frames per nested lambda, and the checker one frame
+# per operand of a left-nested sum.
+DEEP_INPUTS = {
+    "nested_lambdas": "entry F\n" + "(lam (x: int). " * 300 + "0" + ")" * 300,
+    "long_sum": "entry F\n" + " + ".join(["1"] * 1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_deep_program_exits_six_without_a_traceback(tmp_path, name):
+    path = tmp_path / f"{name}.ftal"
+    path.write_text(DEEP_INPUTS[name])
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "ftal.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == cli.EXIT_RESOURCE == 6
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("resource error:")
+    assert len(done.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_deep_program_json_error_payload(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.ftal"
+    path.write_text(DEEP_INPUTS[name])
+    code, out, _ = run_cli(capsys, ["run", "--json", str(path)])
+    assert code == 6
+    payload = json.loads(out)
+    assert payload["exit_code"] == 6
+    assert payload["error"]["kind"] == "resource"

@@ -1,13 +1,16 @@
 """Abstract machine: pinned outcomes for the bundled programs, fuel
 accounting, determinism of traces, and every stuck reason."""
 
+import hashlib
 import json
 
 import pytest
 
-from conftest import corpus_text
+from conftest import ALL_FTAL, corpus_text
 from ftal import machine, parser, pretty
 from ftal import syntax as S
+from ftal.boundary import translate_type
+from ftal.typecheck import check_program
 
 FUEL = 100000
 
@@ -277,3 +280,182 @@ def test_boundary_result_still_checks_at_the_annotation():
     res = S.Program("F", out.value)
     ty, _ = check_program(res)
     assert ty == S.TyInt()
+
+
+# -- type erasure -------------------------------------------------------------
+
+# Types do no work at run time: a jump enters its block under a type
+# environment instead of rewriting the block, and words are closed when an
+# instruction reads them.  Traces and outcomes must read exactly as if
+# every block had been rewritten.
+
+
+def test_unpacked_type_variable_reaches_the_next_jump():
+    # lA is instantiated at unit, unpacks int as c, and jumps with both.
+    prog = parser.parse_program("""entry T
+(
+  mv r1, pack <int, 5> as exists a. a;
+  mv r4, ();
+  jmp lA[unit]
+, where
+  lA -> code[b]{r1: exists a. a, r4: b; *} ret(int, *).
+    unpack <c, r2> r1;
+    jmp lB[c, b],
+  lB -> code[d, e]{r2: d, r4: e; *} ret(int, *).
+    mv r1, 1;
+    halt[int, *] r1
+)
+""")
+    check_program(prog)
+    records = []
+    out = machine.run_program(prog, FUEL, records.append)
+    assert out.kind == "halted" and out.value == S.IntVal(1) and out.steps == 7
+    assert [r["redex"] for r in records[2:5]] == [
+        "jmp lA#0[unit]", "unpack <c, r2> r1", "jmp lB#1[int, unit]"]
+    assert records[3]["registers_delta"] == {"r2": "5"}
+
+
+def test_import_is_closed_under_the_block_binders():
+    # The import's annotation mentions the block binder a, which is int
+    # at run time, so the exported wrapper is typed at (int) -> int; and
+    # the code after the import runs under a again.
+    prog = parser.parse_program("""entry T
+(
+  mv r1, 7;
+  jmp lA[int]
+, where
+  lA -> code[a]{r1: int; *} ret(int, *).
+    import r2, * as zi, (a) -> a TF{ lam (x: a). x };
+    jmp lB[a],
+  lB -> code[b]{r1: int; *} ret(int, *).
+    halt[int, *] r1
+)
+""")
+    check_program(prog)
+    m = machine.load(prog)
+    records = []
+    out = m.run(FUEL, records.append)
+    assert out.kind == "halted" and out.value == S.IntVal(7) and out.steps == 7
+    assert [r["redex"] for r in records[2:]] == [
+        "import r2", "value", "export", "jmp lB#1[int]", "halt r1"]
+    _, block = m.heap[m.regs["r2"].name]
+    want = translate_type(S.Arrow((S.TyInt(),), S.TyInt())).psi
+    assert (block.chi, block.sigma) == (want.chi, want.sigma)
+    assert (S.KIND_TYPE, "a") not in S.free_names(block)
+
+
+def test_instantiated_loop_jump_is_traced_with_its_closed_types():
+    prog = parser.parse_program(corpus_text("factorial_t"))
+    records = []
+    out = machine.run_program(S.Program("F", S.App(prog.main, (S.IntVal(3),))),
+                              FUEL, records.append)
+    assert out.value == S.IntVal(6) and out.steps == 33
+    assert records[18]["step"] == 19
+    assert records[18]["redex"] == "bnz r3, lloop#1[z, ret(int, z)]"
+
+
+def test_a_binder_that_would_capture_is_renamed_as_in_a_rewritten_block():
+    # lA runs under zz := z, where z is free (bound by the outer
+    # protect), so its own protect of z would capture and is shown
+    # renamed, as rewriting the block renamed it; the next pass runs
+    # under zz := z#0, where z captures nothing.
+    prog = parser.parse_program("""entry T
+(
+  protect ., z;
+  jmp lA[z]
+, where
+  lA -> code[zz]{; zz} ret(int, *).
+    protect ., z;
+    jmp lA[z]
+)
+""")
+    check_program(prog)
+    records = []
+    out = machine.run_program(prog, 7, records.append)
+    assert out.kind == "running"
+    assert [r["redex"] for r in records] == [
+        "protect ., z", "jmp lA#0[z]", "protect ., z#0", "jmp lA#0[z#0]",
+        "protect ., z", "jmp lA#0[z]", "protect ., z#0"]
+
+
+# sha256 of every trace record (sorted-key JSON lines) and the outcome of
+# each corpus program, applied to each of GOLDEN_INPUTS when it is a
+# function, with GOLDEN_FUEL; recorded from the machine that rewrote each
+# block on entry.
+GOLDEN_INPUTS = (-1, 0, 1, 3, 5)
+GOLDEN_FUEL = 3000
+APPLIED = ("basic_blocks_f1", "basic_blocks_f2", "factorial_f", "factorial_t",
+           "identity", "succ")
+GOLDEN = {
+    "call_to_call": "23080603380f0186362a5b8fd81c15392c57311e34eaa922537a8a9c41c9833a",
+    "jit": "83a8e4b783a7ee5d88ea138ce22ad5302297747c804ffca73a48bb2a9b663a4a",
+    "basic_blocks_f1": "1078d6ab614c9f83ff25a21e1923aef92fd07af263470955726db3ca683c2fd0",
+    "basic_blocks_f2": "dd08a2871568dcb3d699fe8429762d0bdcbf415998e9fa3c4b60cd347cdf084e",
+    "factorial_f": "1fd1897ba10622b0bac9280bc74364f2c957af8180f60f198afed4e35d616e34",
+    "factorial_t": "cb15875227366c6b65780449d08e691478f3f4f26ef1105f8dc6fbc20aaf0e5b",
+    "withref": "fc7f09a73207d56ef952f03b8ad1e7d3b79db598129e51518c14181cc11a3785",
+    "import_one_plus_one": "002a9bed7c3aa21fce81600edd298ba29e32eee65758eddef6cda5165cb8cf12",
+    "push7_stack_lambda": "3cd9b9ca224adf0110481d761fc0962619758d70895f7965197aa9cb1912985d",
+    "identity": "8d370aa75b55a42b825f2851037c50d576b55b6b8bfa81867128cf9f0fe43a99",
+    "succ": "30bd4d941204dc2e0abccdc56c222e2ff5f040d6c7be78a75d88658fbe1504d9",
+}
+
+
+@pytest.mark.parametrize("name", ALL_FTAL)
+def test_traces_and_outcomes_match_the_golden_digest(name):
+    h = hashlib.sha256()
+    prog = parser.parse_program(corpus_text(name))
+    progs = ([S.Program("F", S.App(prog.main, (S.IntVal(n),)))
+              for n in GOLDEN_INPUTS] if name in APPLIED else [prog])
+    for p in progs:
+        out = machine.run_program(p, GOLDEN_FUEL, lambda r: h.update(
+            (json.dumps(r, sort_keys=True) + "\n").encode()))
+        h.update((json.dumps({
+            "kind": out.kind, "steps": out.steps,
+            "value": None if out.value is None else pretty.value_str(out.value),
+            "stack": [pretty.word_str(w) for w in out.stack],
+            "reason": out.reason, "detail": out.detail},
+            sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == GOLDEN[name]
+
+
+class _NoRendering:
+    def __getattr__(self, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"pretty.{name} called without a trace sink")
+        return refuse
+
+
+def test_an_untraced_run_renders_nothing(monkeypatch):
+    monkeypatch.setattr(machine, "pretty", _NoRendering())
+    out = run_applied("factorial_t", 5)
+    assert out.kind == "f-value" and out.value == S.IntVal(120)
+    assert out.steps == 39
+
+
+def test_untraced_steps_keep_the_counting_fields(monkeypatch):
+    # Wrappers of Machine.step (such as a profiler) count steps, jumps
+    # and stack depth from the record in untraced runs too.
+    seen = []
+    step = machine.Machine.step
+
+    def spy(m):
+        record = step(m)
+        if record is not None:
+            seen.append(record)
+        return record
+    monkeypatch.setattr(machine.Machine, "step", spy)
+    out = run_named("call_to_call")
+    assert len(seen) == out.steps == 13
+    for r in seen:
+        assert {"step", "lang", "jump", "stack_depth"} <= set(r)
+    assert [r["jump"] for r in seen].count("call") == 2
+
+
+def test_a_direct_step_returns_the_full_record():
+    m = machine.load(parser.parse_program(corpus_text("call_to_call")))
+    r = m.step()
+    assert set(r) == {"step", "lang", "redex", "jump",
+                      "registers_delta", "stack_depth"}
+    assert r["redex"] == "mv ra, l1ret#1"
+    assert r["registers_delta"] == {"ra": "l1ret#1"}
