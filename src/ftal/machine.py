@@ -3,8 +3,25 @@
 The configuration is a focus (a source expression being decomposed, a
 value being plugged back into its context, or a target instruction
 sequence), a stack of evaluation frames, a memory of registers, a value
-stack, and a heap, and a type environment for the target code in focus.
-Every transition costs one unit of fuel.
+stack, and a heap; a term environment for the source expression in
+focus, and a type environment for the target code in focus.  Every
+transition costs one unit of fuel.
+
+Source code is evaluated with closures, as a CEK machine: a beta step or
+a ``let`` extends the term environment, a persistent chain of (name,
+value, parent) cells, instead of substituting into the body.  A lambda
+evaluates to a closure of itself and that environment.  A bound
+variable, or a tuple or fold whose leaves are values or bound variables,
+is a value and takes one ``value`` step, as its substituted form did, so
+steps are the same, one for one, as those of a substituting machine.
+The frames that later evaluate a subterm (``FrBinopL``, ``FrIf0``,
+``FrAppFn``, ``FrAppArgs``, ``FrTuple``, ``FrLet`` and ``FrSeq``) keep
+the environment it needs; ``FrBinopL`` keeps its operand's value, and no
+environment, when the operand is already a value.  A value is read back
+to a closed term, by substituting the bindings free in each lambda, in
+three places only: a component crossing a boundary is closed over the
+names free in it, so its imports run under the empty environment; a
+value handed to ``export_value``; and the final ``f-value``.
 
 Types are erased: a jump does not substitute its instantiations into the
 target block.  It enters the block under an environment that maps each
@@ -36,6 +53,7 @@ from .boundary import export_value, import_value
 from .errors import TranslationError
 from .syntax import (
     KIND_STACK,
+    KIND_TERM,
     KIND_TYPE,
     Aop,
     App,
@@ -127,82 +145,160 @@ class _Stuck(Exception):
         self.detail = detail
 
 
-# Evaluation frames.
+# Evaluation frames.  ``scope`` is the term environment under which a
+# frame's pending subterms run.
 
 
-@dataclass
+@dataclass(slots=True)
 class FrBinopL:
     op: str
-    right: Tm
+    right: Tm  # or its value, with no scope
+    scope: tuple | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FrBinopR:
     op: str
     left: Tm
 
 
-@dataclass
+@dataclass(slots=True)
 class FrIf0:
     then: Tm
     els: Tm
+    scope: tuple | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FrAppFn:
     args: tuple
+    scope: tuple | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FrAppArgs:
     fn: Tm
-    done: list
-    pending: list
+    args: tuple
+    done: list  # values of args[:len(done)]
+    scope: tuple | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FrTuple:
-    done: list
-    pending: list
+    items: tuple
+    done: list  # values of items[:len(done)]
+    scope: tuple | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FrProj:
     idx: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FrFold:
     ann: Ty
 
 
-@dataclass
+@dataclass(slots=True)
 class FrUnfold:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class FrLet:
     var: str
     body: Tm
+    scope: tuple | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FrSeq:
     second: Tm
+    scope: tuple | None
 
 
-@dataclass
+@dataclass(slots=True)
 class FrBoundary:
     ann: Ty
 
 
-@dataclass
+@dataclass(slots=True)
 class FrImport:
     rd: str
     ann: Ty
     rest: ISeq
     env: "_Env"
+
+
+class _Clo:
+    """A source function value: a lambda and the term environment it was
+    evaluated under."""
+
+    __slots__ = ("lam", "scope")
+
+    def __init__(self, lam: Lam, scope: tuple | None):
+        self.lam = lam
+        self.scope = scope
+
+
+def _lookup(scope: tuple | None, name: str):
+    """The value ``name`` is bound to in ``scope``, or None."""
+    while scope is not None:
+        if scope[0] == name:
+            return scope[1]
+        scope = scope[2]
+    return None
+
+
+def _value(e, scope: tuple | None):
+    """The value of ``e`` under ``scope`` if ``e`` is a value there (a
+    bound variable counts, as its substituted form would), else None."""
+    t = type(e)
+    if t is IntVal or t is UnitVal or t is _Clo:
+        return e
+    if t is Lam:
+        return _Clo(e, scope)
+    if t is Var:
+        return _lookup(scope, e.name)
+    if t is TupleVal:
+        items = []
+        for item in e.items:
+            v = _value(item, scope)
+            if v is None:
+                return None
+            items.append(v)
+        return TupleVal(tuple(items))
+    if t is Fold:
+        v = _value(e.e, scope)
+        return None if v is None else Fold(e.ann, v)
+    return None
+
+
+def _close_terms(node, scope: tuple | None):
+    """``node`` with the value of each term name free in it and bound in
+    ``scope`` read back and substituted.  The values read back are
+    closed, so nothing is renamed."""
+    mapping = {}
+    if scope is not None:
+        for kind, name in free_names(node):
+            if kind == KIND_TERM:
+                v = _lookup(scope, name)
+                if v is not None:
+                    mapping[name] = _read_back(v)
+    return subst_terms(node, mapping) if mapping else node
+
+
+def _read_back(v):
+    """The closed term for the value ``v``."""
+    t = type(v)
+    if t is _Clo:
+        return _close_terms(v.lam, v.scope)
+    if t is TupleVal:
+        return TupleVal(tuple([_read_back(item) for item in v.items]))
+    if t is Fold:
+        return Fold(v.ann, _read_back(v.e))
+    return v
 
 
 class _Env:
@@ -225,16 +321,6 @@ _AOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 # Literal operands that carry types.
 _TYPED = (Inst, Pack, Fold)
-
-
-def is_value(e: Tm) -> bool:
-    if isinstance(e, (IntVal, UnitVal, Lam)):
-        return True
-    if isinstance(e, TupleVal):
-        return all(is_value(i) for i in e.items)
-    if isinstance(e, Fold):
-        return is_value(e.e)
-    return False
 
 
 def _short(s: str, limit: int = 80) -> str:
@@ -260,6 +346,8 @@ class Machine:
         # target code only by import and halt, which switch to it.
         self._root = self.env = _Env({})
         self._envs: dict = {}  # (label, *omegas) -> _Env
+        # The term environment of the source expression in focus.
+        self.scope: tuple | None = None
         if prog.entry == "F":
             self.mode = "F"
             self.focus: Tm | ISeq = prog.main
@@ -444,27 +532,36 @@ class Machine:
     # Source-language decomposition.
 
     def _step_source(self, e: Tm):
-        if is_value(e):
+        scope = self.scope
+        v = _value(e, scope)
+        if v is not None:
+            self.focus = v
             self.returning = True
             return "value", None
         if isinstance(e, Var):
             raise _Stuck(STUCK_UNBOUND_VARIABLE, e.name)
         if isinstance(e, Binop):
-            self.frames.append(FrBinopL(e.op, e.right))
+            # A non-tail recursion such as ``f(y - 1) * y`` keeps one
+            # such frame per level: one whose operand is a value keeps
+            # the value, and no scope alive.
+            right = _value(e.right, scope)
+            if right is None:
+                self.frames.append(FrBinopL(e.op, e.right, scope))
+            else:
+                self.frames.append(FrBinopL(e.op, right, None))
             self.focus = e.left
             return f"binop {e.op}", None
         if isinstance(e, If0):
-            self.frames.append(FrIf0(e.then, e.els))
+            self.frames.append(FrIf0(e.then, e.els, scope))
             self.focus = e.cond
             return "if0", None
         if isinstance(e, App):
-            self.frames.append(FrAppFn(e.args))
+            self.frames.append(FrAppFn(e.args, scope))
             self.focus = e.fn
             return "app", None
         if isinstance(e, TupleVal):
-            items = list(e.items)
-            self.frames.append(FrTuple([], items[1:]))
-            self.focus = items[0]
+            self.frames.append(FrTuple(e.items, [], scope))
+            self.focus = e.items[0]
             return "tuple", None
         if isinstance(e, Proj):
             self.frames.append(FrProj(e.idx))
@@ -479,26 +576,34 @@ class Machine:
             self.focus = e.e
             return "unfold", None
         if isinstance(e, Let):
-            self.frames.append(FrLet(e.var, e.body))
+            self.frames.append(FrLet(e.var, e.body, scope))
             self.focus = e.rhs
             return f"let {e.var}", None
         if isinstance(e, SeqE):
-            self.frames.append(FrSeq(e.second))
+            self.frames.append(FrSeq(e.second, scope))
             self.focus = e.first
             return "seq", None
         if isinstance(e, Boundary):
-            body = self._merge_component(e.comp)
+            body = self._merge_component(_close_terms(e.comp, scope))
             self.frames.append(FrBoundary(e.ann))
             self.focus = body
+            self.scope = None
             return "boundary", "boundary"
         raise _Stuck(STUCK_TYPE_CONFUSION,
                      f"not a source expression: {type(e).__name__}")
 
+    def _resume(self, e: Tm, scope: tuple | None) -> None:
+        """Evaluate ``e`` under ``scope`` next."""
+        self.focus = e
+        self.scope = scope
+        self.returning = False
+
     # Plugging a value back into the frame stack.
 
-    def _step_return(self, v: Tm):
+    def _step_return(self, v):
         if not self.frames:
-            self._outcome = Outcome("f-value", value=v, steps=self.steps + 1,
+            self._outcome = Outcome("f-value", value=_read_back(v),
+                                    steps=self.steps + 1,
                                     stack=tuple(self.stack))
             # The final plugging still counts as a step.
             self.returning = False
@@ -506,8 +611,7 @@ class Machine:
         frame = self.frames.pop()
         if isinstance(frame, FrBinopL):
             self.frames.append(FrBinopR(frame.op, v))
-            self.focus = frame.right
-            self.returning = False
+            self._resume(frame.right, frame.scope)
             return "binop-right", None
         if isinstance(frame, FrBinopR):
             left = frame.left
@@ -518,34 +622,31 @@ class Machine:
         if isinstance(frame, FrIf0):
             if not isinstance(v, IntVal):
                 raise _Stuck(STUCK_TYPE_CONFUSION, "if0 on a non-integer")
-            self.focus = frame.then if v.n == 0 else frame.els
-            self.returning = False
+            self._resume(frame.then if v.n == 0 else frame.els, frame.scope)
             return "if0-pick", None
         if isinstance(frame, FrAppFn):
-            if not isinstance(v, Lam):
+            if not isinstance(v, (_Clo, Lam)):
                 raise _Stuck(STUCK_TYPE_CONFUSION,
                              "application of a non-function")
             if not frame.args:
                 return self._beta(v, [])
-            self.frames.append(FrAppArgs(v, [], list(frame.args[1:])))
-            self.focus = frame.args[0]
-            self.returning = False
+            self.frames.append(FrAppArgs(v, frame.args, [], frame.scope))
+            self._resume(frame.args[0], frame.scope)
             return "app-arg", None
         if isinstance(frame, FrAppArgs):
-            done = frame.done + [v]
-            if frame.pending:
-                self.frames.append(
-                    FrAppArgs(frame.fn, done, frame.pending[1:]))
-                self.focus = frame.pending[0]
-                self.returning = False
+            done = frame.done
+            done.append(v)
+            if len(done) < len(frame.args):
+                self.frames.append(frame)
+                self._resume(frame.args[len(done)], frame.scope)
                 return "app-arg", None
             return self._beta(frame.fn, done)
         if isinstance(frame, FrTuple):
-            done = frame.done + [v]
-            if frame.pending:
-                self.frames.append(FrTuple(done, frame.pending[1:]))
-                self.focus = frame.pending[0]
-                self.returning = False
+            done = frame.done
+            done.append(v)
+            if len(done) < len(frame.items):
+                self.frames.append(frame)
+                self._resume(frame.items[len(done)], frame.scope)
                 return "tuple-item", None
             self.focus = TupleVal(tuple(done))
             return "tuple", None
@@ -566,16 +667,15 @@ class Machine:
             self.focus = v.e
             return "unfold", None
         if isinstance(frame, FrLet):
-            self.focus = subst_terms(frame.body, {frame.var: v})
-            self.returning = False
+            self._resume(frame.body, (frame.var, v, frame.scope))
             return f"let {frame.var}", None
         if isinstance(frame, FrSeq):
-            self.focus = frame.second
-            self.returning = False
+            self._resume(frame.second, frame.scope)
             return "seq", None
         if isinstance(frame, FrImport):
             try:
-                w = export_value(frame.ann, v, self.heap, self._fresh)
+                w = export_value(frame.ann, _read_back(v), self.heap,
+                                 self._fresh)
             except TranslationError as t:
                 raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
             self._setreg(frame.rd, w)
@@ -586,14 +686,16 @@ class Machine:
         raise _Stuck(STUCK_TYPE_CONFUSION,
                      f"value under frame {type(frame).__name__}")
 
-    def _beta(self, fn: Lam, args: list):
-        if len(args) != len(fn.params):
+    def _beta(self, fn, args: list):
+        # A lambda imported from target code is closed; it has no scope.
+        lam, scope = (fn.lam, fn.scope) if isinstance(fn, _Clo) else (fn, None)
+        if len(args) != len(lam.params):
             raise _Stuck(STUCK_TYPE_CONFUSION,
-                         f"{len(fn.params)} parameters, {len(args)} "
+                         f"{len(lam.params)} parameters, {len(args)} "
                          f"arguments")
-        mapping = {name: v for (name, _), v in zip(fn.params, args)}
-        self.focus = subst_terms(fn.body, mapping) if mapping else fn.body
-        self.returning = False
+        for (name, _), v in zip(lam.params, args):
+            scope = (name, v, scope)
+        self._resume(lam.body, scope)
         return "beta", None
 
     # Target-language instructions.
@@ -741,8 +843,7 @@ class Machine:
             closed = self._close(ins)
             self.frames.append(FrImport(ins.rd, closed.ann, tail, self.env))
             self.env = self._root
-            self.focus = closed.body
-            self.returning = False
+            self._resume(closed.body, None)
             return ins, "boundary"
         else:
             raise _Stuck(STUCK_TYPE_CONFUSION,

@@ -459,3 +459,102 @@ def test_a_direct_step_returns_the_full_record():
                       "registers_delta", "stack_depth"}
     assert r["redex"] == "mv ra, l1ret#1"
     assert r["registers_delta"] == {"ra": "l1ret#1"}
+
+
+# -- closures and environments ---------------------------------------------
+
+# Source code runs under a term environment instead of substituting on
+# every beta and let.  Outcomes, step counts and step labels below were
+# recorded from the machine that substituted.
+
+
+def run_text(text: str, fuel: int = FUEL):
+    records = []
+    out = machine.run_program(parser.parse_program(text), fuel, records.append)
+    return out, [r["redex"] for r in records]
+
+
+def test_an_inner_binder_shadows_the_outer_one():
+    out, _ = run_text("entry F\n(lam (x: int). (lam (x: int). x)(2) + x)(1)\n")
+    assert out.kind == "f-value" and out.value == S.IntVal(3)
+    assert out.steps == 16
+
+
+
+# Each frame resumes under the scope it was pushed with, not under the
+# one the inner application left behind.
+@pytest.mark.parametrize("body,value,steps", (
+    ("(lam (x: int). x)(2) + (x * 1)", "3", 20),
+    ("if0 ((lam (x: int). x - 2)(2)) x 7", "1", 19),
+    ("(lam (a: int, b: int). a - b)((lam (x: int). x)(5), x)", "4", 23),
+    ("((lam (x: int). x)(2), x)", "(2, 1)", 16),
+    ("let y = (lam (x: int). x)(2) in (x, y)", "(1, 2)", 15),
+    ("((lam (x: int). x)(2); x)", "1", 15),
+))
+def test_a_frame_resumes_under_its_own_scope(body, value, steps):
+    out, _ = run_text(f"entry F\n(lam (x: int). {body})(1)\n")
+    assert out.kind == "f-value" and pretty.tm(out.value) == value
+    assert out.steps == steps
+
+def test_a_returned_closure_reads_back_as_the_substituted_lambda():
+    out, _ = run_text("entry F\n(lam (x: int). lam (y: int). x + y)(3)\n")
+    assert out.kind == "f-value" and out.steps == 7
+    assert pretty.tm(out.value) == "lam (y: int). (3 + y)"
+    assert S.free_names(out.value) == frozenset()
+
+
+def test_a_tuple_of_bound_variables_is_one_value_step():
+    out, redexes = run_text("entry F\n(lam (x: int, y: int). (x, y))(1, 2)\n")
+    assert out.kind == "f-value" and out.steps == 9
+    assert out.value == S.TupleVal((S.IntVal(1), S.IntVal(2)))
+    assert redexes == ["app", "value", "app-arg", "value", "app-arg",
+                       "value", "beta", "value", "result"]
+
+
+def test_an_unbound_variable_inside_a_tuple_is_stuck():
+    out, redexes = run_text("entry F\n(lam (x: int). (x, z))(1)\n")
+    assert out.kind == "stuck" and out.steps == 8
+    assert (out.reason, out.detail) == (machine.STUCK_UNBOUND_VARIABLE, "z")
+    assert redexes[-3:] == ["tuple", "value", "tuple-item"]
+
+
+def test_a_boundary_imports_the_innermost_binding():
+    out, redexes = run_text("""entry F
+let x = 1 in
+(lam (x: int).
+  FT[int](
+    protect ., z;
+    import r1, z as zi, int TF{ x };
+    halt[int, z] r1
+  ))(2)
+""")
+    assert out.kind == "f-value" and out.value == S.IntVal(2)
+    assert out.steps == 15
+    assert redexes[7:12] == ["beta", "boundary", "protect ., z", "import r1",
+                             "value"]
+
+
+def test_a_let_bound_closure_is_exported_and_called_back():
+    prog = parser.parse_program("""entry F
+let f = lam (y: int). y + 10 in
+FT[int](
+  import r1, * as zi, (int) -> int TF{ f };
+  mv r2, 5;
+  salloc 1;
+  sst 0, r2;
+  mv ra, lret;
+  call r1 {*, ret(int, *)}
+, where
+  lret -> code[]{r1: int; *} ret(int, *).
+    halt[int, *] r1
+)
+""")
+    check_program(prog)
+    m = machine.load(prog)
+    out = m.run(FUEL)
+    assert out.kind == "f-value" and out.value == S.IntVal(15)
+    assert out.steps == 36
+    # The exported wrapper applies the closed lambda.
+    blocks = [b for _, b in m.heap.values() if isinstance(b, S.CodeBlock)]
+    assert any("lam (y: int). (y + 10)" in line
+               for b in blocks for line in pretty.iseq_lines(b.body, 0))
