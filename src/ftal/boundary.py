@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+from . import pretty
 from .errors import KindError, TranslationError
 from .syntax import (
-    KIND_TYPE,
     Arrow,
     Boundary,
     Box,
@@ -53,13 +53,14 @@ from .syntax import (
     UnitVal,
     Var,
     App,
+    arrow_parts,
     chi_get,
     free_names,
     fresh_name,
+    instantiate,
     make_chi,
     seq_of,
     stack_of,
-    substitute,
 )
 
 HeapDict = dict
@@ -93,14 +94,9 @@ def translate_type(t: Ty) -> Ty:
     if isinstance(t, TyTuple):
         return Box(TyTuple(tuple(translate_type(item) for item in t.items)))
     if isinstance(t, (Arrow, StackArrow)):
-        params = [translate_type(p) for p in t.params]
-        ret = translate_type(t.ret)
-        if isinstance(t, StackArrow):
-            phi_in = list(t.phi_in)
-            phi_out = list(t.phi_out)
-        else:
-            phi_in = []
-            phi_out = []
+        params, phi_in, phi_out, ret = arrow_parts(t)
+        params = [translate_type(p) for p in params]
+        ret = translate_type(ret)
         avoid = _names_in(*(params + [ret] + phi_in + phi_out))
         z = _pick("z", avoid)
         eps = _pick("eps", avoid | {z})
@@ -109,15 +105,7 @@ def translate_type(t: Ty) -> Ty:
         entry = stack_of(list(reversed(params)) + phi_in, SVar(z))
         code = CodeT((z, eps), make_chi([("ra", cont)]), entry, MReg("ra"))
         return Box(code)
-    from . import pretty
-
     raise KindError(f"not a source-language type: {pretty.ty(t)}")
-
-
-def _arrow_parts(ann: Ty):
-    if isinstance(ann, StackArrow):
-        return list(ann.params), list(ann.phi_in), list(ann.phi_out), ann.ret
-    return list(ann.params), [], [], ann.ret
 
 
 def export_value(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
@@ -145,8 +133,7 @@ def export_value(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
     if isinstance(ann, Mu):
         if not isinstance(v, Fold):
             raise TranslationError("ill-typed", "expected a folded value")
-        unrolled = substitute(ann.body, {(KIND_TYPE, ann.var): ann})
-        inner = export_value(unrolled, v.e, heap, fresh)
+        inner = export_value(instantiate(ann, ann), v.e, heap, fresh)
         return Fold(translate_type(ann), inner)
     if isinstance(ann, (Arrow, StackArrow)):
         label = fresh("lexp")
@@ -164,7 +151,7 @@ def _export_block(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> CodeBlock:
     applied function with one shim per argument (the last shim frees the
     argument slots), then restores the return address and returns.
     """
-    params, phi_in, phi_out, ret_ty = _arrow_parts(ann)
+    params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     m = len(phi_in)
     mo = len(phi_out)
@@ -173,7 +160,6 @@ def _export_block(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> CodeBlock:
     z, eps = code.binders
     cont_ty = chi_get(code.chi, "ra")
     args_rev = [translate_type(p) for p in reversed(params)]
-    ret_plus = translate_type(ret_ty)
 
     instrs = [Salloc(1)]
     for j in range(n + m):
@@ -237,8 +223,8 @@ def import_value(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
     if isinstance(ann, Mu):
         if not isinstance(w, Fold):
             raise TranslationError("ill-typed", "expected a folded word")
-        unrolled = substitute(ann.body, {(KIND_TYPE, ann.var): ann})
-        return Fold(ann, import_value(unrolled, w.e, heap, fresh))
+        inner = import_value(instantiate(ann, ann), w.e, heap, fresh)
+        return Fold(ann, inner)
     if isinstance(ann, (Arrow, StackArrow)):
         return _import_lambda(ann, w, heap, fresh)
     raise TranslationError("ill-typed", "word cannot cross at this type")
@@ -251,7 +237,7 @@ def _import_lambda(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Lam:
     stack (last argument on top), points the return register at a fresh
     halting block, and calls the pointer.
     """
-    params, phi_in, phi_out, ret_ty = _arrow_parts(ann)
+    params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     ret_plus = translate_type(ret_ty)
     avoid = _names_in(ann, w)

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import harness, machine, parser, pretty, registry
-from .errors import CheckError, FtalError
+from .errors import CheckError, FtalError, JobError
 from .parser import ParseError
 from .syntax import Program
 from .typecheck import check_program
@@ -266,12 +266,12 @@ def main(argv=None) -> int:
         return _fail(args, "parse", str(e), EXIT_PARSE)
     except CheckError as e:
         return _fail(args, "type", e.display(), EXIT_TYPE)
+    except JobError as e:
+        return _fail(args, "parse", f"bad job file: {e}", EXIT_PARSE)
     except FtalError as e:
         return _fail(args, "type", str(e), EXIT_TYPE)
     except OSError as e:
         return _fail(args, "io", str(e), EXIT_PARSE)
-    except json.JSONDecodeError as e:
-        return _fail(args, "parse", f"bad job file: {e}", EXIT_PARSE)
     except RecursionError:
         return _fail(args, "resource", "program nested too deeply for the "
                      "interpreter's recursion limit", EXIT_RESOURCE)

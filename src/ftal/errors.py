@@ -34,6 +34,10 @@ class KindError(CheckError):
         super().__init__("KindError", message, where)
 
 
+class JobError(FtalError):
+    """A job file that is not a well-formed equivalence job."""
+
+
 class TranslationError(FtalError):
     """Raised when a boundary translation is applied to the wrong shape.
 

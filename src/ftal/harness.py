@@ -22,7 +22,7 @@ import pathlib
 from dataclasses import dataclass
 
 from . import machine, parser, pretty
-from .errors import CheckError
+from .errors import CheckError, JobError
 from .syntax import App, IntVal, Program, Tm, UnitVal, alpha_equal
 from .typecheck import check_program
 
@@ -91,21 +91,41 @@ class EquivJob:
 
 
 def load_job(path: str | pathlib.Path) -> EquivJob:
+    """Read a job file; raises JobError when it is not a well-formed job
+    in UTF-8 JSON, and OSError when it cannot be read."""
     path = pathlib.Path(path)
-    data = json.loads(path.read_text())
-    inputs = data.get("inputs", [])
-    if isinstance(inputs, dict):
-        lo, hi = inputs["range"]
-        inputs = list(range(lo, hi + 1))
-    base = path.parent
-    return EquivJob(
-        left=base / data["left"],
-        right=base / data["right"],
-        type_text=data["type"],
-        inputs=tuple(int(n) for n in inputs),
-        fuel=int(data.get("fuel", machine.DEFAULT_FUEL)),
-        compare_stack=bool(data.get("compare_stack", False)),
-    )
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError("a job is a JSON object")
+        left, right, type_text = data["left"], data["right"], data["type"]
+        if not all(isinstance(x, str) for x in (left, right, type_text)):
+            raise TypeError("left, right and type must be strings")
+        inputs = data.get("inputs", [])
+        if isinstance(inputs, dict):
+            lo, hi = inputs["range"]
+            inputs = range(lo, hi + 1)
+        inputs = tuple(inputs)
+        if not all(type(n) is int for n in inputs):
+            raise TypeError("inputs must be integers")
+        fuel = data.get("fuel", machine.DEFAULT_FUEL)
+        if type(fuel) is not int or fuel <= 0:
+            raise ValueError("fuel must be a positive integer")
+        compare_stack = data.get("compare_stack", False)
+        if type(compare_stack) is not bool:
+            raise TypeError("compare_stack must be true or false")
+        return EquivJob(
+            left=path.parent / left,
+            right=path.parent / right,
+            type_text=type_text,
+            inputs=inputs,
+            fuel=fuel,
+            compare_stack=compare_stack,
+        )
+    except KeyError as e:
+        raise JobError(f"missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise JobError(str(e)) from None
 
 
 def _load_side(path: pathlib.Path, ann_text: str) -> Program:

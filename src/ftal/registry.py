@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import harness, machine, parser, pretty
-from .syntax import App, IntVal, Program, UnitVal
+from .syntax import IntVal, Program, UnitVal
 from .typecheck import check_program
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
@@ -81,8 +81,7 @@ def _run_row(entry: ProgramEntry, fuel: int) -> tuple[bool, str]:
     prog = load_program(entry.name)
     if entry.run_kind == "applied":
         for n in entry.inputs:
-            applied = Program("F", App(prog.main, (IntVal(n),)))
-            out = machine.run_program(applied, fuel)
+            out = machine.run_program(harness.apply_to_input(prog, n), fuel)
             want = entry.reference(n)
             if not (out.kind == "f-value" and isinstance(out.value, IntVal)
                     and out.value.n == want):

@@ -9,9 +9,11 @@ fields with their shapes, and the names it binds with their namespace and
 scope. One engine reads that table for ``free_names``, ``substitute``
 (capture-avoiding, in any namespace) and ``alpha_equal``;
 ``subst_terms`` and ``rename_locations`` are adapters onto
-``substitute``. A new node class needs one ``SCHEMA`` entry and nothing
-else here. The engine walks instruction sequences with a loop, so its
-stack depth does not grow with the length of a block.
+``substitute``. ``subterms`` walks every sub-node together with the names
+bound around it, and ``binders`` gives the names one node binds; the
+checker takes scope from these. A new node class needs one ``SCHEMA``
+entry and nothing else here. The engine walks instruction sequences with
+a loop, so its stack depth does not grow with the length of a block.
 
 Heap labels are nominal: a component binds its labels, which shadows
 them, but they are never freshened, and alpha-equality compares them by
@@ -183,6 +185,14 @@ def chi_get(chi: tuple[tuple[str, Ty], ...], reg: str) -> Ty | None:
         if r == reg:
             return t
     return None
+
+
+def arrow_parts(t: Ty) -> tuple[list, list, list, Ty]:
+    """(params, phi_in, phi_out, ret) of an Arrow or StackArrow; a plain
+    arrow has empty stack prefixes."""
+    if isinstance(t, StackArrow):
+        return list(t.params), list(t.phi_in), list(t.phi_out), t.ret
+    return list(t.params), [], [], t.ret
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +690,44 @@ def _split(shape, value):
     return (len(value[0]), len(value[1])), value[0] + value[1]
 
 
+def binders(node) -> list:
+    """The (kind, name) pairs that ``node`` binds, as its schema says."""
+    sc = SCHEMA[type(node)]
+    return _binders(sc, node) if sc.bfield is not None else []
+
+
+def subterms(node):
+    """Every node in ``node``, itself first, in pre-order with children in
+    field order. Each comes with the frozenset of (kind, name) pairs that
+    binders around it bind at that point. Iterative, so deep sequences do
+    not recurse."""
+    todo = [(node, frozenset())]
+    pop, push = todo.pop, todo.append
+    while todo:
+        item = pop()
+        yield item
+        node, bound = item
+        sc = SCHEMA[type(node)]
+        if not sc.children:
+            continue
+        if sc.cls is Seq:
+            head_sc = SCHEMA[type(node.head)]
+            if head_sc.tail:
+                push((node.tail, bound.union(_binders(head_sc, node.head))))
+            else:
+                push((node.tail, bound))
+            push((node.head, bound))
+            continue
+        inner = bound.union(_binders(sc, node)) if sc.scoped else bound
+        for name, shape, scoped in reversed(sc.children):
+            value, b = getattr(node, name), inner if scoped else bound
+            if shape == NODE:
+                push((value, b))
+            else:
+                for child in reversed(_split(shape, value)[1]):
+                    push((child, b))
+
+
 # ---------------------------------------------------------------------------
 # Free names and fresh names
 
@@ -742,6 +790,12 @@ def substitute(node, mapping: dict):
     if not mapping:
         return node
     return _subst(node, (_pass(mapping),))
+
+
+def instantiate(t, omega: Ty) -> Ty:
+    """The body of a Mu or Exists with omega for its variable; a Mu
+    unrolls as ``instantiate(t, t)``."""
+    return substitute(t.body, {(KIND_TYPE, t.var): omega})
 
 
 def subst_terms(node, mapping: dict):
@@ -856,7 +910,12 @@ def alpha_equal(a, b) -> bool:
     """Structural equality up to renaming of bound names.
 
     Heap labels are nominal: components must bind the same label set.
+    Types, stacks and markers that are equal field by field are compared
+    no further; they hold no instruction sequence, so that comparison
+    does not recurse along a block.
     """
+    if isinstance(a, (Ty, Stk, Mk)) and a == b:
+        return True
     return _alpha(a, b, {}, {}, count(1))
 
 

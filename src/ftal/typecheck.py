@@ -11,6 +11,20 @@ Context shapes used throughout:
 - chi: dict mapping registers to types.
 - sigma: a stack type.
 - q: a return marker, or an InferCell when the marker is being inferred.
+
+Well-formedness of types, stacks and markers is one check, ``wf``. Scope
+comes from the binders declared in ``syntax.SCHEMA``, the same table
+``free_names`` reads: ``syntax.subterms`` pairs every sub-node with the
+names bound around it, and a type, stack or marker name that neither
+those nor delta bind is out of scope. The shape rules (a binder's kind,
+what a cell holds, a code type's binders and marker) are checked on every
+sub-node of the same walk.
+
+A halting return marker is checked when a sequence starts, or when a
+branch first pins it down, and not again at each instruction: delta only
+grows along a sequence, so a marker well formed at its start stays so.
+Register and stack-slot markers are checked at every instruction, because
+the registers and the stack they point into change.
 """
 
 from __future__ import annotations
@@ -19,9 +33,11 @@ from .boundary import translate_type
 from .errors import CheckError, KindError
 from . import pretty
 from .syntax import (
+    KIND_LOC,
     KIND_MARKER,
     KIND_STACK,
     KIND_TYPE,
+    SCHEMA,
     Aop,
     App,
     Arrow,
@@ -55,7 +71,6 @@ from .syntax import (
     MReg,
     Mu,
     Mv,
-    Node,
     Pack,
     Program,
     Proj,
@@ -66,7 +81,6 @@ from .syntax import (
     Ret,
     SeqE,
     Salloc,
-    SCons,
     Seq,
     Sfree,
     Sld,
@@ -89,15 +103,25 @@ from .syntax import (
     Unpack,
     Var,
     alpha_equal,
+    arrow_parts,
+    binders,
     free_names,
     fresh_name,
+    instantiate,
     kind_of_name,
     stack_of,
     stack_parts,
+    subterms,
     substitute,
+    var_node,
 )
 
 Delta = tuple
+
+# The node sort of each type-level namespace, and the namespace of each
+# type-level variable node.
+_SORTS = {KIND_TYPE: Ty, KIND_STACK: Stk, KIND_MARKER: Mk}
+_VARS = {cls: sc.var for cls, sc in SCHEMA.items() if sc.var in _SORTS}
 
 
 class InferCell:
@@ -131,18 +155,12 @@ def _err(code: str, message: str, where: str = "") -> CheckError:
     return CheckError(code, message, where)
 
 
-def _kind_of_node(n: Node) -> str:
-    if isinstance(n, Ty):
-        return KIND_TYPE
-    if isinstance(n, Stk):
-        return KIND_STACK
-    if isinstance(n, Mk):
-        return KIND_MARKER
-    raise ValueError(f"not a type-level node: {n!r}")
-
-
-def _unroll(t: Mu) -> Ty:
-    return substitute(t.body, {(KIND_TYPE, t.var): t})
+def _wf_as(code: str, prefix: str, delta: Delta, *nodes) -> None:
+    """wf, reporting a fault under code with prefix before its message."""
+    try:
+        wf(delta, *nodes)
+    except KindError as e:
+        raise _err(code, prefix + e.message)
 
 
 # ---------------------------------------------------------------------------
@@ -170,87 +188,45 @@ def check_code_binders(binders) -> None:
         raise KindError("code type abstracts more than one marker variable")
 
 
-def wf_type(delta: Delta, t: Ty) -> None:
-    if isinstance(t, (TyUnit, TyInt)):
-        return
-    if isinstance(t, TVar):
-        if (KIND_TYPE, t.name) not in delta:
-            raise KindError(f"type variable {t.name} is not in scope")
-        return
-    if isinstance(t, Arrow):
-        for p in t.params:
-            wf_type(delta, p)
-        wf_type(delta, t.ret)
-        return
-    if isinstance(t, StackArrow):
-        for p in t.params:
-            wf_type(delta, p)
-        for p in t.phi_in:
-            wf_type(delta, p)
-        for p in t.phi_out:
-            wf_type(delta, p)
-        wf_type(delta, t.ret)
-        return
-    if isinstance(t, TyTuple):
-        for item in t.items:
-            wf_type(delta, item)
-        return
-    if isinstance(t, (Mu, Exists)):
-        if kind_of_name(t.var) != KIND_TYPE:
-            raise KindError(f"{t.var} cannot bind a type")
-        wf_type(delta + ((KIND_TYPE, t.var),), t.body)
-        return
-    if isinstance(t, Ref):
-        if not isinstance(t.psi, TyTuple):
-            raise KindError("mutable cells hold tuples only")
-        wf_type(delta, t.psi)
-        return
-    if isinstance(t, Box):
-        if not isinstance(t.psi, (TyTuple, CodeT)):
-            raise KindError("boxed values are tuples or code")
-        wf_type(delta, t.psi)
-        return
-    if isinstance(t, CodeT):
-        check_code_binders(t.binders)
-        inner = delta + tuple((kind_of_name(b), b) for b in t.binders)
-        chi = dict(t.chi)
-        for _, rt in t.chi:
-            wf_type(inner, rt)
-        wf_stack(inner, t.sigma)
-        wf_marker(inner, t.q)
-        if isinstance(t.q, MOut):
-            raise KindError("out marker inside a code type")
-        if isinstance(t.q, (MReg, MIdx)):
-            if continuation_of(t.q, chi, t.sigma) is None:
-                raise KindError(
-                    f"marker {pretty.mk(t.q)} does not point at a continuation")
-        return
-    raise KindError(f"not a type: {t!r}")
+def wf(delta: Delta, *nodes) -> None:
+    """Check types, stacks and markers against delta; raises KindError.
 
-
-def wf_stack(delta: Delta, s: Stk) -> None:
-    while isinstance(s, SCons):
-        wf_type(delta, s.head)
-        s = s.tail
-    if isinstance(s, SVar):
-        if (KIND_STACK, s.name) not in delta:
-            raise KindError(f"stack variable {s.name} is not in scope")
-    elif not isinstance(s, SNil):
-        raise KindError(f"not a stack: {s!r}")
-
-
-def wf_marker(delta: Delta, m: Mk) -> None:
-    if isinstance(m, (MReg, MIdx, MOut)):
-        return
-    if isinstance(m, MEps):
-        if (KIND_MARKER, m.name) not in delta:
-            raise KindError(f"marker variable {m.name} is not in scope")
-        return
-    if isinstance(m, MHalt):
-        wf_type(delta, m.tau)
-        wf_stack(delta, m.sigma)
-        return
-    raise KindError(f"not a marker: {m!r}")
+    Each node is walked in pre-order. A type, stack or marker name is in
+    scope when delta or a binder around it binds it. A Mu or Exists must
+    bind a type name, a cell must hold a tuple (or code, when boxed), and
+    a code type's binders must pass check_code_binders. A code type's
+    marker must not be out, and a register or index marker must point at
+    a continuation; that is reported after any fault inside the code type.
+    """
+    for node in nodes:
+        for n, bound in subterms(node):
+            cls = type(n)
+            kind = _VARS.get(cls)
+            if kind is not None:
+                if (kind, n.name) not in bound and (kind, n.name) not in delta:
+                    raise KindError(f"{kind} variable {n.name} is not in scope")
+            elif cls is CodeT:
+                check_code_binders(n.binders)
+                if isinstance(n.q, MOut):
+                    fault = "out marker inside a code type"
+                elif isinstance(n.q, (MReg, MIdx)) and \
+                        continuation_of(n.q, dict(n.chi), n.sigma) is None:
+                    fault = (f"marker {pretty.mk(n.q)} does not point at a "
+                             "continuation")
+                else:
+                    continue
+                wf(delta + tuple(bound) + tuple(binders(n)),
+                   *(t for _, t in n.chi), n.sigma)
+                raise KindError(fault)
+            elif cls is Box:
+                if not isinstance(n.psi, (TyTuple, CodeT)):
+                    raise KindError("boxed values are tuples or code")
+            elif cls in (Mu, Exists):
+                if kind_of_name(n.var) != KIND_TYPE:
+                    raise KindError(f"{n.var} cannot bind a type")
+            elif cls is Ref:
+                if not isinstance(n.psi, TyTuple):
+                    raise KindError("mutable cells hold tuples only")
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +266,13 @@ def typeof_marker(q, chi: dict, sigma: Stk):
     return c.chi[0][1], c.sigma
 
 
-def wf_return_marker(delta: Delta, chi: dict, sigma: Stk, q) -> None:
-    """Check that q is usable at an instruction; raises E-WFRET."""
-    qv = marker_view(q)
+def wf_return_marker(delta: Delta, chi: dict, sigma: Stk, qv) -> None:
+    """Check that the viewed marker qv is usable at an instruction; raises
+    E-WFRET."""
     if isinstance(qv, InferCell):
         return
     if isinstance(qv, MHalt):
-        try:
-            wf_type(delta, qv.tau)
-            wf_stack(delta, qv.sigma)
-        except KindError as e:
-            raise _err("E-WFRET", f"halting marker is ill-formed: {e.message}")
+        _wf_as("E-WFRET", "halting marker is ill-formed: ", delta, qv)
         return
     if isinstance(qv, MOut):
         raise _err("E-WFRET", "out marker at an instruction")
@@ -348,19 +320,17 @@ def check_small_value(psi: dict, delta: Delta, chi: dict, u: Tm) -> Ty:
     if isinstance(u, Pack):
         if not isinstance(u.ann, Exists):
             raise _err("E-VAL", "pack annotation must be existential")
-        wf_type(delta, u.ann)
-        wf_type(delta, u.wit)
-        expected = substitute(u.ann.body, {(KIND_TYPE, u.ann.var): u.wit})
+        wf(delta, u.ann, u.wit)
         tv = check_small_value(psi, delta, chi, u.val)
-        if not alpha_equal(tv, expected):
+        if not alpha_equal(tv, instantiate(u.ann, u.wit)):
             raise _err("E-VAL", "packed value does not match its annotation")
         return u.ann
     if isinstance(u, Fold):
         if not isinstance(u.ann, Mu):
             raise _err("E-VAL", "fold annotation must be recursive")
-        wf_type(delta, u.ann)
+        wf(delta, u.ann)
         tv = check_small_value(psi, delta, chi, u.e)
-        if not alpha_equal(tv, _unroll(u.ann)):
+        if not alpha_equal(tv, instantiate(u.ann, u.ann)):
             raise _err("E-VAL", "folded value does not match its annotation")
         return u.ann
     if isinstance(u, Inst):
@@ -371,19 +341,13 @@ def check_small_value(psi: dict, delta: Delta, chi: dict, u: Tm) -> Ty:
         code = t.psi
         head = code.binders[0]
         hk = kind_of_name(head)
-        if _kind_of_node(u.omega) != hk:
+        if not isinstance(u.omega, _SORTS[hk]):
             raise _err("E-VAL",
                        f"instantiation kind mismatch for binder {head}")
-        if hk == KIND_TYPE:
-            wf_type(delta, u.omega)
-        elif hk == KIND_STACK:
-            wf_stack(delta, u.omega)
-        else:
-            wf_marker(delta, u.omega)
+        wf(delta, u.omega)
         rest = CodeT(tuple(code.binders[1:]), code.chi, code.sigma, code.q)
-        inst = substitute(rest, {(hk, head): u.omega})
-        out = Box(inst)
-        wf_type(delta, out)
+        out = Box(substitute(rest, {(hk, head): u.omega}))
+        wf(delta, out)
         return out
     raise _err("E-VAL", "not a word-level value")
 
@@ -417,39 +381,64 @@ def _shift_push(q, n: int):
     return q
 
 
+def _slot(code: str, what: str, items: tuple, idx: int) -> Ty:
+    if idx >= len(items):
+        raise _err(code, f"{what} index {idx} outside a {len(items)}-tuple")
+    return items[idx]
+
+
 def _require_int(t: Ty, what: str) -> None:
     if not isinstance(t, TyInt):
         raise _err("E-SEQ", f"{what} must be an integer, got {pretty.ty(t)}")
 
 
-def _match_target_marker(q, q_target: Mk, what: str):
-    """Unify the current marker with a jump or branch target's marker."""
-    if isinstance(q, InferCell) and q.resolved is None:
-        if isinstance(q_target, MHalt):
-            if q.tau is not None and not alpha_equal(q.tau, q_target.tau):
-                raise _err("E-SEQ",
-                           f"{what} halts at {pretty.ty(q_target.tau)}, "
-                           f"expected {pretty.ty(q.tau)}")
-            q.resolved = q_target
-            return
-        raise _err("E-SEQ",
-                   f"{what} marker {pretty.mk(q_target)} cannot be adopted "
-                   "at a halting position")
-    qv = marker_view(q)
-    if not alpha_equal(qv, q_target):
-        raise _err("E-SEQ",
-                   f"{what} expects marker {pretty.mk(q_target)}, "
-                   f"current is {pretty.mk(qv)}")
+def _guard(qv, rd: str, what: str) -> None:
+    """Refuse an instruction that writes the register holding the marker."""
+    if _is_reg_marker(qv, rd):
+        raise _err("E-SEQ", f"{what} would overwrite the marker register")
 
 
-def _code_target(psi, delta, chi, u, what: str) -> CodeT:
+def _open(delta: Delta, kind: str, name: str, scope):
+    """Bind name over scope: returns the extended delta, the name, and the
+    scope, with the name made fresh in scope if it would shadow one
+    already in delta."""
+    if (kind, name) in delta:
+        fresh = fresh_name(name, {n for _, n in delta})
+        scope = substitute(scope, {(kind, name): var_node(kind, fresh)})
+        name = fresh
+    return delta + ((kind, name),), name, scope
+
+
+def _check_target(psi, delta, chi, sigma, q, u, what: str) -> None:
+    """The rule jmp and bnz share: u is fully instantiated code that takes
+    the current stack and registers, and the current marker, which a
+    halting position adopts from it."""
     tu = check_small_value(psi, delta, chi, u)
     if not (isinstance(tu, Box) and isinstance(tu.psi, CodeT)):
         raise _err("E-SEQ", f"{what} is not code")
     c = tu.psi
     if c.binders:
         raise _err("E-SEQ", f"{what} is not fully instantiated")
-    return c
+    if not alpha_equal(c.sigma, sigma):
+        raise _err("E-SEQ",
+                   f"{what} expects stack {pretty.stk(c.sigma)}, "
+                   f"current is {pretty.stk(sigma)}")
+    if isinstance(q, InferCell) and q.resolved is None:
+        if not isinstance(c.q, MHalt):
+            raise _err("E-SEQ",
+                       f"{what} marker {pretty.mk(c.q)} cannot be adopted "
+                       "at a halting position")
+        if q.tau is not None and not alpha_equal(q.tau, c.q.tau):
+            raise _err("E-SEQ",
+                       f"{what} halts at {pretty.ty(c.q.tau)}, "
+                       f"expected {pretty.ty(q.tau)}")
+        q.resolved = c.q
+    elif not alpha_equal(marker_view(q), c.q):
+        raise _err("E-SEQ",
+                   f"{what} expects marker {pretty.mk(c.q)}, "
+                   f"current is {pretty.mk(marker_view(q))}")
+    if not regfile_subtype(chi, dict(c.chi)):
+        raise _err("E-SEQ", f"registers do not satisfy the {what}")
 
 
 def _smallest_peel(sigma: Stk, sigma0: Stk, what: str) -> int:
@@ -464,7 +453,7 @@ def _smallest_peel(sigma: Stk, sigma0: Stk, what: str) -> int:
 
 def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                                chi: dict, sigma: Stk, q, iseq: ISeq,
-                               aliases: list | None = None) -> None:
+                               aliases: list) -> None:
     """Walk a sequence, threading chi, sigma, and the marker.
 
     aliases collects (zeta, hidden stack) pairs introduced by protect, in
@@ -472,56 +461,39 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
     Mutates the InferCell when q is one and the sequence pins it down.
     """
     chi = dict(chi)
-    if aliases is None:
-        aliases = []
+    checked = None  # the halting marker last found well formed
 
     while True:
-        wf_return_marker(delta, chi, sigma, q)
+        qv = marker_view(q)
+        if not (isinstance(qv, MHalt) and qv is checked):
+            wf_return_marker(delta, chi, sigma, qv)
+            checked = qv
         if not isinstance(iseq, Seq):
             break
         ins = iseq.head
         iseq = iseq.tail
-        qv = marker_view(q)
 
         if isinstance(ins, Aop):
-            if _is_reg_marker(qv, ins.rd):
-                raise _err("E-SEQ",
-                           "arithmetic would overwrite the marker register")
-            if _is_reg_marker(qv, ins.rs):
+            _guard(qv, ins.rd, "arithmetic")
+            if _is_reg_marker(qv, ins.rs) or (
+                    isinstance(ins.u, Reg) and _is_reg_marker(qv, ins.u.name)):
                 raise _err("E-SEQ", "marker register used as an operand")
-            if isinstance(ins.u, Reg) and _is_reg_marker(qv, ins.u.name):
-                raise _err("E-SEQ", "marker register used as an operand")
-            _require_int(check_small_value(psi, delta, chi, Reg(ins.rs)),
-                         "arithmetic operand")
-            _require_int(check_small_value(psi, delta, chi, ins.u),
-                         "arithmetic operand")
+            for operand in (Reg(ins.rs), ins.u):
+                _require_int(check_small_value(psi, delta, chi, operand),
+                             "arithmetic operand")
             chi[ins.rd] = TyInt()
 
         elif isinstance(ins, Bnz):
             _require_int(check_small_value(psi, delta, chi, Reg(ins.r)),
                          "branch condition")
-            c = _code_target(psi, delta, chi, ins.u, "branch target")
-            if not alpha_equal(c.sigma, sigma):
-                raise _err("E-SEQ",
-                           f"branch target expects stack {pretty.stk(c.sigma)}, "
-                           f"current is {pretty.stk(sigma)}")
-            _match_target_marker(q, c.q, "branch target")
-            if not regfile_subtype(chi, dict(c.chi)):
-                raise _err("E-SEQ",
-                           "registers do not satisfy the branch target")
+            _check_target(psi, delta, chi, sigma, q, ins.u, "branch target")
 
         elif isinstance(ins, Ld):
-            if _is_reg_marker(qv, ins.rd):
-                raise _err("E-SEQ", "load would overwrite the marker register")
+            _guard(qv, ins.rd, "load")
             t = check_small_value(psi, delta, chi, Reg(ins.rs))
             if not (isinstance(t, (Ref, Box)) and isinstance(t.psi, TyTuple)):
                 raise _err("E-SEQ", "load from a non-tuple")
-            items = t.psi.items
-            if ins.idx >= len(items):
-                raise _err("E-SEQ",
-                           f"load index {ins.idx} outside a "
-                           f"{len(items)}-tuple")
-            chi[ins.rd] = items[ins.idx]
+            chi[ins.rd] = _slot("E-SEQ", "load", t.psi.items, ins.idx)
 
         elif isinstance(ins, St):
             if _is_reg_marker(qv, ins.rs):
@@ -531,21 +503,15 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                 raise _err("E-SEQ", "store into an immutable tuple")
             if not (isinstance(t, Ref) and isinstance(t.psi, TyTuple)):
                 raise _err("E-SEQ", "store into a non-reference")
-            items = t.psi.items
-            if ins.idx >= len(items):
-                raise _err("E-SEQ",
-                           f"store index {ins.idx} outside a "
-                           f"{len(items)}-tuple")
+            slot = _slot("E-SEQ", "store", t.psi.items, ins.idx)
             ts = check_small_value(psi, delta, chi, Reg(ins.rs))
-            if not alpha_equal(ts, items[ins.idx]):
+            if not alpha_equal(ts, slot):
                 raise _err("E-SEQ",
                            f"store of {pretty.ty(ts)} into a slot of "
-                           f"{pretty.ty(items[ins.idx])}")
+                           f"{pretty.ty(slot)}")
 
         elif isinstance(ins, (Ralloc, Balloc)):
-            if _is_reg_marker(qv, ins.rd):
-                raise _err("E-SEQ",
-                           "allocation would overwrite the marker register")
+            _guard(qv, ins.rd, "allocation")
             if isinstance(qv, MIdx) and qv.idx < ins.n:
                 raise _err("E-SEQ", "allocation would consume the marker slot")
             prefix, tail = _prefix(sigma, ins.n, "allocation")
@@ -555,18 +521,11 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             q = _shift_pop(q, ins.n, "allocation")
 
         elif isinstance(ins, Mv):
-            if (isinstance(ins.u, Reg) and _is_reg_marker(qv, ins.u.name)):
-                t = chi.get(ins.u.name)
-                if t is None:
-                    raise _err("E-VAL",
-                               f"register {ins.u.name} holds no value")
-                chi[ins.rd] = t
+            if isinstance(ins.u, Reg) and _is_reg_marker(qv, ins.u.name):
                 q = MReg(ins.rd)
             else:
-                if _is_reg_marker(qv, ins.rd):
-                    raise _err("E-SEQ",
-                               "move would overwrite the marker register")
-                chi[ins.rd] = check_small_value(psi, delta, chi, ins.u)
+                _guard(qv, ins.rd, "move")
+            chi[ins.rd] = check_small_value(psi, delta, chi, ins.u)
 
         elif isinstance(ins, Salloc):
             sigma = stack_of([TyUnit()] * ins.n, sigma)
@@ -580,55 +539,39 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
         elif isinstance(ins, Sld):
             prefix, _ = _prefix(sigma, ins.idx + 1, "stack load")
             if isinstance(qv, MIdx) and qv.idx == ins.idx:
-                chi[ins.rd] = prefix[ins.idx]
                 q = MReg(ins.rd)
             else:
-                if _is_reg_marker(qv, ins.rd):
-                    raise _err("E-SEQ",
-                               "stack load would overwrite the marker register")
-                chi[ins.rd] = prefix[ins.idx]
+                _guard(qv, ins.rd, "stack load")
+            chi[ins.rd] = prefix[ins.idx]
 
         elif isinstance(ins, Sst):
             prefix, tail = _prefix(sigma, ins.idx + 1, "stack store")
             t = check_small_value(psi, delta, chi, Reg(ins.rs))
             if _is_reg_marker(qv, ins.rs):
-                prefix[ins.idx] = t
-                sigma = stack_of(prefix, tail)
                 q = MIdx(ins.idx)
-            else:
-                if isinstance(qv, MIdx) and qv.idx == ins.idx:
-                    raise _err("E-SEQ",
-                               "stack store would overwrite the marker slot")
-                prefix[ins.idx] = t
-                sigma = stack_of(prefix, tail)
+            elif isinstance(qv, MIdx) and qv.idx == ins.idx:
+                raise _err("E-SEQ",
+                           "stack store would overwrite the marker slot")
+            prefix[ins.idx] = t
+            sigma = stack_of(prefix, tail)
 
         elif isinstance(ins, Unpack):
-            if _is_reg_marker(qv, ins.rd):
-                raise _err("E-SEQ",
-                           "unpack would overwrite the marker register")
+            _guard(qv, ins.rd, "unpack")
             t = check_small_value(psi, delta, chi, ins.u)
             if not isinstance(t, Exists):
                 raise _err("E-SEQ", "unpack of a non-package")
-            name = ins.tv
-            if (KIND_TYPE, name) in delta:
-                fresh = fresh_name(name, {n for _, n in delta})
-                iseq = substitute(iseq, {(KIND_TYPE, name): TVar(fresh)})
-                name = fresh
-            delta = delta + ((KIND_TYPE, name),)
-            chi[ins.rd] = substitute(t.body, {(KIND_TYPE, t.var): TVar(name)})
+            delta, name, iseq = _open(delta, KIND_TYPE, ins.tv, iseq)
+            chi[ins.rd] = instantiate(t, TVar(name))
 
         elif isinstance(ins, UnfoldI):
-            if _is_reg_marker(qv, ins.rd):
-                raise _err("E-SEQ",
-                           "unfold would overwrite the marker register")
+            _guard(qv, ins.rd, "unfold")
             t = check_small_value(psi, delta, chi, ins.u)
             if not isinstance(t, Mu):
                 raise _err("E-SEQ", "unfold of a non-recursive value")
-            chi[ins.rd] = _unroll(t)
+            chi[ins.rd] = instantiate(t, t)
 
         elif isinstance(ins, Protect):
-            for pt in ins.phi:
-                wf_type(delta, pt)
+            wf(delta, *ins.phi)
             k = len(ins.phi)
             prefix, tail = _prefix(sigma, k, "protect")
             for i in range(k):
@@ -640,33 +583,23 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             if isinstance(qv, MIdx) and qv.idx >= k:
                 raise _err("E-WFRET", "protect would hide the marker slot")
             hidden = stack_of(prefix[k:], tail)
-            name = ins.zeta
-            if (KIND_STACK, name) in delta:
-                fresh = fresh_name(name, {n for _, n in delta})
-                iseq = substitute(iseq, {(KIND_STACK, name): SVar(fresh)})
-                name = fresh
-            delta = delta + ((KIND_STACK, name),)
-            sigma = stack_of(list(ins.phi), SVar(name))
+            delta, name, iseq = _open(delta, KIND_STACK, ins.zeta, iseq)
+            sigma = stack_of(ins.phi, SVar(name))
             aliases.append((name, hidden))
 
         elif isinstance(ins, ImportI):
-            wf_stack(delta, ins.sigma0)
+            wf(delta, ins.sigma0)
             peel = _smallest_peel(sigma, ins.sigma0, "import")
             if isinstance(qv, MReg):
                 raise _err("E-SEQ", "import with a register marker")
             if isinstance(qv, MIdx) and qv.idx < peel:
                 raise _err("E-SEQ", "import would expose the marker slot")
-            prefix, tail = stack_parts(sigma)
-            name = ins.zeta
-            body = ins.body
-            if (KIND_STACK, name) in delta:
-                fresh = fresh_name(name, {n for _, n in delta})
-                body = substitute(body, {(KIND_STACK, name): SVar(fresh)})
-                name = fresh
-            inner_sigma = stack_of(prefix[:peel], SVar(name))
-            te, se = check_expression(psi, delta + ((KIND_STACK, name),),
-                                      gamma, inner_sigma, body)
-            translate_type(ins.ann)
+            prefix, _ = stack_parts(sigma)
+            inner, name, body = _open(delta, KIND_STACK, ins.zeta, ins.body)
+            te, se = check_expression(psi, inner, gamma,
+                                      stack_of(prefix[:peel], SVar(name)),
+                                      body)
+            ann = translate_type(ins.ann)
             if not alpha_equal(te, ins.ann):
                 raise _err("E-SEQ",
                            f"import body has type {pretty.ty(te)}, the "
@@ -679,26 +612,17 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                 if (KIND_STACK, name) in free_names(pt):
                     raise _err("E-SEQ",
                                "protected stack variable escapes the import")
-            grown = len(out_prefix)
-            chi[ins.rd] = translate_type(ins.ann)
+            chi[ins.rd] = ann
             sigma = stack_of(out_prefix, ins.sigma0)
             if isinstance(qv, MIdx):
-                q = MIdx(qv.idx + grown - peel)
+                q = MIdx(qv.idx + len(out_prefix) - peel)
 
         else:
             raise _err("E-SEQ", f"unknown instruction {ins!r}")
 
     # Terminators.
-    qv = marker_view(q)
     if isinstance(iseq, Jmp):
-        c = _code_target(psi, delta, chi, iseq.u, "jump target")
-        if not alpha_equal(c.sigma, sigma):
-            raise _err("E-SEQ",
-                       f"jump target expects stack {pretty.stk(c.sigma)}, "
-                       f"current is {pretty.stk(sigma)}")
-        _match_target_marker(q, c.q, "jump target")
-        if not regfile_subtype(chi, dict(c.chi)):
-            raise _err("E-SEQ", "registers do not satisfy the jump target")
+        _check_target(psi, delta, chi, sigma, q, iseq.u, "jump target")
         return
 
     if isinstance(iseq, Call):
@@ -732,11 +656,8 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
         return
 
     if isinstance(iseq, Halt):
-        try:
-            wf_type(delta, iseq.ann)
-            wf_stack(delta, iseq.sigma)
-        except KindError as e:
-            raise _err("E-SEQ", f"halt annotation is ill-formed: {e.message}")
+        _wf_as("E-SEQ", "halt annotation is ill-formed: ", delta, iseq.ann,
+               iseq.sigma)
         if not alpha_equal(iseq.sigma, sigma):
             raise _err("E-SEQ",
                        f"halt annotation stack {pretty.stk(iseq.sigma)} does "
@@ -766,7 +687,7 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
 
 def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
                 call: Call) -> None:
-    wf_stack(delta, call.sigma0)
+    wf(delta, call.sigma0)
     qv = marker_view(q)
     tu = check_small_value(psi, delta, chi, call.u)
     if not (isinstance(tu, Box) and isinstance(tu.psi, CodeT)):
@@ -778,7 +699,6 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
         raise _err("E-SEQ",
                    "call target must abstract a stack and a marker")
     z_h, eps_h = code.binders
-    chi_h = dict(code.chi)
 
     peel = _smallest_peel(sigma, call.sigma0, "call")
     prefix, _ = stack_parts(sigma)
@@ -796,14 +716,14 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
                        f"transferred slot {i} is {pretty.ty(prefix[i])}, "
                        f"the callee expects {pretty.ty(ph[i])}")
 
-    cont = continuation_of(code.q, chi_h, code.sigma)
+    cont = continuation_of(code.q, dict(code.chi), code.sigma)
     if cont is None:
         raise _err("E-SEQ", "call target has no continuation")
     if not (isinstance(cont.q, MEps) and cont.q.name == eps_h):
         raise _err("E-SEQ",
                    "callee continuation must carry the callee's marker "
                    "variable")
-    res_reg, res_ty = cont.chi[0]
+    res_ty = cont.chi[0][1]
     pr, rtail = stack_parts(cont.sigma)
     if not (isinstance(rtail, SVar) and rtail.name == z_h):
         raise _err("E-SEQ",
@@ -837,30 +757,19 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
     else:
         raise _err("E-SEQ", "call with a register marker")
 
-    sub = {(KIND_STACK, z_h): call.sigma0, (KIND_MARKER, eps_h): call.qret}
     try:
-        for r, t in code.chi:
-            if _is_reg_marker(code.q, r):
-                continue
-            wf_type(delta, t)
+        wf(delta, *(t for r, t in code.chi if not _is_reg_marker(code.q, r)))
     except KindError:
         raise _err("E-SEQ",
                    "callee registers other than the return address must "
                    "not mention its abstracted variables")
-    try:
-        wf_type(delta, res_ty)
-        wf_stack(delta, substitute(cont.sigma, {(KIND_STACK, z_h): call.sigma0}))
-    except KindError as e:
-        raise _err("E-SEQ",
-                   f"call result is ill-formed here: {e.message}")
-    chi_inst = {r: substitute(t, sub) for r, t in code.chi}
-    inst_code = CodeT((), code.chi, code.sigma, code.q)
-    inst_code = substitute(inst_code, sub)
-    try:
-        wf_type(delta, Box(inst_code))
-    except KindError as e:
-        raise _err("E-SEQ", f"instantiated callee is ill-formed: {e.message}")
-    if not regfile_subtype(chi, chi_inst):
+    _wf_as("E-SEQ", "call result is ill-formed here: ", delta, res_ty,
+           substitute(cont.sigma, {(KIND_STACK, z_h): call.sigma0}))
+    sub = {(KIND_STACK, z_h): call.sigma0, (KIND_MARKER, eps_h): call.qret}
+    inst_code = substitute(CodeT((), code.chi, code.sigma, code.q), sub)
+    _wf_as("E-SEQ", "instantiated callee is ill-formed: ", delta,
+           Box(inst_code))
+    if not regfile_subtype(chi, dict(inst_code.chi)):
         raise _err("E-SEQ", "registers do not satisfy the callee")
 
     if isinstance(q, InferCell) and q.resolved is None:
@@ -874,8 +783,11 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
 def check_heap_fragment(psi: dict, heap) -> dict:
     """Check the bindings of a component's heap fragment against psi.
 
-    Returns the fragment's label typing. Structural problems raise E-HEAP;
-    failures inside code bodies keep their own code with the label noted.
+    Returns the fragment's label typing. Code blocks are typed by their
+    annotations; a tuple binding is checked once every label free in it
+    is typed, so tuples may point at each other in any order but not in a
+    cycle. Structural problems raise E-HEAP; failures inside code bodies
+    keep their own code with the label noted.
     """
     psi2: dict = {}
     labels = [hb.label for hb in heap]
@@ -889,45 +801,42 @@ def check_heap_fragment(psi: dict, heap) -> dict:
                 raise _err("E-HEAP", f"{hb.label}: code must be boxed")
             block = hb.value
             code_ty = CodeT(block.binders, block.chi, block.sigma, block.q)
-            try:
-                wf_type((), Box(code_ty))
-            except KindError as e:
-                raise _err("E-HEAP", f"{hb.label}: {e.message}")
+            _wf_as("E-HEAP", f"{hb.label}: ", (), Box(code_ty))
             psi2[hb.label] = ("box", code_ty)
 
+    merged = {**psi, **psi2}
     pending = [hb for hb in heap if not isinstance(hb.value, CodeBlock)]
     while pending:
-        progressed = False
-        stuck: list = []
+        waiting = []
         for hb in pending:
             if not isinstance(hb.value, TupleVal):
                 raise _err("E-HEAP",
                            f"{hb.label}: heap binding must be code or a tuple")
-            merged = {**psi, **psi2}
-            try:
-                types = tuple(check_small_value(merged, (), {}, w)
-                              for w in hb.value.items)
-            except CheckError as e:
-                if e.code == "E-VAL" and e.message.startswith("label "):
-                    stuck.append(hb)
-                    continue
-                raise _err("E-HEAP", f"{hb.label}: {e.message}")
-            psi2[hb.label] = (hb.nu, TyTuple(types))
-            progressed = True
-        if stuck and not progressed:
-            names = ", ".join(hb.label for hb in stuck)
+            types = []
+            for w in hb.value.items:
+                if any(k == KIND_LOC and n not in merged
+                       for k, n in free_names(w)):
+                    waiting.append(hb)
+                    break
+                try:
+                    types.append(check_small_value(merged, (), {}, w))
+                except CheckError as e:
+                    raise _err("E-HEAP", f"{hb.label}: {e.message}")
+            else:
+                typed = (hb.nu, TyTuple(tuple(types)))
+                psi2[hb.label] = merged[hb.label] = typed
+        if len(waiting) == len(pending):
+            names = ", ".join(hb.label for hb in waiting)
             raise _err("E-HEAP",
                        f"unresolvable heap bindings (cycle or dangling "
                        f"label): {names}")
-        pending = stuck
+        pending = waiting
 
-    merged = {**psi, **psi2}
     for hb in heap:
         if isinstance(hb.value, CodeBlock):
             block = hb.value
-            delta_b = tuple((kind_of_name(b), b) for b in block.binders)
             try:
-                check_instruction_sequence(merged, delta_b, {},
+                check_instruction_sequence(merged, tuple(binders(block)), {},
                                            dict(block.chi), block.sigma,
                                            block.q, block.body, [])
             except CheckError as e:
@@ -950,10 +859,8 @@ def check_component(psi: dict, delta: Delta, gamma: dict, chi: dict,
     psi2 = check_heap_fragment(psi, comp.heap)
     merged = {**psi, **psi2}
 
-    chi_entry = dict(chi)
-    sigma_entry = sigma
     aliases: list = []
-    check_instruction_sequence(merged, delta, gamma, dict(chi), sigma, q,
+    check_instruction_sequence(merged, delta, gamma, chi, sigma, q,
                                comp.body, aliases)
 
     if isinstance(q, InferCell):
@@ -961,7 +868,7 @@ def check_component(psi: dict, delta: Delta, gamma: dict, chi: dict,
             raise _err("E-COMPONENT", "cannot infer the return marker")
         tau, s_out = q.resolved.tau, q.resolved.sigma
     else:
-        res = typeof_marker(q, chi_entry, sigma_entry)
+        res = typeof_marker(q, chi, sigma)
         if res is None:
             raise _err("E-COMPONENT", "the component marker promises nothing")
         tau, s_out = res
@@ -970,11 +877,11 @@ def check_component(psi: dict, delta: Delta, gamma: dict, chi: dict,
         tau = substitute(tau, {(KIND_STACK, name): hidden})
         s_out = substitute(s_out, {(KIND_STACK, name): hidden})
 
-    for kind, name in free_names(tau) | free_names(s_out):
-        if kind in (KIND_TYPE, KIND_STACK, KIND_MARKER) and \
-                (kind, name) not in delta:
-            raise _err("E-COMPONENT",
-                       f"local {name} escapes the component")
+    escaped = sorted(k for k in free_names(tau) | free_names(s_out)
+                     if k[0] in _SORTS and k not in delta)
+    if escaped:
+        raise _err("E-COMPONENT",
+                   f"local {escaped[0][1]} escapes the component")
     return tau, s_out
 
 
@@ -1016,62 +923,52 @@ def check_expression(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
             raise _err("E-EXPR", "branches disagree on the stack")
         return ta, sa
     if isinstance(e, Lam):
-        for _, pt in e.params:
-            wf_type(delta, pt)
+        # A plain lambda is a stack lambda with empty prefixes, apart from
+        # its type and its error message.
+        params = tuple(t for _, t in e.params)
+        phi_in, phi_out = e.stack or ((), ())
+        wf(delta, *params, *phi_in, *phi_out)
         avoid = {n for _, n in delta}
-        for _, pt in e.params:
-            avoid |= {n for _, n in free_names(pt)}
-        if e.stack is not None:
-            phi_in, phi_out = e.stack
-            for pt in list(phi_in) + list(phi_out):
-                wf_type(delta, pt)
-                avoid |= {n for _, n in free_names(pt)}
+        for t in params + phi_in + phi_out:
+            avoid |= {n for _, n in free_names(t)}
         zf = fresh_name("z", avoid)
-        delta2 = delta + ((KIND_STACK, zf),)
-        gamma2 = {**gamma, **{x: t for x, t in e.params}}
-        if e.stack is None:
-            tb, sb = check_expression(psi, delta2, gamma2, SVar(zf), e.body)
-            if not alpha_equal(sb, SVar(zf)):
-                raise _err("E-EXPR",
-                           "function body must leave the stack as it "
-                           "found it")
-            return Arrow(tuple(t for _, t in e.params), tb), sigma
-        phi_in, phi_out = e.stack
-        s_in = stack_of(list(phi_in), SVar(zf))
-        tb, sb = check_expression(psi, delta2, gamma2, s_in, e.body)
-        if not alpha_equal(sb, stack_of(list(phi_out), SVar(zf))):
+        gamma2 = {**gamma, **dict(e.params)}
+        tb, sb = check_expression(psi, delta + ((KIND_STACK, zf),), gamma2,
+                                  stack_of(phi_in, SVar(zf)), e.body)
+        if not alpha_equal(sb, stack_of(phi_out, SVar(zf))):
             raise _err("E-EXPR",
+                       "function body must leave the stack as it found it"
+                       if e.stack is None else
                        "function body does not produce the declared stack")
-        return StackArrow(tuple(t for _, t in e.params), phi_in, phi_out,
-                          tb), sigma
+        if e.stack is None:
+            return Arrow(params, tb), sigma
+        return StackArrow(params, phi_in, phi_out, tb), sigma
     if isinstance(e, App):
         tf, s = check_expression(psi, delta, gamma, sigma, e.fn)
         if not isinstance(tf, (Arrow, StackArrow)):
             raise _err("E-EXPR", "application of a non-function")
-        if len(e.args) != len(tf.params):
+        params, phi_in, phi_out, ret = arrow_parts(tf)
+        if len(e.args) != len(params):
             raise _err("E-EXPR",
-                       f"{len(tf.params)} parameters, {len(e.args)} "
+                       f"{len(params)} parameters, {len(e.args)} "
                        f"arguments")
         for i, arg in enumerate(e.args):
             ti, s = check_expression(psi, delta, gamma, s, arg)
-            if not alpha_equal(ti, tf.params[i]):
+            if not alpha_equal(ti, params[i]):
                 raise _err("E-EXPR",
                            f"argument {i + 1} has type {pretty.ty(ti)}, "
-                           f"expected {pretty.ty(tf.params[i])}")
-        if isinstance(tf, Arrow):
-            return tf.ret, s
+                           f"expected {pretty.ty(params[i])}")
         prefix, tail = stack_parts(s)
-        k = len(tf.phi_in)
+        k = len(phi_in)
         if len(prefix) < k:
             raise _err("E-EXPR",
                        "the stack does not provide the required prefix")
         for i in range(k):
-            if not alpha_equal(prefix[i], tf.phi_in[i]):
+            if not alpha_equal(prefix[i], phi_in[i]):
                 raise _err("E-EXPR",
                            f"stack slot {i} is {pretty.ty(prefix[i])}, the "
-                           f"function needs {pretty.ty(tf.phi_in[i])}")
-        rest = stack_of(prefix[k:], tail)
-        return tf.ret, stack_of(list(tf.phi_out), rest)
+                           f"function needs {pretty.ty(phi_in[i])}")
+        return ret, stack_of(phi_out + prefix[k:], tail)
     if isinstance(e, TupleVal):
         s = sigma
         types = []
@@ -1083,30 +980,27 @@ def check_expression(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
         t, s = check_expression(psi, delta, gamma, sigma, e.e)
         if not isinstance(t, TyTuple):
             raise _err("E-EXPR", "projection from a non-tuple")
-        if e.idx >= len(t.items):
-            raise _err("E-EXPR",
-                       f"projection index {e.idx} outside a "
-                       f"{len(t.items)}-tuple")
-        return t.items[e.idx], s
+        return _slot("E-EXPR", "projection", t.items, e.idx), s
     if isinstance(e, Fold):
-        wf_type(delta, e.ann)
+        wf(delta, e.ann)
         if not isinstance(e.ann, Mu):
             raise _err("E-EXPR", "fold annotation must be recursive")
         te, s = check_expression(psi, delta, gamma, sigma, e.e)
-        if not alpha_equal(te, _unroll(e.ann)):
+        unrolled = instantiate(e.ann, e.ann)
+        if not alpha_equal(te, unrolled):
             raise _err("E-EXPR",
                        f"folded value has type {pretty.ty(te)}, expected "
-                       f"{pretty.ty(_unroll(e.ann))}")
+                       f"{pretty.ty(unrolled)}")
         return e.ann, s
     if isinstance(e, Unfold):
         t, s = check_expression(psi, delta, gamma, sigma, e.e)
         if not isinstance(t, Mu):
             raise _err("E-EXPR", "unfold of a non-recursive value")
-        return _unroll(t), s
+        return instantiate(t, t), s
     if isinstance(e, Let):
         tr, s1 = check_expression(psi, delta, gamma, sigma, e.rhs)
         if e.ann is not None:
-            wf_type(delta, e.ann)
+            wf(delta, e.ann)
             if not alpha_equal(tr, e.ann):
                 raise _err("E-EXPR",
                            f"bound value has type {pretty.ty(tr)}, the "
@@ -1117,7 +1011,7 @@ def check_expression(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
         _, s1 = check_expression(psi, delta, gamma, sigma, e.first)
         return check_expression(psi, delta, gamma, s1, e.second)
     if isinstance(e, Boundary):
-        wf_type(delta, e.ann)
+        wf(delta, e.ann)
         expected = translate_type(e.ann)
         cell = InferCell(expected)
         tc, s_out = check_component(psi, delta, gamma, {}, sigma, cell,

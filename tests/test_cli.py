@@ -229,6 +229,46 @@ def test_bad_job_file_is_a_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+# Job files that are not well-formed jobs, with the message each reports.
+MALFORMED_JOBS = {
+    "missing_field": (b'{"left": "a.ftal"}', "missing field 'right'"),
+    "bad_input": (b'{"left": "a.ftal", "right": "b.ftal", "type": "int", '
+                  b'"inputs": ["x"]}', "inputs must be integers"),
+    "fractional_input": (b'{"left": "a.ftal", "right": "b.ftal", '
+                         b'"type": "int", "inputs": [2.7]}',
+                         "inputs must be integers"),
+    "not_an_object": (b"[1,2]", "a job is a JSON object"),
+    "type_not_a_string": (b'{"left": "a.ftal", "right": "b.ftal", "type": 5}',
+                          "left, right and type must be strings"),
+    "fuel_not_positive": (b'{"left": "a.ftal", "right": "b.ftal", '
+                          b'"type": "int", "fuel": -5}',
+                          "fuel must be a positive integer"),
+    "infinite_fuel": (b'{"left": "a.ftal", "right": "b.ftal", '
+                      b'"type": "int", "fuel": Infinity}',
+                      "fuel must be a positive integer"),
+    "compare_stack_not_a_bool": (b'{"left": "a.ftal", "right": "b.ftal", '
+                                 b'"type": "int", "compare_stack": "false"}',
+                                 "compare_stack must be true or false"),
+    "not_utf8": (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in "
+                               "position 0: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JOBS))
+def test_malformed_job_file_is_a_parse_error(capsys, tmp_path, name):
+    data, message = MALFORMED_JOBS[name]
+    p = tmp_path / "job.json"
+    p.write_bytes(data)
+    code, out, err = run_cli(capsys, ["eq", str(p)])
+    assert code == 2 and out == ""
+    assert err == f"parse error: bad job file: {message}\n"
+    code, out, err = run_cli(capsys, ["eq", "--json", str(p)])
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": {"kind": "parse", "message": f"bad job file: {message}"},
+        "exit_code": 2}
+
+
 # -- resource limits ----------------------------------------------------------
 
 # Inputs that exhaust the interpreter's recursion depth: the parser

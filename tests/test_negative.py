@@ -38,3 +38,60 @@ def test_accepted_mutation_checks_and_runs(name, src):
     out = machine.run_program(prog, 1000000)
     assert out.kind in ("f-value", "halted")
     assert out.kind != "stuck"
+
+
+# The exact (code, message, where) of every rejected mutation.
+GOLDEN = {
+    "jmp_to_different_return_marker":
+        ("E-SEQ", "jump target expects marker 0, current is ret(int, *)", "lA"),
+    "halt_without_halting_marker":
+        ("E-SEQ", "halt without a halting marker", "lA"),
+    "ret_with_stack_index_marker":
+        ("E-SEQ", "the return marker must be in a register (ra) for ret, "
+                  "current is 0", "lB"),
+    "call_while_marker_in_register":
+        ("E-SEQ", "call with a register marker", "lA"),
+    "call_with_wrong_return_index":
+        ("E-SEQ", "call return marker should be 0, the call says 1", "l1"),
+    "mv_into_marker_register":
+        ("E-SEQ", "move would overwrite the marker register", "lA"),
+    "st_into_box_tuple":
+        ("E-SEQ", "store into an immutable tuple", ""),
+    "protect_hiding_stack_index_marker":
+        ("E-WFRET", "protect would hide the marker slot", "lA"),
+    "register_file_subtype_violation":
+        ("E-SEQ", "registers do not satisfy the jump target", "lA"),
+    "import_exposing_marker_slot":
+        ("E-SEQ", "import would expose the marker slot", "lA"),
+    "sfree_past_marker":
+        ("E-SEQ", "sfree would remove the marker slot", "lA"),
+    "uninstantiated_jump_target":
+        ("E-SEQ", "jump target is not fully instantiated", "lA"),
+    "sst_overwriting_marker_slot":
+        ("E-SEQ", "stack store would overwrite the marker slot", "lA"),
+    "unbound_source_variable":
+        ("E-EXPR", "unbound variable y", ""),
+    "if0_branch_type_mismatch":
+        ("E-EXPR", "branches disagree: int against unit", ""),
+    "application_arity_mismatch":
+        ("E-EXPR", "2 parameters, 1 arguments", ""),
+    "boundary_halt_type_mismatch":
+        ("E-SEQ", "halt at unit, the boundary expects int", ""),
+    "duplicate_heap_labels":
+        ("E-HEAP", "label lA bound twice", ""),
+    "dangling_heap_label":
+        ("E-VAL", "label lmissing is not bound in the heap", ""),
+}
+
+
+def test_every_rejected_mutation_has_a_golden_error():
+    assert sorted(GOLDEN) == sorted(m[0] for m in mutations.REJECTED)
+
+
+@pytest.mark.parametrize(
+    "name,src", [(m[0], m[3]) for m in mutations.REJECTED],
+    ids=[m[0] for m in mutations.REJECTED])
+def test_rejected_mutation_golden_error(name, src):
+    with pytest.raises(CheckError) as exc:
+        typecheck.check_program(parser.parse_program(src))
+    assert (exc.value.code, exc.value.message, exc.value.where) == GOLDEN[name]

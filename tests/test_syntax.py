@@ -296,3 +296,40 @@ def test_renaming_a_free_name_away_and_back_is_alpha_equal(node):
         away = S.substitute(node, {(kind, name): S.var_node(kind, "q9")})
         back = S.substitute(away, {(kind, "q9"): S.var_node(kind, name)})
         assert S.alpha_equal(back, node)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(nodes)
+def test_subterms_sees_the_scope_free_names_sees(node):
+    # A variable occurrence that no binder around it binds is free.
+    free = set()
+    for n, bound in S.subterms(node):
+        kind = S.SCHEMA[type(n)].var
+        if kind is not None and (kind, n.name) not in bound:
+            free.add((kind, n.name))
+    assert free == S.free_names(node)
+
+
+def test_subterms_is_pre_order_and_binders_follow_the_schema():
+    t = S.Mu("a", S.Arrow((S.TVar("a"),), S.TVar("b")))
+    assert [(type(n).__name__, sorted(b)) for n, b in S.subterms(t)] == [
+        ("Mu", []), ("Arrow", [(S.KIND_TYPE, "a")]),
+        ("TVar", [(S.KIND_TYPE, "a")]), ("TVar", [(S.KIND_TYPE, "a")])]
+    code = S.CodeT(("a", "z", "eps"), (), S.SNil(), S.MOut())
+    assert S.binders(code) == [(S.KIND_TYPE, "a"), (S.KIND_STACK, "z"),
+                               (S.KIND_MARKER, "eps")]
+    assert S.binders(S.TyInt()) == []
+
+
+def test_arrow_parts_gives_a_plain_arrow_empty_prefixes():
+    plain = S.Arrow((S.TyInt(),), S.TyUnit())
+    stack = S.StackArrow((S.TyInt(),), (S.TyUnit(),), (), S.TyInt())
+    assert S.arrow_parts(plain) == ([S.TyInt()], [], [], S.TyUnit())
+    assert S.arrow_parts(stack) == ([S.TyInt()], [S.TyUnit()], [], S.TyInt())
+
+
+def test_instantiate_unrolls_and_opens():
+    mu = S.Mu("a", S.Arrow((S.TVar("a"),), S.TyInt()))
+    assert S.instantiate(mu, mu) == S.Arrow((mu,), S.TyInt())
+    ex = S.Exists("a", S.TyTuple((S.TVar("a"), S.TVar("b"))))
+    assert S.instantiate(ex, S.TyInt()) == S.TyTuple((S.TyInt(), S.TVar("b")))

@@ -260,3 +260,60 @@ def test_infer_cell_repr_is_stable():
     cell = InferCell(S.TyInt())
     assert cell.resolved is None
     assert cell.tau == S.TyInt()
+
+
+# -- pinned rejections ------------------------------------------------------
+
+
+def _heap_program(binding: str) -> str:
+    return f"""entry T
+(
+  mv r1, 0;
+  halt[int, *] r1
+, where
+  {binding}
+)
+"""
+
+
+def _block(ann: str) -> str:
+    return _heap_program(f"lA -> {ann}.\n    halt[int, *] r1")
+
+
+# Each rejection with its exact code, message and where.
+PINNED = (
+    ("tuple_cycle", _heap_program("lA -> box <lB>,\n  lB -> box <lA>"),
+     ("E-HEAP", "unresolvable heap bindings (cycle or dangling label): "
+                "lA, lB", "")),
+    ("repeated_binder", _block("code[a, a]{r1: int; *} ret(int, *)"),
+     ("E-HEAP", "lA: repeated binder a", "")),
+    ("two_stack_binders", _block("code[z1, z2]{r1: int; *} ret(int, *)"),
+     ("E-HEAP", "lA: code type abstracts more than one stack variable", "")),
+    ("type_variable_out_of_scope", _block("code[]{r1: b; *} ret(int, *)"),
+     ("E-HEAP", "lA: type variable b is not in scope", "")),
+    ("stack_variable_out_of_scope", _block("code[]{r1: int; zq} ret(int, *)"),
+     ("E-HEAP", "lA: stack variable zq is not in scope", "")),
+    ("marker_variable_out_of_scope", _block("code[]{r1: int; *} epsq"),
+     ("E-HEAP", "lA: marker variable epsq is not in scope", "")),
+    ("out_marker_in_code_type", _block("code[]{r1: int; *} out"),
+     ("E-HEAP", "lA: out marker inside a code type", "")),
+    ("register_marker_without_continuation", _block("code[]{r1: int; *} r1"),
+     ("E-HEAP", "lA: marker r1 does not point at a continuation", "")),
+    ("fold_binder_of_the_wrong_kind", "entry F\nfold (mu z. int) 1\n",
+     ("KindError", "z cannot bind a type", "")),
+    # With two faults, the one met first in a left-to-right walk wins; a
+    # code type's marker counts as met after the code type's parts.
+    ("fault_inside_before_the_marker", _block("code[]{r1: b; *} out"),
+     ("E-HEAP", "lA: type variable b is not in scope", "")),
+    ("marker_before_a_later_fault",
+     _block("code[]{r1: box code[]{r1: int; *} out, r2: b; *} ret(int, *)"),
+     ("E-HEAP", "lA: out marker inside a code type", "")),
+)
+
+
+@pytest.mark.parametrize("src,expected", [p[1:] for p in PINNED],
+                         ids=[p[0] for p in PINNED])
+def test_pinned_rejection(src, expected):
+    with pytest.raises(CheckError) as exc:
+        check_program(parser.parse_program(src))
+    assert (exc.value.code, exc.value.message, exc.value.where) == expected
