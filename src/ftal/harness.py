@@ -3,7 +3,9 @@
 A job names two programs claimed equivalent at a shared function type,
 plus the integer inputs to probe.  Each input is applied to both
 programs, both are run under the same fuel bound, and the two bounded
-observations are compared.
+observations are compared.  So the type must be (int) -> int or
+(int) -> unit; a job at any other type is refused, unless a side is bare
+target code, which is run once as it is.
 
 Observation is first-order: a run that ends in an int or unit value is
 Terminated with that value, and anything still going (or ending at a
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 
 from . import machine, parser, pretty
 from .errors import CheckError, JobError
-from .syntax import App, IntVal, Program, Tm, UnitVal, alpha_equal
+from .syntax import (App, Arrow, IntVal, Program, Tm, Ty, TyInt, TyUnit,
+                     UnitVal, alpha_equal)
 from .typecheck import check_program
 
 
@@ -128,15 +131,19 @@ def load_job(path: str | pathlib.Path) -> EquivJob:
         raise JobError(str(e)) from None
 
 
-def _load_side(path: pathlib.Path, ann_text: str) -> Program:
+def _load_side(path: pathlib.Path, ann: Ty) -> Program:
     prog = parser.parse_program(path.read_text())
     tau, _ = check_program(prog)
-    ann = parser.parse_type(ann_text)
     if not alpha_equal(tau, ann):
         raise CheckError("E-EXPR",
                          f"program has type {pretty.ty(tau)}, the job "
                          f"declares {pretty.ty(ann)}", str(path))
     return prog
+
+
+# The job types whose programs take an integer input and give an
+# observable result.
+PROBED_TYPES = (Arrow((TyInt(),), TyInt()), Arrow((TyInt(),), TyUnit()))
 
 
 def apply_to_input(prog: Program, n: int) -> Program:
@@ -146,15 +153,23 @@ def apply_to_input(prog: Program, n: int) -> Program:
 def run_job(job: EquivJob) -> dict:
     """Probe both programs on every input and report a verdict.
 
+    Raises JobError for a job whose type is not a function from int to
+    int or unit, unless a side is bare target code; its programs cannot
+    be probed by applying them to integers.
+
     Rows are sorted by input.  A row with a value mismatch or a stuck
     side makes the verdict "distinguished" and records the first such
     input as the witness; otherwise a Terminated/RunningAfter split makes
     it "inconclusive"; otherwise every row agrees and the verdict is
     "consistent-equivalent".
     """
-    left = _load_side(job.left, job.type_text)
-    right = _load_side(job.right, job.type_text)
+    ann = parser.parse_type(job.type_text)
+    left = _load_side(job.left, ann)
+    right = _load_side(job.right, ann)
     bare = left.entry == "T" or right.entry == "T"
+    if not bare and ann not in PROBED_TYPES:
+        raise JobError(f"cannot probe {pretty.ty(ann)} with integer inputs; "
+                       f"the type must be (int) -> int or (int) -> unit")
     probes: tuple
     if bare:
         # Such a pair cannot be applied to inputs; run each side once and

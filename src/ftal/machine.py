@@ -7,6 +7,14 @@ stack, and a heap; a term environment for the source expression in
 focus, and a type environment for the target code in focus.  Every
 transition costs one unit of fuel.
 
+A step looks its rule up by node type in one of three tables:
+``T_RULES`` for the head of a target sequence or its terminator,
+``SOURCE_RULES`` for a source expression, and ``RETURN_RULES`` for the
+frame a value returns to.  A type with no rule is stuck.  The value
+stack keeps its top at the end of a list, so pushing and popping cost
+nothing per slot below; ``sld``/``sst`` indices, ``Outcome.stack`` and
+the trace's ``stack_depth`` count from the top, as in the semantics.
+
 Source code is evaluated with closures, as a CEK machine: a beta step or
 a ``let`` extends the term environment, a persistent chain of (name,
 value, parent) cells, instead of substituting into the body.  A lambda
@@ -31,6 +39,11 @@ sequence.  A word is closed against the environment when an instruction
 reads it as a literal operand, and an ``import`` when it runs, so every
 word in a register, on the stack or in the heap, and every term handed to
 the source language, is closed.  Each environment caches what it closed.
+A ``jmp``, ``bnz`` or ``ret`` resolves each word once and caches the
+block and environment it reaches by the word's identity: labels are
+fresh and a code binding is never rebound, so the word always reaches
+the same place.  A ``call`` adds its continuation's omegas, so it looks
+up the (label, *omegas) environment instead.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
@@ -333,6 +346,7 @@ class Machine:
     def __init__(self, prog: Program):
         self.heap: dict = {}
         self.regs: dict = {}
+        # The value stack, its top last; ``sld``/``sst`` index from the top.
         self.stack: list = []
         self.frames: list = []
         self.counter = 0
@@ -346,17 +360,16 @@ class Machine:
         # target code only by import and halt, which switch to it.
         self._root = self.env = _Env({})
         self._envs: dict = {}  # (label, *omegas) -> _Env
+        self._targets: dict = {}  # id(word) -> (word, body, _Env)
         # The term environment of the source expression in focus.
         self.scope: tuple | None = None
+        self.returning = False
         if prog.entry == "F":
             self.mode = "F"
             self.focus: Tm | ISeq = prog.main
-            self.returning = False
         else:
             self.mode = "T"
-            body = self._merge_component(prog.main)
-            self.focus = body
-            self.returning = False
+            self.focus = self._merge_component(prog.main)
 
     # ------------------------------------------------------------------
     # Memory helpers
@@ -385,9 +398,14 @@ class Machine:
         self._delta[rd] = w
 
     def _getreg(self, r: str):
-        if r not in self.regs:
+        w = self.regs.get(r)
+        if w is None:
             raise _Stuck(STUCK_UNBOUND_REGISTER, r)
-        return self.regs[r]
+        return w
+
+    def _stack_out(self) -> tuple:
+        """The stack as ``Outcome.stack`` gives it, top first."""
+        return tuple(reversed(self.stack))
 
     def _close(self, node):
         """``node`` with the type environment applied."""
@@ -401,22 +419,33 @@ class Machine:
 
     def _resolve(self, u: Tm):
         """A word for an instruction operand."""
-        if isinstance(u, Reg):
+        t = type(u)
+        if t is Reg:
             return self._getreg(u.name)
-        if isinstance(u, _TYPED):
+        if t in _TYPED:
             return self._close(u)
         return u
 
-    def _jump(self, word, extra=None) -> ISeq:
-        """Enter the block ``word`` names, under the environment of its
-        instantiations; returns the block's body."""
+    def _jump(self, word) -> ISeq:
+        """Enter the block ``word`` names; returns the block's body.  A
+        word is resolved once: labels are fresh and never rebound, so it
+        always reaches the same block under the same environment."""
+        hit = self._targets.get(id(word))
+        if hit is None:
+            hit = self._targets[id(word)] = (word, *self._target(word, ()))
+        self.env = hit[2]
+        return hit[1]
+
+    def _target(self, word, extra: tuple):
+        """The body of the block ``word`` names, and the environment of
+        its instantiations followed by ``extra``."""
         omegas: list = []
-        while isinstance(word, Inst):
-            omegas.insert(0, word.omega)
+        while type(word) is Inst:
+            omegas.append(word.omega)
             word = word.val
-        if extra:
-            omegas.extend(extra)
-        if not isinstance(word, Loc):
+        omegas.reverse()
+        omegas.extend(extra)
+        if type(word) is not Loc:
             raise _Stuck(STUCK_TYPE_CONFUSION,
                          f"jump through non-code word {pretty.word_str(word)}")
         entry = self.heap.get(word.name)
@@ -431,30 +460,29 @@ class Machine:
                          f"{word.name} wants {len(block.binders)} "
                          f"instantiations, got {len(omegas)}")
         if not omegas:
-            self.env = self._root
-            return block.body
+            return block.body, self._root
         key = (word.name, *omegas)
         env = self._envs.get(key)
         if env is None:
             env = self._envs[key] = _Env(
                 {(kind_of_name(b), b): om
                  for b, om in zip(block.binders, omegas)})
-        self.env = env
-        return block.body
+        return block.body, env
 
-    def _under(self, seq: Seq, field: str, key: tuple, value):
-        """The environment over the tail of ``seq``, whose head binds
-        ``key`` by its ``field``: to ``value``, or, for None, to nothing
-        (it shadows).  Also the head as a rewritten block would show it:
-        rewriting renamed a binder that would capture a free name of an
-        omega, unless the binder shadowed every name it mapped."""
-        env, ins = self.env, seq.head
+    def _under(self, ins, tail: ISeq, field: str, key: tuple, value):
+        """The environment over ``tail``, after the head ``ins`` that
+        binds ``key`` by its ``field``: to ``value``, or, for None, to
+        nothing (it shadows).  Also the head as a rewritten block would
+        show it: rewriting renamed a binder that would capture a free
+        name of an omega, unless the binder shadowed every name it
+        mapped."""
+        env = self.env
         hit = env.under.get((id(ins), value))
         if hit is None:
             mapping = {k: v for k, v in env.map.items() if k != key}
             shown = ins
             if mapping and key in env.avoid:
-                taken = {n for _, n in free_names(seq)} | {key[1]}
+                taken = {n for _, n in free_names(Seq(ins, tail))} | {key[1]}
                 taken.update(n for _, n in env.map)
                 taken.update(n for _, n in env.avoid)
                 name = fresh_name(key[1], taken)
@@ -467,6 +495,12 @@ class Machine:
         self.env = hit[1]
         return hit[2]
 
+    def _resume(self, e: Tm, scope: tuple | None) -> None:
+        """Evaluate ``e`` under ``scope`` next."""
+        self.focus = e
+        self.scope = scope
+        self.returning = False
+
     # ------------------------------------------------------------------
     # Stepping
 
@@ -476,24 +510,52 @@ class Machine:
     def step(self) -> dict | None:
         """Perform one transition; returns its trace record, or None once
         the machine is terminal.  Inside an untraced ``run`` the record
-        has no redex or registers_delta."""
+        has no redex or registers_delta.
+
+        The rule is looked up by the type of the node in focus: the head
+        of a target sequence, a terminator, a source expression, or the
+        innermost frame a value returns to.  A rule returns the redex
+        (trace text, or the target node to render it from) and the jump
+        kind."""
         if self._outcome is not None:
             return None
-        self._delta = {}
-        lang = "T" if isinstance(self.focus, ISeq) else "F"
-        env = self.env
+        focus, env, render = self.focus, self.env, self._render
+        if render:
+            self._delta = {}
+        t = type(focus)
         try:
-            redex, jump = self._transition()
+            if t is Seq:
+                lang = "T"
+                ins = focus.head
+                redex, jump = T_RULES[type(ins)](self, ins, focus.tail)
+            elif self.returning:
+                lang = "F"
+                if self.frames:
+                    frame = self.frames.pop()
+                    redex, jump = RETURN_RULES[type(frame)](self, frame, focus)
+                else:
+                    self._outcome = Outcome("f-value", value=_read_back(focus),
+                                            steps=self.steps + 1,
+                                            stack=self._stack_out())
+                    # The final plugging still counts as a step.
+                    self.returning = False
+                    redex, jump = "result", None
+            elif t in T_RULES:
+                lang = "T"
+                redex, jump = T_RULES[t](self, focus, None)
+            else:
+                lang = "F"
+                redex, jump = SOURCE_RULES[t](self, focus, self.scope)
         except _Stuck as s:
             self._outcome = Outcome("stuck", reason=s.reason,
                                     detail=s.detail, steps=self.steps)
             return None
-        self.steps += 1
-        if not self._render:
-            return {"step": self.steps, "lang": lang, "jump": jump,
+        self.steps = steps = self.steps + 1
+        if not render:
+            return {"step": steps, "lang": lang, "jump": jump,
                     "stack_depth": len(self.stack)}
         return {
-            "step": self.steps,
+            "step": steps,
             "lang": lang,
             "redex": redex if isinstance(redex, str) else _redex(redex, env),
             "jump": jump,
@@ -517,338 +579,461 @@ class Machine:
             return Outcome("running", steps=self.steps)
         return self._outcome
 
-    # ------------------------------------------------------------------
 
-    def _transition(self):
-        """One transition; returns (redex, jump kind).  The redex is the
-        trace text, or the target node to render it from."""
-        focus = self.focus
-        if isinstance(focus, ISeq):
-            return self._step_target(focus)
-        if self.returning:
-            return self._step_return(focus)
-        return self._step_source(focus)
+class _Rules(dict):
+    """A rule table keyed by node type; a type with no rule is stuck."""
 
-    # Source-language decomposition.
+    def __init__(self, missing: str, rules: dict):
+        super().__init__(rules)
+        self.missing = missing
 
-    def _step_source(self, e: Tm):
-        scope = self.scope
-        v = _value(e, scope)
-        if v is not None:
-            self.focus = v
-            self.returning = True
-            return "value", None
-        if isinstance(e, Var):
-            raise _Stuck(STUCK_UNBOUND_VARIABLE, e.name)
-        if isinstance(e, Binop):
-            # A non-tail recursion such as ``f(y - 1) * y`` keeps one
-            # such frame per level: one whose operand is a value keeps
-            # the value, and no scope alive.
-            right = _value(e.right, scope)
-            if right is None:
-                self.frames.append(FrBinopL(e.op, e.right, scope))
-            else:
-                self.frames.append(FrBinopL(e.op, right, None))
-            self.focus = e.left
-            return f"binop {e.op}", None
-        if isinstance(e, If0):
-            self.frames.append(FrIf0(e.then, e.els, scope))
-            self.focus = e.cond
-            return "if0", None
-        if isinstance(e, App):
-            self.frames.append(FrAppFn(e.args, scope))
-            self.focus = e.fn
-            return "app", None
-        if isinstance(e, TupleVal):
-            self.frames.append(FrTuple(e.items, [], scope))
-            self.focus = e.items[0]
-            return "tuple", None
-        if isinstance(e, Proj):
-            self.frames.append(FrProj(e.idx))
-            self.focus = e.e
-            return f"proj.{e.idx}", None
-        if isinstance(e, Fold):
-            self.frames.append(FrFold(e.ann))
-            self.focus = e.e
-            return "fold", None
-        if isinstance(e, Unfold):
-            self.frames.append(FrUnfold())
-            self.focus = e.e
-            return "unfold", None
-        if isinstance(e, Let):
-            self.frames.append(FrLet(e.var, e.body, scope))
-            self.focus = e.rhs
-            return f"let {e.var}", None
-        if isinstance(e, SeqE):
-            self.frames.append(FrSeq(e.second, scope))
-            self.focus = e.first
-            return "seq", None
-        if isinstance(e, Boundary):
-            body = self._merge_component(_close_terms(e.comp, scope))
-            self.frames.append(FrBoundary(e.ann))
-            self.focus = body
-            self.scope = None
-            return "boundary", "boundary"
+    def __missing__(self, cls):
+        raise _Stuck(STUCK_TYPE_CONFUSION, self.missing + cls.__name__)
+
+
+# ----------------------------------------------------------------------
+# Target rules: (machine, instruction or terminator, tail or None) ->
+# (redex, jump kind).
+
+
+def _t_aop(m, ins, tail):
+    a = m._getreg(ins.rs)
+    b = m._resolve(ins.u)
+    if type(a) is not IntVal or type(b) is not IntVal:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
+    m._setreg(ins.rd, IntVal(_AOPS[ins.op](a.n, b.n)))
+    m.focus = tail
+    return ins, None
+
+
+def _t_bnz(m, ins, tail):
+    c = m._getreg(ins.r)
+    if type(c) is not IntVal:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "branch on a non-integer")
+    if c.n == 0:
+        m.focus = tail
+        return ins, None
+    m.focus = m._jump(m._resolve(ins.u))
+    return ins, "jmp"
+
+
+def _cell(m, r: str, access: str):
+    """The heap entry the location in register ``r`` names."""
+    w = m._getreg(r)
+    if type(w) is not Loc:
+        raise _Stuck(STUCK_TYPE_CONFUSION, f"{access} through a non-location")
+    entry = m.heap.get(w.name)
+    if entry is None:
+        raise _Stuck(STUCK_UNBOUND_LOCATION, w.name)
+    return entry
+
+
+def _t_ld(m, ins, tail):
+    _, payload = _cell(m, ins.rs, "load")
+    if type(payload) is not list:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "load from code")
+    if ins.idx >= len(payload):
+        raise _Stuck(STUCK_BAD_INDEX, f"ld {ins.idx}")
+    m._setreg(ins.rd, payload[ins.idx])
+    m.focus = tail
+    return ins, None
+
+
+def _t_st(m, ins, tail):
+    nu, payload = _cell(m, ins.rd, "store")
+    if nu != "ref" or type(payload) is not list:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "store into an immutable binding")
+    if ins.idx >= len(payload):
+        raise _Stuck(STUCK_BAD_INDEX, f"st {ins.idx}")
+    payload[ins.idx] = m._getreg(ins.rs)
+    m.focus = tail
+    return ins, None
+
+
+def _alloc(m, ins, tail, nu: str, prefix: str):
+    """Move the top ``ins.n`` stack words, top first, into a new cell."""
+    stack = m.stack
+    cut = len(stack) - ins.n
+    if cut < 0:
+        raise _Stuck(STUCK_STACK_UNDERFLOW, f"alloc {ins.n}")
+    words = stack[cut:]
+    words.reverse()
+    del stack[cut:]
+    label = m._fresh(prefix)
+    m.heap[label] = (nu, words)
+    m._setreg(ins.rd, Loc(label))
+    m.focus = tail
+    return ins, None
+
+
+def _t_ralloc(m, ins, tail):
+    return _alloc(m, ins, tail, "ref", "cell")
+
+
+def _t_balloc(m, ins, tail):
+    return _alloc(m, ins, tail, "box", "tup")
+
+
+def _t_mv(m, ins, tail):
+    m._setreg(ins.rd, m._resolve(ins.u))
+    m.focus = tail
+    return ins, None
+
+
+def _t_salloc(m, ins, tail):
+    m.stack.extend([UnitVal()] * ins.n)
+    m.focus = tail
+    return ins, None
+
+
+def _t_sfree(m, ins, tail):
+    stack = m.stack
+    cut = len(stack) - ins.n
+    if cut < 0:
+        raise _Stuck(STUCK_STACK_UNDERFLOW, f"sfree {ins.n}")
+    del stack[cut:]
+    m.focus = tail
+    return ins, None
+
+
+def _t_sld(m, ins, tail):
+    stack = m.stack
+    if ins.idx >= len(stack):
+        raise _Stuck(STUCK_BAD_INDEX, f"sld {ins.idx}")
+    m._setreg(ins.rd, stack[-1 - ins.idx])
+    m.focus = tail
+    return ins, None
+
+
+def _t_sst(m, ins, tail):
+    stack = m.stack
+    if ins.idx >= len(stack):
+        raise _Stuck(STUCK_BAD_INDEX, f"sst {ins.idx}")
+    stack[-1 - ins.idx] = m._getreg(ins.rs)
+    m.focus = tail
+    return ins, None
+
+
+def _t_unpack(m, ins, tail):
+    w = m._resolve(ins.u)
+    if type(w) is not Pack:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "unpack of a non-package")
+    m._setreg(ins.rd, w.val)
+    shown = m._under(ins, tail, "tv", (KIND_TYPE, ins.tv), w.wit)
+    m.focus = tail
+    return shown, None
+
+
+def _t_unfold(m, ins, tail):
+    w = m._resolve(ins.u)
+    if type(w) is not Fold:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "unfold of a non-fold")
+    m._setreg(ins.rd, w.e)
+    m.focus = tail
+    return ins, None
+
+
+def _t_protect(m, ins, tail):
+    key = (KIND_STACK, ins.zeta)
+    # Only a zeta that shadows a binder, or would capture a free name of
+    # an omega, changes the environment.
+    if key in m.env.map or key in m.env.avoid:
+        ins = m._under(ins, tail, "zeta", key, None)
+    m.focus = tail
+    return ins, None
+
+
+def _t_import(m, ins, tail):
+    closed = m._close(ins)
+    m.frames.append(FrImport(ins.rd, closed.ann, tail, m.env))
+    m.env = m._root
+    m._resume(closed.body, None)
+    return ins, "boundary"
+
+
+def _t_jmp(m, ins, tail):
+    m.focus = m._jump(m._resolve(ins.u))
+    return ins, "jmp"
+
+
+def _t_call(m, ins, tail):
+    # The continuation's omegas are added to the word's, so the block is
+    # entered by its (label, *omegas) environment, not by the word.
+    m.focus, m.env = m._target(m._resolve(ins.u),
+                               (m._close(ins.sigma0), m._close(ins.qret)))
+    return ins, "call"
+
+
+def _t_ret(m, ins, tail):
+    m.focus = m._jump(m._getreg(ins.r))
+    return ins, "ret"
+
+
+def _t_halt(m, ins, tail):
+    w = m._getreg(ins.reg)
+    if not m.frames:
+        m._outcome = Outcome("halted", value=w, stack=m._stack_out(),
+                             steps=m.steps + 1)
+        m.focus = UnitVal()
+        return ins, "halt"
+    if type(m.frames[-1]) is not FrBoundary:
+        raise _Stuck(STUCK_HALT_OUTSIDE, "")
+    frame = m.frames.pop()
+    m.env = m._root
+    try:
+        v = import_value(frame.ann, w, m.heap, m._fresh)
+    except TranslationError as t:
+        reason = (STUCK_UNBOUND_LOCATION if t.kind == "dangling-location"
+                  else STUCK_TYPE_CONFUSION)
+        raise _Stuck(reason, t.message)
+    m.focus = v
+    m.returning = True
+    return ins, "halt"
+
+
+T_RULES = _Rules("unknown instruction ", {
+    Aop: _t_aop, Bnz: _t_bnz, Ld: _t_ld, St: _t_st,
+    Ralloc: _t_ralloc, Balloc: _t_balloc, Mv: _t_mv,
+    Salloc: _t_salloc, Sfree: _t_sfree, Sld: _t_sld, Sst: _t_sst,
+    Unpack: _t_unpack, UnfoldI: _t_unfold, Protect: _t_protect,
+    ImportI: _t_import,
+    Jmp: _t_jmp, Call: _t_call, Ret: _t_ret, Halt: _t_halt,
+})
+
+
+# ----------------------------------------------------------------------
+# Source rules: (machine, expression, its scope) -> (redex, None), or
+# a boundary's jump kind.  A value, or an expression that is a value
+# under its scope, takes one ``value`` step.
+
+
+def _give(m, v):
+    m.focus = v
+    m.returning = True
+    return "value", None
+
+
+def _s_value(m, e, scope):
+    return _give(m, e)
+
+
+def _s_lam(m, e, scope):
+    return _give(m, _Clo(e, scope))
+
+
+def _s_var(m, e, scope):
+    v = _lookup(scope, e.name)
+    if v is None:
+        raise _Stuck(STUCK_UNBOUND_VARIABLE, e.name)
+    return _give(m, v)
+
+
+def _s_binop(m, e, scope):
+    # A non-tail recursion such as ``f(y - 1) * y`` keeps one such frame
+    # per level: one whose operand is a value keeps the value, and no
+    # scope alive.
+    right = _value(e.right, scope)
+    if right is None:
+        m.frames.append(FrBinopL(e.op, e.right, scope))
+    else:
+        m.frames.append(FrBinopL(e.op, right, None))
+    m.focus = e.left
+    return f"binop {e.op}", None
+
+
+def _s_if0(m, e, scope):
+    m.frames.append(FrIf0(e.then, e.els, scope))
+    m.focus = e.cond
+    return "if0", None
+
+
+def _s_app(m, e, scope):
+    m.frames.append(FrAppFn(e.args, scope))
+    m.focus = e.fn
+    return "app", None
+
+
+def _s_tuple(m, e, scope):
+    v = _value(e, scope)
+    if v is not None:
+        return _give(m, v)
+    m.frames.append(FrTuple(e.items, [], scope))
+    m.focus = e.items[0]
+    return "tuple", None
+
+
+def _s_proj(m, e, scope):
+    m.frames.append(FrProj(e.idx))
+    m.focus = e.e
+    return f"proj.{e.idx}", None
+
+
+def _s_fold(m, e, scope):
+    v = _value(e, scope)
+    if v is not None:
+        return _give(m, v)
+    m.frames.append(FrFold(e.ann))
+    m.focus = e.e
+    return "fold", None
+
+
+def _s_unfold(m, e, scope):
+    m.frames.append(FrUnfold())
+    m.focus = e.e
+    return "unfold", None
+
+
+def _s_let(m, e, scope):
+    m.frames.append(FrLet(e.var, e.body, scope))
+    m.focus = e.rhs
+    return f"let {e.var}", None
+
+
+def _s_seq(m, e, scope):
+    m.frames.append(FrSeq(e.second, scope))
+    m.focus = e.first
+    return "seq", None
+
+
+def _s_boundary(m, e, scope):
+    body = m._merge_component(_close_terms(e.comp, scope))
+    m.frames.append(FrBoundary(e.ann))
+    m.focus = body
+    m.scope = None
+    return "boundary", "boundary"
+
+
+SOURCE_RULES = _Rules("not a source expression: ", {
+    IntVal: _s_value, UnitVal: _s_value, _Clo: _s_value,
+    Lam: _s_lam, Var: _s_var, Binop: _s_binop, If0: _s_if0, App: _s_app,
+    TupleVal: _s_tuple, Proj: _s_proj, Fold: _s_fold, Unfold: _s_unfold,
+    Let: _s_let, SeqE: _s_seq, Boundary: _s_boundary,
+})
+
+
+# ----------------------------------------------------------------------
+# Return rules: (machine, the innermost frame, popped, value) -> (redex,
+# jump kind).
+
+
+def _r_binop_l(m, fr, v):
+    m.frames.append(FrBinopR(fr.op, v))
+    m._resume(fr.right, fr.scope)
+    return "binop-right", None
+
+
+def _r_binop_r(m, fr, v):
+    left = fr.left
+    if type(left) is not IntVal or type(v) is not IntVal:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
+    m.focus = IntVal(_BINOPS[fr.op](left.n, v.n))
+    return f"binop {fr.op}", None
+
+
+def _r_if0(m, fr, v):
+    if type(v) is not IntVal:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "if0 on a non-integer")
+    m._resume(fr.then if v.n == 0 else fr.els, fr.scope)
+    return "if0-pick", None
+
+
+def _r_app_fn(m, fr, v):
+    if type(v) is not _Clo and type(v) is not Lam:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "application of a non-function")
+    if not fr.args:
+        return _beta(m, v, [])
+    m.frames.append(FrAppArgs(v, fr.args, [], fr.scope))
+    m._resume(fr.args[0], fr.scope)
+    return "app-arg", None
+
+
+def _r_app_args(m, fr, v):
+    done = fr.done
+    done.append(v)
+    if len(done) < len(fr.args):
+        m.frames.append(fr)
+        m._resume(fr.args[len(done)], fr.scope)
+        return "app-arg", None
+    return _beta(m, fr.fn, done)
+
+
+def _beta(m, fn, args: list):
+    # A lambda imported from target code is closed; it has no scope.
+    lam, scope = (fn.lam, fn.scope) if type(fn) is _Clo else (fn, None)
+    if len(args) != len(lam.params):
         raise _Stuck(STUCK_TYPE_CONFUSION,
-                     f"not a source expression: {type(e).__name__}")
+                     f"{len(lam.params)} parameters, {len(args)} arguments")
+    for (name, _), v in zip(lam.params, args):
+        scope = (name, v, scope)
+    m._resume(lam.body, scope)
+    return "beta", None
 
-    def _resume(self, e: Tm, scope: tuple | None) -> None:
-        """Evaluate ``e`` under ``scope`` next."""
-        self.focus = e
-        self.scope = scope
-        self.returning = False
 
-    # Plugging a value back into the frame stack.
+def _r_tuple(m, fr, v):
+    done = fr.done
+    done.append(v)
+    if len(done) < len(fr.items):
+        m.frames.append(fr)
+        m._resume(fr.items[len(done)], fr.scope)
+        return "tuple-item", None
+    m.focus = TupleVal(tuple(done))
+    return "tuple", None
 
-    def _step_return(self, v):
-        if not self.frames:
-            self._outcome = Outcome("f-value", value=_read_back(v),
-                                    steps=self.steps + 1,
-                                    stack=tuple(self.stack))
-            # The final plugging still counts as a step.
-            self.returning = False
-            return "result", None
-        frame = self.frames.pop()
-        if isinstance(frame, FrBinopL):
-            self.frames.append(FrBinopR(frame.op, v))
-            self._resume(frame.right, frame.scope)
-            return "binop-right", None
-        if isinstance(frame, FrBinopR):
-            left = frame.left
-            if not (isinstance(left, IntVal) and isinstance(v, IntVal)):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
-            self.focus = IntVal(_BINOPS[frame.op](left.n, v.n))
-            return f"binop {frame.op}", None
-        if isinstance(frame, FrIf0):
-            if not isinstance(v, IntVal):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "if0 on a non-integer")
-            self._resume(frame.then if v.n == 0 else frame.els, frame.scope)
-            return "if0-pick", None
-        if isinstance(frame, FrAppFn):
-            if not isinstance(v, (_Clo, Lam)):
-                raise _Stuck(STUCK_TYPE_CONFUSION,
-                             "application of a non-function")
-            if not frame.args:
-                return self._beta(v, [])
-            self.frames.append(FrAppArgs(v, frame.args, [], frame.scope))
-            self._resume(frame.args[0], frame.scope)
-            return "app-arg", None
-        if isinstance(frame, FrAppArgs):
-            done = frame.done
-            done.append(v)
-            if len(done) < len(frame.args):
-                self.frames.append(frame)
-                self._resume(frame.args[len(done)], frame.scope)
-                return "app-arg", None
-            return self._beta(frame.fn, done)
-        if isinstance(frame, FrTuple):
-            done = frame.done
-            done.append(v)
-            if len(done) < len(frame.items):
-                self.frames.append(frame)
-                self._resume(frame.items[len(done)], frame.scope)
-                return "tuple-item", None
-            self.focus = TupleVal(tuple(done))
-            return "tuple", None
-        if isinstance(frame, FrProj):
-            if not isinstance(v, TupleVal):
-                raise _Stuck(STUCK_TYPE_CONFUSION,
-                             "projection from a non-tuple")
-            if frame.idx >= len(v.items):
-                raise _Stuck(STUCK_BAD_INDEX, f"proj.{frame.idx}")
-            self.focus = v.items[frame.idx]
-            return f"proj.{frame.idx}", None
-        if isinstance(frame, FrFold):
-            self.focus = Fold(frame.ann, v)
-            return "fold", None
-        if isinstance(frame, FrUnfold):
-            if not isinstance(v, Fold):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "unfold of a non-fold")
-            self.focus = v.e
-            return "unfold", None
-        if isinstance(frame, FrLet):
-            self._resume(frame.body, (frame.var, v, frame.scope))
-            return f"let {frame.var}", None
-        if isinstance(frame, FrSeq):
-            self._resume(frame.second, frame.scope)
-            return "seq", None
-        if isinstance(frame, FrImport):
-            try:
-                w = export_value(frame.ann, _read_back(v), self.heap,
-                                 self._fresh)
-            except TranslationError as t:
-                raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
-            self._setreg(frame.rd, w)
-            self.focus = frame.rest
-            self.env = frame.env
-            self.returning = False
-            return "export", "boundary"
-        raise _Stuck(STUCK_TYPE_CONFUSION,
-                     f"value under frame {type(frame).__name__}")
 
-    def _beta(self, fn, args: list):
-        # A lambda imported from target code is closed; it has no scope.
-        lam, scope = (fn.lam, fn.scope) if isinstance(fn, _Clo) else (fn, None)
-        if len(args) != len(lam.params):
-            raise _Stuck(STUCK_TYPE_CONFUSION,
-                         f"{len(lam.params)} parameters, {len(args)} "
-                         f"arguments")
-        for (name, _), v in zip(lam.params, args):
-            scope = (name, v, scope)
-        self._resume(lam.body, scope)
-        return "beta", None
+def _r_proj(m, fr, v):
+    if type(v) is not TupleVal:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "projection from a non-tuple")
+    if fr.idx >= len(v.items):
+        raise _Stuck(STUCK_BAD_INDEX, f"proj.{fr.idx}")
+    m.focus = v.items[fr.idx]
+    return f"proj.{fr.idx}", None
 
-    # Target-language instructions.
 
-    def _step_target(self, iseq: ISeq):
-        if isinstance(iseq, Seq):
-            return self._step_instr(iseq)
-        if isinstance(iseq, Jmp):
-            self.focus = self._jump(self._resolve(iseq.u))
-            return iseq, "jmp"
-        if isinstance(iseq, Call):
-            self.focus = self._jump(self._resolve(iseq.u),
-                                    (self._close(iseq.sigma0),
-                                     self._close(iseq.qret)))
-            return iseq, "call"
-        if isinstance(iseq, Ret):
-            self.focus = self._jump(self._getreg(iseq.r))
-            return iseq, "ret"
-        if isinstance(iseq, Halt):
-            w = self._getreg(iseq.reg)
-            if not self.frames:
-                self._outcome = Outcome("halted", value=w,
-                                        stack=tuple(self.stack),
-                                        steps=self.steps + 1)
-                self.focus = UnitVal()
-                return iseq, "halt"
-            frame = self.frames[-1]
-            if not isinstance(frame, FrBoundary):
-                raise _Stuck(STUCK_HALT_OUTSIDE, "")
-            self.frames.pop()
-            self.env = self._root
-            try:
-                v = import_value(frame.ann, w, self.heap, self._fresh)
-            except TranslationError as t:
-                reason = (STUCK_UNBOUND_LOCATION
-                          if t.kind == "dangling-location"
-                          else STUCK_TYPE_CONFUSION)
-                raise _Stuck(reason, t.message)
-            self.focus = v
-            self.returning = True
-            return iseq, "halt"
-        raise _Stuck(STUCK_TYPE_CONFUSION,
-                     f"not an instruction sequence: {type(iseq).__name__}")
+def _r_fold(m, fr, v):
+    m.focus = Fold(fr.ann, v)
+    return "fold", None
 
-    def _step_instr(self, seq: Seq):
-        ins, tail = seq.head, seq.tail
-        jump = None
-        if isinstance(ins, Aop):
-            a = self._getreg(ins.rs)
-            b = self._resolve(ins.u)
-            if not (isinstance(a, IntVal) and isinstance(b, IntVal)):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
-            self._setreg(ins.rd, IntVal(_AOPS[ins.op](a.n, b.n)))
-            self.focus = tail
-        elif isinstance(ins, Bnz):
-            c = self._getreg(ins.r)
-            if not isinstance(c, IntVal):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "branch on a non-integer")
-            if c.n == 0:
-                self.focus = tail
-            else:
-                self.focus = self._jump(self._resolve(ins.u))
-                jump = "jmp"
-        elif isinstance(ins, Ld):
-            w = self._getreg(ins.rs)
-            if not isinstance(w, Loc):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "load through a non-location")
-            entry = self.heap.get(w.name)
-            if entry is None:
-                raise _Stuck(STUCK_UNBOUND_LOCATION, w.name)
-            _, payload = entry
-            if not isinstance(payload, list):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "load from code")
-            if ins.idx >= len(payload):
-                raise _Stuck(STUCK_BAD_INDEX, f"ld {ins.idx}")
-            self._setreg(ins.rd, payload[ins.idx])
-            self.focus = tail
-        elif isinstance(ins, St):
-            w = self._getreg(ins.rd)
-            if not isinstance(w, Loc):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "store through a non-location")
-            entry = self.heap.get(w.name)
-            if entry is None:
-                raise _Stuck(STUCK_UNBOUND_LOCATION, w.name)
-            nu, payload = entry
-            if nu != "ref" or not isinstance(payload, list):
-                raise _Stuck(STUCK_TYPE_CONFUSION,
-                             "store into an immutable binding")
-            if ins.idx >= len(payload):
-                raise _Stuck(STUCK_BAD_INDEX, f"st {ins.idx}")
-            payload[ins.idx] = self._getreg(ins.rs)
-            self.focus = tail
-        elif isinstance(ins, (Ralloc, Balloc)):
-            if len(self.stack) < ins.n:
-                raise _Stuck(STUCK_STACK_UNDERFLOW, f"alloc {ins.n}")
-            words = self.stack[: ins.n]
-            del self.stack[: ins.n]
-            nu = "ref" if isinstance(ins, Ralloc) else "box"
-            label = self._fresh("cell" if nu == "ref" else "tup")
-            self.heap[label] = (nu, list(words))
-            self._setreg(ins.rd, Loc(label))
-            self.focus = tail
-        elif isinstance(ins, Mv):
-            self._setreg(ins.rd, self._resolve(ins.u))
-            self.focus = tail
-        elif isinstance(ins, Salloc):
-            self.stack[0:0] = [UnitVal() for _ in range(ins.n)]
-            self.focus = tail
-        elif isinstance(ins, Sfree):
-            if len(self.stack) < ins.n:
-                raise _Stuck(STUCK_STACK_UNDERFLOW, f"sfree {ins.n}")
-            del self.stack[: ins.n]
-            self.focus = tail
-        elif isinstance(ins, Sld):
-            if ins.idx >= len(self.stack):
-                raise _Stuck(STUCK_BAD_INDEX, f"sld {ins.idx}")
-            self._setreg(ins.rd, self.stack[ins.idx])
-            self.focus = tail
-        elif isinstance(ins, Sst):
-            if ins.idx >= len(self.stack):
-                raise _Stuck(STUCK_BAD_INDEX, f"sst {ins.idx}")
-            self.stack[ins.idx] = self._getreg(ins.rs)
-            self.focus = tail
-        elif isinstance(ins, Unpack):
-            w = self._resolve(ins.u)
-            if not isinstance(w, Pack):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "unpack of a non-package")
-            self._setreg(ins.rd, w.val)
-            ins = self._under(seq, "tv", (KIND_TYPE, ins.tv), w.wit)
-            self.focus = tail
-        elif isinstance(ins, UnfoldI):
-            w = self._resolve(ins.u)
-            if not isinstance(w, Fold):
-                raise _Stuck(STUCK_TYPE_CONFUSION, "unfold of a non-fold")
-            self._setreg(ins.rd, w.e)
-            self.focus = tail
-        elif isinstance(ins, Protect):
-            key = (KIND_STACK, ins.zeta)
-            # Only a zeta that shadows a binder, or would capture a free
-            # name of an omega, changes the environment.
-            if key in self.env.map or key in self.env.avoid:
-                ins = self._under(seq, "zeta", key, None)
-            self.focus = tail
-        elif isinstance(ins, ImportI):
-            closed = self._close(ins)
-            self.frames.append(FrImport(ins.rd, closed.ann, tail, self.env))
-            self.env = self._root
-            self._resume(closed.body, None)
-            return ins, "boundary"
-        else:
-            raise _Stuck(STUCK_TYPE_CONFUSION,
-                         f"unknown instruction {type(ins).__name__}")
-        return ins, jump
+
+def _r_unfold(m, fr, v):
+    if type(v) is not Fold:
+        raise _Stuck(STUCK_TYPE_CONFUSION, "unfold of a non-fold")
+    m.focus = v.e
+    return "unfold", None
+
+
+def _r_let(m, fr, v):
+    m._resume(fr.body, (fr.var, v, fr.scope))
+    return f"let {fr.var}", None
+
+
+def _r_seq(m, fr, v):
+    m._resume(fr.second, fr.scope)
+    return "seq", None
+
+
+def _r_boundary(m, fr, v):
+    # Target code returns to a boundary by halting, never with a value.
+    raise _Stuck(STUCK_TYPE_CONFUSION, "value under frame FrBoundary")
+
+
+def _r_import(m, fr, v):
+    try:
+        w = export_value(fr.ann, _read_back(v), m.heap, m._fresh)
+    except TranslationError as t:
+        raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
+    m._setreg(fr.rd, w)
+    m.focus = fr.rest
+    m.env = fr.env
+    m.returning = False
+    return "export", "boundary"
+
+
+RETURN_RULES = _Rules("value under frame ", {
+    FrBinopL: _r_binop_l, FrBinopR: _r_binop_r, FrIf0: _r_if0,
+    FrAppFn: _r_app_fn, FrAppArgs: _r_app_args, FrTuple: _r_tuple,
+    FrProj: _r_proj, FrFold: _r_fold, FrUnfold: _r_unfold, FrLet: _r_let,
+    FrSeq: _r_seq, FrBoundary: _r_boundary, FrImport: _r_import,
+})
 
 
 def _redex(node, env: _Env) -> str:

@@ -912,10 +912,15 @@ def alpha_equal(a, b) -> bool:
     Heap labels are nominal: components must bind the same label set.
     Types, stacks and markers that are equal field by field are compared
     no further; they hold no instruction sequence, so that comparison
-    does not recurse along a block.
+    does not recurse along a block, and a stack's spine is walked with a
+    loop.
     """
-    if isinstance(a, (Ty, Stk, Mk)) and a == b:
-        return True
+    if isinstance(a, (Ty, Stk, Mk)):
+        x, y = a, b
+        while type(x) is SCons and type(y) is SCons and x.head == y.head:
+            x, y = x.tail, y.tail
+        if x == y:
+            return True
     return _alpha(a, b, {}, {}, count(1))
 
 
@@ -934,16 +939,20 @@ def _alpha(a, b, env_a, env_b, counter) -> bool:
             return True
         if type(a) is not type(b):
             return False
-        if type(a) is not Seq:
-            return _alpha_node(a, b, SCHEMA[type(a)], env_a, env_b, counter)
-        ha, hb = a.head, b.head
-        sc = SCHEMA[type(ha)]
-        if type(hb) is not type(ha) or not _alpha_node(ha, hb, sc, env_a, env_b, counter, sc.tail):
-            return False
-        if sc.tail:
-            env_a, env_b = _bind(env_a, env_b, _binders(sc, ha), _binders(sc, hb), counter)
-            if env_a is None:
+        if type(a) is SCons:
+            if not _alpha(a.head, b.head, env_a, env_b, counter):
                 return False
+        elif type(a) is Seq:
+            ha, hb = a.head, b.head
+            sc = SCHEMA[type(ha)]
+            if type(hb) is not type(ha) or not _alpha_node(ha, hb, sc, env_a, env_b, counter, sc.tail):
+                return False
+            if sc.tail:
+                env_a, env_b = _bind(env_a, env_b, _binders(sc, ha), _binders(sc, hb), counter)
+                if env_a is None:
+                    return False
+        else:
+            return _alpha_node(a, b, SCHEMA[type(a)], env_a, env_b, counter)
         a, b = a.tail, b.tail
 
 

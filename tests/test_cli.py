@@ -269,6 +269,28 @@ def test_malformed_job_file_is_a_parse_error(capsys, tmp_path, name):
         "exit_code": 2}
 
 
+def test_eq_refuses_a_type_it_cannot_probe(capsys, tmp_path):
+    # Applying integers to a higher-order function would get both sides
+    # stuck and report them distinguished.
+    for side in ("left", "right"):
+        (tmp_path / f"{side}.ftal").write_text(
+            "entry F\nlam (f: (int) -> int). f(0)\n")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"left": "left.ftal", "right": "right.ftal",
+                               "type": "((int) -> int) -> int",
+                               "inputs": [0, 1]}))
+    message = ("bad job file: cannot probe ((int) -> int) -> int with "
+               "integer inputs; the type must be (int) -> int or "
+               "(int) -> unit")
+    code, out, err = run_cli(capsys, ["eq", str(job)])
+    assert code == 2 and out == ""
+    assert err == f"parse error: {message}\n"
+    code, out, err = run_cli(capsys, ["eq", "--json", str(job)])
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": {"kind": "parse", "message": message}, "exit_code": 2}
+
+
 # -- resource limits ----------------------------------------------------------
 
 # Inputs that exhaust the interpreter's recursion depth: the parser

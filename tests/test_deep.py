@@ -1,6 +1,9 @@
-"""A program far deeper than Python's recursion limit: one heap block of
-3000 straight-line instructions. It runs to its halt, and every syntax
-traversal walks it to the end."""
+"""Programs far deeper than Python's recursion limit: one heap block of
+3000 straight-line instructions, which runs to its halt and which every
+syntax traversal walks to the end; and a 400-slot stack type, which the
+checker compares and the machine halts at."""
+
+import json
 
 import pytest
 
@@ -93,3 +96,27 @@ def test_deep_program_subterms(deep):
     bound_at_loc = [b for n, b in S.subterms(prog) if isinstance(n, S.Loc)]
     assert len(bound_at_loc) == 1 + N // 2
     assert all((S.KIND_LOC, "l") in b for b in bound_at_loc)
+
+
+SLOTS = 400
+
+
+def stack_source(n: int) -> str:
+    """A component that allocates n stack slots and halts at a stack type
+    that spells each of them out."""
+    slots = " :: ".join(["unit"] * n)
+    return f"entry T\n(\n  mv r1, 0;\n  salloc {n};\n  halt[int, {slots} :: *] r1\n)\n"
+
+
+def test_deep_stack_type_checks_and_halts(tmp_path, capsys):
+    path = tmp_path / "stack.ftal"
+    path.write_text(stack_source(SLOTS))
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "int; " + "unit :: " * SLOTS + "*"
+    assert cli.main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "halted 0; stack [" + ", ".join(["()"] * SLOTS) + "]")
+    assert cli.main(["run", "--json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["kind"], payload["value"]) == ("halted", "0")
+    assert payload["stack"] == ["()"] * SLOTS

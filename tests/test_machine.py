@@ -558,3 +558,175 @@ FT[int](
     blocks = [b for _, b in m.heap.values() if isinstance(b, S.CodeBlock)]
     assert any("lam (y: int). (y + 10)" in line
                for b in blocks for line in pretty.iseq_lines(b.body, 0))
+
+
+# -- rule tables and the jump cache ------------------------------------------
+
+# Words only target code has; every other term is a source expression.
+T_WORDS = {S.Reg, S.Loc, S.Pack, S.Inst}
+
+
+def node_classes(base):
+    return {c for c in vars(S).values()
+            if isinstance(c, type) and issubclass(c, base) and c is not base}
+
+
+def test_every_node_and_frame_class_has_one_rule():
+    frames = {c for name, c in vars(machine).items()
+              if name.startswith("Fr") and isinstance(c, type)}
+    assert set(machine.T_RULES) == (
+        node_classes(S.Instr) | node_classes(S.ISeq) - {S.Seq})
+    assert set(machine.SOURCE_RULES) == (
+        node_classes(S.Tm) - T_WORDS | {machine._Clo})
+    assert frames and set(machine.RETURN_RULES) == frames
+    for table in (machine.T_RULES, machine.SOURCE_RULES, machine.RETURN_RULES):
+        assert all(callable(rule) for rule in table.values())
+
+
+def test_a_node_with_no_rule_is_stuck():
+    out = machine.run_program(S.Program("F", S.Loc("l")), FUEL)
+    assert (out.kind, out.reason) == ("stuck", machine.STUCK_TYPE_CONFUSION)
+    assert out.detail == "not a source expression: Loc"
+
+
+class CountingHeap(dict):
+    """A heap that counts the lookups of a label."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+LOOP = """entry T
+(
+  mv r1, 1000;
+  mv r2, ();
+  jmp lloop[unit]
+, where
+  lloop -> code[a]{r1: int, r2: a; *} ret(int, *).
+    sub r1, r1, 1;
+    bnz r1, lloop[a];
+    halt[int, *] r1
+)
+"""
+
+
+def test_a_loop_resolves_its_jump_word_once():
+    prog = parser.parse_program(LOOP)
+    check_program(prog)
+    m = machine.load(prog)
+    m.heap = CountingHeap(m.heap)
+    out = m.run(FUEL)
+    # Recorded before jump words were cached.
+    assert out.kind == "halted" and out.value == S.IntVal(0)
+    assert out.steps == 2004
+    # lloop[unit] from the entry, and lloop[a] closed under a := unit.
+    assert m.heap.gets == 2
+
+
+def test_a_register_word_naming_an_unbound_label_is_stuck():
+    body = S.Seq(S.Mv("r1", S.Loc("nowhere")), S.Jmp(S.Reg("r1")))
+    out = run_target(body)
+    assert (out.kind, out.reason, out.detail) == (
+        "stuck", machine.STUCK_UNBOUND_LOCATION, "nowhere")
+    assert out.steps == 1
+
+
+def test_a_register_word_with_too_many_instantiations_is_stuck():
+    heap = (S.HeapBinding(
+        "lB", "box",
+        S.CodeBlock(("z",), S.make_chi({}), S.SVar("z"),
+                    S.MHalt(S.TyInt(), S.SVar("z")),
+                    S.Halt(S.TyInt(), S.SVar("z"), "r1"))),)
+    word = S.Inst(S.Inst(S.Loc("lB"), S.SNil()), S.SNil())
+    body = S.Seq(S.Mv("r1", word), S.Jmp(S.Reg("r1")))
+    out = run_target(body, heap)
+    assert (out.kind, out.reason) == ("stuck", machine.STUCK_UNINSTANTIATED)
+    assert out.detail == "lB#0 wants 1 instantiations, got 2"
+
+
+def test_a_call_and_a_jump_enter_one_block_under_their_own_omegas():
+    # l2 is entered by a call, under (ra's type :: *, 0), and later by a
+    # jump, under (*, ret(int, *)); its jump to l3 shows each closing.
+    prog = parser.parse_program("""entry T
+(
+  mv ra, ldone;
+  call l1 {*, ret(int, *)}
+, where
+  l1 -> code[z, eps]{ra: box code[]{r1: int; z} eps; z} ra.
+    mv r1, 1;
+    salloc 1;
+    sst 0, ra;
+    mv ra, lmid[z, eps];
+    call l2 {box code[]{r1: int; z} eps :: z, 0},
+  lmid -> code[z, eps]{r1: int; box code[]{r1: int; z} eps :: z} 0.
+    sld ra, 0;
+    sfree 1;
+    jmp l2[z, eps],
+  l2 -> code[z, eps]{r1: int, ra: box code[]{r1: int; z} eps; z} ra.
+    jmp l3[z, eps],
+  l3 -> code[z, eps]{r1: int, ra: box code[]{r1: int; z} eps; z} ra.
+    ret ra {r1},
+  ldone -> code[]{r1: int; *} ret(int, *).
+    halt[int, *] r1
+)
+""")
+    check_program(prog)
+    records = []
+    out = machine.run_program(prog, FUEL, records.append)
+    assert out.kind == "halted" and out.value == S.IntVal(1)
+    assert out.steps == 15
+    jumps = [r["redex"] for r in records if r["jump"] in ("jmp", "call")]
+    assert jumps == [
+        "call l1#0", "call l2#2",
+        "jmp l3#3[box code[]{r1: int; *} ret(int, *) :: *, 0]",
+        "jmp l2#2[*, ret(int, *)]", "jmp l3#3[*, ret(int, *)]"]
+
+
+def test_stack_slots_are_indexed_from_the_top():
+    prog = parser.parse_program("""entry T
+(
+  mv r1, 1;
+  mv r2, 2;
+  mv r3, 3;
+  salloc 3;
+  sst 0, r1;
+  sst 1, r2;
+  sst 2, r3;
+  sld r4, 0;
+  sld r5, 1;
+  sld r6, 2;
+  halt[int, int :: int :: int :: *] r4
+)
+""")
+    check_program(prog)
+    m = machine.load(prog)
+    out = m.run(FUEL)
+    assert out.kind == "halted" and out.steps == 11
+    assert [m.regs[r] for r in ("r4", "r5", "r6")] == [
+        S.IntVal(1), S.IntVal(2), S.IntVal(3)]
+    assert out.stack == (S.IntVal(1), S.IntVal(2), S.IntVal(3))
+
+
+def test_a_tuple_takes_the_top_slots_in_order():
+    prog = parser.parse_program("""entry T
+(
+  mv r1, 1;
+  mv r2, 2;
+  salloc 3;
+  sst 0, r1;
+  sst 1, r2;
+  balloc r3, 2;
+  ld r4, r3[0];
+  ld r5, r3[1];
+  halt[int, unit :: *] r4
+)
+""")
+    check_program(prog)
+    m = machine.load(prog)
+    out = m.run(FUEL)
+    assert out.kind == "halted" and out.value == S.IntVal(1)
+    assert m.regs["r5"] == S.IntVal(2)
+    assert out.stack == (S.UnitVal(),)
