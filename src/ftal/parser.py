@@ -1,9 +1,11 @@
 """Concrete syntax reader.
 
-The lexer tracks byte offset, line, and column for every token. The parser
-is plain recursive descent; each syntactic category is predicted by its
-first token, so no backtracking is needed except a bounded save/restore in
-instantiation arguments (where a type and a stack can begin identically).
+The lexer is one regular expression, scanned once over the source. A token
+records its kind, its text and its offset, counted in characters (not
+bytes) from the start of the source. Line and column are worked out from
+the offset only when a ParseError is raised. The parser is plain recursive
+descent; each syntactic category is predicted by its next token, so it
+never backtracks.
 
 Conventions baked into the grammar:
   - names starting with ``z`` are stack variables, ``eps`` marker variables;
@@ -18,7 +20,8 @@ Conventions baked into the grammar:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import syntax as S
 
@@ -30,19 +33,31 @@ KEYWORDS = {
     "unpack", "FT", "TF", "out",
 }
 
+# Longest first: the pattern takes the first alternative that matches.
 PUNCT = (
     "::", "->", "=>", "(", ")", "[", "]", "{", "}", "<", ">", ",", ";", ":",
     ".", "*", "+", "-", "=",
 )
 
+# Skip whitespace and comments, then take one token: a run of decimal
+# digits (what int() reads), a name, a punctuation mark, or any other
+# character, which is an error. The name alternative also starts at
+# characters such as '²' that are alphanumeric but not alphabetic; lex
+# rejects those.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*"
+    r"(\d+|[^\W\d][\w'#]*|" + "|".join(map(re.escape, PUNCT)) + r"|.)?",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
+# The kind of each keyword and punctuation mark is its own text.
+_KINDS = {text: text for text in (*KEYWORDS, *PUNCT)}
+
+
+class Token(NamedTuple):
     kind: str  # keyword/punct text, or "INT", "IDENT", "EOF"
     text: str
-    offset: int
-    line: int
-    col: int
+    offset: int  # in characters from the start of the source
 
 
 class ParseError(Exception):
@@ -54,6 +69,14 @@ class ParseError(Exception):
         self.col = col
         self.expected = tuple(expected)
 
+    @classmethod
+    def at(cls, src: str, offset: int, message: str, expected: tuple = ()) -> ParseError:
+        """The error at a character offset into src, with its 1-based
+        line and column."""
+        line = src.count("\n", 0, offset) + 1
+        col = offset - src.rfind("\n", 0, offset)
+        return cls(message, offset, line, col, expected)
+
     def display(self) -> str:
         want = f" (expected {', '.join(self.expected)})" if self.expected else ""
         return f"{self.line}:{self.col}: {self.message}{want}"
@@ -62,73 +85,41 @@ class ParseError(Exception):
         return self.display()
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'#"
-
-
 def lex(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start, sl, sc = i, line, col
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("INT", src[i:j], start, sl, sc))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(src[j]):
-                j += 1
-            text = src[i:j]
-            kind = text if text in KEYWORDS else "IDENT"
-            toks.append(Token(kind, text, start, sl, sc))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token(p, p, start, sl, sc))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", start, sl, sc)
-    toks.append(Token("EOF", "", n, line, col))
+    append = toks.append
+    kinds = _KINDS.get
+    # Token(...) runs a Python-level __new__; this is the same tuple, built
+    # at C speed, once per token.
+    token = tuple.__new__
+    for m in _TOKEN.finditer(src):
+        text = m[1]
+        if text is None:  # only whitespace and comments were left
+            break
+        kind = kinds(text)
+        if kind is None:
+            c = text[0]
+            if c.isdecimal():
+                kind = "INT"
+            elif c.isalpha() or c == "_":
+                kind = "IDENT"
+            else:
+                raise ParseError.at(src, m.start(1), f"unexpected character {c!r}")
+        append(token(Token, (kind, text, m.start(1))))
+    append(Token("EOF", "", len(src)))
     return toks
 
 
 class Parser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = lex(src)
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -148,15 +139,14 @@ class Parser:
         t = self.peek()
         if t.kind != kind:
             got = t.text or "end of input"
-            raise ParseError(
-                f"unexpected {got!r}" + (f" in {what}" if what else ""),
-                t.offset, t.line, t.col, expected=(kind,),
-            )
+            self.fail(f"unexpected {got!r}" + (f" in {what}" if what else ""),
+                      expected=(kind,))
         return self.next()
 
-    def fail(self, message: str, expected: tuple = ()):
-        t = self.peek()
-        raise ParseError(message, t.offset, t.line, t.col, expected=expected)
+    def fail(self, message: str, expected: tuple = (), tok: Token | None = None):
+        """Raise a ParseError at tok, or at the next token."""
+        t = self.peek() if tok is None else tok
+        raise ParseError.at(self.src, t.offset, message, expected)
 
     def ident(self, what: str) -> str:
         t = self.peek()
@@ -202,9 +192,9 @@ class Parser:
             case "IDENT":
                 name = self.next().text
                 if S.kind_of_name(name) != S.KIND_TYPE:
-                    raise ParseError(
+                    self.fail(
                         f"{name!r} is a {S.kind_of_name(name)} variable, not a type",
-                        t.offset, t.line, t.col,
+                        tok=t,
                     )
                 return S.TVar(name)
         self.fail("expected a type", expected=("type",))
@@ -248,7 +238,7 @@ class Parser:
         t = self.peek()
         name = self.ident("register")
         if not S.is_register(name):
-            raise ParseError(f"{name!r} is not a register", t.offset, t.line, t.col)
+            self.fail(f"{name!r} is not a register", tok=t)
         self.expect(":", "register file entry")
         return (name, self.type_())
 
@@ -284,16 +274,17 @@ class Parser:
             self.expect("::", "stack prefix")
 
     def stack(self) -> S.Stk:
-        t = self.peek()
-        if t.kind == "*":
-            self.next()
-            return S.SNil()
-        if t.kind == "IDENT" and S.kind_of_name(t.text) == S.KIND_STACK:
-            self.next()
-            return S.SVar(t.text)
-        head = self.type_()
-        self.expect("::", "stack type")
-        return S.SCons(head, self.stack())
+        heads = []
+        while True:
+            t = self.peek()
+            if t.kind == "*":
+                self.next()
+                return S.stack_of(heads, S.SNil())
+            if t.kind == "IDENT" and S.kind_of_name(t.text) == S.KIND_STACK:
+                self.next()
+                return S.stack_of(heads, S.SVar(t.text))
+            heads.append(self.type_())
+            self.expect("::", "stack type")
 
     # -- markers and instantiation arguments -------------------------------
 
@@ -526,7 +517,7 @@ class Parser:
         t = self.peek()
         name = self.ident(what)
         if not S.is_register(name):
-            raise ParseError(f"{name!r} is not a register", t.offset, t.line, t.col)
+            self.fail(f"{name!r} is not a register", tok=t)
         return name
 
     def int_lit(self, what: str) -> int:
@@ -729,14 +720,12 @@ class Parser:
             t = self.peek()
             name = self.ident("entry language")
             if name not in ("F", "T"):
-                raise ParseError("entry must be F or T", t.offset, t.line, t.col)
+                self.fail("entry must be F or T", tok=t)
             entry = name
         main: S.Node = self.component() if entry == "T" else self.expr()
         t = self.peek()
         if t.kind != "EOF":
-            raise ParseError(
-                f"trailing input {t.text!r}", t.offset, t.line, t.col, expected=("EOF",)
-            )
+            self.fail(f"trailing input {t.text!r}", expected=("EOF",))
         return S.Program(entry, main)
 
 

@@ -16,10 +16,10 @@ from .syntax import (
     Component, Exists, Fold, Halt, HeapBinding, If0, ImportI, Inst, Instr,
     IntVal, ISeq, Jmp, Lam, Ld, Let, Loc, MEps, MHalt, MIdx, Mk, MOut, MReg,
     Mu, Mv, Node, Pack, Proj, Protect, Program, Ralloc, Ref, Reg, Ret,
-    Salloc, SCons, Seq, SeqE, Sfree, Sld, SNil, Sst, St, StackArrow, Stk,
+    Salloc, Seq, SeqE, Sfree, Sld, SNil, Sst, St, StackArrow, Stk,
     SVar, Tm, TupleVal, TVar, Ty, TyInt, TyTuple, TyUnit, Unfold, UnfoldI,
     UnitVal, Unpack, Var,
-    Arrow,
+    Arrow, stack_parts,
 )
 
 
@@ -62,14 +62,15 @@ def phi(prefix) -> str:
 
 
 def stk(s: Stk) -> str:
-    match s:
+    prefix, tail = stack_parts(s)
+    match tail:
         case SNil():
-            return "*"
+            end = "*"
         case SVar(name):
-            return name
-        case SCons(head, tail):
-            return f"{ty(head)} :: {stk(tail)}"
-    raise TypeError(f"not a stack: {s!r}")
+            end = name
+        case _:
+            raise TypeError(f"not a stack: {s!r}")
+    return " :: ".join([*map(ty, prefix), end])
 
 
 def mk(q: Mk) -> str:

@@ -746,6 +746,9 @@ def _free(node, bound: frozenset, out: set) -> None:
         if sc.tail:
             bound = bound.union(_binders(sc, node.head))
         node = node.tail
+    while type(node) is SCons:
+        _free(node.head, bound, out)
+        node = node.tail
     sc = SCHEMA[type(node)]
     if sc.var is not None:
         if (sc.var, node.name) not in bound:

@@ -69,6 +69,21 @@ def test_errors_are_json_when_asked(capsys, tmp_path):
     assert isinstance(payload["error"]["message"], str)
 
 
+def test_non_decimal_digit_is_a_parse_error(capsys, tmp_path):
+    # '²' is a digit to str.isdigit but not a decimal digit, so int()
+    # cannot read it and it starts no token.
+    bad = tmp_path / "digit.ftal"
+    bad.write_text("1 + ²\n", encoding="utf-8")
+    message = "1:5: unexpected character '²'"
+    code, out, err = run_cli(capsys, ["check", str(bad)])
+    assert code == 2 and out == ""
+    assert err == f"parse error: {message}\n"
+    code, out, err = run_cli(capsys, ["check", "--json", str(bad)])
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": {"kind": "parse", "message": message}, "exit_code": 2}
+
+
 def test_nonpositive_fuel_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, ["run", "--fuel", "0",
                                     corpus("jit")])

@@ -1,7 +1,8 @@
 """Programs far deeper than Python's recursion limit: one heap block of
 3000 straight-line instructions, which runs to its halt and which every
-syntax traversal walks to the end; and a 400-slot stack type, which the
-checker compares and the machine halts at."""
+syntax traversal walks to the end; and stack types of up to 3000 slots,
+which the parser reads, the checker compares, the machine halts at and
+the printer writes back."""
 
 import json
 
@@ -120,3 +121,22 @@ def test_deep_stack_type_checks_and_halts(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["kind"], payload["value"]) == ("halted", "0")
     assert payload["stack"] == ["()"] * SLOTS
+
+
+@pytest.mark.parametrize("slots", [1000, 3000])
+def test_long_stack_type_checks_runs_and_round_trips(tmp_path, capsys, slots):
+    path = tmp_path / "stack.ftal"
+    path.write_text(stack_source(slots))
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "int; " + "unit :: " * slots + "*"
+    assert cli.main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "halted 0; stack [" + ", ".join(["()"] * slots) + "]")
+    assert cli.main(["fmt", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert S.alpha_equal(parser.parse_program(printed),
+                         parser.parse_program(path.read_text()))
+    again = tmp_path / "again.ftal"
+    again.write_text(printed)
+    assert cli.main(["fmt", str(again)]) == 0
+    assert capsys.readouterr().out == printed

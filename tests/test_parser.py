@@ -51,6 +51,10 @@ def test_negative_literals_parse():
     assert e == S.IntVal(-3)
 
 
+def test_decimal_digits_of_any_script_read_as_integers():
+    assert parser.parse_expr("٣") == S.IntVal(3)  # ARABIC-INDIC DIGIT THREE
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parser.parse_expr("lam (x int). x")
