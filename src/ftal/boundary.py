@@ -6,10 +6,18 @@ boundary in either direction: exporting wraps functions in generated code
 blocks, importing wraps code pointers in generated lambdas.  Both may
 allocate into the machine heap through the dict and fresh-label callable
 they are given, so they stay independent of the machine module.
+
+Each type is translated once, and the parts of a wrapper that depend only
+on its annotation (translated types, shims, the instructions around the
+value or word it wraps, the halting block) are built once per annotation;
+a crossing builds only the cells that hold its value or word and its fresh
+labels.  The memos are keyed by types, which are immutable, and hold
+nothing built from a value.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from . import pretty
@@ -38,6 +46,7 @@ from .syntax import (
     Protect,
     Ret,
     SVar,
+    Seq,
     Salloc,
     Sfree,
     Sld,
@@ -66,6 +75,10 @@ from .syntax import (
 HeapDict = dict
 FreshFn = Callable[[str], str]
 
+# Entries per memo: far more annotations than a program has, and a bound
+# on what a long-running process keeps.
+MEMO_SIZE = 1024
+
 
 def _names_in(*nodes: Node) -> set:
     out = set()
@@ -81,8 +94,10 @@ def _pick(base: str, avoid: set) -> str:
     return fresh_name(base, avoid)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def translate_type(t: Ty) -> Ty:
-    """Map a source-language type to its target-language image.
+    """Map a source-language type to its target-language image, computed
+    once per type (a KindError is not cached).
 
     Raises KindError when t is not built from the source grammar, which
     also rejects re-translating an already translated type.
@@ -137,12 +152,12 @@ def export_value(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
         return Fold(translate_type(ann), inner)
     if isinstance(ann, (Arrow, StackArrow)):
         label = fresh("lexp")
-        heap[label] = ("box", _export_block(ann, v, heap, fresh))
+        heap[label] = ("box", _export_block(ann, v))
         return Loc(label)
     raise TranslationError("ill-typed", "value cannot cross at this type")
 
 
-def _export_block(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> CodeBlock:
+def _export_block(ann: Ty, v: Tm) -> CodeBlock:
     """Build the code block that lets target code call an exported function.
 
     Layout on entry matches the translated type: arguments with the last
@@ -151,21 +166,32 @@ def _export_block(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> CodeBlock:
     applied function with one shim per argument (the last shim frees the
     argument slots), then restores the return address and returns.
     """
+    code, before, (sigma0, zeta, ret_ty, shims), restore = _export_parts(ann)
+    imp = ImportI("r1", sigma0, zeta, ret_ty, App(v, shims))
+    return CodeBlock(code.binders, code.chi, code.sigma, code.q,
+                     seq_of(before, Seq(imp, restore)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _export_parts(ann: Ty) -> tuple:
+    """What every block exported at ``ann`` shares: its code type, the
+    instructions before its import, that import's fields other than the
+    applied function, and the sequence that restores the return address
+    after it and returns."""
     params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     m = len(phi_in)
     mo = len(phi_out)
-    translated = translate_type(ann)
-    code: CodeT = translated.psi
+    code: CodeT = translate_type(ann).psi
     z, eps = code.binders
     cont_ty = chi_get(code.chi, "ra")
     args_rev = [translate_type(p) for p in reversed(params)]
 
-    instrs = [Salloc(1)]
+    before = [Salloc(1)]
     for j in range(n + m):
-        instrs.append(Sld("r2", j + 1))
-        instrs.append(Sst(j, "r2"))
-    instrs.append(Sst(n + m, "ra"))
+        before.append(Sld("r2", j + 1))
+        before.append(Sst(j, "r2"))
+    before.append(Sst(n + m, "ra"))
 
     stashed = args_rev + list(phi_in) + [cont_ty]
     shims = []
@@ -184,15 +210,14 @@ def _export_block(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> CodeBlock:
 
     zeta = _pick("zi", {z, eps})
     sigma0 = stack_of([cont_ty], SVar(z))
-    instrs.append(ImportI("r1", sigma0, zeta, ret_ty, App(v, tuple(shims))))
 
-    instrs.append(Sld("ra", mo))
+    restore = [Sld("ra", mo)]
     for j in reversed(range(mo)):
-        instrs.append(Sld("r2", j))
-        instrs.append(Sst(j + 1, "r2"))
-    instrs.append(Sfree(1))
-    body = seq_of(instrs, Ret("ra", "r1"))
-    return CodeBlock(code.binders, code.chi, code.sigma, MReg("ra"), body)
+        restore.append(Sld("r2", j))
+        restore.append(Sst(j + 1, "r2"))
+    restore.append(Sfree(1))
+    return (code, tuple(before), (sigma0, zeta, ret_ty, tuple(shims)),
+            seq_of(restore, Ret("ra", "r1")))
 
 
 def import_value(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
@@ -237,35 +262,47 @@ def _import_lambda(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Lam:
     stack (last argument on top), points the return register at a fresh
     halting block, and calls the pointer.
     """
+    # The binders the wrapper picks begin with z, so only the names of w
+    # that do can change them; every other word shares the parts.
+    taken = frozenset(name for _, name in free_names(w) if name.startswith("z"))
+    before, z, end_block, q, lam_params, stack_ann = _import_parts(ann, taken)
+    end_label = fresh("lend")
+    heap[end_label] = ("box", end_block)
+    body = seq_of(before, Seq(Mv("ra", Inst(Loc(end_label), z)), Call(w, z, q)))
+    return Lam(lam_params, Boundary(ann.ret, Component(body, ())), stack_ann)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _import_parts(ann: Ty, taken: frozenset) -> tuple:
+    """What every lambda imported at ``ann``, from a word whose names that
+    begin with z are ``taken``, shares: the instructions before it sets
+    the return register, its protected tail, its halting block, the
+    marker of its call, and its parameters and stack prefixes."""
     params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     ret_plus = translate_type(ret_ty)
-    avoid = _names_in(ann, w)
+    avoid = _names_in(ann) | taken
     z = _pick("z", avoid)
     zeta = _pick("zi", avoid | {z})
 
-    instrs = [Protect(tuple(phi_in), z)]
+    before = [Protect(tuple(phi_in), z)]
     pushed = []
     for i in range(1, n + 1):
         ti = params[i - 1]
         sigma0 = stack_of(pushed + list(phi_in), SVar(z))
-        instrs.append(ImportI("r1", sigma0, zeta, ti, Var(f"x{i}")))
-        instrs.append(Salloc(1))
-        instrs.append(Sst(0, "r1"))
+        before.append(ImportI("r1", sigma0, zeta, ti, Var(f"x{i}")))
+        before.append(Salloc(1))
+        before.append(Sst(0, "r1"))
         pushed.insert(0, translate_type(ti))
 
     zend = _pick("z", _names_in(*phi_out, ret_plus))
     end_sigma = stack_of(phi_out, SVar(zend))
-    end_label = fresh("lend")
-    heap[end_label] = ("box", CodeBlock(
+    end_block = CodeBlock(
         (zend,), make_chi([("r1", ret_plus)]), end_sigma,
         MHalt(ret_plus, end_sigma),
-        seq_of([], Halt(ret_plus, end_sigma, "r1"))))
-    instrs.append(Mv("ra", Inst(Loc(end_label), SVar(z))))
+        seq_of([], Halt(ret_plus, end_sigma, "r1")))
 
-    out_sigma = stack_of(phi_out, SVar(z))
-    comp = Component(
-        seq_of(instrs, Call(w, SVar(z), MHalt(ret_plus, out_sigma))), ())
+    q = MHalt(ret_plus, stack_of(phi_out, SVar(z)))
     lam_params = tuple((f"x{i}", params[i - 1]) for i in range(1, n + 1))
     stack_ann = (tuple(phi_in), tuple(phi_out)) if isinstance(ann, StackArrow) else None
-    return Lam(lam_params, Boundary(ret_ty, comp), stack_ann)
+    return tuple(before), SVar(z), end_block, q, lam_params, stack_ann

@@ -64,8 +64,7 @@ def _fail(args, kind: str, message: str, code: int) -> int:
 
 
 def _read_program(args) -> Program:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        src = fh.read()
+    src = parser.read_source(args.file)
     entry = getattr(args, "entry", "auto")
     if entry == "f":
         return Program("F", parser.parse_expr(src))

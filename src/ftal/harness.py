@@ -132,7 +132,7 @@ def load_job(path: str | pathlib.Path) -> EquivJob:
 
 
 def _load_side(path: pathlib.Path, ann: Ty) -> Program:
-    prog = parser.parse_program(path.read_text())
+    prog = parser.parse_program(parser.read_source(path))
     tau, _ = check_program(prog)
     if not alpha_equal(tau, ann):
         raise CheckError("E-EXPR",

@@ -27,9 +27,18 @@ The frames that later evaluate a subterm (``FrBinopL``, ``FrIf0``,
 the environment it needs; ``FrBinopL`` keeps its operand's value, and no
 environment, when the operand is already a value.  A value is read back
 to a closed term, by substituting the bindings free in each lambda, in
-three places only: a component crossing a boundary is closed over the
-names free in it, so its imports run under the empty environment; a
-value handed to ``export_value``; and the final ``f-value``.
+two places only: a value handed to ``export_value``, and the final
+``f-value``.
+
+A component crossing a boundary is not closed over the term environment:
+its body runs under the boundary's, which each ``import`` resumes its
+source term under and ``FrImport`` keeps for the code after it.  That is
+sound because heap blocks are checked under an empty term context, so
+only the body can name a source variable, and the body runs before any
+jump leaves it.  (In a program the checker rejects, a heap block that
+names one reads it wherever the block runs, and may get stuck where
+closing the component would have replaced it.)  The component is entered
+as it is, with no walk of its code but the renaming of its heap labels.
 
 Types are erased: a jump does not substitute its instantiations into the
 target block.  It enters the block under an environment that maps each
@@ -242,6 +251,7 @@ class FrImport:
     ann: Ty
     rest: ISeq
     env: "_Env"
+    scope: tuple | None
 
 
 class _Clo:
@@ -288,25 +298,21 @@ def _value(e, scope: tuple | None):
     return None
 
 
-def _close_terms(node, scope: tuple | None):
-    """``node`` with the value of each term name free in it and bound in
-    ``scope`` read back and substituted.  The values read back are
-    closed, so nothing is renamed."""
-    mapping = {}
-    if scope is not None:
-        for kind, name in free_names(node):
-            if kind == KIND_TERM:
-                v = _lookup(scope, name)
-                if v is not None:
-                    mapping[name] = _read_back(v)
-    return subst_terms(node, mapping) if mapping else node
-
-
 def _read_back(v):
-    """The closed term for the value ``v``."""
+    """The closed term for the value ``v``: a closure's lambda has the
+    value of each term name free in it and bound in its scope read back
+    and substituted.  The values read back are closed, so nothing is
+    renamed."""
     t = type(v)
     if t is _Clo:
-        return _close_terms(v.lam, v.scope)
+        mapping = {}
+        if v.scope is not None:
+            for kind, name in free_names(v.lam):
+                if kind == KIND_TERM:
+                    bound = _lookup(v.scope, name)
+                    if bound is not None:
+                        mapping[name] = _read_back(bound)
+        return subst_terms(v.lam, mapping) if mapping else v.lam
     if t is TupleVal:
         return TupleVal(tuple([_read_back(item) for item in v.items]))
     if t is Fold:
@@ -361,7 +367,8 @@ class Machine:
         self._root = self.env = _Env({})
         self._envs: dict = {}  # (label, *omegas) -> _Env
         self._targets: dict = {}  # id(word) -> (word, body, _Env)
-        # The term environment of the source expression in focus.
+        # The term environment of the source expression in focus, or of
+        # the boundary whose component the target code in focus runs in.
         self.scope: tuple | None = None
         self.returning = False
         if prog.entry == "F":
@@ -745,9 +752,9 @@ def _t_protect(m, ins, tail):
 
 def _t_import(m, ins, tail):
     closed = m._close(ins)
-    m.frames.append(FrImport(ins.rd, closed.ann, tail, m.env))
+    m.frames.append(FrImport(ins.rd, closed.ann, tail, m.env, m.scope))
     m.env = m._root
-    m._resume(closed.body, None)
+    m._resume(closed.body, m.scope)
     return ins, "boundary"
 
 
@@ -896,10 +903,11 @@ def _s_seq(m, e, scope):
 
 
 def _s_boundary(m, e, scope):
-    body = m._merge_component(_close_terms(e.comp, scope))
+    # The component is merged as it is and runs under ``scope``: only its
+    # body can name a source variable, and its imports read it there.
+    body = m._merge_component(e.comp)
     m.frames.append(FrBoundary(e.ann))
     m.focus = body
-    m.scope = None
     return "boundary", "boundary"
 
 
@@ -1024,6 +1032,7 @@ def _r_import(m, fr, v):
     m._setreg(fr.rd, w)
     m.focus = fr.rest
     m.env = fr.env
+    m.scope = fr.scope
     m.returning = False
     return "export", "boundary"
 
@@ -1039,7 +1048,8 @@ RETURN_RULES = _Rules("value under frame ", {
 def _redex(node, env: _Env) -> str:
     """The trace text of the target redex ``node`` under ``env``; cached
     only under a block's environment, since code that runs under the
-    empty one may be a component rebuilt for each crossing."""
+    empty one may be a component whose labels are renamed for each
+    crossing."""
     if not env.map:
         return _redex_text(node, env.map)
     hit = env.texts.get(id(node))

@@ -729,6 +729,26 @@ class Parser:
         return S.Program(entry, main)
 
 
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_source(path) -> str:
+    """The text of a UTF-8 source file, its newlines read as text mode
+    reads them.  An invalid byte is a ParseError at the character where
+    it stands."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        pass
+    # Read again with each invalid byte kept as one lone surrogate, which
+    # UTF-8 cannot encode, so the first one is the first invalid byte.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    at = _ESCAPED_BYTE.search(text).start()
+    raise ParseError.at(text, at, f"invalid UTF-8 byte 0x{ord(text[at]) - 0xdc00:02x}")
+
+
 def parse_program(src: str) -> S.Program:
     return Parser(src).program()
 

@@ -94,6 +94,129 @@ def test_translating_a_translation_fails_unless_fixed(t):
         boundary.translate_type(image)
 
 
+
+@pytest.mark.parametrize("text", (
+    "(int) -> int", "((int) -> int) -> <int, unit>",
+    "mu a. (a) -> ((int) -> int)", "(int)[int :: . => unit :: .] -> unit"))
+def test_a_type_is_translated_once_and_a_translation_is_still_refused(text):
+    t = parser.parse_type(text)
+    image = boundary.translate_type(t)
+    assert boundary.translate_type(parser.parse_type(text)) is image
+    for _ in range(2):
+        with pytest.raises(KindError):
+            boundary.translate_type(image)
+
+
+# -- wrappers against the builders that built every part per crossing -------
+
+
+def reference_export_block(ann, v):
+    """The exported block as it was built before its parts were shared."""
+    params, phi_in, phi_out, ret_ty = S.arrow_parts(ann)
+    n, m, mo = len(params), len(phi_in), len(phi_out)
+    code = boundary.translate_type(ann).psi
+    z, eps = code.binders
+    cont_ty = S.chi_get(code.chi, "ra")
+    args_rev = [boundary.translate_type(p) for p in reversed(params)]
+    instrs = [S.Salloc(1)]
+    for j in range(n + m):
+        instrs += [S.Sld("r2", j + 1), S.Sst(j, "r2")]
+    instrs.append(S.Sst(n + m, "ra"))
+    stashed = args_rev + list(phi_in) + [cont_ty]
+    shims = []
+    for i in range(1, n + 1):
+        ti = params[i - 1]
+        if i < n:
+            body = S.seq_of([S.Sld("r1", n - i)], S.Halt(
+                boundary.translate_type(ti), S.stack_of(stashed, S.SVar(z)), "r1"))
+        else:
+            body = S.seq_of([S.Sld("r1", 0), S.Sfree(n)], S.Halt(
+                boundary.translate_type(ti),
+                S.stack_of(list(phi_in) + [cont_ty], S.SVar(z)), "r1"))
+        shims.append(S.Boundary(ti, S.Component(body, ())))
+    zeta = boundary._pick("zi", {z, eps})
+    instrs.append(S.ImportI("r1", S.stack_of([cont_ty], S.SVar(z)), zeta,
+                            ret_ty, S.App(v, tuple(shims))))
+    instrs.append(S.Sld("ra", mo))
+    for j in reversed(range(mo)):
+        instrs += [S.Sld("r2", j), S.Sst(j + 1, "r2")]
+    instrs.append(S.Sfree(1))
+    return S.CodeBlock(code.binders, code.chi, code.sigma, S.MReg("ra"),
+                       S.seq_of(instrs, S.Ret("ra", "r1")))
+
+
+def reference_import_lambda(ann, w, heap, fresh):
+    """The imported lambda as it was built before its parts were shared."""
+    params, phi_in, phi_out, ret_ty = S.arrow_parts(ann)
+    ret_plus = boundary.translate_type(ret_ty)
+    avoid = boundary._names_in(ann, w)
+    z = boundary._pick("z", avoid)
+    zeta = boundary._pick("zi", avoid | {z})
+    instrs = [S.Protect(tuple(phi_in), z)]
+    pushed = []
+    for i, ti in enumerate(params, 1):
+        sigma0 = S.stack_of(pushed + list(phi_in), S.SVar(z))
+        instrs += [S.ImportI("r1", sigma0, zeta, ti, S.Var(f"x{i}")),
+                   S.Salloc(1), S.Sst(0, "r1")]
+        pushed.insert(0, boundary.translate_type(ti))
+    zend = boundary._pick("z", boundary._names_in(*phi_out, ret_plus))
+    end_sigma = S.stack_of(phi_out, S.SVar(zend))
+    end_label = fresh("lend")
+    heap[end_label] = ("box", S.CodeBlock(
+        (zend,), S.make_chi([("r1", ret_plus)]), end_sigma,
+        S.MHalt(ret_plus, end_sigma), S.Halt(ret_plus, end_sigma, "r1")))
+    instrs.append(S.Mv("ra", S.Inst(S.Loc(end_label), S.SVar(z))))
+    comp = S.Component(S.seq_of(instrs, S.Call(
+        w, S.SVar(z), S.MHalt(ret_plus, S.stack_of(phi_out, S.SVar(z))))), ())
+    stack = ((tuple(phi_in), tuple(phi_out))
+             if isinstance(ann, S.StackArrow) else None)
+    return S.Lam(tuple((f"x{i}", t) for i, t in enumerate(params, 1)),
+                 S.Boundary(ret_ty, comp), stack)
+
+
+ARROWS = ("(int) -> int", "((int) -> int) -> (unit) -> <int, unit>",
+          "(int, unit, <int>) -> int", "() -> unit",
+          "(int)[int :: . => unit :: .] -> unit",
+          "(unit, int)[. => int :: int :: .] -> (int) -> int")
+# Words whose names beginning with z push the wrapper's picks aside.
+WORDS = (S.Loc("l#0"), S.Loc("z"), S.Loc("zi"),
+         S.Inst(S.Loc("z#0"), S.SVar("z")))
+
+
+def exported_blocks(ann, v) -> list:
+    heap, fresh = scratch()
+    w = boundary.export_value(ann, v, heap, fresh)
+    assert w == S.Loc("lexp#0")
+    return [block for _, block in heap.values()]
+
+
+@pytest.mark.parametrize("text", ARROWS)
+def test_shared_parts_build_the_wrappers_built_per_crossing(text):
+    ann = parser.parse_type(text)
+    for v in (S.Var("f"), parser.parse_expr("lam (y: int). y")) * 2:
+        assert exported_blocks(ann, v) == [reference_export_block(ann, v)]
+    for w in WORDS * 2:
+        heap, fresh = scratch()
+        want_heap, want_fresh = scratch()
+        got = boundary.import_value(ann, w, heap, fresh)
+        assert got == reference_import_lambda(ann, w, want_heap, want_fresh)
+        assert heap == want_heap
+
+
+@settings(deadline=None, max_examples=60)
+@given(source_types)
+def test_shared_parts_build_every_arrow_wrapper_as_before(t):
+    if not isinstance(t, S.Arrow):
+        return
+    v = S.Var("f")
+    assert exported_blocks(t, v) == [reference_export_block(t, v)]
+    heap, fresh = scratch()
+    want_heap, want_fresh = scratch()
+    assert boundary.import_value(t, S.Loc("z"), heap, fresh) == \
+        reference_import_lambda(t, S.Loc("z"), want_heap, want_fresh)
+    assert heap == want_heap
+
+
 # -- value round trips ------------------------------------------------------
 
 

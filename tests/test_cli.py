@@ -84,6 +84,22 @@ def test_non_decimal_digit_is_a_parse_error(capsys, tmp_path):
         "error": {"kind": "parse", "message": message}, "exit_code": 2}
 
 
+@pytest.mark.parametrize("data,message", (
+    (b"1 + \xff\n", "1:5: invalid UTF-8 byte 0xff"),
+    (b"-- \xc3\xa9\r\n1 +\r\n  \xc3(\n", "3:3: invalid UTF-8 byte 0xc3"),
+))
+def test_invalid_utf8_is_a_parse_error(capsys, tmp_path, data, message):
+    bad = tmp_path / "bytes.ftal"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, ["check", str(bad)])
+    assert code == 2 and out == ""
+    assert err == f"parse error: {message}\n"
+    code, out, err = run_cli(capsys, ["check", "--json", str(bad)])
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": {"kind": "parse", "message": message}, "exit_code": 2}
+
+
 def test_nonpositive_fuel_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, ["run", "--fuel", "0",
                                     corpus("jit")])

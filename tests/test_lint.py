@@ -1,6 +1,7 @@
 """Static checks on the package source, written with the standard
-library's ``ast`` alone: every import is used, and every local variable
-that a function assigns is also read."""
+library's ``ast`` alone: every import is used, every local variable
+that a function assigns is also read, and no module imports or reads a
+name that another ftal module keeps private."""
 
 import ast
 import pathlib
@@ -67,6 +68,49 @@ def unread_locals(tree) -> list:
     return out
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _root(node):
+    """The name a chain of attribute reads starts from, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def private_reach(tree) -> list:
+    """Private names of another ftal module that this module imports
+    (``from .m import _f``) or reads (``m._f`` or ``getattr(m, "_f")``,
+    where ``m`` is bound to an ftal module)."""
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names
+                           if alias.name.split(".")[0] == "ftal")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ftal"):
+            package = node.module in (None, "ftal")
+            for alias in node.names:
+                if package:
+                    modules.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    out.append(f"line {node.lineno}: {alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) \
+                and _root(node.value) in modules:
+            out.append(f"line {node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) > 1 \
+                and _root(node.args[0]) in modules \
+                and isinstance(node.args[1], ast.Constant) \
+                and isinstance(node.args[1].value, str) \
+                and _private(node.args[1].value):
+            out.append(f"line {node.lineno}: {node.args[1].value}")
+    return out
+
+
 def test_the_checks_catch_what_they_name():
     tree = ast.parse("import os\nfrom x import y as z\n"
                      "def f(a):\n    b, c = a\n    for i in c: pass\n"
@@ -83,3 +127,21 @@ def test_no_unused_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_local_is_assigned_and_never_read(path):
     assert unread_locals(_parse(path)) == []
+
+
+def test_the_private_name_check_catches_what_it_names():
+    tree = ast.parse(
+        "import os\nimport ftal.syntax\nfrom . import machine as M, pretty\n"
+        "from .boundary import _pick, translate_type\n"
+        "from ftal.syntax import _free\n"
+        "def f(self):\n"
+        "    M._Clo; pretty.tm; ftal.syntax._subst; os._exit\n"
+        "    self._x; M.__name__; getattr(pretty, '_short')\n")
+    assert sorted(private_reach(tree)) == [
+        "line 4: _pick", "line 5: _free", "line 7: _Clo", "line 7: _subst",
+        "line 8: _short"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_reaches_into_another_modules_private_names(path):
+    assert private_reach(_parse(path)) == []

@@ -730,3 +730,109 @@ def test_a_tuple_takes_the_top_slots_in_order():
     assert out.kind == "halted" and out.value == S.IntVal(1)
     assert m.regs["r5"] == S.IntVal(2)
     assert out.stack == (S.UnitVal(),)
+
+
+# -- boundary traffic ---------------------------------------------------------
+
+# F sums tb(lam (h: (int) -> int). h(n + 3)) for n = 10..1.  Each round
+# calls the imported T block tb, which calls back the exported lambda
+# with the exported T function lh, which doubles its argument; so each
+# round crosses into T and back, and exports and imports a function.
+PINGPONG = """entry F
+(lam (tb: (((int) -> int) -> int) -> int).
+  let loop = fold mu a. (a) -> ((int) -> int)
+    (lam (self: mu a. (a) -> ((int) -> int)).
+      lam (n: int).
+        if0 n 0 ((tb(lam (h: (int) -> int). h((n + 3))))
+                 + ((unfold self)(self)((n - 1)))))
+  in (unfold loop)(loop)(10))
+(FT[(((int) -> int) -> int) -> int](
+  mv r1, ltb;
+  halt[box code[z, eps]{ra: box code[]{r1: int; z} eps; box code[z, eps]{ra: box code[]{r1: int; z} eps; box code[z, eps]{ra: box code[]{r1: int; z} eps; int :: z} ra :: z} ra :: z} ra, *] r1
+, where
+  ltb -> code[z, eps]{ra: box code[]{r1: int; z} eps; box code[z, eps]{ra: box code[]{r1: int; z} eps; box code[z, eps]{ra: box code[]{r1: int; z} eps; int :: z} ra :: z} ra :: z} ra.
+    sld r1, 0;
+    salloc 1;
+    mv r2, lh;
+    sst 0, r2;
+    sst 1, ra;
+    mv ra, lback[z, eps];
+    call r1 {box code[]{r1: int; z} eps :: z, 0},
+  lback -> code[z, eps]{r1: int; box code[]{r1: int; z} eps :: z} 0.
+    sld ra, 0;
+    sfree 1;
+    ret ra {r1},
+  lh -> code[z, eps]{ra: box code[]{r1: int; z} eps; int :: z} ra.
+    sld r1, 0;
+    sfree 1;
+    mul r1, r1, 2;
+    ret ra {r1}
+))
+"""
+
+
+def test_boundary_traffic_matches_the_golden_digest():
+    # Recorded from the machine that closed each component over the
+    # term environment before entering it.
+    prog = parser.parse_program(PINGPONG)
+    check_program(prog)
+    m = machine.load(prog)
+    h = hashlib.sha256()
+    out = m.run(FUEL, lambda r: h.update(
+        (json.dumps(r, sort_keys=True) + "\n").encode()))
+    assert out.kind == "f-value"
+    assert out.value == S.IntVal(2 * sum(n + 3 for n in range(1, 11)))
+    assert (out.steps, len(m.heap)) == (897, 24)
+    assert h.hexdigest() == (
+        "d34fefa2f57963c8125392bf2ce55742e3a6ce2a2b2d7c3f2330db6a0293d6e8")
+
+
+def test_a_component_body_runs_each_import_under_the_boundary_scope():
+    # The first import's beta rebinds x; the second still reads x = 7.
+    out, redexes = run_text("""entry F
+let x = 7 in
+FT[int](
+  import r1, * as zi, int TF{ (lam (x: int). x)(5) };
+  import r2, * as zi, int TF{ x };
+  add r1, r1, r2;
+  halt[int, *] r2
+)
+""")
+    assert out.kind == "f-value" and out.value == S.IntVal(7)
+    assert out.steps == 18
+    assert redexes[4:15] == [
+        "import r1", "app", "value", "app-arg", "value", "beta", "value",
+        "export", "import r2", "value", "export"]
+
+
+def test_a_boundary_in_a_lambda_imports_each_call_argument():
+    out, _ = run_text("""entry F
+let f = lam (y: int). FT[int](
+  protect ., z;
+  import r1, z as zi, int TF{ y };
+  halt[int, z] r1
+) in
+(f(3), f(4))
+""")
+    assert out.kind == "f-value"
+    assert out.value == S.TupleVal((S.IntVal(3), S.IntVal(4)))
+    assert out.steps == 29
+
+
+@pytest.mark.parametrize("body", ("7", "x"))
+def test_entering_a_component_with_no_heap_keeps_its_body(body):
+    # Even a body that names x is entered as it is, not closed over x.
+    comp = parser.parse_component(f"""(
+  import r1, * as zi, int TF{{ {body} }};
+  halt[int, *] r1
+)""")
+    assert comp.heap == ()
+    prog = S.Program("F", S.Let("x", None, S.IntVal(7),
+                                S.Boundary(S.TyInt(), comp)))
+    m = machine.load(prog)
+    while not isinstance(m.focus, S.Boundary) or m.returning:
+        m.step()
+    m.step()
+    assert m.focus is comp.body
+    out = m.run(FUEL)
+    assert out.value == S.IntVal(7) and out.steps == 9
