@@ -365,7 +365,7 @@ class Machine:
         # closed and runs under the empty one: control reaches it from
         # target code only by import and halt, which switch to it.
         self._root = self.env = _Env({})
-        self._envs: dict = {}  # (label, *omegas) -> _Env
+        self._envs: dict = {}  # (binders, *omegas) -> _Env
         self._targets: dict = {}  # id(word) -> (word, body, _Env)
         # The term environment of the source expression in focus, or of
         # the boundary whose component the target code in focus runs in.
@@ -468,7 +468,10 @@ class Machine:
                          f"instantiations, got {len(omegas)}")
         if not omegas:
             return block.body, self._root
-        key = (word.name, *omegas)
+        # The mapping depends only on the binders and the omegas, so
+        # blocks that share both (each exported wrapper is a fresh copy
+        # of one block) share one environment.
+        key = (block.binders, *omegas)
         env = self._envs.get(key)
         if env is None:
             env = self._envs[key] = _Env(

@@ -5,7 +5,9 @@ records its kind, its text and its offset, counted in characters (not
 bytes) from the start of the source. Line and column are worked out from
 the offset only when a ParseError is raised. The parser is plain recursive
 descent; each syntactic category is predicted by its next token, so it
-never backtracks.
+never backtracks. T's instructions and terminators are read from their
+templates in ``syntax.T_SYNTAX``, picked by the mnemonic that starts them;
+only the ``ret ret(t, s) {r}`` spelling of ``halt`` is read by hand.
 
 Conventions baked into the grammar:
   - names starting with ``z`` are stack variables, ``eps`` marker variables;
@@ -523,156 +525,51 @@ class Parser:
     def int_lit(self, what: str) -> int:
         return int(self.expect("INT", what).text)
 
+    def stack_var(self) -> str:
+        z = self.ident("stack variable")
+        if S.kind_of_name(z) != S.KIND_STACK:
+            self.fail(f"{z!r} is not a stack variable name")
+        return z
+
     # -- instructions --------------------------------------------------------
 
     def iseq(self) -> S.ISeq:
         instrs: list[S.Instr] = []
         while True:
             t = self.peek()
-            match t.kind:
-                case "jmp":
-                    self.next()
-                    term: S.ISeq = S.Jmp(self.u_value())
-                case "call":
-                    self.next()
-                    u = self.u_value()
-                    self.expect("{", "call")
-                    sigma0 = self.stack()
-                    self.expect(",", "call")
-                    qret = self.marker()
-                    self.expect("}", "call")
-                    term = S.Call(u, sigma0, qret)
-                case "ret":
-                    self.next()
-                    if self.at("ret"):
-                        # ret ret(t, s) {r} is the halting form
-                        q = self.marker()
-                        self.expect("{", "ret")
-                        r = self.register()
-                        self.expect("}", "ret")
-                        term = S.Halt(q.tau, q.sigma, r)
-                    else:
-                        r = self.register()
-                        self.expect("{", "ret")
-                        r2 = self.register()
-                        self.expect("}", "ret")
-                        term = S.Ret(r, r2)
-                case "halt":
-                    self.next()
-                    self.expect("[", "halt")
-                    ann = self.type_()
-                    self.expect(",", "halt")
-                    sigma = self.stack()
-                    self.expect("]", "halt")
-                    term = S.Halt(ann, sigma, self.register())
-                case _:
-                    instrs.append(self.instruction())
-                    self.accept(";")
-                    continue
+            if t.kind == "ret" and self.toks[self.pos + 1].kind == "ret":
+                node = self.halting_ret()
+            else:
+                form = _FORMS.get(t.kind)
+                if form is None:
+                    self.fail("expected an instruction", expected=("instruction",))
+                node = self.form(*form)
             self.accept(";")
-            return S.seq_of(instrs, term)
+            if not isinstance(node, S.Instr):
+                return S.seq_of(instrs, node)
+            instrs.append(node)
 
-    def instruction(self) -> S.Instr:
-        t = self.peek()
-        match t.kind:
-            case "add" | "sub" | "mul":
-                op = self.next().kind
-                rd = self.register()
-                self.expect(",", "arithmetic")
-                rs = self.register()
-                self.expect(",", "arithmetic")
-                return S.Aop(op, rd, rs, self.u_value())
-            case "bnz":
-                self.next()
-                r = self.register()
-                self.expect(",", "bnz")
-                return S.Bnz(r, self.u_value())
-            case "ld":
-                self.next()
-                rd = self.register()
-                self.expect(",", "ld")
-                rs = self.register()
-                self.expect("[", "ld")
-                idx = self.int_lit("tuple index")
-                self.expect("]", "ld")
-                return S.Ld(rd, rs, idx)
-            case "st":
-                self.next()
-                rd = self.register()
-                self.expect("[", "st")
-                idx = self.int_lit("tuple index")
-                self.expect("]", "st")
-                self.expect(",", "st")
-                return S.St(rd, idx, self.register())
-            case "ralloc":
-                self.next()
-                rd = self.register()
-                self.expect(",", "ralloc")
-                return S.Ralloc(rd, self.int_lit("slot count"))
-            case "balloc":
-                self.next()
-                rd = self.register()
-                self.expect(",", "balloc")
-                return S.Balloc(rd, self.int_lit("slot count"))
-            case "mv":
-                self.next()
-                rd = self.register()
-                self.expect(",", "mv")
-                return S.Mv(rd, self.u_value())
-            case "salloc":
-                self.next()
-                return S.Salloc(self.int_lit("slot count"))
-            case "sfree":
-                self.next()
-                return S.Sfree(self.int_lit("slot count"))
-            case "sld":
-                self.next()
-                rd = self.register()
-                self.expect(",", "sld")
-                return S.Sld(rd, self.int_lit("stack index"))
-            case "sst":
-                self.next()
-                idx = self.int_lit("stack index")
-                self.expect(",", "sst")
-                return S.Sst(idx, self.register())
-            case "unpack":
-                self.next()
-                self.expect("<", "unpack")
-                tv = self.ident("type variable")
-                self.expect(",", "unpack")
-                rd = self.register()
-                self.expect(">", "unpack")
-                return S.Unpack(tv, rd, self.u_value())
-            case "unfold":
-                self.next()
-                rd = self.register()
-                self.expect(",", "unfold")
-                return S.UnfoldI(rd, self.u_value())
-            case "protect":
-                self.next()
-                p = self.phi()
-                self.expect(",", "protect")
-                z = self.ident("stack variable")
-                if S.kind_of_name(z) != S.KIND_STACK:
-                    self.fail(f"{z!r} is not a stack variable name")
-                return S.Protect(p, z)
-            case "import":
-                self.next()
-                rd = self.register()
-                self.expect(",", "import")
-                sigma0 = self.stack()
-                self.expect("as", "import")
-                z = self.ident("stack variable")
-                if S.kind_of_name(z) != S.KIND_STACK:
-                    self.fail(f"{z!r} is not a stack variable name")
-                self.expect(",", "import")
-                ann = self.type_()
-                self.expect("TF", "import")
-                self.expect("{", "import")
-                body = self.expr()
-                self.expect("}", "import")
-                return S.ImportI(rd, sigma0, z, ann, body)
-        self.fail("expected an instruction", expected=("instruction",))
+    def form(self, cls, steps: tuple, what: str) -> S.Node:
+        """One instruction or terminator, read by the steps of its
+        template: a token kind to expect, or a slot's reader."""
+        args = []
+        for step in steps:
+            if type(step) is not str:
+                args.append(step(self))
+            elif self.toks[self.pos].kind == step:  # expect(), inlined
+                self.pos += 1
+            else:
+                self.expect(step, what)
+        return cls(*args)
+
+    def halting_ret(self) -> S.Halt:
+        """``ret ret(t, s) {r}``, the halting spelling of ``halt[t, s] r``."""
+        self.next()
+        q = self.marker()
+        self.expect("{", "ret")
+        r = self.register()
+        self.expect("}", "ret")
+        return S.Halt(q.tau, q.sigma, r)
 
     # -- components and heap fragments ---------------------------------------
 
@@ -727,6 +624,51 @@ class Parser:
         if t.kind != "EOF":
             self.fail(f"trailing input {t.text!r}", expected=("EOF",))
         return S.Program(entry, main)
+
+
+# How each slot of a T_SYNTAX template is read, by its field name. An
+# integer slot is named in messages by what it counts.
+_SLOTS = {
+    "op": lambda p: p.next().kind,
+    **dict.fromkeys(("rd", "rs", "r", "r2", "reg"), Parser.register),
+    "idx": lambda p: p.int_lit("tuple index"),
+    "n": lambda p: p.int_lit("slot count"),
+    "u": Parser.u_value,
+    "body": Parser.expr,
+    "sigma0": Parser.stack,
+    "sigma": Parser.stack,
+    "ann": Parser.type_,
+    "qret": Parser.marker,
+    "phi": Parser.phi,
+    "tv": lambda p: p.ident("type variable"),
+    "zeta": Parser.stack_var,
+}
+# sld and sst index the stack, not a tuple.
+_STACK_SLOTS = {**_SLOTS, "idx": lambda p: p.int_lit("stack index")}
+
+
+def _forms() -> dict:
+    """Each template's reading steps (a token kind to expect, or a slot's
+    reader), with its class and its context in messages, by the mnemonic
+    that starts it."""
+    forms = {}
+    for cls, template in S.T_SYNTAX.items():
+        parts, end = S.template_parts(template)
+        slots = _STACK_SLOTS if cls in (S.Sld, S.Sst) else _SLOTS
+        steps: list = []
+        for literal, field in parts:
+            steps += [tok.kind for tok in lex(literal)[:-1]]
+            steps.append(slots[field])
+        steps += [tok.kind for tok in lex(end)[:-1]]
+        if cls is S.Aop:
+            form = (cls, tuple(steps), "arithmetic")
+            forms.update(dict.fromkeys(S.AOPS, form))
+        else:
+            forms[steps[0]] = (cls, tuple(steps), steps[0])
+    return forms
+
+
+_FORMS = _forms()
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")

@@ -3,7 +3,9 @@
 Output reparses to an alpha-equal tree. Components render multi-line;
 everything else renders inline. Binops are always parenthesized and prefix
 forms wrap non-atomic operands, so no precedence table is needed on the
-reading side beyond the grammar itself.
+reading side beyond the grammar itself. Instructions and terminators are
+written by filling in their templates in ``syntax.T_SYNTAX``, the same
+ones the parser reads.
 
 ``int_str``, ``word_str`` and ``value_str`` render run-time values for
 outcomes, trace records and equivalence reports.
@@ -12,14 +14,11 @@ outcomes, trace records and equivalence reports.
 from __future__ import annotations
 
 from .syntax import (
-    Aop, App, Balloc, Binop, Bnz, Boundary, Box, Call, CodeBlock, CodeT,
-    Component, Exists, Fold, Halt, HeapBinding, If0, ImportI, Inst, Instr,
-    IntVal, ISeq, Jmp, Lam, Ld, Let, Loc, MEps, MHalt, MIdx, Mk, MOut, MReg,
-    Mu, Mv, Node, Pack, Proj, Protect, Program, Ralloc, Ref, Reg, Ret,
-    Salloc, Seq, SeqE, Sfree, Sld, SNil, Sst, St, StackArrow, Stk,
-    SVar, Tm, TupleVal, TVar, Ty, TyInt, TyTuple, TyUnit, Unfold, UnfoldI,
-    UnitVal, Unpack, Var,
-    Arrow, stack_parts,
+    T_SYNTAX, App, Arrow, Binop, Boundary, Box, CodeBlock, CodeT, Component,
+    Exists, Fold, HeapBinding, If0, Inst, Instr, IntVal, ISeq, Lam, Let, Loc,
+    MEps, MHalt, MIdx, Mk, MOut, MReg, Mu, Node, Pack, Proj, Program, Ref,
+    Reg, Seq, SeqE, SNil, StackArrow, Stk, SVar, Tm, TupleVal, TVar, Ty,
+    TyInt, TyTuple, TyUnit, Unfold, UnitVal, Var, stack_parts, template_parts,
 )
 
 
@@ -168,39 +167,29 @@ def tm(e: Tm) -> str:
     raise TypeError(f"not a term: {e!r}")
 
 
-def instr(i: Instr) -> str:
-    match i:
-        case Aop(op, rd, rs, u):
-            return f"{op} {rd}, {rs}, {tm(u)}"
-        case Bnz(r, u):
-            return f"bnz {r}, {tm(u)}"
-        case Ld(rd, rs, idx):
-            return f"ld {rd}, {rs}[{idx}]"
-        case St(rd, idx, rs):
-            return f"st {rd}[{idx}], {rs}"
-        case Ralloc(rd, n):
-            return f"ralloc {rd}, {n}"
-        case Balloc(rd, n):
-            return f"balloc {rd}, {n}"
-        case Mv(rd, u):
-            return f"mv {rd}, {tm(u)}"
-        case Salloc(n):
-            return f"salloc {n}"
-        case Sfree(n):
-            return f"sfree {n}"
-        case Sld(rd, idx):
-            return f"sld {rd}, {idx}"
-        case Sst(idx, rs):
-            return f"sst {idx}, {rs}"
-        case Unpack(tv, rd, u):
-            return f"unpack <{tv}, {rd}> {tm(u)}"
-        case UnfoldI(rd, u):
-            return f"unfold {rd}, {tm(u)}"
-        case Protect(p, zeta):
-            return f"protect {phi(p)}, {zeta}"
-        case ImportI(rd, sigma0, zeta, ann, body):
-            return f"import {rd}, {stk(sigma0)} as {zeta}, {ty(ann)} TF{{ {tm(body)} }}"
-    raise TypeError(f"not an instruction: {i!r}")
+# How each slot of a T_SYNTAX template is written, by its field name;
+# any other field is a name or a number, written as str() gives it.
+_RENDER = {"u": tm, "body": tm, "sigma0": stk, "sigma": stk, "ann": ty,
+           "qret": mk, "phi": phi}
+
+
+def _compile(template: str) -> tuple:
+    """A template as (literal, field, renderer) parts and its closing
+    literal."""
+    parts, end = template_parts(template)
+    return tuple((lit, f, _RENDER.get(f, str)) for lit, f in parts), end
+
+
+_FORMS = {cls: _compile(template) for cls, template in T_SYNTAX.items()}
+
+
+def instr(i: Instr | ISeq) -> str:
+    """An instruction or terminator, filled into its template."""
+    form = _FORMS.get(type(i))
+    if form is None:
+        raise TypeError(f"not an instruction: {i!r}")
+    parts, end = form
+    return "".join([lit + render(getattr(i, f)) for lit, f, render in parts]) + end
 
 
 def iseq_lines(s: ISeq, ind: int) -> list[str]:
@@ -209,17 +198,9 @@ def iseq_lines(s: ISeq, ind: int) -> list[str]:
     while isinstance(s, Seq):
         lines.append(f"{pad}{instr(s.head)};")
         s = s.tail
-    match s:
-        case Jmp(u):
-            lines.append(f"{pad}jmp {tm(u)}")
-        case Call(u, sigma0, qret):
-            lines.append(f"{pad}call {tm(u)} {{{stk(sigma0)}, {mk(qret)}}}")
-        case Ret(r, r2):
-            lines.append(f"{pad}ret {r} {{{r2}}}")
-        case Halt(ann, sigma, reg):
-            lines.append(f"{pad}halt[{ty(ann)}, {stk(sigma)}] {reg}")
-        case _:
-            raise TypeError(f"sequence does not end in a terminator: {s!r}")
+    if isinstance(s, Instr) or type(s) not in _FORMS:
+        raise TypeError(f"sequence does not end in a terminator: {s!r}")
+    lines.append(pad + instr(s))
     return lines
 
 

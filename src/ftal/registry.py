@@ -67,7 +67,7 @@ def job_path(name: str) -> pathlib.Path:
 
 
 def load_program(name: str) -> Program:
-    return parser.parse_program(program_path(name).read_text())
+    return parser.parse_program(parser.read_source(program_path(name)))
 
 
 def _check_row(entry: ProgramEntry) -> tuple[bool, str]:
@@ -83,23 +83,11 @@ def _run_row(entry: ProgramEntry, fuel: int) -> tuple[bool, str]:
         for n in entry.inputs:
             out = machine.run_program(harness.apply_to_input(prog, n), fuel)
             want = entry.reference(n)
-            if not (out.kind == "f-value" and isinstance(out.value, IntVal)
-                    and out.value.n == want):
+            if not (out.kind == "f-value" and out.value == IntVal(want)):
                 return False, f"input {n}: {out.kind}"
         return True, f"{len(entry.inputs)} inputs agree with the reference"
     out = machine.run_program(prog, fuel)
-    if entry.run_kind == "halted":
-        ok = (out.kind == "halted" and isinstance(out.value, IntVal)
-              and out.value.n == entry.value
-              and len(out.stack) == entry.stack_depth)
-        return ok, f"{out.kind} {pretty.value_str(out.value)}"
-    if entry.value is not None:
-        ok = (out.kind == "f-value" and isinstance(out.value, IntVal)
-              and out.value.n == entry.value
-              and len(out.stack) == entry.stack_depth)
-        return ok, f"{out.kind} {pretty.value_str(out.value)}"
-    ok = (out.kind == "f-value" and isinstance(out.value, UnitVal)
-          and len(out.stack) == entry.stack_depth)
+    ok = (out.kind, out.value, len(out.stack)) == _expected(entry)[0]
     return ok, f"{out.kind} {pretty.value_str(out.value)}"
 
 
@@ -121,7 +109,7 @@ def run_all(fuel: int) -> list[dict]:
         if ok:
             ok2, detail = _run_row(entry, fuel)
             rows.append({"name": entry.name, "stage": "run",
-                         "ok": ok2, "expected": _expected_text(entry),
+                         "ok": ok2, "expected": _expected(entry)[1],
                          "got": detail})
     for name, verdict, witness in JOBS:
         ok, got = _job_row(name, verdict, witness)
@@ -130,11 +118,15 @@ def run_all(fuel: int) -> list[dict]:
     return rows
 
 
-def _expected_text(entry: ProgramEntry) -> str:
+def _expected(entry: ProgramEntry) -> tuple[tuple | None, str]:
+    """The (kind, value, stack depth) a run must end in, None for an
+    applied entry, and how a row shows it."""
     if entry.run_kind == "applied":
-        return "matches the reference on all inputs"
+        return None, "matches the reference on all inputs"
+    depth = entry.stack_depth
     if entry.run_kind == "halted":
-        return f"halted {entry.value}, stack depth {entry.stack_depth}"
+        return (("halted", IntVal(entry.value), depth),
+                f"halted {entry.value}, stack depth {depth}")
     if entry.value is not None:
-        return f"value {entry.value}"
-    return f"unit value, stack depth {entry.stack_depth}"
+        return ("f-value", IntVal(entry.value), depth), f"value {entry.value}"
+    return ("f-value", UnitVal(), depth), f"unit value, stack depth {depth}"

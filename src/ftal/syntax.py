@@ -15,6 +15,10 @@ checker takes scope from these. A new node class needs one ``SCHEMA``
 entry and nothing else here. The engine walks instruction sequences with
 a loop, so its stack depth does not grow with the length of a block.
 
+The concrete syntax of T's instructions and terminators is declared once,
+in ``T_SYNTAX``: one template per class, whose slots are the class's
+fields. The parser reads these templates and the printer fills them in.
+
 Heap labels are nominal: a component binds its labels, which shadows
 them, but they are never freshened, and alpha-equality compares them by
 name.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import count
+from string import Formatter
 
 KIND_TYPE = "type"
 KIND_STACK = "stack"
@@ -651,6 +656,50 @@ SCHEMA: dict = {sc.cls: sc for sc in (
 
 _VAR_NODES = {sc.var: cls for cls, sc in SCHEMA.items() if sc.var}
 _TYPE_KINDS = (KIND_TYPE, KIND_STACK, KIND_MARKER)
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax of T
+
+# One template per instruction and terminator: the text between slots is
+# literal tokens, and each {field} is one slot, holding that field of the
+# node; {{ and }} are literal braces. The parser reads these templates
+# and the printer fills them in. An Aop's mnemonic is its op slot.
+T_SYNTAX: dict = {
+    Aop: "{op} {rd}, {rs}, {u}",
+    Bnz: "bnz {r}, {u}",
+    Ld: "ld {rd}, {rs}[{idx}]",
+    St: "st {rd}[{idx}], {rs}",
+    Ralloc: "ralloc {rd}, {n}",
+    Balloc: "balloc {rd}, {n}",
+    Mv: "mv {rd}, {u}",
+    Salloc: "salloc {n}",
+    Sfree: "sfree {n}",
+    Sld: "sld {rd}, {idx}",
+    Sst: "sst {idx}, {rs}",
+    Unpack: "unpack <{tv}, {rd}> {u}",
+    UnfoldI: "unfold {rd}, {u}",
+    Protect: "protect {phi}, {zeta}",
+    ImportI: "import {rd}, {sigma0} as {zeta}, {ann} TF{{ {body} }}",
+    Jmp: "jmp {u}",
+    Call: "call {u} {{{sigma0}, {qret}}}",
+    Ret: "ret {r} {{{r2}}}",
+    Halt: "halt[{ann}, {sigma}] {reg}",
+}
+AOPS = ("add", "sub", "mul")  # the values of Aop.op
+
+
+def template_parts(template: str) -> tuple[list[tuple[str, str]], str]:
+    """A template as (literal, field) pairs, in order, and the literal
+    after its last slot."""
+    parts, text = [], ""
+    # The formatter ends a literal at each escaped brace, with no field.
+    for literal, field, _, _ in Formatter().parse(template):
+        text += literal
+        if field is not None:
+            parts.append((text, field))
+            text = ""
+    return parts, text
 
 
 def _binders(sc: Schema, node) -> list:

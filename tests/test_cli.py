@@ -12,6 +12,7 @@ import pytest
 from conftest import write_bare_job
 from ftal import cli, machine, registry
 from ftal import syntax as S
+from ftal.parser import ParseError
 
 
 def corpus(name: str) -> str:
@@ -98,6 +99,14 @@ def test_invalid_utf8_is_a_parse_error(capsys, tmp_path, data, message):
     assert code == 2 and err == ""
     assert json.loads(out) == {
         "error": {"kind": "parse", "message": message}, "exit_code": 2}
+
+
+def test_registry_reads_programs_as_utf8(monkeypatch, tmp_path):
+    (tmp_path / "bytes.ftal").write_bytes(b"1 + \xff")
+    monkeypatch.setattr(registry, "CORPUS_DIR", tmp_path)
+    with pytest.raises(ParseError) as exc:
+        registry.load_program("bytes")
+    assert str(exc.value) == "1:5: invalid UTF-8 byte 0xff"
 
 
 def test_nonpositive_fuel_is_a_usage_error(capsys):

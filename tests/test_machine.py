@@ -836,3 +836,57 @@ def test_entering_a_component_with_no_heap_keeps_its_body(body):
     assert m.focus is comp.body
     out = m.run(FUEL)
     assert out.value == S.IntVal(7) and out.steps == 9
+
+
+ANS_T = "box code[]{r1: int; z} eps"
+INT_FN_T = f"box code[z, eps]{{ra: {ANS_T}; int :: z}} ra"
+ARG_T = f"box code[z, eps]{{ra: {ANS_T}; {INT_FN_T} :: z}} ra"
+JIT_T = f"box code[z, eps]{{ra: {ANS_T}; {ARG_T} :: z}} ra"
+
+
+def ping_pong(k: int) -> str:
+    """F code that sums jit(lam h. h(n)) for n = k..1; the imported T
+    block jit passes an exported T function (doubling) to its argument,
+    so each call crosses the boundary four times."""
+    return f"""entry F
+(lam (jit: (((int) -> int) -> int) -> int).
+  let g = fold mu a. (a) -> ((int) -> int)
+            (lam (f: mu a. (a) -> ((int) -> int)).
+               lam (n: int).
+                 if0 n 0 ((jit(lam (h: (int) -> int). h(n))) + ((unfold f)(f)((n - 1)))))
+  in (unfold g)(g)({k}))
+(FT[(((int) -> int) -> int) -> int](
+  mv r1, lg;
+  halt[{JIT_T}, *] r1
+, where
+  lg -> code[z, eps]{{ra: {ANS_T}; {ARG_T} :: z}} ra.
+    sld r1, 0;
+    salloc 1;
+    mv r2, lh;
+    sst 0, r2;
+    sst 1, ra;
+    mv ra, lgret[z, eps];
+    call r1 {{{ANS_T} :: z, 0}},
+  lgret -> code[z, eps]{{r1: int; {ANS_T} :: z}} 0.
+    sld ra, 0;
+    sfree 1;
+    ret ra {{r1}},
+  lh -> code[z, eps]{{ra: {ANS_T}; int :: z}} ra.
+    sld r1, 0;
+    sfree 1;
+    mul r1, r1, 2;
+    ret ra {{r1}}
+))
+"""
+
+
+def test_type_environments_do_not_grow_with_crossings():
+    # Each crossing exports a wrapper block under a fresh label; wrappers
+    # that share binders and instantiations share one environment.
+    sizes = []
+    for k in (3, 12):
+        m = machine.load(parser.parse_program(ping_pong(k)))
+        out = m.run(FUEL)
+        assert out.kind == "f-value" and out.value == S.IntVal(k * (k + 1))
+        sizes.append(len(m._envs))
+    assert sizes[0] == sizes[1]

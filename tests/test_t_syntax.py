@@ -1,0 +1,195 @@
+"""The concrete syntax table of T: every instruction and terminator has
+one template, which the parser reads and the printer fills in."""
+
+import dataclasses
+
+import pytest
+
+from ftal import parser, pretty
+from ftal import syntax as S
+from ftal.parser import ParseError
+
+TERMINATORS = (S.Jmp, S.Call, S.Ret, S.Halt)
+
+
+def read(text: str, cls):
+    """The instruction or terminator of class cls that text spells."""
+    if issubclass(cls, S.Instr):
+        return parser.parse_component(f"({text}; halt[int, *] r1)").body.head
+    return parser.parse_component(f"({text})").body
+
+
+def test_every_form_has_one_template_over_its_fields():
+    forms = (*S.Instr.__subclasses__(), *TERMINATORS)
+    assert set(S.T_SYNTAX) == set(forms)
+    for cls in forms:
+        parts, _ = S.template_parts(S.T_SYNTAX[cls])
+        assert [f for _, f in parts] == [f.name for f in dataclasses.fields(cls)], cls
+
+
+def test_template_literals_are_keywords_and_marks():
+    # A literal word that lexed as a name would match any name.
+    for cls, template in S.T_SYNTAX.items():
+        parts, end = S.template_parts(template)
+        for literal in (*(lit for lit, _ in parts), end):
+            assert all(t.kind == t.text for t in parser.lex(literal)[:-1]), cls
+    assert set(S.AOPS) <= parser.KEYWORDS
+
+
+L, R = S.Loc("l"), S.Reg("r2")
+INSTANCES = (
+    S.Aop("add", "r1", "r2", S.IntVal(3)),
+    S.Aop("sub", "r3", "ra", R),
+    S.Aop("mul", "r7", "r7", S.IntVal(-2)),
+    S.Bnz("r1", L),
+    S.Bnz("r4", S.Inst(S.Inst(L, S.SVar("z")), S.MEps("eps"))),
+    S.Ld("r1", "r2", 0),
+    S.Ld("ra", "r7", 12),
+    S.St("r1", 0, "r2"),
+    S.St("r3", 5, "ra"),
+    S.Ralloc("r1", 2),
+    S.Ralloc("r6", 0),
+    S.Balloc("r1", 3),
+    S.Mv("r1", S.UnitVal()),
+    S.Mv("r2", S.Pack(S.TyInt(), S.IntVal(1), S.Exists("a", S.TVar("a")))),
+    S.Mv("r3", S.Fold(S.Mu("a", S.TyInt()), S.IntVal(2))),
+    S.Salloc(0),
+    S.Salloc(4),
+    S.Sfree(1),
+    S.Sld("r1", 0),
+    S.Sld("ra", 3),
+    S.Sst(0, "r1"),
+    S.Sst(2, "ra"),
+    S.Unpack("a", "r1", R),
+    S.Unpack("b", "r3", L),
+    S.UnfoldI("r1", S.Reg("r1")),
+    S.Protect((), "z"),
+    S.Protect((S.TyInt(), S.TyUnit()), "z1"),
+    S.ImportI("r1", S.SNil(), "z", S.TyInt(), S.IntVal(1)),
+    S.ImportI("r2", S.SCons(S.TyInt(), S.SVar("z0")), "z1", S.TyUnit(),
+              S.Binop("+", S.Var("x"), S.IntVal(2))),
+    S.Jmp(L),
+    S.Jmp(S.Reg("ra")),
+    S.Jmp(S.Inst(L, S.SCons(S.TyInt(), S.SVar("z")))),
+    S.Call(L, S.SNil(), S.MIdx(0)),
+    S.Call(R, S.SCons(S.TyInt(), S.SVar("z")), S.MEps("eps")),
+    S.Ret("ra", "r1"),
+    S.Ret("r2", "r3"),
+    S.Halt(S.TyInt(), S.SNil(), "r1"),
+    S.Halt(S.TyUnit(), S.SCons(S.TyInt(), S.SVar("z")), "r2"),
+)
+
+
+def test_instances_cover_every_form():
+    assert {type(x) for x in INSTANCES} == set(S.T_SYNTAX)
+
+
+@pytest.mark.parametrize("node", INSTANCES, ids=lambda x: type(x).__name__)
+def test_each_form_prints_and_reads_back(node):
+    text = pretty.instr(node)
+    assert read(text, type(node)) == node
+    assert pretty.instr(read(text, type(node))) == text
+
+
+# Parse errors of each form, as (text, (message, line, col, expected)),
+# recorded from the hand-written reader that the table replaced. Each
+# instruction is read as "(\n  <text>;\n  halt[int, *] r1\n)", each
+# terminator as "(\n  <text>\n)".
+INSTR_ERRORS = (
+    ('add r1 r2, 1', ("unexpected 'r2' in arithmetic", 2, 10, (',',))),
+    ('add r1, x, 1', ("'x' is not a register", 2, 11, ())),
+    ('add 3, r2, 1', ('expected register', 2, 7, ('IDENT',))),
+    ('mul r1, r2 1', ("unexpected '1' in arithmetic", 2, 14, (',',))),
+    ('sub r1, r2, ,', ('expected an operand', 2, 15, ('operand',))),
+    ('bnz r1 l', ("unexpected 'l' in bnz", 2, 10, (',',))),
+    ('bnz 1, l', ('expected register', 2, 7, ('IDENT',))),
+    ('bnz rx, l', ("'rx' is not a register", 2, 7, ())),
+    ('ld r1, r2 0]', ("unexpected '0' in ld", 2, 13, ('[',))),
+    ('ld r1, r2[x]', ("unexpected 'x' in tuple index", 2, 13, ('INT',))),
+    ('ld r1, r2[0', ("unexpected ';' in ld", 2, 14, (']',))),
+    ('ld x, r2[0]', ("'x' is not a register", 2, 6, ())),
+    ('ld r1 r2[0]', ("unexpected 'r2' in ld", 2, 9, (',',))),
+    ('ld r1, r2[-1]', ("unexpected '-' in tuple index", 2, 13, ('INT',))),
+    ('st r1[0] r2', ("unexpected 'r2' in st", 2, 12, (',',))),
+    ('st r1[a], r2', ("unexpected 'a' in tuple index", 2, 9, ('INT',))),
+    ('st r1 0], r2', ("unexpected '0' in st", 2, 9, ('[',))),
+    ('st r1[0], 5', ('expected register', 2, 13, ('IDENT',))),
+    ('st r1[0, r2', ("unexpected ',' in st", 2, 10, (']',))),
+    ('ralloc r1 2', ("unexpected '2' in ralloc", 2, 13, (',',))),
+    ('ralloc r1, x', ("unexpected 'x' in slot count", 2, 14, ('INT',))),
+    ('ralloc q, 2', ("'q' is not a register", 2, 10, ())),
+    ('balloc r1 2', ("unexpected '2' in balloc", 2, 13, (',',))),
+    ('balloc r1, r2', ("unexpected 'r2' in slot count", 2, 14, ('INT',))),
+    ('balloc 1, 2', ('expected register', 2, 10, ('IDENT',))),
+    ('mv r1 1', ("unexpected '1' in mv", 2, 9, (',',))),
+    ('mv 1, 1', ('expected register', 2, 6, ('IDENT',))),
+    ('mv rr, 1', ("'rr' is not a register", 2, 6, ())),
+    ('salloc x', ("unexpected 'x' in slot count", 2, 10, ('INT',))),
+    ('salloc -1', ("unexpected '-' in slot count", 2, 10, ('INT',))),
+    ('sfree x', ("unexpected 'x' in slot count", 2, 9, ('INT',))),
+    ('sfree r1', ("unexpected 'r1' in slot count", 2, 9, ('INT',))),
+    ('sld r1 0', ("unexpected '0' in sld", 2, 10, (',',))),
+    ('sld r1, x', ("unexpected 'x' in stack index", 2, 11, ('INT',))),
+    ('sld x, 0', ("'x' is not a register", 2, 7, ())),
+    ('sst 0 r1', ("unexpected 'r1' in sst", 2, 9, (',',))),
+    ('sst x, r1', ("unexpected 'x' in stack index", 2, 7, ('INT',))),
+    ('sst 0, 3', ('expected register', 2, 10, ('IDENT',))),
+    ('unpack a, r1> l', ("unexpected 'a' in unpack", 2, 10, ('<',))),
+    ('unpack <a r1> l', ("unexpected 'r1' in unpack", 2, 13, (',',))),
+    ('unpack <a, r1 l', ("unexpected 'l' in unpack", 2, 17, ('>',))),
+    ('unpack <a, x> l', ("'x' is not a register", 2, 14, ())),
+    ('unpack <3, r1> l', ('expected type variable', 2, 11, ('IDENT',))),
+    ('unfold r1 l', ("unexpected 'l' in unfold", 2, 13, (',',))),
+    ('unfold x, l', ("'x' is not a register", 2, 10, ())),
+    ('unfold r1, ,', ('expected an operand', 2, 14, ('operand',))),
+    ('protect int :: . z', ("unexpected 'z' in protect", 2, 20, (',',))),
+    ('protect int :: ., y', ("'y' is not a stack variable name", 2, 22, ())),
+    ('protect int :: ., 3', ('expected stack variable', 2, 21, ('IDENT',))),
+    ('protect int :: z', ("'z' is a stack variable, not a type", 2, 18, ())),
+    ('import r1 * as z, int TF{ 1 }', ("unexpected '*' in import", 2, 13, (',',))),
+    ('import r1, * z, int TF{ 1 }', ("unexpected 'z' in import", 2, 16, ('as',))),
+    ('import r1, * as y, int TF{ 1 }', ("'y' is not a stack variable name", 2, 20, ())),
+    ('import r1, * as z int TF{ 1 }', ("unexpected 'int' in import", 2, 21, (',',))),
+    ('import r1, * as z, int { 1 }', ("unexpected '{' in import", 2, 26, ('TF',))),
+    ('import r1, * as z, int TF{ 1', ('expected an expression', 3, 3, ('expression',))),
+    ('import x, * as z, int TF{ 1 }', ("'x' is not a register", 2, 10, ())),
+    ('import r1, * as z, int TF 1 }', ("unexpected '1' in import", 2, 29, ('{',))),
+    ('import r1, * as 3, int TF{ 1 }', ('expected stack variable', 2, 19, ('IDENT',))),
+    ('foo r1', ('expected an instruction', 2, 3, ('instruction',))),
+)
+TERM_ERRORS = (
+    ('jmp', ('expected an operand', 3, 1, ('operand',))),
+    ('jmp ,', ('expected an operand', 2, 7, ('operand',))),
+    ('call l *, ra}', ("unexpected '*' in call", 2, 10, ('{',))),
+    ('call l {* ra}', ("unexpected 'ra' in call", 2, 13, (',',))),
+    ('call l {*, ra', ("unexpected ')' in call", 3, 1, ('}',))),
+    ('call l {*, x}', ('expected a return marker', 2, 14, ('marker',))),
+    ('ret r1 r2}', ("unexpected 'r2' in ret", 2, 10, ('{',))),
+    ('ret r1 {r2', ("unexpected ')' in ret", 3, 1, ('}',))),
+    ('ret x {r2}', ("'x' is not a register", 2, 7, ())),
+    ('ret r1 {5}', ('expected register', 2, 11, ('IDENT',))),
+    ('halt int, *] r1', ("unexpected 'int' in halt", 2, 8, ('[',))),
+    ('halt[int *] r1', ("unexpected '*' in halt", 2, 12, (',',))),
+    ('halt[int, *] x', ("'x' is not a register", 2, 16, ())),
+    ('halt[int, * r1', ("unexpected 'r1' in halt", 2, 15, (']',))),
+    ('halt[int, *] 1', ('expected register', 2, 16, ('IDENT',))),
+    ('ret ret(int, *) r1}', ("unexpected 'r1' in ret", 2, 19, ('{',))),
+    ('ret ret(int, *) {x}', ("'x' is not a register", 2, 20, ())),
+    ('ret ret(int *) {r1}', ("unexpected '*' in halting marker", 2, 15, (',',))),
+)
+
+
+@pytest.mark.parametrize("text,want", INSTR_ERRORS)
+def test_instruction_parse_errors(text, want):
+    with pytest.raises(ParseError) as exc:
+        parser.parse_component(f"(\n  {text};\n  halt[int, *] r1\n)")
+    e = exc.value
+    assert (e.message, e.line, e.col, e.expected) == want
+
+
+@pytest.mark.parametrize("text,want", TERM_ERRORS)
+def test_terminator_parse_errors(text, want):
+    with pytest.raises(ParseError) as exc:
+        parser.parse_component(f"(\n  {text}\n)")
+    e = exc.value
+    assert (e.message, e.line, e.col, e.expected) == want
