@@ -126,22 +126,24 @@ def cmd_run(args) -> int:
     return _outcome_exit(out)
 
 
+def _run_traced(prog: Program, fuel: int, sink) -> machine.Outcome:
+    """Run ``prog``, writing each trace record's JSON line to ``sink``."""
+    write, line = sink.write, machine.trace_line
+    return machine.run_program(prog, fuel, lambda rec: write(line(rec)))
+
+
 def cmd_trace(args) -> int:
     prog = _read_program(args)
     check_program(prog)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            out = machine.run_program(
-                prog, args.fuel,
-                lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"))
+            out = _run_traced(prog, args.fuel, fh)
         payload = _outcome_payload(out)
         payload["exit_code"] = _outcome_exit(out)
         payload["trace"] = args.trace_out
         _emit(args, payload, _outcome_human(out))
     else:
-        out = machine.run_program(
-            prog, args.fuel,
-            lambda rec: print(json.dumps(rec, sort_keys=True)))
+        out = _run_traced(prog, args.fuel, sys.stdout)
         print(_outcome_human(out), file=sys.stderr)
     return _outcome_exit(out)
 

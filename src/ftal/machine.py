@@ -59,6 +59,9 @@ depth.  The rest of a JSON-ready trace record, the redex text and the
 registers it set, is rendered only while ``run`` has a trace sink (or
 for a direct call of ``step``); the text is that of the instruction with
 the environment applied, so it reads as if the block had been rewritten.
+``trace_line`` is the one encoder of a full record: it writes the record's
+JSON line, byte for byte the line ``json.dumps(record, sort_keys=True)``
+gives.
 
 Heap labels are renamed to label#k with a machine-owned counter when a
 component's bindings are merged in, so repeated entry into the same
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable
 
 from .boundary import export_value, import_value
@@ -520,7 +524,8 @@ class Machine:
     def step(self) -> dict | None:
         """Perform one transition; returns its trace record, or None once
         the machine is terminal.  Inside an untraced ``run`` the record
-        has no redex or registers_delta.
+        has no redex or registers_delta.  The registers_delta is built in
+        sorted register order, which ``trace_line`` relies on.
 
         The rule is looked up by the type of the node in focus: the head
         of a target sequence, a terminator, a source expression, or the
@@ -588,6 +593,22 @@ class Machine:
         if self._outcome is None:
             return Outcome("running", steps=self.steps)
         return self._outcome
+
+
+def trace_line(record: dict) -> str:
+    """The JSON line of a full trace record, newline included: the six
+    keys in sorted order, each string escaped as ``json.dumps`` escapes
+    it, so the line equals ``json.dumps(record, sort_keys=True) + "\\n"``.
+    The registers_delta is written in its own order, which
+    ``Machine.step`` makes the sorted one."""
+    jump = record["jump"]
+    delta = ", ".join([f"{_json_str(r)}: {_json_str(w)}"
+                       for r, w in record["registers_delta"].items()])
+    return (f'{{"jump": {"null" if jump is None else _json_str(jump)}, '
+            f'"lang": {_json_str(record["lang"])}, '
+            f'"redex": {_json_str(record["redex"])}, '
+            f'"registers_delta": {{{delta}}}, '
+            f'"stack_depth": {record["stack_depth"]}, "step": {record["step"]}}}\n')
 
 
 class _Rules(dict):

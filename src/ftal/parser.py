@@ -526,9 +526,10 @@ class Parser:
         return int(self.expect("INT", what).text)
 
     def stack_var(self) -> str:
+        t = self.peek()
         z = self.ident("stack variable")
         if S.kind_of_name(z) != S.KIND_STACK:
-            self.fail(f"{z!r} is not a stack variable name")
+            self.fail(f"{z!r} is not a stack variable name", tok=t)
         return z
 
     # -- instructions --------------------------------------------------------

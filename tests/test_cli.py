@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import write_bare_job
+from conftest import ALL_FTAL, write_bare_job
 from ftal import cli, machine, registry
 from ftal import syntax as S
 from ftal.parser import ParseError
@@ -174,6 +174,21 @@ def test_trace_file_runs_are_byte_identical(capsys, tmp_path):
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1]
     assert len(blobs[0].splitlines()) == 64
+
+
+@pytest.mark.parametrize("name", ALL_FTAL)
+def test_both_trace_sinks_write_the_sorted_key_json_lines(capsys, tmp_path, name):
+    fuel = 3000
+    code, out, _ = run_cli(capsys, ["trace", corpus(name), "--fuel", str(fuel)])
+    dest = tmp_path / "trace.jsonl"
+    code_file, _, _ = run_cli(capsys, ["trace", corpus(name), "--fuel", str(fuel),
+                                       "--trace-out", str(dest)])
+    assert code == code_file
+    records = []
+    machine.run_program(registry.load_program(name), fuel, records.append)
+    want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    assert out == want
+    assert dest.read_bytes() == want.encode()
 
 
 def test_eq_agreement(capsys):

@@ -5,9 +5,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_FTAL, corpus_text
-from ftal import machine, parser, pretty
+from ftal import machine, parser, pretty, registry
 from ftal import syntax as S
 from ftal.boundary import translate_type
 from ftal.typecheck import check_program
@@ -417,6 +419,51 @@ def test_traces_and_outcomes_match_the_golden_digest(name):
             "reason": out.reason, "detail": out.detail},
             sort_keys=True) + "\n").encode())
     assert h.hexdigest() == GOLDEN[name]
+
+
+# -- trace lines -------------------------------------------------------------
+
+def json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("entry", registry.PROGRAMS, ids=lambda e: e.name)
+def test_trace_lines_are_the_sorted_key_json_of_every_record(entry):
+    prog = parser.parse_program(corpus_text(entry.name))
+    progs = ([S.Program("F", S.App(prog.main, (S.IntVal(n),)))
+              for n in GOLDEN_INPUTS] if entry.run_kind == "applied" else [prog])
+    records = []
+    for p in progs:
+        machine.run_program(p, GOLDEN_FUEL, records.append)
+    assert records
+    for r in records:
+        assert machine.trace_line(r) == json_line(r)
+
+
+# Text that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII text (inside and outside the BMP) and lone surrogates.
+TRACE_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\n\t\x1f\x7f\u00e9\u2028\U0001f600\ud800\udfff'),
+    st.characters(exclude_categories=())))
+
+
+@st.composite
+def trace_records(draw) -> dict:
+    regs = sorted(draw(st.sets(TRACE_TEXT, max_size=3)))
+    return {
+        "step": draw(st.integers(min_value=1)),
+        "lang": draw(st.sampled_from("TF")),
+        "redex": draw(TRACE_TEXT),
+        "jump": draw(st.none() | TRACE_TEXT),
+        "registers_delta": {r: draw(TRACE_TEXT) for r in regs},
+        "stack_depth": draw(st.integers(min_value=0)),
+    }
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(trace_records())
+def test_trace_line_escapes_as_json_dumps_does(record):
+    assert machine.trace_line(record) == json_line(record)
 
 
 class _NoRendering:

@@ -143,12 +143,12 @@ INSTR_ERRORS = (
     ('unfold x, l', ("'x' is not a register", 2, 10, ())),
     ('unfold r1, ,', ('expected an operand', 2, 14, ('operand',))),
     ('protect int :: . z', ("unexpected 'z' in protect", 2, 20, (',',))),
-    ('protect int :: ., y', ("'y' is not a stack variable name", 2, 22, ())),
+    ('protect int :: ., y', ("'y' is not a stack variable name", 2, 21, ())),
     ('protect int :: ., 3', ('expected stack variable', 2, 21, ('IDENT',))),
     ('protect int :: z', ("'z' is a stack variable, not a type", 2, 18, ())),
     ('import r1 * as z, int TF{ 1 }', ("unexpected '*' in import", 2, 13, (',',))),
     ('import r1, * z, int TF{ 1 }', ("unexpected 'z' in import", 2, 16, ('as',))),
-    ('import r1, * as y, int TF{ 1 }', ("'y' is not a stack variable name", 2, 20, ())),
+    ('import r1, * as y, int TF{ 1 }', ("'y' is not a stack variable name", 2, 19, ())),
     ('import r1, * as z int TF{ 1 }', ("unexpected 'int' in import", 2, 21, (',',))),
     ('import r1, * as z, int { 1 }', ("unexpected '{' in import", 2, 26, ('TF',))),
     ('import r1, * as z, int TF{ 1', ('expected an expression', 3, 3, ('expression',))),
