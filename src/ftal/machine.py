@@ -40,28 +40,28 @@ names one reads it wherever the block runs, and may get stuck where
 closing the component would have replaced it.)  The component is entered
 as it is, with no walk of its code but the renaming of its heap labels.
 
-Types are erased: a jump does not substitute its instantiations into the
-target block.  It enters the block under an environment that maps each
-binder to its closed instantiation, one per (label, instantiation), and
-``unpack`` and ``protect`` extend or shadow it over the rest of the
-sequence.  A word is closed against the environment when an instruction
-reads it as a literal operand, and an ``import`` when it runs, so every
-word in a register, on the stack or in the heap, and every term handed to
-the source language, is closed.  Each environment caches what it closed.
-A ``jmp``, ``bnz`` or ``ret`` resolves each word once and caches the
-block and environment it reaches by the word's identity: labels are
-fresh and a code binding is never rebound, so the word always reaches
-the same place.  A ``call`` adds its continuation's omegas, so it looks
-up the (label, *omegas) environment instead.
+A jump enters its block with its instantiations substituted into the
+body, as in the semantics, but a block is closed once per instantiation:
+each (binders, *omegas) has one environment, which maps each binder to
+its closed instantiation and keeps every body closed under it, so a loop
+or a repeated call substitutes nothing after its first entry.
+``unpack`` substitutes its witness into the rest of the sequence, once
+per (sequence, witness).  So the code in focus is closed, an instruction
+reads its operands as they are, and every word in a register, on the
+stack or in the heap, and every term handed to the source language, is
+closed.  A ``jmp``, ``bnz`` or ``ret`` resolves each word once and
+caches the block and environment it reaches by the word's identity:
+labels are fresh and a code binding is never rebound, so the word always
+reaches the same place.  A ``call`` adds its continuation's omegas, so
+it looks up the (label, *omegas) environment instead.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
 registers it set, is rendered only while ``run`` has a trace sink (or
-for a direct call of ``step``); the text is that of the instruction with
-the environment applied, so it reads as if the block had been rewritten.
-``trace_line`` is the one encoder of a full record: it writes the record's
-JSON line, byte for byte the line ``json.dumps(record, sort_keys=True)``
-gives.
+for a direct call of ``step``); the text is that of the closed
+instruction.  ``trace_line`` is the one encoder of a full record: it
+writes the record's JSON line, byte for byte the line
+``json.dumps(record, sort_keys=True)`` gives.
 
 Heap labels are renamed to label#k with a machine-owned counter when a
 component's bindings are merged in, so repeated entry into the same
@@ -71,14 +71,13 @@ boundary cannot collide and runs are reproducible.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable
 
 from .boundary import export_value, import_value
 from .errors import TranslationError
 from .syntax import (
-    KIND_STACK,
     KIND_TERM,
     KIND_TYPE,
     Aop,
@@ -126,12 +125,10 @@ from .syntax import (
     Unpack,
     Var,
     free_names,
-    fresh_name,
     kind_of_name,
     rename_locations,
     subst_terms,
     substitute,
-    var_node,
 )
 from . import pretty
 
@@ -326,24 +323,20 @@ def _read_back(v):
 
 class _Env:
     """A type environment: (kind, binder) -> closed omega, with caches of
-    what was closed and rendered under it, keyed by node identity (each
-    entry keeps its node alive, so an id is never reused while cached)."""
+    the block bodies closed and the redex texts rendered under it, keyed by
+    node identity (each entry keeps its node alive, so an id is never
+    reused while cached)."""
 
-    __slots__ = ("map", "avoid", "closed", "texts", "under")
+    __slots__ = ("map", "bodies", "texts")
 
     def __init__(self, mapping: dict):
         self.map = mapping
-        # Names free in the omegas; a binder among them gets renamed.
-        self.avoid = frozenset().union(*map(free_names, mapping.values()))
-        self.closed: dict = {}  # id(node) -> (node, node closed)
+        self.bodies: dict = {}  # id(block) -> (block, body closed)
         self.texts: dict = {}  # id(node) -> (node, redex text)
-        self.under: dict = {}  # (id(instr), value) -> (instr, env, shown)
 
 
 _AOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-# Literal operands that carry types.
-_TYPED = (Inst, Pack, Fold)
 
 
 def _short(s: str, limit: int = 80) -> str:
@@ -371,6 +364,7 @@ class Machine:
         self._root = self.env = _Env({})
         self._envs: dict = {}  # (binders, *omegas) -> _Env
         self._targets: dict = {}  # id(word) -> (word, body, _Env)
+        self._opened: dict = {}  # (id(seq), witness) -> (seq, tail)
         # The term environment of the source expression in focus, or of
         # the boundary whose component the target code in focus runs in.
         self.scope: tuple | None = None
@@ -418,24 +412,9 @@ class Machine:
         """The stack as ``Outcome.stack`` gives it, top first."""
         return tuple(reversed(self.stack))
 
-    def _close(self, node):
-        """``node`` with the type environment applied."""
-        env = self.env
-        if not env.map:
-            return node
-        hit = env.closed.get(id(node))
-        if hit is None:
-            hit = env.closed[id(node)] = (node, substitute(node, env.map))
-        return hit[1]
-
     def _resolve(self, u: Tm):
         """A word for an instruction operand."""
-        t = type(u)
-        if t is Reg:
-            return self._getreg(u.name)
-        if t in _TYPED:
-            return self._close(u)
-        return u
+        return self._getreg(u.name) if type(u) is Reg else u
 
     def _jump(self, word) -> ISeq:
         """Enter the block ``word`` names; returns the block's body.  A
@@ -448,8 +427,8 @@ class Machine:
         return hit[1]
 
     def _target(self, word, extra: tuple):
-        """The body of the block ``word`` names, and the environment of
-        its instantiations followed by ``extra``."""
+        """The body of the block ``word`` names, closed under its
+        instantiations followed by ``extra``, and their environment."""
         omegas: list = []
         while type(word) is Inst:
             omegas.append(word.omega)
@@ -481,33 +460,19 @@ class Machine:
             env = self._envs[key] = _Env(
                 {(kind_of_name(b), b): om
                  for b, om in zip(block.binders, omegas)})
-        return block.body, env
-
-    def _under(self, ins, tail: ISeq, field: str, key: tuple, value):
-        """The environment over ``tail``, after the head ``ins`` that
-        binds ``key`` by its ``field``: to ``value``, or, for None, to
-        nothing (it shadows).  Also the head as a rewritten block would
-        show it: rewriting renamed a binder that would capture a free
-        name of an omega, unless the binder shadowed every name it
-        mapped."""
-        env = self.env
-        hit = env.under.get((id(ins), value))
+        hit = env.bodies.get(id(block))
         if hit is None:
-            mapping = {k: v for k, v in env.map.items() if k != key}
-            shown = ins
-            if mapping and key in env.avoid:
-                taken = {n for _, n in free_names(Seq(ins, tail))} | {key[1]}
-                taken.update(n for _, n in env.map)
-                taken.update(n for _, n in env.avoid)
-                name = fresh_name(key[1], taken)
-                mapping[key] = var_node(key[0], name)
-                shown = replace(ins, **{field: name})
-            if value is not None:
-                mapping[key] = value
-            hit = env.under[(id(ins), value)] = (
-                ins, _Env(mapping) if mapping else self._root, shown)
-        self.env = hit[1]
-        return hit[2]
+            hit = env.bodies[id(block)] = (block, substitute(block.body, env.map))
+        return hit[1], env
+
+    def _open(self, seq: Seq, wit: Ty) -> ISeq:
+        """The tail of ``seq``, whose head is an ``unpack``, with the
+        witness ``wit`` for the unpacked type variable."""
+        hit = self._opened.get((id(seq), wit))
+        if hit is None:
+            tail = substitute(seq.tail, {(KIND_TYPE, seq.head.tv): wit})
+            hit = self._opened[(id(seq), wit)] = (seq, tail)
+        return hit[1]
 
     def _resume(self, e: Tm, scope: tuple | None) -> None:
         """Evaluate ``e`` under ``scope`` next."""
@@ -750,9 +715,8 @@ def _t_unpack(m, ins, tail):
     if type(w) is not Pack:
         raise _Stuck(STUCK_TYPE_CONFUSION, "unpack of a non-package")
     m._setreg(ins.rd, w.val)
-    shown = m._under(ins, tail, "tv", (KIND_TYPE, ins.tv), w.wit)
-    m.focus = tail
-    return shown, None
+    m.focus = m._open(m.focus, w.wit)
+    return ins, None
 
 
 def _t_unfold(m, ins, tail):
@@ -765,20 +729,14 @@ def _t_unfold(m, ins, tail):
 
 
 def _t_protect(m, ins, tail):
-    key = (KIND_STACK, ins.zeta)
-    # Only a zeta that shadows a binder, or would capture a free name of
-    # an omega, changes the environment.
-    if key in m.env.map or key in m.env.avoid:
-        ins = m._under(ins, tail, "zeta", key, None)
     m.focus = tail
     return ins, None
 
 
 def _t_import(m, ins, tail):
-    closed = m._close(ins)
-    m.frames.append(FrImport(ins.rd, closed.ann, tail, m.env, m.scope))
+    m.frames.append(FrImport(ins.rd, ins.ann, tail, m.env, m.scope))
     m.env = m._root
-    m._resume(closed.body, m.scope)
+    m._resume(ins.body, m.scope)
     return ins, "boundary"
 
 
@@ -790,8 +748,7 @@ def _t_jmp(m, ins, tail):
 def _t_call(m, ins, tail):
     # The continuation's omegas are added to the word's, so the block is
     # entered by its (label, *omegas) environment, not by the word.
-    m.focus, m.env = m._target(m._resolve(ins.u),
-                               (m._close(ins.sigma0), m._close(ins.qret)))
+    m.focus, m.env = m._target(m._resolve(ins.u), (ins.sigma0, ins.qret))
     return ins, "call"
 
 
@@ -1070,30 +1027,26 @@ RETURN_RULES = _Rules("value under frame ", {
 
 
 def _redex(node, env: _Env) -> str:
-    """The trace text of the target redex ``node`` under ``env``; cached
-    only under a block's environment, since code that runs under the
-    empty one may be a component whose labels are renamed for each
+    """The trace text of the target redex ``node``, run under ``env``;
+    cached only under a block's environment, since code that runs under
+    the empty one may be a component whose labels are renamed for each
     crossing."""
     if not env.map:
-        return _redex_text(node, env.map)
+        return _redex_text(node)
     hit = env.texts.get(id(node))
     if hit is None:
-        hit = env.texts[id(node)] = (node, _redex_text(node, env.map))
+        hit = env.texts[id(node)] = (node, _redex_text(node))
     return hit[1]
 
 
-def _redex_text(node, mapping: dict) -> str:
-    if isinstance(node, Ret):
-        return f"ret {node.r} {{{node.r2}}}"
+def _redex_text(node) -> str:
     if isinstance(node, Halt):
         return f"halt {node.reg}"
     if isinstance(node, ImportI):
         return _short(f"import {node.rd}")
-    if isinstance(node, Jmp):
-        return _short(f"jmp {pretty.tm(substitute(node.u, mapping))}")
     if isinstance(node, Call):
-        return _short(f"call {pretty.tm(substitute(node.u, mapping))}")
-    return _short(pretty.instr(substitute(node, mapping)))
+        return _short(f"call {pretty.tm(node.u)}")
+    return _short(pretty.instr(node))
 
 
 def load(prog: Program) -> Machine:

@@ -284,12 +284,12 @@ def test_boundary_result_still_checks_at_the_annotation():
     assert ty == S.TyInt()
 
 
-# -- type erasure -------------------------------------------------------------
+# -- closing blocks -----------------------------------------------------------
 
-# Types do no work at run time: a jump enters its block under a type
-# environment instead of rewriting the block, and words are closed when an
-# instruction reads them.  Traces and outcomes must read exactly as if
-# every block had been rewritten.
+# A block is closed once per instantiation, when it is first entered, and
+# an unpack closes the rest of its sequence once per witness.  Traces and
+# outcomes must read exactly as if every block had been rewritten on every
+# entry.
 
 
 def test_unpacked_type_variable_reaches_the_next_jump():
@@ -315,6 +315,31 @@ def test_unpacked_type_variable_reaches_the_next_jump():
     assert [r["redex"] for r in records[2:5]] == [
         "jmp lA#0[unit]", "unpack <c, r2> r1", "jmp lB#1[int, unit]"]
     assert records[3]["registers_delta"] == {"r2": "5"}
+
+
+def test_an_unpack_that_rebinds_a_block_binder_shadows_it():
+    # lA is entered at a := int; its unpack rebinds a to the witness unit,
+    # so the rest of the block reads a as unit.
+    prog = parser.parse_program("""entry T
+(
+  mv r1, pack <unit, ()> as exists c. c;
+  jmp lA[int]
+, where
+  lA -> code[a]{r1: exists c. c; *} ret(int, *).
+    unpack <a, r2> r1;
+    mv r3, lB[a];
+    jmp lB[a],
+  lB -> code[b]{r2: b; *} ret(int, *).
+    mv r1, 1;
+    halt[int, *] r1
+)
+""")
+    check_program(prog)
+    records = []
+    out = machine.run_program(prog, FUEL, records.append)
+    assert (out.kind, out.value) == ("halted", S.IntVal(1))
+    assert [r["redex"] for r in records[2:5]] == [
+        "unpack <a, r2> r1", "mv r3, lB#1[unit]", "jmp lB#1[unit]"]
 
 
 def test_import_is_closed_under_the_block_binders():
@@ -671,6 +696,32 @@ def test_a_loop_resolves_its_jump_word_once():
     assert out.steps == 2004
     # lloop[unit] from the entry, and lloop[a] closed under a := unit.
     assert m.heap.gets == 2
+
+
+@pytest.mark.parametrize("name, inputs", [
+    ("factorial_t", range(2, 9)),
+    ("basic_blocks_f2", GOLDEN_INPUTS),
+])
+def test_closing_does_not_scale_with_loop_length(monkeypatch, name, inputs):
+    # A block is closed when it is first entered under an instantiation,
+    # so a longer loop substitutes no more than a shorter one.
+    calls = []
+    substitute = machine.substitute
+
+    def counting(node, mapping):
+        calls.append(node)
+        return substitute(node, mapping)
+
+    monkeypatch.setattr(machine, "substitute", counting)
+    prog = parser.parse_program(corpus_text(name))
+    counts = []
+    for n in inputs:
+        calls.clear()
+        out = machine.run_program(S.Program("F", S.App(prog.main, (S.IntVal(n),))),
+                                  FUEL)
+        assert out.kind == "f-value"
+        counts.append(len(calls))
+    assert len(set(counts)) == 1
 
 
 def test_a_register_word_naming_an_unbound_label_is_stuck():
