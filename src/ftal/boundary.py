@@ -13,6 +13,12 @@ value or word it wraps, the halting block) are built once per annotation;
 a crossing builds only the cells that hold its value or word and its fresh
 labels.  The memos are keyed by types, which are immutable, and hold
 nothing built from a value.
+
+An exported wrapper also carries its body as a template, shared by every
+wrapper at its annotation, with a hole where the value goes
+(``CodeBlock.template``).  The machine closes the template once per
+instantiation of the wrapper's binders and plugs each crossing's value,
+which is closed, into that: only the template mentions the binders.
 """
 
 from __future__ import annotations
@@ -157,6 +163,10 @@ def export_value(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
     raise TranslationError("ill-typed", "value cannot cross at this type")
 
 
+# The term variable a wrapper's template holds in place of its value.
+_HOLE = "exported"
+
+
 def _export_block(ann: Ty, v: Tm) -> CodeBlock:
     """Build the code block that lets target code call an exported function.
 
@@ -166,18 +176,19 @@ def _export_block(ann: Ty, v: Tm) -> CodeBlock:
     applied function with one shim per argument (the last shim frees the
     argument slots), then restores the return address and returns.
     """
-    code, before, (sigma0, zeta, ret_ty, shims), restore = _export_parts(ann)
+    code, before, (sigma0, zeta, ret_ty, shims), restore, template = _export_parts(ann)
     imp = ImportI("r1", sigma0, zeta, ret_ty, App(v, shims))
     return CodeBlock(code.binders, code.chi, code.sigma, code.q,
-                     seq_of(before, Seq(imp, restore)))
+                     seq_of(before, Seq(imp, restore)), (template, {_HOLE: v}))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _export_parts(ann: Ty) -> tuple:
     """What every block exported at ``ann`` shares: its code type, the
     instructions before its import, that import's fields other than the
-    applied function, and the sequence that restores the return address
-    after it and returns."""
+    applied function, the sequence that restores the return address
+    after it and returns, and the whole body with ``_HOLE`` for the
+    applied function."""
     params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     m = len(phi_in)
@@ -216,8 +227,11 @@ def _export_parts(ann: Ty) -> tuple:
         restore.append(Sld("r2", j))
         restore.append(Sst(j + 1, "r2"))
     restore.append(Sfree(1))
-    return (code, tuple(before), (sigma0, zeta, ret_ty, tuple(shims)),
-            seq_of(restore, Ret("ra", "r1")))
+    shims = tuple(shims)
+    after = seq_of(restore, Ret("ra", "r1"))
+    hole = ImportI("r1", sigma0, zeta, ret_ty, App(Var(_HOLE), shims))
+    return (code, tuple(before), (sigma0, zeta, ret_ty, shims), after,
+            seq_of(before, Seq(hole, after)))
 
 
 def import_value(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:

@@ -49,11 +49,18 @@ or a repeated call substitutes nothing after its first entry.
 per (sequence, witness).  So the code in focus is closed, an instruction
 reads its operands as they are, and every word in a register, on the
 stack or in the heap, and every term handed to the source language, is
-closed.  A ``jmp``, ``bnz`` or ``ret`` resolves each word once and
-caches the block and environment it reaches by the word's identity:
-labels are fresh and a code binding is never rebound, so the word always
-reaches the same place.  A ``call`` adds its continuation's omegas, so
-it looks up the (label, *omegas) environment instead.
+closed.  An exported wrapper is a fresh block for each crossing, but its
+body is its annotation's template with the crossing's closed value in
+the hole (``CodeBlock.template``): the environment closes the template
+once, and entering a wrapper plugs its value into that with one term
+substitution, which skips the types.  A ``jmp`` or ``bnz`` resolves a
+word written in the code once and caches the block and environment it
+reaches by the word's identity: labels are fresh and a code binding is
+never rebound, so the word always reaches the same place.  A word read
+from a register (``ret r``, ``jmp r``, ``bnz r, r``) is resolved each
+time, since each crossing makes a fresh return address.  A ``call`` adds
+its continuation's omegas, so it looks up the (label, *omegas)
+environment instead.  So a crossing adds an entry to no cache.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
@@ -323,15 +330,17 @@ def _read_back(v):
 
 class _Env:
     """A type environment: (kind, binder) -> closed omega, with caches of
-    the block bodies closed and the redex texts rendered under it, keyed by
-    node identity (each entry keeps its node alive, so an id is never
-    reused while cached)."""
+    the block bodies (an exported wrapper's template standing for its
+    body) closed and the redex texts rendered under it, keyed by node
+    identity (each entry keeps its node alive, so an id is never reused
+    while cached).  Both are keyed by nodes of the program's blocks and
+    of the wrapper templates, so neither grows with the crossings."""
 
     __slots__ = ("map", "bodies", "texts")
 
     def __init__(self, mapping: dict):
         self.map = mapping
-        self.bodies: dict = {}  # id(block) -> (block, body closed)
+        self.bodies: dict = {}  # id(body) -> (body, closed body)
         self.texts: dict = {}  # id(node) -> (node, redex text)
 
 
@@ -416,13 +425,18 @@ class Machine:
         """A word for an instruction operand."""
         return self._getreg(u.name) if type(u) is Reg else u
 
-    def _jump(self, word) -> ISeq:
-        """Enter the block ``word`` names; returns the block's body.  A
-        word is resolved once: labels are fresh and never rebound, so it
-        always reaches the same block under the same environment."""
-        hit = self._targets.get(id(word))
+    def _jump(self, u: Tm) -> ISeq:
+        """Enter the block the operand ``u`` names; returns the block's
+        body.  A word written in the code is resolved once: labels are
+        fresh and never rebound, so it always reaches the same block under
+        the same environment.  A register's word is resolved each time,
+        since it may have been made by one crossing and never seen again."""
+        if type(u) is Reg:
+            body, self.env = self._target(self._getreg(u.name), ())
+            return body
+        hit = self._targets.get(id(u))
         if hit is None:
-            hit = self._targets[id(word)] = (word, *self._target(word, ()))
+            hit = self._targets[id(u)] = (u, *self._target(u, ()))
         self.env = hit[2]
         return hit[1]
 
@@ -460,10 +474,16 @@ class Machine:
             env = self._envs[key] = _Env(
                 {(kind_of_name(b), b): om
                  for b, om in zip(block.binders, omegas)})
-        hit = env.bodies.get(id(block))
+        # An exported wrapper closes the template it shares with every
+        # wrapper at its annotation, and plugs in its own closed terms.
+        template = block.template
+        body = block.body if template is None else template[0]
+        hit = env.bodies.get(id(body))
         if hit is None:
-            hit = env.bodies[id(block)] = (block, substitute(block.body, env.map))
-        return hit[1], env
+            hit = env.bodies[id(body)] = (body, substitute(body, env.map))
+        if template is None:
+            return hit[1], env
+        return subst_terms(hit[1], template[1]), env
 
     def _open(self, seq: Seq, wit: Ty) -> ISeq:
         """The tail of ``seq``, whose head is an ``unpack``, with the
@@ -609,7 +629,7 @@ def _t_bnz(m, ins, tail):
     if c.n == 0:
         m.focus = tail
         return ins, None
-    m.focus = m._jump(m._resolve(ins.u))
+    m.focus = m._jump(ins.u)
     return ins, "jmp"
 
 
@@ -737,11 +757,13 @@ def _t_import(m, ins, tail):
     m.frames.append(FrImport(ins.rd, ins.ann, tail, m.env, m.scope))
     m.env = m._root
     m._resume(ins.body, m.scope)
-    return ins, "boundary"
+    # Rendered here, not cached: an exported wrapper's import is made
+    # afresh for each crossing.
+    return f"import {ins.rd}", "boundary"
 
 
 def _t_jmp(m, ins, tail):
-    m.focus = m._jump(m._resolve(ins.u))
+    m.focus = m._jump(ins.u)
     return ins, "jmp"
 
 
@@ -753,7 +775,7 @@ def _t_call(m, ins, tail):
 
 
 def _t_ret(m, ins, tail):
-    m.focus = m._jump(m._getreg(ins.r))
+    m.focus, m.env = m._target(m._getreg(ins.r), ())
     return ins, "ret"
 
 
@@ -1042,8 +1064,6 @@ def _redex(node, env: _Env) -> str:
 def _redex_text(node) -> str:
     if isinstance(node, Halt):
         return f"halt {node.reg}"
-    if isinstance(node, ImportI):
-        return _short(f"import {node.rd}")
     if isinstance(node, Call):
         return _short(f"call {pretty.tm(node.u)}")
     return _short(pretty.instr(node))

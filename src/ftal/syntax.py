@@ -31,7 +31,7 @@ names keep their prefix so freshening preserves kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import count
 from string import Formatter
 
@@ -545,6 +545,11 @@ class CodeBlock(Node):
     sigma: Stk
     q: Mk
     body: ISeq
+    # An exported wrapper's body as (template, terms): the body is
+    # ``subst_terms(template, terms)``, the template is shared by every
+    # wrapper at one annotation, and the terms are closed.  Equality,
+    # hashing, printing and ``SCHEMA`` ignore it; a rebuilt block drops it.
+    template: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -587,9 +592,9 @@ class Schema:
     ``children`` are the fields that hold syntax, each given as (field,
     shape), or as a bare field name for one node; every other field is a
     plain attribute (an operator, a register, an index) compared by
-    equality. ``binds`` is (field, kind, scope): the field holding the
-    bound names, their namespace, and the sibling fields they scope over
-    (or TAIL). ``var`` is the namespace of a node that is a variable
+    equality. A field that equality ignores is neither. ``binds`` is
+    (field, kind, scope): the field holding the bound names, their
+    namespace, and the sibling fields they scope over (or TAIL). ``var`` is the namespace of a node that is a variable
     occurrence.
     """
 
@@ -601,7 +606,7 @@ class Schema:
         self.scoped = self.bfield is not None and not self.tail
         self.bound = self.scoped and self.bkind != KIND_LOC
         shapes = dict((c, NODE) if isinstance(c, str) else c for c in children)
-        names = [f.name for f in fields(cls)]
+        names = [f.name for f in fields(cls) if f.compare]
         # (field, shape or None for an attribute, in the binder's scope).
         self.fields = tuple((n, shapes.get(n), self.scoped and n in scope) for n in names)
         self.children = tuple(f for f in self.fields if f[1] is not None)

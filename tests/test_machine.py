@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import ALL_FTAL, corpus_text
 from ftal import machine, parser, pretty, registry
 from ftal import syntax as S
-from ftal.boundary import translate_type
+from ftal.boundary import export_value, translate_type
 from ftal.typecheck import check_program
 
 FUEL = 100000
@@ -978,13 +978,75 @@ def ping_pong(k: int) -> str:
 """
 
 
-def test_type_environments_do_not_grow_with_crossings():
-    # Each crossing exports a wrapper block under a fresh label; wrappers
-    # that share binders and instantiations share one environment.
+def test_a_crossing_leaves_nothing_behind(monkeypatch):
+    # Each round trip exports a wrapper block under a fresh label and
+    # imports a fresh lambda.  Wrappers that share binders and
+    # instantiations share one environment, and closing and every cache
+    # kept by node identity must not grow with the number of round trips,
+    # trace text included.
+    calls = []
+    substitute = machine.substitute
+
+    def counting(node, mapping):
+        calls.append(node)
+        return substitute(node, mapping)
+
+    monkeypatch.setattr(machine, "substitute", counting)
     sizes = []
-    for k in (3, 12):
+    for k in (40, 640):
+        calls.clear()
         m = machine.load(parser.parse_program(ping_pong(k)))
-        out = m.run(FUEL)
+        out = m.run(FUEL, lambda record: None)
         assert out.kind == "f-value" and out.value == S.IntVal(k * (k + 1))
-        sizes.append(len(m._envs))
+        envs = m._envs.values()
+        sizes.append((len(calls), len(m._targets), len(m._envs), len(m._opened),
+                      sum(len(env.bodies) for env in envs),
+                      sum(len(env.texts) for env in envs)))
     assert sizes[0] == sizes[1]
+
+
+# Exported functions: an annotation, and a closed lambda to wrap.  Closing
+# does not look at the lambda, so its type need not match.
+WRAPPED = (
+    ("() -> int", "lam (). 7"),
+    ("(int) -> int", "lam (x: int). x"),
+    ("(int, unit) -> int", "lam (x: int, y: unit). x"),
+    ("(int)[int :: . => unit :: .] -> unit", "lam [int :: . => unit :: .](x: int). ()"),
+    ("(<int, unit>) -> int", "lam (p: <int, unit>). pi.0(p)"),
+    ("(mu a. (a) -> int) -> int", "lam (f: mu a. (a) -> int). (unfold f)(f)"),
+)
+# Instantiations of a wrapper's (z, eps).  The second names zi, so the
+# import's zi binder must be freshened.
+WRAPPER_OMEGAS = (
+    (S.SNil(), S.MHalt(S.TyInt(), S.SNil())),
+    (S.SCons(S.TyInt(), S.SVar("zi")), S.MIdx(1)),
+)
+
+
+def imports_in(body: S.ISeq) -> list:
+    out = []
+    while isinstance(body, S.Seq):
+        if isinstance(body.head, S.ImportI):
+            out.append(body.head)
+        body = body.tail
+    return out
+
+
+@pytest.mark.parametrize("ann, fn", WRAPPED)
+def test_entering_a_wrapper_closes_it_as_substituting_its_body_would(ann, fn):
+    m = machine.load(S.Program("F", S.UnitVal()))
+    t = parser.parse_type(ann)
+    lam = parser.parse_expr(fn)
+    values = (lam, S.Lam(lam.params, S.SeqE(S.UnitVal(), lam.body), lam.stack))
+    for omegas in WRAPPER_OMEGAS:
+        for v in values:
+            word = export_value(t, v, m.heap, m._fresh)
+            block = m.heap[word.name][1]
+            body, env = m._target(word, omegas)
+            mapping = {(S.kind_of_name(b), b): om
+                       for b, om in zip(block.binders, omegas)}
+            assert env.map == mapping
+            assert body == S.substitute(block.body, mapping)
+            [imp] = imports_in(body)
+            assert imp.body.fn == v
+            assert (imp.zeta == "zi") == (omegas is WRAPPER_OMEGAS[0])
