@@ -155,7 +155,9 @@ def run_job(job: EquivJob) -> dict:
 
     Raises JobError for a job whose type is not a function from int to
     int or unit, unless a side is bare target code; its programs cannot
-    be probed by applying them to integers.
+    be probed by applying them to integers.  A job that is probed but
+    names no inputs is refused too: with no rows it would pass as
+    consistent-equivalent.
 
     Rows are sorted by input.  A row with a value mismatch or a stuck
     side makes the verdict "distinguished" and records the first such
@@ -170,6 +172,8 @@ def run_job(job: EquivJob) -> dict:
     if not bare and ann not in PROBED_TYPES:
         raise JobError(f"cannot probe {pretty.ty(ann)} with integer inputs; "
                        f"the type must be (int) -> int or (int) -> unit")
+    if not bare and not job.inputs:
+        raise JobError("no inputs to probe")
     probes: tuple
     if bare:
         # Such a pair cannot be applied to inputs; run each side once and

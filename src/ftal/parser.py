@@ -7,7 +7,14 @@ the offset only when a ParseError is raised. The parser is plain recursive
 descent; each syntactic category is predicted by its next token, so it
 never backtracks. T's instructions and terminators are read from their
 templates in ``syntax.T_SYNTAX``, picked by the mnemonic that starts them;
-only the ``ret ret(t, s) {r}`` spelling of ``halt`` is read by hand.
+only the ``ret ret(t, s) {r}`` spelling of ``halt`` is read by hand. Types
+and return markers are read from their templates in ``syntax.TY_SYNTAX``
+in the same way, picked by the keyword or mark that starts them (``unit``,
+``int``, ``mu``, ``exists``, ``ref``, ``box``, ``<``, ``code``, and the
+markers ``ret`` and ``out``, which have a table of their own); type
+variables, arrow and parenthesised types, and register, index and
+``eps`` markers are read by hand. One method, ``items``, reads every
+comma-separated list.
 
 Conventions baked into the grammar:
   - names starting with ``z`` are stack variables, ``eps`` marker variables;
@@ -156,113 +163,57 @@ class Parser:
             self.fail(f"expected {what}", expected=("IDENT",))
         return self.next().text
 
+    # -- lists -------------------------------------------------------------
+
+    def items(self, read, close: str, empty: bool = True, trailing: bool = False) -> tuple:
+        """Items read by read and separated by commas, up to the token
+        close, which is left for the caller to expect. The list may be
+        empty unless empty is false, and may end in a comma if trailing
+        is true."""
+        items = []
+        if not (empty and self.at(close)):
+            items.append(read(self))
+            while self.accept(",") and not (trailing and self.at(close)):
+                items.append(read(self))
+        return tuple(items)
+
     # -- types -------------------------------------------------------------
 
     def type_(self) -> S.Ty:
         t = self.peek()
-        match t.kind:
-            case "unit":
-                self.next()
-                return S.TyUnit()
-            case "int":
-                self.next()
-                return S.TyInt()
-            case "mu":
-                self.next()
-                v = self.ident("type variable")
-                self.expect(".", "mu type")
-                return S.Mu(v, self.type_())
-            case "exists":
-                self.next()
-                v = self.ident("type variable")
-                self.expect(".", "exists type")
-                return S.Exists(v, self.type_())
-            case "ref":
-                self.next()
-                return S.Ref(self.tuple_type())
-            case "box":
-                self.next()
-                if self.at("code"):
-                    return S.Box(self.code_type())
-                return S.Box(self.tuple_type())
-            case "code":
-                return self.code_type()
-            case "<":
-                return self.tuple_type()
-            case "(":
-                return self.arrow_or_paren_type()
-            case "IDENT":
-                name = self.next().text
-                if S.kind_of_name(name) != S.KIND_TYPE:
-                    self.fail(
-                        f"{name!r} is a {S.kind_of_name(name)} variable, not a type",
-                        tok=t,
-                    )
-                return S.TVar(name)
+        form = _TYPES.get(t.kind)
+        if form is not None:
+            return self.form(*form)
+        if t.kind == "(":
+            return self.arrow_or_paren_type()
+        if t.kind == "IDENT":
+            name = self.next().text
+            if S.kind_of_name(name) != S.KIND_TYPE:
+                self.fail(
+                    f"{name!r} is a {S.kind_of_name(name)} variable, not a type",
+                    tok=t,
+                )
+            return S.TVar(name)
         self.fail("expected a type", expected=("type",))
 
-    def tuple_type(self) -> S.TyTuple:
-        self.expect("<", "tuple type")
-        items = []
-        if not self.at(">"):
-            items.append(self.type_())
-            while self.accept(","):
-                items.append(self.type_())
-        self.expect(">", "tuple type")
-        return S.TyTuple(tuple(items))
-
-    def code_type(self) -> S.CodeT:
-        self.expect("code")
-        binders, chi, sigma, q = self.code_signature()
-        return S.CodeT(binders, chi, sigma, q)
-
-    def code_signature(self):
-        self.expect("[", "code type")
-        binders = []
-        if not self.at("]"):
-            binders.append(self.ident("binder"))
-            while self.accept(","):
-                binders.append(self.ident("binder"))
-        self.expect("]", "code type")
-        self.expect("{", "code type")
-        chi = []
-        if not self.at(";"):
-            chi.append(self.chi_entry())
-            while self.accept(","):
-                chi.append(self.chi_entry())
-        self.expect(";", "code type")
-        sigma = self.stack()
-        self.expect("}", "code type")
-        q = self.marker()
-        return tuple(binders), S.make_chi(chi), sigma, q
-
-    def chi_entry(self):
-        t = self.peek()
-        name = self.ident("register")
-        if not S.is_register(name):
-            self.fail(f"{name!r} is not a register", tok=t)
+    def chi_entry(self) -> tuple[str, S.Ty]:
+        name = self.register()
         self.expect(":", "register file entry")
         return (name, self.type_())
 
     def arrow_or_paren_type(self) -> S.Ty:
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            params.append(self.type_())
-            while self.accept(","):
-                params.append(self.type_())
+        params = self.items(Parser.type_, ")")
         self.expect(")", "arrow type")
-        if self.at("["):
-            self.next()
+        if self.accept("["):
             phi_in = self.phi()
             self.expect("=>", "stack arrow")
             phi_out = self.phi()
             self.expect("]", "stack arrow")
             self.expect("->", "stack arrow")
-            return S.StackArrow(tuple(params), phi_in, phi_out, self.type_())
-        if self.at("->"):
-            self.next()
-            return S.Arrow(tuple(params), self.type_())
+            return S.StackArrow(params, phi_in, phi_out, self.type_())
+        if self.accept("->"):
+            return S.Arrow(params, self.type_())
         if len(params) == 1:
             return params[0]
         self.fail("parenthesized type list must be followed by an arrow", expected=("->",))
@@ -292,19 +243,11 @@ class Parser:
 
     def marker(self) -> S.Mk:
         t = self.peek()
+        form = _MARKERS.get(t.kind)
+        if form is not None:
+            return self.form(*form)
         if t.kind == "INT":
             return S.MIdx(int(self.next().text))
-        if t.kind == "out":
-            self.next()
-            return S.MOut()
-        if t.kind == "ret":
-            self.next()
-            self.expect("(", "halting marker")
-            tau = self.type_()
-            self.expect(",", "halting marker")
-            sigma = self.stack()
-            self.expect(")", "halting marker")
-            return S.MHalt(tau, sigma)
         if t.kind == "IDENT":
             if S.is_register(t.text):
                 self.next()
@@ -314,12 +257,20 @@ class Parser:
                 return S.MEps(t.text)
         self.fail("expected a return marker", expected=("marker",))
 
+    def inst(self, base: S.Tm) -> S.Tm:
+        """base applied to the arguments of one instantiation [w, ...]."""
+        self.expect("[")
+        for w in self.items(Parser.omega, "]", empty=False):
+            base = S.Inst(base, w)
+        self.expect("]", "instantiation")
+        return base
+
     def omega(self) -> S.Node:
         t = self.peek()
         if t.kind == "*":
             self.next()
             return S.SNil()
-        if t.kind in ("INT", "out", "ret"):
+        if t.kind == "INT" or t.kind in _MARKERS:
             return self.marker()
         if t.kind == "IDENT":
             if S.is_register(t.text):
@@ -369,17 +320,15 @@ class Parser:
             self.expect("]", "stack lambda")
             stack = (phi_in, phi_out)
         self.expect("(", "lambda parameters")
-        params = []
-        if not self.at(")"):
-            while True:
-                x = self.ident("parameter name")
-                self.expect(":", "parameter annotation")
-                params.append((x, self.type_()))
-                if not self.accept(","):
-                    break
+        params = self.items(Parser.param, ")")
         self.expect(")", "lambda parameters")
         self.expect(".", "lambda")
-        return S.Lam(tuple(params), self.expr(), stack)
+        return S.Lam(params, self.expr(), stack)
+
+    def param(self) -> tuple[str, S.Ty]:
+        x = self.ident("parameter name")
+        self.expect(":", "parameter annotation")
+        return (x, self.type_())
 
     def arith(self) -> S.Tm:
         left = self.mult()
@@ -421,32 +370,19 @@ class Parser:
     def app_expr(self) -> S.Tm:
         e = self.atom_expr()
         while True:
-            if self.at("("):
-                self.next()
-                args = []
-                if not self.at(")"):
-                    args.append(self.expr())
-                    while self.accept(","):
-                        args.append(self.expr())
+            if self.accept("("):
+                e = S.App(e, self.items(Parser.expr, ")"))
                 self.expect(")", "application")
-                e = S.App(e, tuple(args))
             elif self.at("["):
-                self.next()
-                e = S.Inst(e, self.omega())
-                while self.accept(","):
-                    e = S.Inst(e, self.omega())
-                self.expect("]", "instantiation")
+                e = self.inst(e)
             else:
                 return e
 
     def atom_expr(self) -> S.Tm:
         t = self.peek()
         match t.kind:
-            case "INT":
-                return S.IntVal(int(self.next().text))
-            case "-":
-                self.next()
-                return S.IntVal(-int(self.expect("INT", "integer literal").text))
+            case "INT" | "-":
+                return self.int_val()
             case "IDENT":
                 return S.Var(self.next().text)
             case "FT":
@@ -463,13 +399,9 @@ class Parser:
                     return S.UnitVal()
                 first = self.expr()
                 if self.accept(","):
-                    items = [first]
-                    if not self.at(")"):
-                        items.append(self.expr())
-                        while self.accept(","):
-                            items.append(self.expr())
+                    items = (first, *self.items(Parser.expr, ")"))
                     self.expect(")", "tuple")
-                    return S.TupleVal(tuple(items))
+                    return S.TupleVal(items)
                 self.expect(")", "parenthesized expression")
                 return first
         self.fail("expected an expression", expected=("expression",))
@@ -480,11 +412,8 @@ class Parser:
         t = self.peek()
         base: S.Tm
         match t.kind:
-            case "INT":
-                base = S.IntVal(int(self.next().text))
-            case "-":
-                self.next()
-                base = S.IntVal(-int(self.expect("INT", "integer literal").text))
+            case "INT" | "-":
+                base = self.int_val()
             case "(":
                 self.next()
                 self.expect(")", "unit value")
@@ -508,11 +437,7 @@ class Parser:
             case _:
                 self.fail("expected an operand", expected=("operand",))
         while self.at("["):
-            self.next()
-            base = S.Inst(base, self.omega())
-            while self.accept(","):
-                base = S.Inst(base, self.omega())
-            self.expect("]", "instantiation")
+            base = self.inst(base)
         return base
 
     def register(self, what: str = "register") -> str:
@@ -524,6 +449,12 @@ class Parser:
 
     def int_lit(self, what: str) -> int:
         return int(self.expect("INT", what).text)
+
+    def int_val(self) -> S.IntVal:
+        """An integer literal, with its optional minus sign."""
+        neg = self.accept("-")
+        n = self.int_lit("integer literal")
+        return S.IntVal(-n if neg else n)
 
     def stack_var(self) -> str:
         t = self.peek()
@@ -551,8 +482,8 @@ class Parser:
             instrs.append(node)
 
     def form(self, cls, steps: tuple, what: str) -> S.Node:
-        """One instruction or terminator, read by the steps of its
-        template: a token kind to expect, or a slot's reader."""
+        """One node of class cls, read by the steps of its template: a
+        token kind to expect, or a slot's reader."""
         args = []
         for step in steps:
             if type(step) is not str:
@@ -577,36 +508,29 @@ class Parser:
     def component(self) -> S.Component:
         self.expect("(", "component")
         body = self.iseq()
-        heap: list[S.HeapBinding] = []
+        heap: tuple = ()
         if self.accept(","):
             self.expect("where", "component heap")
-            while not self.at(")"):
-                heap.append(self.heap_binding())
-                if not self.accept(","):
-                    break
+            heap = self.items(Parser.heap_binding, ")", trailing=True)
         self.expect(")", "component")
-        return S.Component(body, tuple(heap))
+        return S.Component(body, heap)
 
     def heap_binding(self) -> S.HeapBinding:
         label = self.ident("heap label")
         self.expect("->", "heap binding")
         t = self.peek()
         if t.kind == "code":
-            self.next()
-            binders, chi, sigma, q = self.code_signature()
+            # The header is read as the block's code type.
+            c = self.form(*_TYPES["code"])
             self.expect(".", "code block")
-            body = self.iseq()
-            return S.HeapBinding(label, "box", S.CodeBlock(binders, chi, sigma, q, body))
+            block = S.CodeBlock(c.binders, c.chi, c.sigma, c.q, self.iseq())
+            return S.HeapBinding(label, "box", block)
         if t.kind in ("ref", "box"):
             nu = self.next().kind
             self.expect("<", "heap tuple")
-            words = []
-            if not self.at(">"):
-                words.append(self.u_value())
-                while self.accept(","):
-                    words.append(self.u_value())
+            words = self.items(Parser.u_value, ">")
             self.expect(">", "heap tuple")
-            return S.HeapBinding(label, nu, S.TupleVal(tuple(words)))
+            return S.HeapBinding(label, nu, S.TupleVal(words))
         self.fail("expected a heap value", expected=("code", "ref", "box"))
 
     # -- programs -------------------------------------------------------------
@@ -648,28 +572,65 @@ _SLOTS = {
 _STACK_SLOTS = {**_SLOTS, "idx": lambda p: p.int_lit("stack index")}
 
 
+# How each slot of a TY_SYNTAX template is read, by its field name. A
+# ref holds a tuple type, and a box a tuple or a code type.
+_TY_SLOTS = {
+    "var": lambda p: p.ident("type variable"),
+    "body": Parser.type_,
+    "tau": Parser.type_,
+    "psi": lambda p: p.form(*_TYPES["<"]),
+    "items": lambda p: p.items(Parser.type_, ">"),
+    "binders": lambda p: p.items(lambda q: q.ident("binder"), "]"),
+    "chi": lambda p: S.make_chi(p.items(Parser.chi_entry, ";")),
+    "sigma": Parser.stack,
+    "q": Parser.marker,
+}
+_BOX_SLOTS = {**_TY_SLOTS, "psi": lambda p: p.form(*_TYPES["code" if p.at("code") else "<"])}
+
+
+def _steps(template: str, slots: dict) -> tuple:
+    """A template's reading steps: a token kind to expect, or a slot's
+    reader."""
+    parts, end = S.template_parts(template)
+    steps: list = []
+    for literal, field in parts:
+        steps += [tok.kind for tok in lex(literal)[:-1]]
+        steps.append(slots[field])
+    steps += [tok.kind for tok in lex(end)[:-1]]
+    return tuple(steps)
+
+
 def _forms() -> dict:
-    """Each template's reading steps (a token kind to expect, or a slot's
-    reader), with its class and its context in messages, by the mnemonic
-    that starts it."""
+    """Each T_SYNTAX template's steps, with its class and its context in
+    messages, by the mnemonic that starts it."""
     forms = {}
     for cls, template in S.T_SYNTAX.items():
-        parts, end = S.template_parts(template)
-        slots = _STACK_SLOTS if cls in (S.Sld, S.Sst) else _SLOTS
-        steps: list = []
-        for literal, field in parts:
-            steps += [tok.kind for tok in lex(literal)[:-1]]
-            steps.append(slots[field])
-        steps += [tok.kind for tok in lex(end)[:-1]]
+        steps = _steps(template, _STACK_SLOTS if cls in (S.Sld, S.Sst) else _SLOTS)
         if cls is S.Aop:
-            form = (cls, tuple(steps), "arithmetic")
-            forms.update(dict.fromkeys(S.AOPS, form))
+            forms.update(dict.fromkeys(S.AOPS, (cls, steps, "arithmetic")))
         else:
-            forms[steps[0]] = (cls, tuple(steps), steps[0])
+            forms[steps[0]] = (cls, steps, steps[0])
+    return forms
+
+
+def _ty_forms(base: type) -> dict:
+    """The steps of each TY_SYNTAX template of a subclass of base, with
+    its class and its context in messages, by the keyword or mark that
+    starts it. Templates that start with a slot or with "(" are read by
+    hand."""
+    forms = {}
+    for cls, template in S.TY_SYNTAX.items():
+        if issubclass(cls, base) and not template.startswith(("{", "(")):
+            steps = _steps(template, _BOX_SLOTS if cls is S.Box else _TY_SLOTS)
+            what = {"<": "tuple type", "ret": "halting marker"}.get(steps[0], f"{steps[0]} type")
+            forms[steps[0]] = (cls, steps, what)
     return forms
 
 
 _FORMS = _forms()
+# Markers have a table of their own, so that they never read as types.
+_TYPES = _ty_forms(S.Ty)
+_MARKERS = _ty_forms(S.Mk)
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -696,22 +657,21 @@ def parse_program(src: str) -> S.Program:
     return Parser(src).program()
 
 
-def parse_expr(src: str) -> S.Tm:
+def _whole(src: str, read, what: str):
+    """All of src, read by read; what names it if input is left over."""
     p = Parser(src)
-    e = p.expr()
-    p.expect("EOF", "expression")
-    return e
+    node = read(p)
+    p.expect("EOF", what)
+    return node
+
+
+def parse_expr(src: str) -> S.Tm:
+    return _whole(src, Parser.expr, "expression")
 
 
 def parse_type(src: str) -> S.Ty:
-    p = Parser(src)
-    t = p.type_()
-    p.expect("EOF", "type")
-    return t
+    return _whole(src, Parser.type_, "type")
 
 
 def parse_component(src: str) -> S.Component:
-    p = Parser(src)
-    c = p.component()
-    p.expect("EOF", "component")
-    return c
+    return _whole(src, Parser.component, "component")

@@ -4,8 +4,10 @@ Output reparses to an alpha-equal tree. Components render multi-line;
 everything else renders inline. Binops are always parenthesized and prefix
 forms wrap non-atomic operands, so no precedence table is needed on the
 reading side beyond the grammar itself. Instructions and terminators are
-written by filling in their templates in ``syntax.T_SYNTAX``, the same
-ones the parser reads.
+written by filling in their templates in ``syntax.T_SYNTAX``, and types,
+return markers and code-block headers by filling in those in
+``syntax.TY_SYNTAX``, with one filler, ``_fill``; they are the same
+templates the parser reads.
 
 ``int_str``, ``word_str`` and ``value_str`` render run-time values for
 outcomes, trace records and equivalence reports.
@@ -14,43 +16,24 @@ outcomes, trace records and equivalence reports.
 from __future__ import annotations
 
 from .syntax import (
-    T_SYNTAX, App, Arrow, Binop, Boundary, Box, CodeBlock, CodeT, Component,
-    Exists, Fold, HeapBinding, If0, Inst, Instr, IntVal, ISeq, Lam, Let, Loc,
-    MEps, MHalt, MIdx, Mk, MOut, MReg, Mu, Node, Pack, Proj, Program, Ref,
-    Reg, Seq, SeqE, SNil, StackArrow, Stk, SVar, Tm, TupleVal, TVar, Ty,
-    TyInt, TyTuple, TyUnit, Unfold, UnitVal, Var, stack_parts, template_parts,
+    T_SYNTAX, TY_SYNTAX, App, Binop, Boundary, CodeBlock, CodeT, Component,
+    Fold, HeapBinding, If0, Inst, Instr, IntVal, ISeq, Lam, Let, Loc, Mk,
+    Node, Pack, Proj, Program, Reg, Seq, SeqE, SNil, Stk, SVar, Tm, TupleVal,
+    Ty, Unfold, UnitVal, Var, stack_parts, template_parts,
 )
 
 
 def ty(t: Ty) -> str:
-    match t:
-        case TVar(name):
-            return name
-        case TyUnit():
-            return "unit"
-        case TyInt():
-            return "int"
-        case Arrow(params, ret):
-            return f"({', '.join(ty(p) for p in params)}) -> {ty(ret)}"
-        case StackArrow(params, phi_in, phi_out, ret):
-            return (
-                f"({', '.join(ty(p) for p in params)})"
-                f"[{phi(phi_in)} => {phi(phi_out)}] -> {ty(ret)}"
-            )
-        case TyTuple(items):
-            return f"<{', '.join(ty(i) for i in items)}>"
-        case Mu(var, body):
-            return f"mu {var}. {ty(body)}"
-        case Exists(var, body):
-            return f"exists {var}. {ty(body)}"
-        case Ref(psi):
-            return f"ref {ty(psi)}"
-        case Box(psi):
-            return f"box {ty(psi)}"
-        case CodeT(binders, chi, sigma, q):
-            inner = ", ".join(f"{r}: {ty(x)}" for r, x in chi)
-            return f"code[{', '.join(binders)}]{{{inner}; {stk(sigma)}}} {mk(q)}"
-    raise TypeError(f"not a type: {t!r}")
+    return _fill(t, _TYPES, "a type")
+
+
+def _types(ts) -> str:
+    return ", ".join(map(ty, ts))
+
+
+def _annotated(pairs) -> str:
+    """(name, type) pairs, as register files and parameters are written."""
+    return ", ".join(f"{x}: {ty(t)}" for x, t in pairs)
 
 
 def phi(prefix) -> str:
@@ -73,18 +56,7 @@ def stk(s: Stk) -> str:
 
 
 def mk(q: Mk) -> str:
-    match q:
-        case MReg(reg):
-            return reg
-        case MIdx(idx):
-            return str(idx)
-        case MEps(name):
-            return name
-        case MHalt(tau, sigma):
-            return f"ret({ty(tau)}, {stk(sigma)})"
-        case MOut():
-            return "out"
-    raise TypeError(f"not a marker: {q!r}")
+    return _fill(q, _MARKERS, "a marker")
 
 
 def omega(w: Node) -> str:
@@ -127,9 +99,8 @@ def tm(e: Tm) -> str:
         case If0(c, t, els):
             return f"if0 {_atom(c)} {_atom(t)} {_atom(els)}"
         case Lam(params, body, stack):
-            ps = ", ".join(f"{x}: {ty(t)}" for x, t in params)
             pre = "" if stack is None else f"[{phi(stack[0])} => {phi(stack[1])}] "
-            return f"lam {pre}({ps}). {tm(body)}"
+            return f"lam {pre}({_annotated(params)}). {tm(body)}"
         case App(fn, args):
             fs = tm(fn) if isinstance(fn, (Var, App, Boundary, Inst, Loc, Reg)) else f"({tm(fn)})"
             return f"{fs}({', '.join(tm(a) for a in args)})"
@@ -167,29 +138,40 @@ def tm(e: Tm) -> str:
     raise TypeError(f"not a term: {e!r}")
 
 
-# How each slot of a T_SYNTAX template is written, by its field name;
-# any other field is a name or a number, written as str() gives it.
+# How each slot of a template is written, by its field name; any other
+# field is a name or a number, written as str() gives it.
 _RENDER = {"u": tm, "body": tm, "sigma0": stk, "sigma": stk, "ann": ty,
            "qret": mk, "phi": phi}
+_TY_RENDER = {"params": _types, "items": _types, "binders": ", ".join,
+              "chi": _annotated, "phi_in": phi, "phi_out": phi, "ret": ty,
+              "body": ty, "psi": ty, "tau": ty, "sigma": stk, "q": mk}
 
 
-def _compile(template: str) -> tuple:
+def _compile(template: str, render: dict) -> tuple:
     """A template as (literal, field, renderer) parts and its closing
     literal."""
     parts, end = template_parts(template)
-    return tuple((lit, f, _RENDER.get(f, str)) for lit, f in parts), end
+    return tuple((lit, f, render.get(f, str)) for lit, f in parts), end
 
 
-_FORMS = {cls: _compile(template) for cls, template in T_SYNTAX.items()}
+def _fill(node: Node, forms: dict, what: str, cls: type | None = None) -> str:
+    """node's fields, each rendered into its slot of the template in forms
+    of node's class, or of cls."""
+    form = forms.get(cls or type(node))
+    if form is None:
+        raise TypeError(f"not {what}: {node!r}")
+    parts, end = form
+    return "".join([lit + render(getattr(node, f)) for lit, f, render in parts]) + end
+
+
+_FORMS = {cls: _compile(template, _RENDER) for cls, template in T_SYNTAX.items()}
+_TYPES = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Ty)}
+_MARKERS = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Mk)}
 
 
 def instr(i: Instr | ISeq) -> str:
     """An instruction or terminator, filled into its template."""
-    form = _FORMS.get(type(i))
-    if form is None:
-        raise TypeError(f"not an instruction: {i!r}")
-    parts, end = form
-    return "".join([lit + render(getattr(i, f)) for lit, f, render in parts]) + end
+    return _fill(i, _FORMS, "an instruction")
 
 
 def iseq_lines(s: ISeq, ind: int) -> list[str]:
@@ -208,11 +190,8 @@ def binding_lines(hb: HeapBinding, ind: int) -> list[str]:
     pad = " " * ind
     v = hb.value
     if isinstance(v, CodeBlock):
-        inner = ", ".join(f"{r}: {ty(t)}" for r, t in v.chi)
-        head = (
-            f"{pad}{hb.label} -> code[{', '.join(v.binders)}]"
-            f"{{{inner}; {stk(v.sigma)}}} {mk(v.q)}."
-        )
+        # The header is the block's code type: CodeBlock has its fields.
+        head = f"{pad}{hb.label} -> {_fill(v, _TYPES, 'a code type', CodeT)}."
         return [head] + iseq_lines(v.body, ind + 2)
     if isinstance(v, TupleVal):
         ws = ", ".join(tm(w) for w in v.items)

@@ -16,8 +16,11 @@ entry and nothing else here. The engine walks instruction sequences with
 a loop, so its stack depth does not grow with the length of a block.
 
 The concrete syntax of T's instructions and terminators is declared once,
-in ``T_SYNTAX``: one template per class, whose slots are the class's
-fields. The parser reads these templates and the printer fills them in.
+in ``T_SYNTAX``, and that of types and return markers in ``TY_SYNTAX``:
+one template per class, whose slots are the class's fields. The printer
+fills in every template; the parser reads each one that starts with a
+keyword or mark, and reads the rest (type variables, arrows, and the
+register, index and ``eps`` markers) by hand.
 
 Heap labels are nominal: a component binds its labels, which shadows
 them, but they are never freshened, and alpha-equality compares them by
@@ -664,7 +667,7 @@ _TYPE_KINDS = (KIND_TYPE, KIND_STACK, KIND_MARKER)
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax of T
+# Concrete syntax of T and of types
 
 # One template per instruction and terminator: the text between slots is
 # literal tokens, and each {field} is one slot, holding that field of the
@@ -692,6 +695,29 @@ T_SYNTAX: dict = {
     Halt: "halt[{ann}, {sigma}] {reg}",
 }
 AOPS = ("add", "sub", "mul")  # the values of Aop.op
+
+# One template per type and return marker, in the same form. A slot that
+# holds a tuple is a comma-separated list (a register file's entries are
+# written ``r: type``), and a StackArrow's prefixes are written as in
+# ``protect``.
+TY_SYNTAX: dict = {
+    TVar: "{name}",
+    TyUnit: "unit",
+    TyInt: "int",
+    Arrow: "({params}) -> {ret}",
+    StackArrow: "({params})[{phi_in} => {phi_out}] -> {ret}",
+    TyTuple: "<{items}>",
+    Mu: "mu {var}. {body}",
+    Exists: "exists {var}. {body}",
+    Ref: "ref {psi}",
+    Box: "box {psi}",
+    CodeT: "code[{binders}]{{{chi}; {sigma}}} {q}",
+    MReg: "{reg}",
+    MIdx: "{idx}",
+    MEps: "{name}",
+    MHalt: "ret({tau}, {sigma})",
+    MOut: "out",
+}
 
 
 def template_parts(template: str) -> tuple[list[tuple[str, str]], str]:

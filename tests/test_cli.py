@@ -380,3 +380,23 @@ def test_deep_program_json_error_payload(capsys, tmp_path, name):
     payload = json.loads(out)
     assert payload["exit_code"] == 6
     assert payload["error"]["kind"] == "resource"
+
+
+@pytest.mark.parametrize("inputs", ["missing", [], {"range": [5, 1]}],
+                         ids=["missing", "empty", "empty_range"])
+def test_eq_refuses_a_probed_job_with_no_inputs(capsys, tmp_path, inputs):
+    # With nothing to probe, no row could tell the two programs apart.
+    payload = {"left": corpus("identity"), "right": corpus("succ"),
+               "type": "(int) -> int"}
+    if inputs != "missing":
+        payload["inputs"] = inputs
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, ["eq", str(job)])
+    assert code == 2 and out == ""
+    assert err == "parse error: bad job file: no inputs to probe\n"
+    code, out, err = run_cli(capsys, ["eq", "--json", str(job)])
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": {"kind": "parse", "message": "bad job file: no inputs to probe"},
+        "exit_code": 2}

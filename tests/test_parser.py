@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import ALL_FTAL, corpus_text, source_terms, source_types
+from conftest import (ALL_FTAL, corpus_text, source_terms, source_types,
+                      target_types)
 from ftal import parser, pretty
 from ftal import syntax as S
 from ftal.parser import ParseError
@@ -96,6 +97,12 @@ def test_code_type_round_trips():
 @settings(deadline=None, max_examples=60)
 @given(source_types)
 def test_types_round_trip_through_pretty(t):
+    assert S.alpha_equal(parser.parse_type(pretty.ty(t)), t)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(target_types)
+def test_target_types_round_trip_through_pretty(t):
     assert S.alpha_equal(parser.parse_type(pretty.ty(t)), t)
 
 

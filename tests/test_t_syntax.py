@@ -193,3 +193,92 @@ def test_terminator_parse_errors(text, want):
         parser.parse_component(f"(\n  {text}\n)")
     e = exc.value
     assert (e.message, e.line, e.col, e.expected) == want
+
+
+# -- types and return markers ------------------------------------------------
+
+TYPE_FORMS = (*S.Ty.__subclasses__(), *S.Mk.__subclasses__())
+
+
+def test_every_type_and_marker_has_one_template_over_its_fields():
+    assert set(S.TY_SYNTAX) == set(TYPE_FORMS)
+    for cls in TYPE_FORMS:
+        parts, _ = S.template_parts(S.TY_SYNTAX[cls])
+        assert [f for _, f in parts] == [f.name for f in dataclasses.fields(cls)], cls
+
+
+def test_type_template_literals_are_keywords_and_marks():
+    for cls, template in S.TY_SYNTAX.items():
+        parts, end = S.template_parts(template)
+        for literal in (*(lit for lit, _ in parts), end):
+            assert all(t.kind == t.text for t in parser.lex(literal)[:-1]), cls
+
+
+# Parse errors of types and markers, as (text, (message, line, col,
+# expected)), recorded from the hand-written reader that the table
+# replaced. Each is read by parser.parse_type.
+TYPE_ERRORS = (
+    ('mu a int', ("unexpected 'int' in mu type", 1, 6, ('.',))),
+    ('mu 3. int', ('expected type variable', 1, 4, ('IDENT',))),
+    ('exists 3. int', ('expected type variable', 1, 8, ('IDENT',))),
+    ('exists a int', ("unexpected 'int' in exists type", 1, 10, ('.',))),
+    ('ref int', ("unexpected 'int' in tuple type", 1, 5, ('<',))),
+    ('ref <int', ("unexpected 'end of input' in tuple type", 1, 9, ('>',))),
+    ('box int', ("unexpected 'int' in tuple type", 1, 5, ('<',))),
+    ('box code[]{; *}', ('expected a return marker', 1, 16, ('marker',))),
+    ('<int unit>', ("unexpected 'unit' in tuple type", 1, 6, ('>',))),
+    ('<int,>', ('expected a type', 1, 6, ('type',))),
+    ('<int, ret(int, *)>', ('expected a type', 1, 7, ('type',))),
+    ('code[z', ("unexpected 'end of input' in code type", 1, 7, (']',))),
+    ('code z]{; *} out', ("unexpected 'z' in code type", 1, 6, ('[',))),
+    ('code[z,]{; *} out', ('expected binder', 1, 8, ('IDENT',))),
+    ('code[]{r9: int; *} ra', ("'r9' is not a register", 1, 8, ())),
+    ('code[]{r1 int; *} ra', ("unexpected 'int' in register file entry", 1, 11, (':',))),
+    ('code[]{r1: int *} ra', ("unexpected '*' in code type", 1, 16, (';',))),
+    ('code[]{r1: z; *} out', ("'z' is a stack variable, not a type", 1, 12, ())),
+    ('code[]{; int} out', ("unexpected '}' in stack type", 1, 13, ('::',))),
+    ('code[]{; * out', ("unexpected 'out' in code type", 1, 12, ('}',))),
+    ('code[]{; *} ret(int *)', ("unexpected '*' in halting marker", 1, 21, (',',))),
+    ('code[]{; *} ret int, *)', ("unexpected 'int' in halting marker", 1, 17, ('(',))),
+    ('code[]{; *} ret(int, * ra', ("unexpected 'ra' in halting marker", 1, 24, (')',))),
+    ('code[]{; *} x', ('expected a return marker', 1, 13, ('marker',))),
+    ('code[]{; *}', ('expected a return marker', 1, 12, ('marker',))),
+    ('(int, unit)', ('parenthesized type list must be followed by an arrow', 1, 12, ('->',))),
+    ('(int', ("unexpected 'end of input' in arrow type", 1, 5, (')',))),
+    ('(int)[int => .] -> int', ("unexpected '=>' in stack prefix", 1, 11, ('::',))),
+    ('(int)[. => .] int', ("unexpected 'int' in stack arrow", 1, 15, ('->',))),
+    ('z', ("'z' is a stack variable, not a type", 1, 1, ())),
+    ('eps', ("'eps' is a marker variable, not a type", 1, 1, ())),
+    ('ret(int, *)', ('expected a type', 1, 1, ('type',))),
+    ('out', ('expected a type', 1, 1, ('type',))),
+    ('', ('expected a type', 1, 1, ('type',))),
+    ('int int', ("unexpected 'int' in type", 1, 5, ('EOF',))),
+)
+# Heap block headers, each read as
+# "(\n  halt[int, *] r1,\n  where\n    l -> <text>.\n      halt[int, *] r1\n)".
+HEADER_ERRORS = (
+    ('code[]{r9: int; *} ra', ("'r9' is not a register", 4, 17, ())),
+    ('code[z{; *} out', ("unexpected '{' in code type", 4, 16, (']',))),
+    ('code[]{; *} ret(int *)', ("unexpected '*' in halting marker", 4, 30, (',',))),
+    ('code[]{; *} ret(int, *) halt', ("unexpected 'halt' in code block", 4, 34, ('.',))),
+    ('code[]{r1: int; *}', ('expected a return marker', 4, 28, ('marker',))),
+    ('code[]{; *} <int>', ('expected a return marker', 4, 22, ('marker',))),
+    ('code{; *} out', ("unexpected '{' in code type", 4, 14, ('[',))),
+)
+
+
+@pytest.mark.parametrize("text,want", TYPE_ERRORS)
+def test_type_parse_errors(text, want):
+    with pytest.raises(ParseError) as exc:
+        parser.parse_type(text)
+    e = exc.value
+    assert (e.message, e.line, e.col, e.expected) == want
+
+
+@pytest.mark.parametrize("text,want", HEADER_ERRORS)
+def test_code_block_header_parse_errors(text, want):
+    with pytest.raises(ParseError) as exc:
+        parser.parse_component(
+            f"(\n  halt[int, *] r1,\n  where\n    l -> {text}.\n      halt[int, *] r1\n)")
+    e = exc.value
+    assert (e.message, e.line, e.col, e.expected) == want
