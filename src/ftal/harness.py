@@ -106,8 +106,13 @@ def load_job(path: str | pathlib.Path) -> EquivJob:
             raise TypeError("left, right and type must be strings")
         inputs = data.get("inputs", [])
         if isinstance(inputs, dict):
-            lo, hi = inputs["range"]
-            inputs = range(lo, hi + 1)
+            bounds = inputs["range"]
+            if not (isinstance(bounds, list) and len(bounds) == 2
+                    and all(type(n) is int for n in bounds)):
+                raise TypeError("inputs range must be two integers [lo, hi]")
+            inputs = range(bounds[0], bounds[1] + 1)
+        elif not isinstance(inputs, list):
+            raise TypeError('inputs must be [n, ...] or {"range": [lo, hi]}')
         inputs = tuple(inputs)
         if not all(type(n) is int for n in inputs):
             raise TypeError("inputs must be integers")

@@ -10,7 +10,8 @@ Context shapes used throughout:
 - gamma: dict mapping term variables to types.
 - chi: dict mapping registers to types.
 - sigma: a stack type.
-- q: a return marker, or an InferCell when the marker is being inferred.
+- q: a return marker, or None at a halting position whose marker is not
+  yet inferred.
 
 Well-formedness of types, stacks and markers is one check, ``wf``. Scope
 comes from the binders declared in ``syntax.SCHEMA``, the same table
@@ -20,11 +21,15 @@ those nor delta bind is out of scope. The shape rules (a binder's kind,
 what a cell holds, a code type's binders and marker) are checked on every
 sub-node of the same walk.
 
-A halting return marker is checked when a sequence starts, or when a
-branch first pins it down, and not again at each instruction: delta only
-grows along a sequence, so a marker well formed at its start stays so.
-Register and stack-slot markers are checked at every instruction, because
-the registers and the stack they point into change.
+A component's body starts with q None, and the first branch, jump, call
+or halt that names a halting marker fixes it; check_instruction_sequence
+returns the marker a sequence ends under, and check_component reads the
+component's (tau, sigma') off it. A halting marker is checked when a
+sequence starts, or when a branch fixes it, and not again at each
+instruction: delta only grows along a sequence, so a marker well formed
+at its start stays so. Register and stack-slot markers are checked at
+every instruction, because the registers and the stack they point into
+change.
 """
 
 from __future__ import annotations
@@ -124,31 +129,8 @@ _SORTS = {KIND_TYPE: Ty, KIND_STACK: Stk, KIND_MARKER: Mk}
 _VARS = {cls: sc.var for cls, sc in SCHEMA.items() if sc.var in _SORTS}
 
 
-class InferCell:
-    """Placeholder for a return marker checked at a halting position.
-
-    Boundaries preset tau to the translated annotation; bare components
-    leave it None.  The first instruction that pins the marker down stores
-    the concrete halting marker in resolved, and later instructions must
-    agree with it.
-    """
-
-    __slots__ = ("tau", "resolved")
-
-    def __init__(self, tau: Ty | None = None):
-        self.tau = tau
-        self.resolved: MHalt | None = None
-
-
-def marker_view(q):
-    """The concrete marker carried by q, or the unresolved cell itself."""
-    if isinstance(q, InferCell):
-        return q.resolved if q.resolved is not None else q
-    return q
-
-
-def _is_reg_marker(qv, reg: str) -> bool:
-    return isinstance(qv, MReg) and qv.reg == reg
+def _is_reg_marker(q, reg: str) -> bool:
+    return isinstance(q, MReg) and q.reg == reg
 
 
 def _err(code: str, message: str, where: str = "") -> CheckError:
@@ -255,36 +237,23 @@ def continuation_of(q, chi: dict, sigma: Stk) -> CodeT | None:
     return None
 
 
-def typeof_marker(q, chi: dict, sigma: Stk):
-    """The (tau, sigma') a return marker promises, or None."""
-    qv = marker_view(q)
-    if isinstance(qv, MHalt):
-        return qv.tau, qv.sigma
-    c = continuation_of(qv, chi, sigma)
-    if c is None:
-        return None
-    return c.chi[0][1], c.sigma
-
-
-def wf_return_marker(delta: Delta, chi: dict, sigma: Stk, qv) -> None:
-    """Check that the viewed marker qv is usable at an instruction; raises
+def wf_return_marker(delta: Delta, chi: dict, sigma: Stk, q) -> None:
+    """Check that the marker q is usable at an instruction; raises
     E-WFRET."""
-    if isinstance(qv, InferCell):
+    if isinstance(q, MHalt):
+        _wf_as("E-WFRET", "halting marker is ill-formed: ", delta, q)
         return
-    if isinstance(qv, MHalt):
-        _wf_as("E-WFRET", "halting marker is ill-formed: ", delta, qv)
-        return
-    if isinstance(qv, MOut):
+    if isinstance(q, MOut):
         raise _err("E-WFRET", "out marker at an instruction")
-    if isinstance(qv, MEps):
+    if isinstance(q, MEps):
         raise _err("E-WFRET",
-                   f"marker variable {qv.name} reaches an instruction")
-    if isinstance(qv, (MReg, MIdx)):
-        if continuation_of(qv, chi, sigma) is None:
+                   f"marker variable {q.name} reaches an instruction")
+    if isinstance(q, (MReg, MIdx)):
+        if continuation_of(q, chi, sigma) is None:
             raise _err("E-WFRET",
-                       f"marker {pretty.mk(qv)} does not point at a continuation")
+                       f"marker {pretty.mk(q)} does not point at a continuation")
         return
-    raise _err("E-WFRET", f"not a marker: {qv!r}")
+    raise _err("E-WFRET", f"not a marker: {q!r}")
 
 
 def regfile_subtype(chi: dict, req: dict) -> bool:
@@ -366,18 +335,16 @@ def _prefix(sigma: Stk, need: int, what: str):
 
 
 def _shift_pop(q, n: int, what: str):
-    qv = marker_view(q)
-    if isinstance(qv, MIdx):
-        if qv.idx < n:
+    if isinstance(q, MIdx):
+        if q.idx < n:
             raise _err("E-SEQ", f"{what} would remove the marker slot")
-        return MIdx(qv.idx - n)
+        return MIdx(q.idx - n)
     return q
 
 
 def _shift_push(q, n: int):
-    qv = marker_view(q)
-    if isinstance(qv, MIdx):
-        return MIdx(qv.idx + n)
+    if isinstance(q, MIdx):
+        return MIdx(q.idx + n)
     return q
 
 
@@ -392,9 +359,9 @@ def _require_int(t: Ty, what: str) -> None:
         raise _err("E-SEQ", f"{what} must be an integer, got {pretty.ty(t)}")
 
 
-def _guard(qv, rd: str, what: str) -> None:
+def _guard(q, rd: str, what: str) -> None:
     """Refuse an instruction that writes the register holding the marker."""
-    if _is_reg_marker(qv, rd):
+    if _is_reg_marker(q, rd):
         raise _err("E-SEQ", f"{what} would overwrite the marker register")
 
 
@@ -409,10 +376,10 @@ def _open(delta: Delta, kind: str, name: str, scope):
     return delta + ((kind, name),), name, scope
 
 
-def _check_target(psi, delta, chi, sigma, q, u, what: str) -> None:
+def _check_target(psi, delta, chi, sigma, q, tau, u, what: str) -> Mk:
     """The rule jmp and bnz share: u is fully instantiated code that takes
     the current stack and registers, and the current marker, which a
-    halting position adopts from it."""
+    halting position (q None) adopts from it. Returns the marker."""
     tu = check_small_value(psi, delta, chi, u)
     if not (isinstance(tu, Box) and isinstance(tu.psi, CodeT)):
         raise _err("E-SEQ", f"{what} is not code")
@@ -423,22 +390,23 @@ def _check_target(psi, delta, chi, sigma, q, u, what: str) -> None:
         raise _err("E-SEQ",
                    f"{what} expects stack {pretty.stk(c.sigma)}, "
                    f"current is {pretty.stk(sigma)}")
-    if isinstance(q, InferCell) and q.resolved is None:
+    if q is None:
         if not isinstance(c.q, MHalt):
             raise _err("E-SEQ",
                        f"{what} marker {pretty.mk(c.q)} cannot be adopted "
                        "at a halting position")
-        if q.tau is not None and not alpha_equal(q.tau, c.q.tau):
+        if tau is not None and not alpha_equal(tau, c.q.tau):
             raise _err("E-SEQ",
                        f"{what} halts at {pretty.ty(c.q.tau)}, "
-                       f"expected {pretty.ty(q.tau)}")
-        q.resolved = c.q
-    elif not alpha_equal(marker_view(q), c.q):
+                       f"expected {pretty.ty(tau)}")
+        q = c.q
+    elif not alpha_equal(q, c.q):
         raise _err("E-SEQ",
                    f"{what} expects marker {pretty.mk(c.q)}, "
-                   f"current is {pretty.mk(marker_view(q))}")
+                   f"current is {pretty.mk(q)}")
     if not regfile_subtype(chi, dict(c.chi)):
         raise _err("E-SEQ", f"registers do not satisfy the {what}")
+    return q
 
 
 def _smallest_peel(sigma: Stk, sigma0: Stk, what: str) -> int:
@@ -453,30 +421,32 @@ def _smallest_peel(sigma: Stk, sigma0: Stk, what: str) -> int:
 
 def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                                chi: dict, sigma: Stk, q, iseq: ISeq,
-                               aliases: list) -> None:
-    """Walk a sequence, threading chi, sigma, and the marker.
+                               aliases: list, tau: Ty | None = None) -> Mk:
+    """Walk a sequence, threading chi, sigma, and the marker; returns the
+    marker the sequence ends under.
 
+    q None is a halting position whose marker is not yet inferred; the
+    marker that fixes it must halt at tau, unless tau is None.
     aliases collects (zeta, hidden stack) pairs introduced by protect, in
     order, for the caller to substitute away at the component boundary.
-    Mutates the InferCell when q is one and the sequence pins it down.
     """
     chi = dict(chi)
     checked = None  # the halting marker last found well formed
 
     while True:
-        qv = marker_view(q)
-        if not (isinstance(qv, MHalt) and qv is checked):
-            wf_return_marker(delta, chi, sigma, qv)
-            checked = qv
+        if q is not checked:
+            wf_return_marker(delta, chi, sigma, q)
+            if isinstance(q, MHalt):
+                checked = q
         if not isinstance(iseq, Seq):
             break
         ins = iseq.head
         iseq = iseq.tail
 
         if isinstance(ins, Aop):
-            _guard(qv, ins.rd, "arithmetic")
-            if _is_reg_marker(qv, ins.rs) or (
-                    isinstance(ins.u, Reg) and _is_reg_marker(qv, ins.u.name)):
+            _guard(q, ins.rd, "arithmetic")
+            if _is_reg_marker(q, ins.rs) or (
+                    isinstance(ins.u, Reg) and _is_reg_marker(q, ins.u.name)):
                 raise _err("E-SEQ", "marker register used as an operand")
             for operand in (Reg(ins.rs), ins.u):
                 _require_int(check_small_value(psi, delta, chi, operand),
@@ -486,17 +456,18 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
         elif isinstance(ins, Bnz):
             _require_int(check_small_value(psi, delta, chi, Reg(ins.r)),
                          "branch condition")
-            _check_target(psi, delta, chi, sigma, q, ins.u, "branch target")
+            q = _check_target(psi, delta, chi, sigma, q, tau, ins.u,
+                              "branch target")
 
         elif isinstance(ins, Ld):
-            _guard(qv, ins.rd, "load")
+            _guard(q, ins.rd, "load")
             t = check_small_value(psi, delta, chi, Reg(ins.rs))
             if not (isinstance(t, (Ref, Box)) and isinstance(t.psi, TyTuple)):
                 raise _err("E-SEQ", "load from a non-tuple")
             chi[ins.rd] = _slot("E-SEQ", "load", t.psi.items, ins.idx)
 
         elif isinstance(ins, St):
-            if _is_reg_marker(qv, ins.rs):
+            if _is_reg_marker(q, ins.rs):
                 raise _err("E-SEQ", "marker register stored to the heap")
             t = check_small_value(psi, delta, chi, Reg(ins.rd))
             if isinstance(t, Box):
@@ -511,8 +482,8 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                            f"{pretty.ty(slot)}")
 
         elif isinstance(ins, (Ralloc, Balloc)):
-            _guard(qv, ins.rd, "allocation")
-            if isinstance(qv, MIdx) and qv.idx < ins.n:
+            _guard(q, ins.rd, "allocation")
+            if isinstance(q, MIdx) and q.idx < ins.n:
                 raise _err("E-SEQ", "allocation would consume the marker slot")
             prefix, tail = _prefix(sigma, ins.n, "allocation")
             tup = TyTuple(tuple(prefix[:ins.n]))
@@ -521,10 +492,10 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             q = _shift_pop(q, ins.n, "allocation")
 
         elif isinstance(ins, Mv):
-            if isinstance(ins.u, Reg) and _is_reg_marker(qv, ins.u.name):
+            if isinstance(ins.u, Reg) and _is_reg_marker(q, ins.u.name):
                 q = MReg(ins.rd)
             else:
-                _guard(qv, ins.rd, "move")
+                _guard(q, ins.rd, "move")
             chi[ins.rd] = check_small_value(psi, delta, chi, ins.u)
 
         elif isinstance(ins, Salloc):
@@ -538,25 +509,25 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
 
         elif isinstance(ins, Sld):
             prefix, _ = _prefix(sigma, ins.idx + 1, "stack load")
-            if isinstance(qv, MIdx) and qv.idx == ins.idx:
+            if isinstance(q, MIdx) and q.idx == ins.idx:
                 q = MReg(ins.rd)
             else:
-                _guard(qv, ins.rd, "stack load")
+                _guard(q, ins.rd, "stack load")
             chi[ins.rd] = prefix[ins.idx]
 
         elif isinstance(ins, Sst):
             prefix, tail = _prefix(sigma, ins.idx + 1, "stack store")
             t = check_small_value(psi, delta, chi, Reg(ins.rs))
-            if _is_reg_marker(qv, ins.rs):
+            if _is_reg_marker(q, ins.rs):
                 q = MIdx(ins.idx)
-            elif isinstance(qv, MIdx) and qv.idx == ins.idx:
+            elif isinstance(q, MIdx) and q.idx == ins.idx:
                 raise _err("E-SEQ",
                            "stack store would overwrite the marker slot")
             prefix[ins.idx] = t
             sigma = stack_of(prefix, tail)
 
         elif isinstance(ins, Unpack):
-            _guard(qv, ins.rd, "unpack")
+            _guard(q, ins.rd, "unpack")
             t = check_small_value(psi, delta, chi, ins.u)
             if not isinstance(t, Exists):
                 raise _err("E-SEQ", "unpack of a non-package")
@@ -564,7 +535,7 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             chi[ins.rd] = instantiate(t, TVar(name))
 
         elif isinstance(ins, UnfoldI):
-            _guard(qv, ins.rd, "unfold")
+            _guard(q, ins.rd, "unfold")
             t = check_small_value(psi, delta, chi, ins.u)
             if not isinstance(t, Mu):
                 raise _err("E-SEQ", "unfold of a non-recursive value")
@@ -580,7 +551,7 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                                f"protect keeps {pretty.ty(ins.phi[i])} at "
                                f"slot {i}, the stack has "
                                f"{pretty.ty(prefix[i])}")
-            if isinstance(qv, MIdx) and qv.idx >= k:
+            if isinstance(q, MIdx) and q.idx >= k:
                 raise _err("E-WFRET", "protect would hide the marker slot")
             hidden = stack_of(prefix[k:], tail)
             delta, name, iseq = _open(delta, KIND_STACK, ins.zeta, iseq)
@@ -590,9 +561,9 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
         elif isinstance(ins, ImportI):
             wf(delta, ins.sigma0)
             peel = _smallest_peel(sigma, ins.sigma0, "import")
-            if isinstance(qv, MReg):
+            if isinstance(q, MReg):
                 raise _err("E-SEQ", "import with a register marker")
-            if isinstance(qv, MIdx) and qv.idx < peel:
+            if isinstance(q, MIdx) and q.idx < peel:
                 raise _err("E-SEQ", "import would expose the marker slot")
             prefix, _ = stack_parts(sigma)
             inner, name, body = _open(delta, KIND_STACK, ins.zeta, ins.body)
@@ -614,29 +585,27 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                                "protected stack variable escapes the import")
             chi[ins.rd] = ann
             sigma = stack_of(out_prefix, ins.sigma0)
-            if isinstance(qv, MIdx):
-                q = MIdx(qv.idx + len(out_prefix) - peel)
+            if isinstance(q, MIdx):
+                q = MIdx(q.idx + len(out_prefix) - peel)
 
         else:
             raise _err("E-SEQ", f"unknown instruction {ins!r}")
 
     # Terminators.
     if isinstance(iseq, Jmp):
-        _check_target(psi, delta, chi, sigma, q, iseq.u, "jump target")
-        return
+        return _check_target(psi, delta, chi, sigma, q, tau, iseq.u,
+                             "jump target")
 
     if isinstance(iseq, Call):
-        _check_call(psi, delta, chi, sigma, q, iseq)
-        return
+        return _check_call(psi, delta, chi, sigma, q, tau, iseq)
 
     if isinstance(iseq, Ret):
-        if not _is_reg_marker(qv, iseq.r):
-            shown = ("unresolved" if isinstance(qv, InferCell)
-                     else pretty.mk(qv))
+        if not _is_reg_marker(q, iseq.r):
+            shown = "unresolved" if q is None else pretty.mk(q)
             raise _err("E-SEQ",
                        f"the return marker must be in a register ({iseq.r}) "
                        f"for ret, current is {shown}")
-        c = continuation_of(qv, chi, sigma)
+        c = continuation_of(q, chi, sigma)
         if c is None:
             raise _err("E-SEQ",
                        f"register {iseq.r} does not hold a continuation")
@@ -653,7 +622,7 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             raise _err("E-SEQ",
                        f"result register holds {pretty.ty(tv)}, the "
                        f"continuation wants {pretty.ty(res_ty)}")
-        return
+        return q
 
     if isinstance(iseq, Halt):
         _wf_as("E-SEQ", "halt annotation is ill-formed: ", delta, iseq.ann,
@@ -667,28 +636,28 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             raise _err("E-SEQ",
                        f"halt register holds {pretty.ty(tv)}, the annotation "
                        f"says {pretty.ty(iseq.ann)}")
-        if isinstance(q, InferCell) and q.resolved is None:
-            if q.tau is not None and not alpha_equal(q.tau, iseq.ann):
+        if q is None:
+            if tau is not None and not alpha_equal(tau, iseq.ann):
                 raise _err("E-SEQ",
                            f"halt at {pretty.ty(iseq.ann)}, the boundary "
-                           f"expects {pretty.ty(q.tau)}")
-            q.resolved = MHalt(iseq.ann, iseq.sigma)
-            return
-        if isinstance(qv, MHalt):
-            if not alpha_equal(qv.tau, iseq.ann) or \
-                    not alpha_equal(qv.sigma, iseq.sigma):
+                           f"expects {pretty.ty(tau)}")
+            return MHalt(iseq.ann, iseq.sigma)
+        if isinstance(q, MHalt):
+            if not alpha_equal(q.tau, iseq.ann) or \
+                    not alpha_equal(q.sigma, iseq.sigma):
                 raise _err("E-SEQ",
                            "halt does not match the halting marker")
-            return
+            return q
         raise _err("E-SEQ", "halt without a halting marker")
 
     raise _err("E-SEQ", f"unknown terminator {iseq!r}")
 
 
-def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
-                call: Call) -> None:
+def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q, tau,
+                call: Call) -> Mk:
+    """The call rule; returns the marker, which a halting position (q
+    None) takes from the call."""
     wf(delta, call.sigma0)
-    qv = marker_view(q)
     tu = check_small_value(psi, delta, chi, call.u)
     if not (isinstance(tu, Box) and isinstance(tu.psi, CodeT)):
         raise _err("E-SEQ", "call target is not code")
@@ -731,25 +700,26 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
                    "stack variable")
     back = len(pr)
 
-    if isinstance(q, InferCell) and q.resolved is None:
+    if q is None:
         if not isinstance(call.qret, MHalt):
             raise _err("E-SEQ",
                        "call at a halting position must return a halting "
                        "marker")
-        if q.tau is not None and not alpha_equal(q.tau, call.qret.tau):
+        if tau is not None and not alpha_equal(tau, call.qret.tau):
             raise _err("E-SEQ",
                        f"call returns {pretty.ty(call.qret.tau)}, the "
-                       f"boundary expects {pretty.ty(q.tau)}")
-    elif isinstance(qv, MHalt):
+                       f"boundary expects {pretty.ty(tau)}")
+        q = call.qret
+    elif isinstance(q, MHalt):
         if not (isinstance(call.qret, MHalt)
-                and alpha_equal(qv, call.qret)):
+                and alpha_equal(q, call.qret)):
             raise _err("E-SEQ",
                        "call must pass the current halting marker on")
-    elif isinstance(qv, MIdx):
-        if qv.idx < peel:
+    elif isinstance(q, MIdx):
+        if q.idx < peel:
             raise _err("E-SEQ",
                        "the marker slot lies inside the transferred prefix")
-        want = qv.idx + back - peel
+        want = q.idx + back - peel
         if not (isinstance(call.qret, MIdx) and call.qret.idx == want):
             raise _err("E-SEQ",
                        f"call return marker should be {want}, the call "
@@ -771,9 +741,7 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q,
            Box(inst_code))
     if not regfile_subtype(chi, dict(inst_code.chi)):
         raise _err("E-SEQ", "registers do not satisfy the callee")
-
-    if isinstance(q, InferCell) and q.resolved is None:
-        q.resolved = call.qret
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +814,10 @@ def check_heap_fragment(psi: dict, heap) -> dict:
     return psi2
 
 
-def check_component(psi: dict, delta: Delta, gamma: dict, chi: dict,
-                    sigma: Stk, q, comp: Component):
-    """Check a component; returns the (tau, sigma') its marker promises."""
+def check_component(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
+                    tau: Ty | None, comp: Component):
+    """Check a component that must halt at tau (at any type when tau is
+    None); returns the (tau, sigma') of the halting marker it infers."""
     for label, (nu, _) in psi.items():
         if nu != "box":
             raise _err("E-COMPONENT",
@@ -860,18 +829,9 @@ def check_component(psi: dict, delta: Delta, gamma: dict, chi: dict,
     merged = {**psi, **psi2}
 
     aliases: list = []
-    check_instruction_sequence(merged, delta, gamma, chi, sigma, q,
-                               comp.body, aliases)
-
-    if isinstance(q, InferCell):
-        if q.resolved is None:
-            raise _err("E-COMPONENT", "cannot infer the return marker")
-        tau, s_out = q.resolved.tau, q.resolved.sigma
-    else:
-        res = typeof_marker(q, chi, sigma)
-        if res is None:
-            raise _err("E-COMPONENT", "the component marker promises nothing")
-        tau, s_out = res
+    q = check_instruction_sequence(merged, delta, gamma, {}, sigma, None,
+                                   comp.body, aliases, tau)
+    tau, s_out = q.tau, q.sigma
 
     for name, hidden in reversed(aliases):
         tau = substitute(tau, {(KIND_STACK, name): hidden})
@@ -1012,14 +972,8 @@ def check_expression(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
         return check_expression(psi, delta, gamma, s1, e.second)
     if isinstance(e, Boundary):
         wf(delta, e.ann)
-        expected = translate_type(e.ann)
-        cell = InferCell(expected)
-        tc, s_out = check_component(psi, delta, gamma, {}, sigma, cell,
-                                    e.comp)
-        if not alpha_equal(tc, expected):
-            raise _err("E-EXPR",
-                       f"boundary component produces {pretty.ty(tc)}, "
-                       f"expected {pretty.ty(expected)}")
+        _, s_out = check_component(psi, delta, gamma, sigma,
+                                   translate_type(e.ann), e.comp)
         return e.ann, s_out
     raise _err("E-EXPR", "not a source-language expression")
 
@@ -1032,5 +986,4 @@ def check_program(prog: Program):
     """Check a whole program; returns (tau, sigma')."""
     if prog.entry == "F":
         return check_expression({}, (), {}, SNil(), prog.main)
-    cell = InferCell(None)
-    return check_component({}, (), {}, {}, SNil(), cell, prog.main)
+    return check_component({}, (), {}, SNil(), None, prog.main)

@@ -223,6 +223,106 @@ REJECTED = (
   jmp lmissing
 )
 """),
+    # A halting position infers its marker from the first terminator or
+    # branch that names one; each of these fails on that path.
+    ("ret_at_halting_position", "E-SEQ", "unresolved",
+     """entry T
+(
+  mv r1, 0;
+  ret ra {r1}
+)
+"""),
+    ("boundary_jump_halts_at_wrong_type", "E-SEQ", "halts at",
+     """FT[int](
+  mv r1, 0;
+  jmp lA
+, where
+  lA -> code[]{r1: int; *} ret(unit, *).
+    mv r1, ();
+    halt[unit, *] r1
+)
+"""),
+    ("branch_adopting_stack_index_marker", "E-SEQ", "cannot be adopted",
+     """entry T
+(
+  mv r1, 0;
+  mv r2, lK;
+  salloc 1;
+  sst 0, r2;
+  bnz r1, lA;
+  sfree 1;
+  halt[int, *] r1
+, where
+  lK -> code[]{r1: int; *} ret(int, *).
+    halt[int, *] r1,
+  lA -> code[]{r1: int; box code[]{r1: int; *} ret(int, *) :: *} 0.
+    sld ra, 0;
+    sfree 1;
+    ret ra {r1}
+)
+"""),
+    ("call_returning_stack_index_at_halt", "E-SEQ", "halting marker",
+     f"""entry T
+(
+  mv ra, l1ret;
+  call l1 {{*, 0}}
+, where
+  l1 -> code[z, eps]{{ra: {_CONT}; z}} ra.
+    mv r1, 2;
+    ret ra {{r1}},
+  l1ret -> code[]{{r1: int; *}} ret(int, *).
+    halt[int, *] r1
+)
+"""),
+    ("boundary_call_returns_wrong_type", "E-SEQ", "boundary expects",
+     f"""FT[unit](
+  mv ra, l1ret;
+  call l1 {{*, ret(int, *)}}
+, where
+  l1 -> code[z, eps]{{ra: {_CONT}; z}} ra.
+    salloc 1;
+    sst 0, ra;
+    mv ra, l2ret[z, eps];
+    call l2 {{{_CONT} :: z, 0}},
+  l1ret -> code[]{{r1: int; *}} ret(int, *).
+    halt[int, *] r1,
+  l2 -> code[z, eps]{{ra: {_CONT}; z}} ra.
+    mv r1, 2;
+    jmp l2aux[z, eps],
+  l2aux -> code[z, eps]{{r1: int, ra: {_CONT}; z}} ra.
+    ret ra {{r1}},
+  l2ret -> code[z, eps]{{r1: int; {_CONT} :: z}} 0.
+    sld ra, 0;
+    sfree 1;
+    ret ra {{r1}}
+)
+"""),
+    ("halt_disagreeing_with_branch_marker", "E-SEQ", "halting marker",
+     """entry T
+(
+  mv r1, 0;
+  mv r2, ();
+  bnz r1, lA;
+  halt[unit, *] r2
+, where
+  lA -> code[]{r1: int; *} ret(int, *).
+    halt[int, *] r1
+)
+"""),
+    ("jump_disagreeing_with_branch_marker", "E-SEQ", "expects marker",
+     """entry T
+(
+  mv r1, 0;
+  bnz r1, lA;
+  jmp lB
+, where
+  lA -> code[]{r1: int; *} ret(int, *).
+    halt[int, *] r1,
+  lB -> code[]{r1: int; *} ret(unit, *).
+    mv r1, ();
+    halt[unit, *] r1
+)
+"""),
 )
 
 # Benign edits: still typecheck, still run without getting stuck.
@@ -279,6 +379,17 @@ ACCEPTED = (
   sfree 2;
   mul r1, r2, 7;
   halt[int, *] r1
+)
+"""),
+    ("boundary_halt_agreeing_with_branch_marker",
+     """FT[int](
+  mv r1, 0;
+  bnz r1, lA;
+  mv r1, 7;
+  halt[int, *] r1
+, where
+  lA -> code[]{r1: int; *} ret(int, *).
+    halt[int, *] r1
 )
 """),
 )

@@ -306,6 +306,25 @@ MALFORMED_JOBS = {
                                  "compare_stack must be true or false"),
     "not_utf8": (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in "
                                "position 0: invalid start byte"),
+    "inputs_not_a_list": (b'{"left": "a.ftal", "right": "b.ftal", '
+                          b'"type": "int", "inputs": 5}',
+                          'inputs must be [n, ...] or {"range": [lo, hi]}'),
+    "range_one_bound": (b'{"left": "a.ftal", "right": "b.ftal", '
+                        b'"type": "int", "inputs": {"range": [1]}}',
+                        "inputs range must be two integers [lo, hi]"),
+    "range_a_string": (b'{"left": "a.ftal", "right": "b.ftal", '
+                       b'"type": "int", "inputs": {"range": "ab"}}',
+                       "inputs range must be two integers [lo, hi]"),
+    "range_fractional_bound": (b'{"left": "a.ftal", "right": "b.ftal", '
+                               b'"type": "int", '
+                               b'"inputs": {"range": [0, 2.5]}}',
+                               "inputs range must be two integers [lo, hi]"),
+    "range_null": (b'{"left": "a.ftal", "right": "b.ftal", '
+                   b'"type": "int", "inputs": {"range": null}}',
+                   "inputs range must be two integers [lo, hi]"),
+    "range_bool_bound": (b'{"left": "a.ftal", "right": "b.ftal", '
+                         b'"type": "int", "inputs": {"range": [true, 3]}}',
+                         "inputs range must be two integers [lo, hi]"),
 }
 
 

@@ -81,6 +81,24 @@ GOLDEN = {
         ("E-HEAP", "label lA bound twice", ""),
     "dangling_heap_label":
         ("E-VAL", "label lmissing is not bound in the heap", ""),
+    "ret_at_halting_position":
+        ("E-SEQ", "the return marker must be in a register (ra) for ret, "
+                  "current is unresolved", ""),
+    "boundary_jump_halts_at_wrong_type":
+        ("E-SEQ", "jump target halts at unit, expected int", ""),
+    "branch_adopting_stack_index_marker":
+        ("E-SEQ", "branch target marker 0 cannot be adopted at a halting "
+                  "position", ""),
+    "call_returning_stack_index_at_halt":
+        ("E-SEQ", "call at a halting position must return a halting marker",
+         ""),
+    "boundary_call_returns_wrong_type":
+        ("E-SEQ", "call returns int, the boundary expects unit", ""),
+    "halt_disagreeing_with_branch_marker":
+        ("E-SEQ", "halt does not match the halting marker", ""),
+    "jump_disagreeing_with_branch_marker":
+        ("E-SEQ", "jump target expects marker ret(unit, *), current is "
+                  "ret(int, *)", ""),
 }
 
 

@@ -12,7 +12,7 @@ from conftest import corpus_text
 from ftal import parser, pretty
 from ftal import syntax as S
 from ftal.errors import CheckError, KindError
-from ftal.typecheck import InferCell, check_expression, check_program, regfile_subtype
+from ftal.typecheck import check_expression, check_program, regfile_subtype
 
 # Reported types for every bundled program (type; out-stack).
 CORPUS_TYPES = (
@@ -254,12 +254,6 @@ def test_checking_is_repeatable():
     a = check_program(parser.parse_program(src))
     b = check_program(parser.parse_program(src))
     assert S.alpha_equal(a[0], b[0]) and S.alpha_equal(a[1], b[1])
-
-
-def test_infer_cell_repr_is_stable():
-    cell = InferCell(S.TyInt())
-    assert cell.resolved is None
-    assert cell.tau == S.TyInt()
 
 
 # -- pinned rejections ------------------------------------------------------
