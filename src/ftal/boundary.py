@@ -14,11 +14,12 @@ a crossing builds only the cells that hold its value or word and its fresh
 labels.  The memos are keyed by types, which are immutable, and hold
 nothing built from a value.
 
-An exported wrapper also carries its body as a template, shared by every
-wrapper at its annotation, with a hole where the value goes
-(``CodeBlock.template``).  The machine closes the template once per
-instantiation of the wrapper's binders and plugs each crossing's value,
-which is closed, into that: only the template mentions the binders.
+An exported wrapper's whole body is one of those parts: its import
+applies the term variable ``_HOLE``, and every wrapper at its annotation
+shares it.  The wrapper's ``CodeBlock.scope`` is a term environment
+binding ``_HOLE`` to the exported value, as the machine holds it.  So an
+export walks no syntax of its value, and the machine closes the body once
+per instantiation of its binders and enters it under that scope.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def export_value(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
     raise TranslationError("ill-typed", "value cannot cross at this type")
 
 
-# The term variable a wrapper's template holds in place of its value.
+# The term variable a wrapper's body applies, bound by its scope to its value.
 _HOLE = "exported"
 
 
@@ -174,21 +175,19 @@ def _export_block(ann: Ty, v: Tm) -> CodeBlock:
     on top, then any visible prefix, then the caller's abstract tail.  The
     body stashes the return address below the visible slots, imports the
     applied function with one shim per argument (the last shim frees the
-    argument slots), then restores the return address and returns.
+    argument slots), then restores the return address and returns.  The
+    body, shared at ``ann``, applies ``_HOLE``, which the block's scope
+    binds to ``v``.
     """
-    code, before, (sigma0, zeta, ret_ty, shims), restore, template = _export_parts(ann)
-    imp = ImportI("r1", sigma0, zeta, ret_ty, App(v, shims))
-    return CodeBlock(code.binders, code.chi, code.sigma, code.q,
-                     seq_of(before, Seq(imp, restore)), (template, {_HOLE: v}))
+    code, body = _export_parts(ann)
+    return CodeBlock(code.binders, code.chi, code.sigma, code.q, body,
+                     (_HOLE, v, None))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _export_parts(ann: Ty) -> tuple:
-    """What every block exported at ``ann`` shares: its code type, the
-    instructions before its import, that import's fields other than the
-    applied function, the sequence that restores the return address
-    after it and returns, and the whole body with ``_HOLE`` for the
-    applied function."""
+    """What every block exported at ``ann`` shares: its code type, and
+    its body with ``_HOLE`` for the applied function."""
     params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     m = len(phi_in)
@@ -198,40 +197,33 @@ def _export_parts(ann: Ty) -> tuple:
     cont_ty = chi_get(code.chi, "ra")
     args_rev = [translate_type(p) for p in reversed(params)]
 
-    before = [Salloc(1)]
+    instrs = [Salloc(1)]
     for j in range(n + m):
-        before.append(Sld("r2", j + 1))
-        before.append(Sst(j, "r2"))
-    before.append(Sst(n + m, "ra"))
+        instrs.append(Sld("r2", j + 1))
+        instrs.append(Sst(j, "r2"))
+    instrs.append(Sst(n + m, "ra"))
 
     stashed = args_rev + list(phi_in) + [cont_ty]
     shims = []
     for i in range(1, n + 1):
         ti = params[i - 1]
         if i < n:
-            body = seq_of([Sld("r1", n - i)],
-                          Halt(translate_type(ti),
-                               stack_of(stashed, SVar(z)), "r1"))
+            load, left = [Sld("r1", n - i)], stashed
         else:
-            after = list(phi_in) + [cont_ty]
-            body = seq_of([Sld("r1", 0), Sfree(n)],
-                          Halt(translate_type(ti),
-                               stack_of(after, SVar(z)), "r1"))
-        shims.append(Boundary(ti, Component(body, ())))
+            load, left = [Sld("r1", 0), Sfree(n)], list(phi_in) + [cont_ty]
+        halt = Halt(translate_type(ti), stack_of(left, SVar(z)), "r1")
+        shims.append(Boundary(ti, Component(seq_of(load, halt), ())))
 
-    zeta = _pick("zi", {z, eps})
-    sigma0 = stack_of([cont_ty], SVar(z))
+    instrs.append(ImportI("r1", stack_of([cont_ty], SVar(z)),
+                          _pick("zi", {z, eps}), ret_ty,
+                          App(Var(_HOLE), tuple(shims))))
 
-    restore = [Sld("ra", mo)]
+    instrs.append(Sld("ra", mo))
     for j in reversed(range(mo)):
-        restore.append(Sld("r2", j))
-        restore.append(Sst(j + 1, "r2"))
-    restore.append(Sfree(1))
-    shims = tuple(shims)
-    after = seq_of(restore, Ret("ra", "r1"))
-    hole = ImportI("r1", sigma0, zeta, ret_ty, App(Var(_HOLE), shims))
-    return (code, tuple(before), (sigma0, zeta, ret_ty, shims), after,
-            seq_of(before, Seq(hole, after)))
+        instrs.append(Sld("r2", j))
+        instrs.append(Sst(j + 1, "r2"))
+    instrs.append(Sfree(1))
+    return code, seq_of(instrs, Ret("ra", "r1"))
 
 
 def import_value(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:

@@ -93,6 +93,9 @@ class EquivJob:
     compare_stack: bool = False
 
 
+JOB_FIELDS = ("left", "right", "type", "inputs", "fuel", "compare_stack")
+
+
 def load_job(path: str | pathlib.Path) -> EquivJob:
     """Read a job file; raises JobError when it is not a well-formed job
     in UTF-8 JSON, and OSError when it cannot be read."""
@@ -101,6 +104,9 @@ def load_job(path: str | pathlib.Path) -> EquivJob:
         data = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise TypeError("a job is a JSON object")
+        for key in data:
+            if key not in JOB_FIELDS:
+                raise ValueError(f"unknown field {key!r}")
         left, right, type_text = data["left"], data["right"], data["type"]
         if not all(isinstance(x, str) for x in (left, right, type_text)):
             raise TypeError("left, right and type must be strings")

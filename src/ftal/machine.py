@@ -25,10 +25,9 @@ steps are the same, one for one, as those of a substituting machine.
 The frames that later evaluate a subterm (``FrBinopL``, ``FrIf0``,
 ``FrAppFn``, ``FrAppArgs``, ``FrTuple``, ``FrLet`` and ``FrSeq``) keep
 the environment it needs; ``FrBinopL`` keeps its operand's value, and no
-environment, when the operand is already a value.  A value is read back
-to a closed term, by substituting the bindings free in each lambda, in
-two places only: a value handed to ``export_value``, and the final
-``f-value``.
+environment, when the operand is already a value.  Only the final
+``f-value`` is read back to a closed term, by substituting the bindings
+free in each lambda; an exported value crosses as it is.
 
 A component crossing a boundary is not closed over the term environment:
 its body runs under the boundary's, which each ``import`` resumes its
@@ -46,15 +45,16 @@ each (binders, *omegas) has one environment, which maps each binder to
 its closed instantiation and keeps every body closed under it, so a loop
 or a repeated call substitutes nothing after its first entry.
 ``unpack`` substitutes its witness into the rest of the sequence, once
-per (sequence, witness).  So the code in focus is closed, an instruction
-reads its operands as they are, and every word in a register, on the
-stack or in the heap, and every term handed to the source language, is
-closed.  An exported wrapper is a fresh block for each crossing, but its
-body is its annotation's template with the crossing's closed value in
-the hole (``CodeBlock.template``): the environment closes the template
-once, and entering a wrapper plugs its value into that with one term
-substitution, which skips the types.  A ``jmp`` or ``bnz`` resolves a
-word written in the code once and caches the block and environment it
+per (sequence, witness).  So the code in focus binds every type name it
+uses, an instruction reads its operands as they are, and every word in a
+register, on the stack or in the heap is closed.  An exported wrapper is
+a fresh block for each crossing, but its body, shared by every wrapper at
+its annotation, applies a term variable that the block's own term
+environment (``CodeBlock.scope``) binds to the exported value.  Entering
+a wrapper closes its body as any other block's and switches to that
+scope, which its ``import`` reads; as with a component, no code after
+the wrapper's next jump reads it.  A ``jmp`` or ``bnz`` resolves a word
+written in the code once and caches the block and environment it
 reaches by the word's identity: labels are fresh and a code binding is
 never rebound, so the word always reaches the same place.  A word read
 from a register (``ret r``, ``jmp r``, ``bnz r, r``) is resolved each
@@ -330,11 +330,10 @@ def _read_back(v):
 
 class _Env:
     """A type environment: (kind, binder) -> closed omega, with caches of
-    the block bodies (an exported wrapper's template standing for its
-    body) closed and the redex texts rendered under it, keyed by node
-    identity (each entry keeps its node alive, so an id is never reused
-    while cached).  Both are keyed by nodes of the program's blocks and
-    of the wrapper templates, so neither grows with the crossings."""
+    the block bodies closed and the redex texts rendered under it, keyed
+    by node identity (each entry keeps its node alive, so an id is never
+    reused while cached).  Both are keyed by nodes of the program's blocks
+    and of the wrappers' shared bodies, so neither grows with crossings."""
 
     __slots__ = ("map", "bodies", "texts")
 
@@ -463,27 +462,25 @@ class Machine:
             raise _Stuck(STUCK_UNINSTANTIATED,
                          f"{word.name} wants {len(block.binders)} "
                          f"instantiations, got {len(omegas)}")
+        # An exported wrapper's body reads its value from its scope.
+        if block.scope is not None:
+            self.scope = block.scope
         if not omegas:
             return block.body, self._root
         # The mapping depends only on the binders and the omegas, so
-        # blocks that share both (each exported wrapper is a fresh copy
-        # of one block) share one environment.
+        # blocks that share both (exported wrappers at one annotation
+        # share their body too) share one environment.
         key = (block.binders, *omegas)
         env = self._envs.get(key)
         if env is None:
             env = self._envs[key] = _Env(
                 {(kind_of_name(b), b): om
                  for b, om in zip(block.binders, omegas)})
-        # An exported wrapper closes the template it shares with every
-        # wrapper at its annotation, and plugs in its own closed terms.
-        template = block.template
-        body = block.body if template is None else template[0]
+        body = block.body
         hit = env.bodies.get(id(body))
         if hit is None:
             hit = env.bodies[id(body)] = (body, substitute(body, env.map))
-        if template is None:
-            return hit[1], env
-        return subst_terms(hit[1], template[1]), env
+        return hit[1], env
 
     def _open(self, seq: Seq, wit: Ty) -> ISeq:
         """The tail of ``seq``, whose head is an ``unpack``, with the
@@ -1029,7 +1026,7 @@ def _r_boundary(m, fr, v):
 
 def _r_import(m, fr, v):
     try:
-        w = export_value(fr.ann, _read_back(v), m.heap, m._fresh)
+        w = export_value(fr.ann, v, m.heap, m._fresh)
     except TranslationError as t:
         raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
     m._setreg(fr.rd, w)

@@ -224,9 +224,13 @@ def program(p: Program) -> str:
 # Values, as run output, trace records and eq rows show them.
 
 
+# Computed once: CPython folds no power this large at compile time.
+_HUGE = 10 ** 40
+
+
 def int_str(n: int) -> str:
     """Decimal rendering that stays cheap for enormous integers."""
-    if -10 ** 40 < n < 10 ** 40:
+    if -_HUGE < n < _HUGE:
         return str(n)
     return f"<int ~10^{int(n.bit_length() * 0.30103)}>"
 

@@ -548,11 +548,10 @@ class CodeBlock(Node):
     sigma: Stk
     q: Mk
     body: ISeq
-    # An exported wrapper's body as (template, terms): the body is
-    # ``subst_terms(template, terms)``, the template is shared by every
-    # wrapper at one annotation, and the terms are closed.  Equality,
-    # hashing, printing and ``SCHEMA`` ignore it; a rebuilt block drops it.
-    template: tuple | None = field(default=None, compare=False, repr=False)
+    # An exported wrapper's term environment, which binds the variable its
+    # shared body applies to the exported value.  Equality, hashing,
+    # printing and ``SCHEMA`` ignore it; a rebuilt block drops it.
+    scope: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

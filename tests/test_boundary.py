@@ -184,10 +184,19 @@ WORDS = (S.Loc("l#0"), S.Loc("z"), S.Loc("zi"),
 
 
 def exported_blocks(ann, v) -> list:
+    """The blocks exporting v at ann allocates, each with the value its
+    scope binds substituted for the hole in its shared body."""
     heap, fresh = scratch()
     w = boundary.export_value(ann, v, heap, fresh)
     assert w == S.Loc("lexp#0")
-    return [block for _, block in heap.values()]
+    out = []
+    for _, block in heap.values():
+        assert block.scope == (boundary._HOLE, v, None)
+        assert block.body is boundary._export_parts(ann)[1]
+        body = S.subst_terms(block.body, {boundary._HOLE: v})
+        out.append(S.CodeBlock(block.binders, block.chi, block.sigma,
+                               block.q, body))
+    return out
 
 
 @pytest.mark.parametrize("text", ARROWS)

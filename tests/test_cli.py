@@ -325,6 +325,9 @@ MALFORMED_JOBS = {
     "range_bool_bound": (b'{"left": "a.ftal", "right": "b.ftal", '
                          b'"type": "int", "inputs": {"range": [true, 3]}}',
                          "inputs range must be two integers [lo, hi]"),
+    "unknown_field": (b'{"left": "a.ftal", "right": "b.ftal", '
+                      b'"type": "int", "fule": 5}',
+                      "unknown field 'fule'"),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_FTAL, corpus_text
-from ftal import machine, parser, pretty, registry
+from ftal import boundary, machine, parser, pretty, registry
 from ftal import syntax as S
 from ftal.boundary import export_value, translate_type
 from ftal.typecheck import check_program
@@ -266,6 +266,13 @@ def test_small_integers_render_exactly():
     assert pretty.int_str(0) == "0"
     assert pretty.int_str(-7) == "-7"
     assert pretty.int_str(10 ** 39) == str(10 ** 39)
+
+
+def test_integers_from_ten_to_the_fortieth_render_as_digests():
+    assert pretty.int_str(10 ** 40 - 1) == str(10 ** 40 - 1)
+    assert pretty.int_str(-(10 ** 40) + 1) == str(-(10 ** 40) + 1)
+    assert pretty.int_str(10 ** 40) == "<int ~10^40>"
+    assert pretty.int_str(-(10 ** 40)) == "<int ~10^40>"
 
 
 def test_huge_integers_render_as_magnitude_digests():
@@ -626,10 +633,38 @@ FT[int](
     out = m.run(FUEL)
     assert out.kind == "f-value" and out.value == S.IntVal(15)
     assert out.steps == 36
-    # The exported wrapper applies the closed lambda.
-    blocks = [b for _, b in m.heap.values() if isinstance(b, S.CodeBlock)]
-    assert any("lam (y: int). (y + 10)" in line
-               for b in blocks for line in pretty.iseq_lines(b.body, 0))
+    # The exported wrapper's scope binds its hole to the closure.
+    [scope] = [b.scope for _, b in m.heap.values()
+               if isinstance(b, S.CodeBlock) and b.scope is not None]
+    name, clo, parent = scope
+    assert (name, parent) == (boundary._HOLE, None)
+    assert type(clo) is machine._Clo
+    assert pretty.tm(clo.lam) == "lam (y: int). (y + 10)"
+
+
+def test_two_wrappers_sharing_a_body_each_apply_their_own_closure():
+    # Both exports at (int) -> int share one body and are entered under
+    # one environment, so only each wrapper's scope tells them apart.
+    prog = parser.parse_program("""entry F
+let mk = lam (c: int). lam (y: int). y + c in
+let rt = lam (c: int).
+  FT[(int) -> int](
+    protect ., z;
+    import r1, z as zi, (int) -> int TF{ mk(c) };
+    halt[box code[z, eps]{ra: box code[]{r1: int; z} eps; int :: z} ra, z] r1
+  ) in
+let f = rt(10) in
+let g = rt(20) in
+(g(1), f(1))
+""")
+    check_program(prog)
+    m = machine.load(prog)
+    out = m.run(FUEL)
+    assert out.kind == "f-value"
+    assert out.value == S.TupleVal((S.IntVal(21), S.IntVal(11)))
+    wrappers = [b for _, b in m.heap.values()
+                if isinstance(b, S.CodeBlock) and b.scope is not None]
+    assert len(wrappers) == 2 and wrappers[0].body is wrappers[1].body
 
 
 # -- rule tables and the jump cache ------------------------------------------
@@ -981,25 +1016,26 @@ def ping_pong(k: int) -> str:
 def test_a_crossing_leaves_nothing_behind(monkeypatch):
     # Each round trip exports a wrapper block under a fresh label and
     # imports a fresh lambda.  Wrappers that share binders and
-    # instantiations share one environment, and closing and every cache
-    # kept by node identity must not grow with the number of round trips,
-    # trace text included.
-    calls = []
-    substitute = machine.substitute
+    # instantiations share one environment; closing, term substitution
+    # and every cache kept by node identity must not grow with the number
+    # of round trips, trace text included.
+    calls = {"substitute": [], "subst_terms": []}
+    for name, log in calls.items():
+        def counting(node, mapping, fn=getattr(machine, name), log=log):
+            log.append(node)
+            return fn(node, mapping)
 
-    def counting(node, mapping):
-        calls.append(node)
-        return substitute(node, mapping)
-
-    monkeypatch.setattr(machine, "substitute", counting)
+        monkeypatch.setattr(machine, name, counting)
     sizes = []
     for k in (40, 640):
-        calls.clear()
+        for log in calls.values():
+            log.clear()
         m = machine.load(parser.parse_program(ping_pong(k)))
         out = m.run(FUEL, lambda record: None)
         assert out.kind == "f-value" and out.value == S.IntVal(k * (k + 1))
         envs = m._envs.values()
-        sizes.append((len(calls), len(m._targets), len(m._envs), len(m._opened),
+        sizes.append((len(calls["substitute"]), len(calls["subst_terms"]),
+                      len(m._targets), len(m._envs), len(m._opened),
                       sum(len(env.bodies) for env in envs),
                       sum(len(env.texts) for env in envs)))
     assert sizes[0] == sizes[1]
@@ -1039,6 +1075,7 @@ def test_entering_a_wrapper_closes_it_as_substituting_its_body_would(ann, fn):
     lam = parser.parse_expr(fn)
     values = (lam, S.Lam(lam.params, S.SeqE(S.UnitVal(), lam.body), lam.stack))
     for omegas in WRAPPER_OMEGAS:
+        entered = []
         for v in values:
             word = export_value(t, v, m.heap, m._fresh)
             block = m.heap[word.name][1]
@@ -1047,6 +1084,11 @@ def test_entering_a_wrapper_closes_it_as_substituting_its_body_would(ann, fn):
                        for b, om in zip(block.binders, omegas)}
             assert env.map == mapping
             assert body == S.substitute(block.body, mapping)
+            # The body reads the value from the scope it is entered under.
+            assert m.scope == block.scope == (boundary._HOLE, v, None)
             [imp] = imports_in(body)
-            assert imp.body.fn == v
+            assert imp.body.fn == S.Var(boundary._HOLE)
             assert (imp.zeta == "zi") == (omegas is WRAPPER_OMEGAS[0])
+            entered.append(body)
+        # Both wrappers enter one closed body: a crossing closes nothing.
+        assert entered[0] is entered[1]
