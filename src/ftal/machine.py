@@ -10,10 +10,14 @@ transition costs one unit of fuel.
 A step looks its rule up by node type in one of three tables:
 ``T_RULES`` for the head of a target sequence or its terminator,
 ``SOURCE_RULES`` for a source expression, and ``RETURN_RULES`` for the
-frame a value returns to.  A type with no rule is stuck.  The value
-stack keeps its top at the end of a list, so pushing and popping cost
-nothing per slot below; ``sld``/``sst`` indices, ``Outcome.stack`` and
-the trace's ``stack_depth`` count from the top, as in the semantics.
+frame a value returns to.  A type with no rule is stuck.  A target rule
+takes the machine and its node, the redex, and returns the jump kind.
+Sequencing is one rule, stated in ``step``: before an instruction's rule
+runs, the focus moves to the rest of its sequence, so only a rule that
+transfers control or rewrites the rest sets the focus.  The value stack
+keeps its top at the end of a list, so pushing and popping cost nothing
+per slot below; ``sld``/``sst`` indices, ``Outcome.stack`` and the
+trace's ``stack_depth`` count from the top, as in the semantics.
 
 Source code is evaluated with closures, as a CEK machine: a beta step or
 a ``let`` extends the term environment, a persistent chain of (name,
@@ -44,9 +48,10 @@ body, as in the semantics, but a block is closed once per instantiation:
 each (binders, *omegas) has one environment, which maps each binder to
 its closed instantiation and keeps every body closed under it, so a loop
 or a repeated call substitutes nothing after its first entry.
-``unpack`` substitutes its witness into the rest of the sequence, once
-per (sequence, witness).  So the code in focus binds every type name it
-uses, an instruction reads its operands as they are, and every word in a
+``unpack`` closes the rest of its sequence the same way, under the
+environment of its type variable and witness, and leaves the code's own
+in place.  So the code in focus binds every type name it uses, an
+instruction reads its operands as they are, and every word in a
 register, on the stack or in the heap is closed.  An exported wrapper is
 a fresh block for each crossing, but its body, shared by every wrapper at
 its annotation, applies a term variable that the block's own term
@@ -87,6 +92,7 @@ from .errors import TranslationError
 from .syntax import (
     KIND_TERM,
     KIND_TYPE,
+    SPELLED,
     Aop,
     App,
     Balloc,
@@ -370,18 +376,15 @@ class Machine:
         # closed and runs under the empty one: control reaches it from
         # target code only by import and halt, which switch to it.
         self._root = self.env = _Env({})
-        self._envs: dict = {}  # (binders, *omegas) -> _Env
+        self._envs: dict = {}  # (kind, binders, *omegas) -> _Env
         self._targets: dict = {}  # id(word) -> (word, body, _Env)
-        self._opened: dict = {}  # (id(seq), witness) -> (seq, tail)
         # The term environment of the source expression in focus, or of
         # the boundary whose component the target code in focus runs in.
         self.scope: tuple | None = None
         self.returning = False
         if prog.entry == "F":
-            self.mode = "F"
             self.focus: Tm | ISeq = prog.main
         else:
-            self.mode = "T"
             self.focus = self._merge_component(prog.main)
 
     # ------------------------------------------------------------------
@@ -467,29 +470,28 @@ class Machine:
             self.scope = block.scope
         if not omegas:
             return block.body, self._root
-        # The mapping depends only on the binders and the omegas, so
-        # blocks that share both (exported wrappers at one annotation
-        # share their body too) share one environment.
-        key = (block.binders, *omegas)
+        return self._instantiate(block.body, SPELLED, block.binders, omegas)
+
+    def _instantiate(self, body: ISeq, kind: str, binders: tuple,
+                     omegas) -> tuple:
+        """``body`` closed under the environment that maps ``binders`` to
+        ``omegas``, and that environment.  Each binder is of the kind
+        ``kind``, or of the one its spelling gives if that is SPELLED.
+        The mapping depends on nothing else, so code that shares it
+        (blocks with the same binders and instantiations, exported
+        wrappers at one annotation, which share their body too, or the
+        rests of sequences that unpack one witness) shares one
+        environment, and each environment closes each body once."""
+        key = (kind, binders, *omegas)
         env = self._envs.get(key)
         if env is None:
             env = self._envs[key] = _Env(
-                {(kind_of_name(b), b): om
-                 for b, om in zip(block.binders, omegas)})
-        body = block.body
+                {(kind_of_name(b) if kind == SPELLED else kind, b): om
+                 for b, om in zip(binders, omegas)})
         hit = env.bodies.get(id(body))
         if hit is None:
             hit = env.bodies[id(body)] = (body, substitute(body, env.map))
         return hit[1], env
-
-    def _open(self, seq: Seq, wit: Ty) -> ISeq:
-        """The tail of ``seq``, whose head is an ``unpack``, with the
-        witness ``wit`` for the unpacked type variable."""
-        hit = self._opened.get((id(seq), wit))
-        if hit is None:
-            tail = substitute(seq.tail, {(KIND_TYPE, seq.head.tv): wit})
-            hit = self._opened[(id(seq), wit)] = (seq, tail)
-        return hit[1]
 
     def _resume(self, e: Tm, scope: tuple | None) -> None:
         """Evaluate ``e`` under ``scope`` next."""
@@ -511,9 +513,12 @@ class Machine:
 
         The rule is looked up by the type of the node in focus: the head
         of a target sequence, a terminator, a source expression, or the
-        innermost frame a value returns to.  A rule returns the redex
-        (trace text, or the target node to render it from) and the jump
-        kind."""
+        innermost frame a value returns to.  Before the rule for the head
+        of a target sequence runs, the focus moves to the rest of the
+        sequence, so that instruction falls through unless its rule sets
+        the focus.  A target rule returns the jump kind, and the redex is
+        the node it ran; a source or return rule returns the redex text
+        and the jump kind."""
         if self._outcome is not None:
             return None
         focus, env, render = self.focus, self.env, self._render
@@ -523,8 +528,9 @@ class Machine:
         try:
             if t is Seq:
                 lang = "T"
-                ins = focus.head
-                redex, jump = T_RULES[type(ins)](self, ins, focus.tail)
+                redex = focus.head
+                self.focus = focus.tail
+                jump = T_RULES[type(redex)](self, redex)
             elif self.returning:
                 lang = "F"
                 if self.frames:
@@ -539,7 +545,8 @@ class Machine:
                     redex, jump = "result", None
             elif t in T_RULES:
                 lang = "T"
-                redex, jump = T_RULES[t](self, focus, None)
+                redex = focus
+                jump = T_RULES[t](self, focus)
             else:
                 lang = "F"
                 redex, jump = SOURCE_RULES[t](self, focus, self.scope)
@@ -554,7 +561,7 @@ class Machine:
         return {
             "step": steps,
             "lang": lang,
-            "redex": redex if isinstance(redex, str) else _redex(redex, env),
+            "redex": _redex(redex, env) if lang == "T" else redex,
             "jump": jump,
             "registers_delta": {r: pretty.word_str(w)
                                 for r, w in sorted(self._delta.items())},
@@ -605,29 +612,26 @@ class _Rules(dict):
 
 
 # ----------------------------------------------------------------------
-# Target rules: (machine, instruction or terminator, tail or None) ->
-# (redex, jump kind).
+# Target rules: (machine, instruction or terminator) -> jump kind.  An
+# instruction's rule runs with the focus already on the rest of its
+# sequence, and returns None when control falls through to it.
 
 
-def _t_aop(m, ins, tail):
+def _t_aop(m, ins):
     a = m._getreg(ins.rs)
     b = m._resolve(ins.u)
     if type(a) is not IntVal or type(b) is not IntVal:
         raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
     m._setreg(ins.rd, IntVal(_AOPS[ins.op](a.n, b.n)))
-    m.focus = tail
-    return ins, None
 
 
-def _t_bnz(m, ins, tail):
+def _t_bnz(m, ins):
     c = m._getreg(ins.r)
     if type(c) is not IntVal:
         raise _Stuck(STUCK_TYPE_CONFUSION, "branch on a non-integer")
-    if c.n == 0:
-        m.focus = tail
-        return ins, None
-    m.focus = m._jump(ins.u)
-    return ins, "jmp"
+    if c.n != 0:
+        m.focus = m._jump(ins.u)
+        return "jmp"
 
 
 def _cell(m, r: str, access: str):
@@ -641,29 +645,25 @@ def _cell(m, r: str, access: str):
     return entry
 
 
-def _t_ld(m, ins, tail):
+def _t_ld(m, ins):
     _, payload = _cell(m, ins.rs, "load")
     if type(payload) is not list:
         raise _Stuck(STUCK_TYPE_CONFUSION, "load from code")
     if ins.idx >= len(payload):
         raise _Stuck(STUCK_BAD_INDEX, f"ld {ins.idx}")
     m._setreg(ins.rd, payload[ins.idx])
-    m.focus = tail
-    return ins, None
 
 
-def _t_st(m, ins, tail):
+def _t_st(m, ins):
     nu, payload = _cell(m, ins.rd, "store")
     if nu != "ref" or type(payload) is not list:
         raise _Stuck(STUCK_TYPE_CONFUSION, "store into an immutable binding")
     if ins.idx >= len(payload):
         raise _Stuck(STUCK_BAD_INDEX, f"st {ins.idx}")
     payload[ins.idx] = m._getreg(ins.rs)
-    m.focus = tail
-    return ins, None
 
 
-def _alloc(m, ins, tail, nu: str, prefix: str):
+def _alloc(m, ins, nu: str, prefix: str):
     """Move the top ``ins.n`` stack words, top first, into a new cell."""
     stack = m.stack
     cut = len(stack) - ins.n
@@ -675,114 +675,97 @@ def _alloc(m, ins, tail, nu: str, prefix: str):
     label = m._fresh(prefix)
     m.heap[label] = (nu, words)
     m._setreg(ins.rd, Loc(label))
-    m.focus = tail
-    return ins, None
 
 
-def _t_ralloc(m, ins, tail):
-    return _alloc(m, ins, tail, "ref", "cell")
+def _t_ralloc(m, ins):
+    _alloc(m, ins, "ref", "cell")
 
 
-def _t_balloc(m, ins, tail):
-    return _alloc(m, ins, tail, "box", "tup")
+def _t_balloc(m, ins):
+    _alloc(m, ins, "box", "tup")
 
 
-def _t_mv(m, ins, tail):
+def _t_mv(m, ins):
     m._setreg(ins.rd, m._resolve(ins.u))
-    m.focus = tail
-    return ins, None
 
 
-def _t_salloc(m, ins, tail):
+def _t_salloc(m, ins):
     m.stack.extend([UnitVal()] * ins.n)
-    m.focus = tail
-    return ins, None
 
 
-def _t_sfree(m, ins, tail):
+def _t_sfree(m, ins):
     stack = m.stack
     cut = len(stack) - ins.n
     if cut < 0:
         raise _Stuck(STUCK_STACK_UNDERFLOW, f"sfree {ins.n}")
     del stack[cut:]
-    m.focus = tail
-    return ins, None
 
 
-def _t_sld(m, ins, tail):
+def _t_sld(m, ins):
     stack = m.stack
     if ins.idx >= len(stack):
         raise _Stuck(STUCK_BAD_INDEX, f"sld {ins.idx}")
     m._setreg(ins.rd, stack[-1 - ins.idx])
-    m.focus = tail
-    return ins, None
 
 
-def _t_sst(m, ins, tail):
+def _t_sst(m, ins):
     stack = m.stack
     if ins.idx >= len(stack):
         raise _Stuck(STUCK_BAD_INDEX, f"sst {ins.idx}")
     stack[-1 - ins.idx] = m._getreg(ins.rs)
-    m.focus = tail
-    return ins, None
 
 
-def _t_unpack(m, ins, tail):
+def _t_unpack(m, ins):
     w = m._resolve(ins.u)
     if type(w) is not Pack:
         raise _Stuck(STUCK_TYPE_CONFUSION, "unpack of a non-package")
     m._setreg(ins.rd, w.val)
-    m.focus = m._open(m.focus, w.wit)
-    return ins, None
+    # The binder is a type variable however it is spelled, and the code
+    # in focus keeps its own environment.
+    m.focus = m._instantiate(m.focus, KIND_TYPE, (ins.tv,), (w.wit,))[0]
 
 
-def _t_unfold(m, ins, tail):
+def _t_unfold(m, ins):
     w = m._resolve(ins.u)
     if type(w) is not Fold:
         raise _Stuck(STUCK_TYPE_CONFUSION, "unfold of a non-fold")
     m._setreg(ins.rd, w.e)
-    m.focus = tail
-    return ins, None
 
 
-def _t_protect(m, ins, tail):
-    m.focus = tail
-    return ins, None
+def _t_protect(m, ins):
+    """``protect`` only retypes the stack."""
 
 
-def _t_import(m, ins, tail):
-    m.frames.append(FrImport(ins.rd, ins.ann, tail, m.env, m.scope))
+def _t_import(m, ins):
+    m.frames.append(FrImport(ins.rd, ins.ann, m.focus, m.env, m.scope))
     m.env = m._root
     m._resume(ins.body, m.scope)
-    # Rendered here, not cached: an exported wrapper's import is made
-    # afresh for each crossing.
-    return f"import {ins.rd}", "boundary"
+    return "boundary"
 
 
-def _t_jmp(m, ins, tail):
+def _t_jmp(m, ins):
     m.focus = m._jump(ins.u)
-    return ins, "jmp"
+    return "jmp"
 
 
-def _t_call(m, ins, tail):
+def _t_call(m, ins):
     # The continuation's omegas are added to the word's, so the block is
     # entered by its (label, *omegas) environment, not by the word.
     m.focus, m.env = m._target(m._resolve(ins.u), (ins.sigma0, ins.qret))
-    return ins, "call"
+    return "call"
 
 
-def _t_ret(m, ins, tail):
+def _t_ret(m, ins):
     m.focus, m.env = m._target(m._getreg(ins.r), ())
-    return ins, "ret"
+    return "ret"
 
 
-def _t_halt(m, ins, tail):
+def _t_halt(m, ins):
     w = m._getreg(ins.reg)
     if not m.frames:
         m._outcome = Outcome("halted", value=w, stack=m._stack_out(),
                              steps=m.steps + 1)
-        m.focus = UnitVal()
-        return ins, "halt"
+        return "halt"
     if type(m.frames[-1]) is not FrBoundary:
         raise _Stuck(STUCK_HALT_OUTSIDE, "")
     frame = m.frames.pop()
@@ -795,7 +778,7 @@ def _t_halt(m, ins, tail):
         raise _Stuck(reason, t.message)
     m.focus = v
     m.returning = True
-    return ins, "halt"
+    return "halt"
 
 
 T_RULES = _Rules("unknown instruction ", {
@@ -1061,6 +1044,8 @@ def _redex(node, env: _Env) -> str:
 def _redex_text(node) -> str:
     if isinstance(node, Halt):
         return f"halt {node.reg}"
+    if isinstance(node, ImportI):
+        return f"import {node.rd}"
     if isinstance(node, Call):
         return _short(f"call {pretty.tm(node.u)}")
     return _short(pretty.instr(node))

@@ -1,9 +1,11 @@
 """Static checks on the package source, written with the standard
 library's ``ast`` alone: every import is used, every local variable
-that a function assigns is also read, and no module imports or reads a
-name that another ftal module keeps private."""
+that a function assigns is also read, every attribute that a class
+assigns on ``self`` is read somewhere in the repository, and no module
+imports or reads a name that another ftal module keeps private."""
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -11,6 +13,10 @@ import pytest
 import ftal
 
 MODULES = sorted(pathlib.Path(ftal.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# The code that may read an attribute of an ftal object.
+READERS = [path for top in ("src", "tests", "perfbench")
+           for path in sorted((ROOT / top).rglob("*.py"))]
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -65,6 +71,41 @@ def unread_locals(tree) -> list:
         out += [f"line {line}: {name} in {fn.name}" for line, name in stores
                 if name not in read and name not in outer
                 and not name.startswith("_")]
+    return out
+
+
+def attribute_reads(tree) -> set:
+    """The attribute names that ``tree`` may read: each ``x.name`` that
+    is not a store, each augmented assignment's target, and each string
+    constant (for ``getattr`` and ``monkeypatch.setattr`` by name)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            out.add(node.target.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+@functools.cache
+def _read_anywhere() -> frozenset:
+    return frozenset().union(*(attribute_reads(_parse(path)) for path in READERS))
+
+
+def unread_attributes(tree, read) -> list:
+    """Attributes that a class in ``tree`` assigns on ``self`` and whose
+    names are not in ``read``."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "self" \
+                    and node.attr not in read:
+                out.append(f"line {node.lineno}: {cls.name}.{node.attr}")
     return out
 
 
@@ -127,6 +168,21 @@ def test_no_unused_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_local_is_assigned_and_never_read(path):
     assert unread_locals(_parse(path)) == []
+
+
+def test_the_attribute_check_catches_what_it_names():
+    tree = ast.parse("class C:\n    def __init__(self):\n"
+                     "        self.a = self.b = 0\n        self.c, self.d = 1, 2\n"
+                     "    def f(self, other):\n        self.d += 1\n"
+                     "        other.a = getattr(self, 'c')\n        return other.b\n")
+    # b is read through another object, c by name and d by its update;
+    # a is only ever stored.
+    assert unread_attributes(tree, attribute_reads(tree)) == ["line 3: C.a"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_attribute_is_assigned_and_never_read(path):
+    assert unread_attributes(_parse(path), _read_anywhere()) == []
 
 
 def test_the_private_name_check_catches_what_it_names():

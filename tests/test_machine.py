@@ -299,9 +299,8 @@ def test_boundary_result_still_checks_at_the_annotation():
 # entry.
 
 
-def test_unpacked_type_variable_reaches_the_next_jump():
-    # lA is instantiated at unit, unpacks int as c, and jumps with both.
-    prog = parser.parse_program("""entry T
+# lA is instantiated at unit, unpacks int as c, and jumps with both.
+UNPACK_TO_JUMP = """entry T
 (
   mv r1, pack <int, 5> as exists a. a;
   mv r4, ();
@@ -314,7 +313,11 @@ def test_unpacked_type_variable_reaches_the_next_jump():
     mv r1, 1;
     halt[int, *] r1
 )
-""")
+"""
+
+
+def test_unpacked_type_variable_reaches_the_next_jump():
+    prog = parser.parse_program(UNPACK_TO_JUMP)
     check_program(prog)
     records = []
     out = machine.run_program(prog, FUEL, records.append)
@@ -324,10 +327,9 @@ def test_unpacked_type_variable_reaches_the_next_jump():
     assert records[3]["registers_delta"] == {"r2": "5"}
 
 
-def test_an_unpack_that_rebinds_a_block_binder_shadows_it():
-    # lA is entered at a := int; its unpack rebinds a to the witness unit,
-    # so the rest of the block reads a as unit.
-    prog = parser.parse_program("""entry T
+# lA is entered at a := int; its unpack rebinds a to the witness unit,
+# so the rest of the block reads a as unit.
+UNPACK_SHADOWING = """entry T
 (
   mv r1, pack <unit, ()> as exists c. c;
   jmp lA[int]
@@ -340,13 +342,89 @@ def test_an_unpack_that_rebinds_a_block_binder_shadows_it():
     mv r1, 1;
     halt[int, *] r1
 )
-""")
+"""
+
+
+def test_an_unpack_that_rebinds_a_block_binder_shadows_it():
+    prog = parser.parse_program(UNPACK_SHADOWING)
     check_program(prog)
     records = []
     out = machine.run_program(prog, FUEL, records.append)
     assert (out.kind, out.value) == ("halted", S.IntVal(1))
     assert [r["redex"] for r in records[2:5]] == [
         "unpack <a, r2> r1", "mv r3, lB#1[unit]", "jmp lB#1[unit]"]
+
+
+# -- folds and heap tuples ----------------------------------------------------
+
+# Well-typed T programs that fold and unfold words, allocate a box with
+# balloc, and read and write tuples bound in the component's heap: ln
+# points at lp, which the checker types first; lc is a ref cell.  Each is
+# (text, halting value, steps).
+HEAP_TUPLES = ("""entry T
+(
+  mv r1, fold mu a. box <int, int> lp;
+  unfold r2, r1;
+  ld r3, r2[0];
+  ld r4, r2[1];
+  add r3, r3, r4;
+  mv r5, lc;
+  ld r4, r5[0];
+  add r3, r3, r4;
+  st r5[0], r3;
+  salloc 2;
+  sst 0, r3;
+  sst 1, r1;
+  balloc r6, 2;
+  ld r7, r6[1];
+  unfold r7, r7;
+  ld r1, r7[0];
+  mv r2, ln;
+  ld r2, r2[1];
+  ld r2, r2[1];
+  mul r1, r1, r2;
+  ld r2, r5[0];
+  add r1, r1, r2;
+  halt[int, *] r1
+, where
+  ln -> box <5, lp>,
+  lp -> box <3, 4>,
+  lc -> ref <10>
+)
+""", 29, 23)
+# A block that receives itself, folded at a recursive type, and loops by
+# unfolding it: r3 sums 3 + 2 + 1.
+FOLDED_LOOP = ("""entry T
+(
+  mv r1, fold mu a. box code[]{r1: a, r2: int, r3: int; *} ret(int, *) lloop;
+  mv r2, 3;
+  mv r3, 0;
+  jmp lloop
+, where
+  lloop -> code[]{r1: mu a. box code[]{r1: a, r2: int, r3: int; *} ret(int, *), r2: int, r3: int; *} ret(int, *).
+    add r3, r3, r2;
+    sub r2, r2, 1;
+    unfold r4, r1;
+    bnz r2, r4;
+    mv r1, r3;
+    halt[int, *] r1
+)
+""", 6, 18)
+FOLDS_AND_TUPLES = (HEAP_TUPLES, FOLDED_LOOP)
+
+
+@pytest.mark.parametrize("text, value, steps", FOLDS_AND_TUPLES,
+                         ids=("heap-tuples", "folded-loop"))
+def test_folds_and_heap_tuples_check_run_and_print(text, value, steps):
+    prog = parser.parse_program(text)
+    typed = check_program(prog)
+    assert typed == (S.TyInt(), S.SNil())
+    out = machine.run_program(prog, FUEL)
+    assert (out.kind, out.value, out.steps) == ("halted", S.IntVal(value), steps)
+    once = pretty.program(prog)
+    again = parser.parse_program(once)
+    assert pretty.program(again) == once
+    assert check_program(again) == typed
 
 
 def test_import_is_closed_under_the_block_binders():
@@ -1035,7 +1113,7 @@ def test_a_crossing_leaves_nothing_behind(monkeypatch):
         assert out.kind == "f-value" and out.value == S.IntVal(k * (k + 1))
         envs = m._envs.values()
         sizes.append((len(calls["substitute"]), len(calls["subst_terms"]),
-                      len(m._targets), len(m._envs), len(m._opened),
+                      len(m._targets), len(m._envs),
                       sum(len(env.bodies) for env in envs),
                       sum(len(env.texts) for env in envs)))
     assert sizes[0] == sizes[1]

@@ -10,7 +10,8 @@ from conftest import ALL_FTAL, corpus_text
 from ftal import machine, parser
 from ftal import syntax as S
 from ftal.typecheck import check_program
-from test_machine import APPLIED, GOLDEN_FUEL, GOLDEN_INPUTS, ping_pong
+from test_machine import (APPLIED, FOLDS_AND_TUPLES, GOLDEN_FUEL, GOLDEN_INPUTS,
+                          UNPACK_SHADOWING, UNPACK_TO_JUMP, ping_pong)
 from test_reference import programs
 
 
@@ -66,6 +67,25 @@ def test_imports_step_as_the_reference_does(text):
     prog = parser.parse_program(text)
     check_program(prog)
     assert_agree(prog, machine.DEFAULT_FUEL)
+
+
+# T programs that unpack, unfold and balloc, which no corpus program does.
+T_PROGRAMS = (UNPACK_TO_JUMP, UNPACK_SHADOWING,
+              *(text for text, _, _ in FOLDS_AND_TUPLES))
+
+
+@pytest.mark.parametrize("text", T_PROGRAMS,
+                         ids=("unpack", "unpack-shadowing", "heap-tuples", "folded-loop"))
+def test_t_programs_step_as_the_reference_does(text):
+    assert_agree(parser.parse_program(text), machine.DEFAULT_FUEL)
+
+
+def test_the_inputs_hold_every_target_rule():
+    texts = (*(corpus_text(name) for name in ALL_FTAL), ping_pong(1),
+             *SCOPED, *T_PROGRAMS)
+    seen = {type(node) for text in texts
+            for node, _ in S.subterms(parser.parse_program(text))}
+    assert set(machine.T_RULES) - seen == set()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
