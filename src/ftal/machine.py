@@ -541,7 +541,6 @@ class Machine:
                                             steps=self.steps + 1,
                                             stack=self._stack_out())
                     # The final plugging still counts as a step.
-                    self.returning = False
                     redex, jump = "result", None
             elif t in T_RULES:
                 lang = "T"

@@ -416,8 +416,11 @@ class Parser:
                 base = self.int_val()
             case "(":
                 self.next()
-                self.expect(")", "unit value")
-                base = S.UnitVal()
+                if self.accept(")"):
+                    base = S.UnitVal()
+                else:
+                    base = self.u_value()
+                    self.expect(")", "parenthesized word")
             case "pack":
                 self.next()
                 self.expect("<", "pack")

@@ -134,7 +134,8 @@ def tm(e: Tm) -> str:
                 ws.append(omega(base.omega))
                 base = base.val
             ws.reverse()
-            return f"{tm(base)}[{', '.join(ws)}]"
+            b = tm(base) if isinstance(base, (Var, Reg, Loc)) else f"({tm(base)})"
+            return f"{b}[{', '.join(ws)}]"
     raise TypeError(f"not a term: {e!r}")
 
 

@@ -6,14 +6,14 @@ variables, F term variables, and heap labels.
 
 Binding is declared once, in ``SCHEMA``: for each node class, its child
 fields with their shapes, and the names it binds with their namespace and
-scope. One engine reads that table for ``free_names``, ``substitute``
-(capture-avoiding, in any namespace) and ``alpha_equal``;
-``subst_terms`` and ``rename_locations`` are adapters onto
-``substitute``. ``subterms`` walks every sub-node together with the names
-bound around it, and ``binders`` gives the names one node binds; the
-checker takes scope from these. A new node class needs one ``SCHEMA``
-entry and nothing else here. The engine walks instruction sequences with
-a loop, so its stack depth does not grow with the length of a block.
+scope. ``subterms`` walks every sub-node with the names bound around it,
+each numbered by its binder, and never recurses; ``free_names``,
+``alpha_equal`` (two walks side by side) and the checker read scope from
+it. ``substitute`` (capture-avoiding, in any namespace) has a walk of its
+own, because it rebuilds nodes; it loops along instruction sequences but
+recurses into terms. ``subst_terms`` and ``rename_locations`` are
+adapters onto it. A new node class needs one ``SCHEMA`` entry and
+nothing else here.
 
 The concrete syntax of T's instructions and terminators is declared once,
 in ``T_SYNTAX``, and that of types and return markers in ``TY_SYNTAX``:
@@ -596,8 +596,8 @@ class Schema:
     plain attribute (an operator, a register, an index) compared by
     equality. A field that equality ignores is neither. ``binds`` is
     (field, kind, scope): the field holding the bound names, their
-    namespace, and the sibling fields they scope over (or TAIL). ``var`` is the namespace of a node that is a variable
-    occurrence.
+    namespace, and the sibling fields they scope over (or TAIL). ``var``
+    is the namespace of a node that is a variable occurrence.
     """
 
     def __init__(self, cls, *children, binds=None, var=None):
@@ -606,14 +606,16 @@ class Schema:
         self.tail = scope == TAIL
         # Binds over siblings; labels are nominal, so only shadow.
         self.scoped = self.bfield is not None and not self.tail
-        self.bound = self.scoped and self.bkind != KIND_LOC
         shapes = dict((c, NODE) if isinstance(c, str) else c for c in children)
         names = [f.name for f in fields(cls) if f.compare]
         # (field, shape or None for an attribute, in the binder's scope).
         self.fields = tuple((n, shapes.get(n), self.scoped and n in scope) for n in names)
         self.children = tuple(f for f in self.fields if f[1] is not None)
-        # A TAIL binder is compared as an attribute, except at a Seq head.
-        self.attrs = tuple(n for n in names if n not in shapes and (n != self.bfield or self.tail))
+        self.attrs = tuple(n for n in names if n not in shapes and n != self.bfield)
+        # The fields whose _split frame alpha-equality compares: bound
+        # names are matched where they occur, labels by name.
+        self.framed = tuple((n, shape) for n, shape, _ in self.children if shape != NODE
+                            and (n != self.bfield or self.bkind == KIND_LOC))
         self.typelevel = issubclass(cls, (Ty, Stk, Mk))
 
 
@@ -777,10 +779,13 @@ def binders(node) -> list:
 
 def subterms(node):
     """Every node in ``node``, itself first, in pre-order with children in
-    field order. Each comes with the frozenset of (kind, name) pairs that
-    binders around it bind at that point. Iterative, so deep sequences do
-    not recurse."""
-    todo = [(node, frozenset())]
+    field order. Each comes with a dict that maps each (kind, name) pair
+    bound around it at that point to the serial number of its binder.
+    Each walk numbers binders from one counter as it meets them, so two
+    walks of alpha-equal terms number theirs alike. Iterative, so deep
+    terms do not recurse."""
+    serial = count()
+    todo = [(node, {})]
     pop, push = todo.pop, todo.append
     while todo:
         item = pop()
@@ -791,13 +796,11 @@ def subterms(node):
             continue
         if sc.cls is Seq:
             head_sc = SCHEMA[type(node.head)]
-            if head_sc.tail:
-                push((node.tail, bound.union(_binders(head_sc, node.head))))
-            else:
-                push((node.tail, bound))
+            tail = bound | dict(zip(_binders(head_sc, node.head), serial)) if head_sc.tail else bound
+            push((node.tail, tail))
             push((node.head, bound))
             continue
-        inner = bound.union(_binders(sc, node)) if sc.scoped else bound
+        inner = bound | dict(zip(_binders(sc, node), serial)) if sc.scoped else bound
         for name, shape, scoped in reversed(sc.children):
             value, b = getattr(node, name), inner if scoped else bound
             if shape == NODE:
@@ -812,31 +815,14 @@ def subterms(node):
 
 
 def free_names(node) -> frozenset:
-    """All free names of every kind, as (kind, name) pairs."""
+    """All free names of every kind, as (kind, name) pairs: the variable
+    occurrences that no binder around them binds."""
     out: set = set()
-    _free(node, frozenset(), out)
+    for n, bound in subterms(node):
+        kind = SCHEMA[type(n)].var
+        if kind is not None and (kind, n.name) not in bound:
+            out.add((kind, n.name))
     return frozenset(out)
-
-
-def _free(node, bound: frozenset, out: set) -> None:
-    while type(node) is Seq:
-        _free(node.head, bound, out)
-        sc = SCHEMA[type(node.head)]
-        if sc.tail:
-            bound = bound.union(_binders(sc, node.head))
-        node = node.tail
-    while type(node) is SCons:
-        _free(node.head, bound, out)
-        node = node.tail
-    sc = SCHEMA[type(node)]
-    if sc.var is not None:
-        if (sc.var, node.name) not in bound:
-            out.add((sc.var, node.name))
-        return
-    inner = bound.union(_binders(sc, node)) if sc.scoped else bound
-    for name, shape, scoped in sc.children:
-        for child in _split(shape, getattr(node, name))[1]:
-            _free(child, inner if scoped else bound, out)
 
 
 def var_node(kind: str, name: str) -> Node:
@@ -991,75 +977,40 @@ def _rebuild(node, sc: Schema, outer: tuple, inner: tuple, keys):
 def alpha_equal(a, b) -> bool:
     """Structural equality up to renaming of bound names.
 
-    Heap labels are nominal: components must bind the same label set.
-    Types, stacks and markers that are equal field by field are compared
-    no further; they hold no instruction sequence, so that comparison
-    does not recurse along a block, and a stack's spine is walked with a
-    loop.
+    Walks both terms side by side with ``subterms``. Each pair of nodes
+    must agree in class, attributes, the kinds of the names they bind,
+    and the frame of each child field, so the two walks stay in step. Two
+    variables are equal if the same binder binds both, or if both are
+    free and spelled alike. Heap labels are nominal: they compare by
+    name, and components must bind the same label set. A binder that
+    scopes over the rest of a sequence but heads none binds nothing, so
+    its name is not compared. Types, stacks and markers that are equal
+    field by field are compared no further.
     """
+    if a is b:
+        return True
     if isinstance(a, (Ty, Stk, Mk)):
         x, y = a, b
         while type(x) is SCons and type(y) is SCons and x.head == y.head:
             x, y = x.tail, y.tail
         if x == y:
             return True
-    return _alpha(a, b, {}, {}, count(1))
-
-
-def _bind(env_a, env_b, keys_a, keys_b, counter):
-    if len(keys_a) != len(keys_b) or any(ka[0] != kb[0] for ka, kb in zip(keys_a, keys_b)):
-        return None, None
-    env_a, env_b = dict(env_a), dict(env_b)
-    for ka, kb in zip(keys_a, keys_b):
-        env_a[ka] = env_b[kb] = next(counter)
-    return env_a, env_b
-
-
-def _alpha(a, b, env_a, env_b, counter) -> bool:
-    while True:
-        if a is b and not env_a and not env_b:
-            return True
-        if type(a) is not type(b):
+    for (x, bx), (y, by) in zip(subterms(a), subterms(b)):
+        if type(x) is not type(y):
             return False
-        if type(a) is SCons:
-            if not _alpha(a.head, b.head, env_a, env_b, counter):
+        sc = SCHEMA[type(x)]
+        if sc.var is not None and sc.var != KIND_LOC:
+            ix, iy = bx.get((sc.var, x.name)), by.get((sc.var, y.name))
+            if ix != iy or ix is None and x.name != y.name:
                 return False
-        elif type(a) is Seq:
-            ha, hb = a.head, b.head
-            sc = SCHEMA[type(ha)]
-            if type(hb) is not type(ha) or not _alpha_node(ha, hb, sc, env_a, env_b, counter, sc.tail):
+            continue
+        for name in sc.attrs:
+            if getattr(x, name) != getattr(y, name):
                 return False
-            if sc.tail:
-                env_a, env_b = _bind(env_a, env_b, _binders(sc, ha), _binders(sc, hb), counter)
-                if env_a is None:
-                    return False
-        else:
-            return _alpha_node(a, b, SCHEMA[type(a)], env_a, env_b, counter)
-        a, b = a.tail, b.tail
-
-
-def _alpha_node(a, b, sc: Schema, env_a, env_b, counter, at_head=False) -> bool:
-    if sc.var == KIND_LOC:
-        return a.name == b.name
-    if sc.var is not None:
-        ia = env_a.get((sc.var, a.name))
-        ib = env_b.get((sc.var, b.name))
-        return ia == ib and (ia is not None or a.name == b.name)
-    for name in sc.attrs:
-        if getattr(a, name) != getattr(b, name) and not (at_head and name == sc.bfield):
+        if sc.bfield is not None and \
+                [k for k, _ in _binders(sc, x)] != [k for k, _ in _binders(sc, y)]:
             return False
-    inner_a, inner_b = env_a, env_b
-    if sc.bound:
-        inner_a, inner_b = _bind(env_a, env_b, _binders(sc, a), _binders(sc, b), counter)
-        if inner_a is None:
-            return False
-    for name, shape, scoped in sc.children:
-        frame_a, nodes_a = _split(shape, getattr(a, name))
-        frame_b, nodes_b = _split(shape, getattr(b, name))
-        # Bound names are matched by _bind, not compared.
-        if frame_a != frame_b and not (sc.bound and name == sc.bfield):
-            return False
-        ea, eb = (inner_a, inner_b) if scoped else (env_a, env_b)
-        if not all(_alpha(x, y, ea, eb, counter) for x, y in zip(nodes_a, nodes_b)):
-            return False
+        for name, shape in sc.framed:
+            if _split(shape, getattr(x, name))[0] != _split(shape, getattr(y, name))[0]:
+                return False
     return True

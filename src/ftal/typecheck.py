@@ -14,10 +14,11 @@ Context shapes used throughout:
   yet inferred.
 
 Well-formedness of types, stacks and markers is one check, ``wf``. Scope
-comes from the binders declared in ``syntax.SCHEMA``, the same table
-``free_names`` reads: ``syntax.subterms`` pairs every sub-node with the
-names bound around it, and a type, stack or marker name that neither
-those nor delta bind is out of scope. The shape rules (a binder's kind,
+comes from the binders declared in ``syntax.SCHEMA``, through the walk
+that ``free_names`` and ``alpha_equal`` read as well:
+``syntax.subterms`` pairs every sub-node with the names bound around it,
+and a type, stack or marker name that neither those nor delta bind is
+out of scope. The shape rules (a binder's kind,
 what a cell holds, a code type's binders and marker) are checked on every
 sub-node of the same walk.
 

@@ -99,6 +99,30 @@ def test_deep_program_subterms(deep):
     assert all((S.KIND_LOC, "l") in b for b in bound_at_loc)
 
 
+def lambda_nest(n: int, prefix: str, ref: int = 0) -> S.Lam:
+    """n nested lambdas, the i-th binding prefix + str(i), around a body
+    that adds the ref-th name to the free y."""
+    body = S.Binop("+", S.Var(f"{prefix}{ref}"), S.Var("y"))
+    for i in reversed(range(n)):
+        body = S.Lam(((f"{prefix}{i}", S.TyInt()),), body)
+    return body
+
+
+def test_deep_terms_compare_and_have_free_names():
+    # A sum nests to the left as deep as it is long. substitute still
+    # recurses along a term, and loops only along an instruction
+    # sequence, so it is not run on these.
+    text = "entry F\n" + " + ".join(["1"] * N) + "\n"
+    a, b = parser.parse_program(text), parser.parse_program(text)
+    assert S.alpha_equal(a, b)
+    assert not S.alpha_equal(a, parser.parse_program(text[:-2] + "2\n"))
+    assert S.free_names(a) == S.free_names(b) == frozenset()
+    x, w = lambda_nest(N, "x"), lambda_nest(N, "w")
+    assert S.alpha_equal(x, w)
+    assert not S.alpha_equal(x, lambda_nest(N, "w", ref=1))
+    assert S.free_names(x) == S.free_names(w) == {(S.KIND_TERM, "y")}
+
+
 SLOTS = 400
 
 

@@ -12,6 +12,7 @@ from conftest import ALL_FTAL, corpus_text
 from ftal import boundary, machine, parser, pretty, registry
 from ftal import syntax as S
 from ftal.boundary import export_value, translate_type
+from ftal.errors import CheckError
 from ftal.typecheck import check_program
 
 FUEL = 100000
@@ -666,6 +667,30 @@ def test_a_tuple_of_bound_variables_is_one_value_step():
     assert out.value == S.TupleVal((S.IntVal(1), S.IntVal(2)))
     assert redexes == ["app", "value", "app-arg", "value", "app-arg",
                        "value", "beta", "value", "result"]
+
+
+# Source forms no bundled program holds: a fold of a non-value, which
+# evaluates under a fold frame and reads back through it, and a let with
+# an annotation.
+F_FORMS = (
+    ("entry F\nfold mu a. int (1 + 2)\n", "mu a. int", "fold mu a. int 3", 8),
+    ("entry F\nlet x : int = 1 in x + 1\n", "int", "2", 9),
+)
+
+
+@pytest.mark.parametrize("text, tau, value, steps", F_FORMS, ids=("fold", "annotated-let"))
+def test_a_fold_and_an_annotated_let_check_and_run(text, tau, value, steps):
+    assert pretty.ty(check_program(parser.parse_program(text))[0]) == tau
+    out, _ = run_text(text)
+    assert out.kind == "f-value" and pretty.tm(out.value) == value
+    assert out.steps == steps
+
+
+def test_a_let_annotation_must_match_the_bound_value():
+    with pytest.raises(CheckError) as exc:
+        check_program(parser.parse_program("entry F\nlet x : unit = 1 in x\n"))
+    assert (exc.value.code, exc.value.message) == (
+        "E-EXPR", "bound value has type int, the annotation says unit")
 
 
 def test_an_unbound_variable_inside_a_tuple_is_stuck():

@@ -10,7 +10,7 @@ from conftest import ALL_FTAL, corpus_text
 from ftal import machine, parser
 from ftal import syntax as S
 from ftal.typecheck import check_program
-from test_machine import (APPLIED, FOLDS_AND_TUPLES, GOLDEN_FUEL, GOLDEN_INPUTS,
+from test_machine import (APPLIED, F_FORMS, FOLDS_AND_TUPLES, GOLDEN_FUEL, GOLDEN_INPUTS,
                           UNPACK_SHADOWING, UNPACK_TO_JUMP, ping_pong)
 from test_reference import programs
 
@@ -77,6 +77,12 @@ T_PROGRAMS = (UNPACK_TO_JUMP, UNPACK_SHADOWING,
 @pytest.mark.parametrize("text", T_PROGRAMS,
                          ids=("unpack", "unpack-shadowing", "heap-tuples", "folded-loop"))
 def test_t_programs_step_as_the_reference_does(text):
+    assert_agree(parser.parse_program(text), machine.DEFAULT_FUEL)
+
+
+@pytest.mark.parametrize("text", [text for text, _, _, _ in F_FORMS],
+                         ids=("fold", "annotated-let"))
+def test_f_forms_step_as_the_reference_does(text):
     assert_agree(parser.parse_program(text), machine.DEFAULT_FUEL)
 
 

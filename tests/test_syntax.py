@@ -1,10 +1,12 @@
 """Syntax-tree basics: alpha equality, substitution, helpers."""
 
+import copy
 import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_syntax
 from conftest import source_terms, source_types
 from ftal import syntax as S
 
@@ -298,16 +300,31 @@ def test_renaming_a_free_name_away_and_back_is_alpha_equal(node):
         assert S.alpha_equal(back, node)
 
 
-@settings(deadline=None, max_examples=150, derandomize=True)
-@given(nodes)
-def test_subterms_sees_the_scope_free_names_sees(node):
-    # A variable occurrence that no binder around it binds is free.
-    free = set()
-    for n, bound in S.subterms(node):
-        kind = S.SCHEMA[type(n)].var
-        if kind is not None and (kind, n.name) not in bound:
-            free.add((kind, n.name))
-    assert free == S.free_names(node)
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(nodes, nodes, replacements)
+def test_free_names_and_alpha_equal_agree_with_the_recursive_reference(x, y, mapping):
+    # x against itself, a copy, an unrelated term, a substitution of it
+    # (often alpha-equal, with binders freshened) and each renaming of
+    # one of its free names.
+    others = [x, copy.deepcopy(x), y, S.substitute(x, mapping)]
+    others += [S.substitute(x, {key: S.var_node(key[0], "q9")})
+               for key in sorted(reference_syntax.free_names(x))]
+    for other in others:
+        assert S.free_names(other) == reference_syntax.free_names(other)
+        assert S.alpha_equal(x, other) == reference_syntax.alpha_equal(x, other)
+        assert S.alpha_equal(other, x) == reference_syntax.alpha_equal(other, x)
+
+
+def test_a_binder_that_heads_no_sequence_binds_nothing():
+    # An unpack or protect binds its name over the rest of its sequence;
+    # on its own it has no scope, so the name is not compared.
+    u = S.Unpack("a", "r1", S.Reg("r2"))
+    assert S.alpha_equal(u, S.Unpack("b", "r1", S.Reg("r2")))
+    assert not S.alpha_equal(u, S.Unpack("a", "r3", S.Reg("r2")))
+    p = S.Protect((S.TVar("a"),), "z")
+    assert S.alpha_equal(p, S.Protect((S.TVar("a"),), "z2"))
+    assert not S.alpha_equal(p, S.Protect((S.TVar("b"),), "z"))
+    assert S.free_names(u) == frozenset() and S.free_names(p) == {(S.KIND_TYPE, "a")}
 
 
 def test_subterms_is_pre_order_and_binders_follow_the_schema():

@@ -4,10 +4,13 @@ one template, which the parser reads and the printer fills in."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ftal import parser, pretty
+from ftal import machine, parser, pretty
 from ftal import syntax as S
 from ftal.parser import ParseError
+from ftal.typecheck import check_program
 
 TERMINATORS = (S.Jmp, S.Call, S.Ret, S.Halt)
 
@@ -89,6 +92,52 @@ def test_each_form_prints_and_reads_back(node):
     text = pretty.instr(node)
     assert read(text, type(node)) == node
     assert pretty.instr(read(text, type(node))) == text
+
+
+# T words nest: an instantiation, a pack or a fold holds any word, and a
+# word written inside another may need parentheses.
+OMEGAS = (S.TyInt(), S.TVar("a"), S.SNil(), S.SVar("z"), S.SCons(S.TyInt(), S.SNil()),
+          S.MEps("eps"), S.MIdx(1), S.MReg("ra"))
+words = st.recursive(
+    st.one_of(st.sampled_from((S.Reg("r1"), S.Reg("ra"), S.Loc("l"), S.UnitVal())),
+              st.integers(-3, 3).map(S.IntVal)),
+    lambda inner: st.one_of(
+        st.builds(S.Inst, inner, st.sampled_from(OMEGAS)),
+        st.builds(S.Pack, st.just(S.TyInt()), inner, st.just(S.Exists("a", S.TVar("a")))),
+        st.builds(S.Fold, st.sampled_from((S.Mu("a", S.TyInt()), S.Mu("a", S.TVar("a")))), inner),
+    ), max_leaves=5)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(words)
+def test_every_word_prints_and_reads_back_in_a_move(word):
+    node = S.Mv("r1", word)
+    assert read(pretty.instr(node), S.Mv) == node
+
+
+# A fold of an instantiated label, which F's rule for a fold operand puts
+# in parentheses.
+FOLDED_INSTANCE = """entry T
+(
+  mv r1, fold mu a. box code[]{r1: int; *} ret(int, *) l[int];
+  mv r1, 3;
+  halt[int, *] r1
+, where
+  l -> code[b]{r1: int; *} ret(int, *).
+    halt[int, *] r1
+)
+"""
+
+
+def test_a_folded_instance_formats_to_a_fixed_point_that_checks_and_runs():
+    prog = parser.parse_program(FOLDED_INSTANCE)
+    printed = pretty.program(prog)
+    again = parser.parse_program(printed)
+    assert again == prog and pretty.program(again) == printed
+    tau, sigma = check_program(again)
+    assert (pretty.ty(tau), pretty.stk(sigma)) == ("int", "*")
+    out = machine.run_program(again, 100)
+    assert (out.kind, out.value, out.steps) == ("halted", S.IntVal(3), 3)
 
 
 # Parse errors of each form, as (text, (message, line, col, expected)),
