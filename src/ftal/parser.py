@@ -13,8 +13,15 @@ in the same way, picked by the keyword or mark that starts them (``unit``,
 ``int``, ``mu``, ``exists``, ``ref``, ``box``, ``<``, ``code``, and the
 markers ``ret`` and ``out``, which have a table of their own); type
 variables, arrow and parenthesised types, and register, index and
-``eps`` markers are read by hand. One method, ``items``, reads every
-comma-separated list.
+``eps`` markers are read by hand. Terms are read from their templates in
+``syntax.TM_SYNTAX`` when a keyword starts them: F's ``let``, ``if0``,
+``pi``, ``fold``, ``unfold`` and ``FT``, and T's words ``pack`` and
+``fold``. Lambdas, whose messages name three contexts (``stack lambda``,
+``lambda parameters`` and ``lambda``), and the terms that start with a
+name, a literal or ``(`` (variables, registers, labels, integers, unit,
+binops, applications, instantiations, tuples and sequences) are read by
+hand. One method, ``form``, reads every template, and one, ``items``,
+every comma-separated list.
 
 Conventions baked into the grammar:
   - names starting with ``z`` are stack variables, ``eps`` marker variables;
@@ -297,15 +304,7 @@ class Parser:
 
     def let_level(self) -> S.Tm:
         if self.at("let"):
-            self.next()
-            v = self.ident("binding name")
-            ann = None
-            if self.accept(":"):
-                ann = self.type_()
-            self.expect("=", "let binding")
-            rhs = self.expr()
-            self.expect("in", "let binding")
-            return S.Let(v, ann, rhs, self.expr())
+            return self.form(*_EXPRS["let"])
         if self.at("lam"):
             return self.lam()
         return self.arith()
@@ -345,26 +344,9 @@ class Parser:
         return left
 
     def prefix_expr(self) -> S.Tm:
-        # Operands of the prefix forms are single atoms: applications and
-        # arithmetic must be parenthesized, so `if0 x 1 (f(x))` reads as
-        # intended instead of `1` being applied to the group.
         t = self.peek()
-        match t.kind:
-            case "if0":
-                self.next()
-                return S.If0(self.atom_expr(), self.atom_expr(), self.atom_expr())
-            case "fold":
-                self.next()
-                ann = self.type_()
-                return S.Fold(ann, self.atom_expr())
-            case "unfold":
-                self.next()
-                return S.Unfold(self.atom_expr())
-            case "pi":
-                self.next()
-                self.expect(".", "projection")
-                idx = int(self.expect("INT", "projection").text)
-                return S.Proj(idx, self.atom_expr())
+        if t.kind in ("if0", "pi", "fold", "unfold"):
+            return self.form(*_EXPRS[t.kind])
         return self.app_expr()
 
     def app_expr(self) -> S.Tm:
@@ -386,11 +368,7 @@ class Parser:
             case "IDENT":
                 return S.Var(self.next().text)
             case "FT":
-                self.next()
-                self.expect("[", "boundary annotation")
-                ann = self.type_()
-                self.expect("]", "boundary annotation")
-                return S.Boundary(ann, self.component())
+                return self.form(*_EXPRS["FT"])
             case "lam":
                 return self.lam()
             case "(":
@@ -421,19 +399,8 @@ class Parser:
                 else:
                     base = self.u_value()
                     self.expect(")", "parenthesized word")
-            case "pack":
-                self.next()
-                self.expect("<", "pack")
-                wit = self.type_()
-                self.expect(",", "pack")
-                val = self.u_value()
-                self.expect(">", "pack")
-                self.expect("as", "pack")
-                base = S.Pack(wit, val, self.type_())
-            case "fold":
-                self.next()
-                ann = self.type_()
-                base = S.Fold(ann, self.u_value())
+            case "pack" | "fold":
+                base = self.form(*_WORDS[t.kind])
             case "IDENT":
                 name = self.next().text
                 base = S.Reg(name) if S.is_register(name) else S.Loc(name)
@@ -554,8 +521,11 @@ class Parser:
         return S.Program(entry, main)
 
 
-# How each slot of a T_SYNTAX template is read, by its field name. An
-# integer slot is named in messages by what it counts.
+# How each slot of a T_SYNTAX or TM_SYNTAX template is read, by its
+# field name. An integer slot is named in messages by what it counts. The
+# operands of F's prefix forms are single atoms: applications and
+# arithmetic must be parenthesized, so `if0 x 1 (f(x))` reads as intended
+# instead of `1` being applied to the group.
 _SLOTS = {
     "op": lambda p: p.next().kind,
     **dict.fromkeys(("rd", "rs", "r", "r2", "reg"), Parser.register),
@@ -570,13 +540,17 @@ _SLOTS = {
     "phi": Parser.phi,
     "tv": lambda p: p.ident("type variable"),
     "zeta": Parser.stack_var,
+    **dict.fromkeys(("cond", "then", "els", "e"), Parser.atom_expr),
+    "var": lambda p: p.ident("binding name"),
+    "rhs": Parser.expr,
+    "comp": Parser.component,
 }
-# sld and sst index the stack, not a tuple.
-_STACK_SLOTS = {**_SLOTS, "idx": lambda p: p.int_lit("stack index")}
+# A T word's operands are words.
+_WORD_SLOTS = {**_SLOTS, "wit": Parser.type_, "val": Parser.u_value, "e": Parser.u_value}
 
 
 # How each slot of a TY_SYNTAX template is read, by its field name. A
-# ref holds a tuple type, and a box a tuple or a code type.
+# ref holds a tuple type.
 _TY_SLOTS = {
     "var": lambda p: p.ident("type variable"),
     "body": Parser.type_,
@@ -588,7 +562,23 @@ _TY_SLOTS = {
     "sigma": Parser.stack,
     "q": Parser.marker,
 }
-_BOX_SLOTS = {**_TY_SLOTS, "psi": lambda p: p.form(*_TYPES["code" if p.at("code") else "<"])}
+
+
+# The slots a class reads otherwise: sld and sst index the stack, not a
+# tuple, and a projection's index is named by its own context; a box
+# holds a tuple or a code type; a let's ann slot is an optional ": type".
+_OWN_SLOTS = {
+    S.Sld: {"idx": lambda p: p.int_lit("stack index")},
+    S.Sst: {"idx": lambda p: p.int_lit("stack index")},
+    S.Proj: {"idx": lambda p: p.int_lit("projection")},
+    S.Box: {"psi": lambda p: p.form(*_TYPES["code" if p.at("code") else "<"])},
+    S.Let: {"ann": lambda p: p.type_() if p.accept(":") else None},
+}
+# The context a form names in its messages, where that is not the token
+# that starts it.
+_CONTEXTS = {S.Aop: "arithmetic", S.Mu: "mu type", S.Exists: "exists type",
+             S.CodeT: "code type", S.TyTuple: "tuple type", S.MHalt: "halting marker",
+             S.Let: "let binding", S.Proj: "projection", S.Boundary: "boundary annotation"}
 
 
 def _steps(template: str, slots: dict) -> tuple:
@@ -603,37 +593,29 @@ def _steps(template: str, slots: dict) -> tuple:
     return tuple(steps)
 
 
-def _forms() -> dict:
-    """Each T_SYNTAX template's steps, with its class and its context in
-    messages, by the mnemonic that starts it."""
+def _keyed(table: dict, slots: dict, classes) -> dict:
+    """The steps of the template in table of each of classes, with its
+    class and its context in messages, by the token that starts it; an
+    Aop's by each of its mnemonics."""
     forms = {}
-    for cls, template in S.T_SYNTAX.items():
-        steps = _steps(template, _STACK_SLOTS if cls in (S.Sld, S.Sst) else _SLOTS)
-        if cls is S.Aop:
-            forms.update(dict.fromkeys(S.AOPS, (cls, steps, "arithmetic")))
-        else:
-            forms[steps[0]] = (cls, steps, steps[0])
+    for cls in classes:
+        steps = _steps(table[cls], {**slots, **_OWN_SLOTS.get(cls, {})})
+        for key in S.AOPS if cls is S.Aop else steps[:1]:
+            forms[key] = (cls, steps, _CONTEXTS.get(cls, key))
     return forms
 
 
-def _ty_forms(base: type) -> dict:
-    """The steps of each TY_SYNTAX template of a subclass of base, with
-    its class and its context in messages, by the keyword or mark that
-    starts it. Templates that start with a slot or with "(" are read by
-    hand."""
-    forms = {}
-    for cls, template in S.TY_SYNTAX.items():
-        if issubclass(cls, base) and not template.startswith(("{", "(")):
-            steps = _steps(template, _BOX_SLOTS if cls is S.Box else _TY_SLOTS)
-            what = {"<": "tuple type", "ret": "halting marker"}.get(steps[0], f"{steps[0]} type")
-            forms[steps[0]] = (cls, steps, what)
-    return forms
-
-
-_FORMS = _forms()
-# Markers have a table of their own, so that they never read as types.
-_TYPES = _ty_forms(S.Ty)
-_MARKERS = _ty_forms(S.Mk)
+_FORMS = _keyed(S.T_SYNTAX, _SLOTS, S.T_SYNTAX)
+# The types and markers that start with a keyword or mark; markers have a
+# table of their own, so that they never read as types. Type variables,
+# arrows, and register, index and eps markers are read by hand.
+_TYPES = _keyed(S.TY_SYNTAX, _TY_SLOTS,
+                (S.TyUnit, S.TyInt, S.TyTuple, S.Mu, S.Exists, S.Ref, S.Box, S.CodeT))
+_MARKERS = _keyed(S.TY_SYNTAX, _TY_SLOTS, (S.MHalt, S.MOut))
+# The terms of F, and the words of T, that start with a keyword. Names,
+# literals, lambdas and the terms that start with "(" are read by hand.
+_EXPRS = _keyed(S.TM_SYNTAX, _SLOTS, (S.Let, S.If0, S.Proj, S.Fold, S.Unfold, S.Boundary))
+_WORDS = _keyed(S.TM_SYNTAX, _WORD_SLOTS, (S.Pack, S.Fold))
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")

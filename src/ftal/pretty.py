@@ -4,10 +4,12 @@ Output reparses to an alpha-equal tree. Components render multi-line;
 everything else renders inline. Binops are always parenthesized and prefix
 forms wrap non-atomic operands, so no precedence table is needed on the
 reading side beyond the grammar itself. Instructions and terminators are
-written by filling in their templates in ``syntax.T_SYNTAX``, and types,
+written by filling in their templates in ``syntax.T_SYNTAX``, types,
 return markers and code-block headers by filling in those in
-``syntax.TY_SYNTAX``, with one filler, ``_fill``; they are the same
-templates the parser reads.
+``syntax.TY_SYNTAX``, and terms by filling in those in
+``syntax.TM_SYNTAX``, with one filler, ``_fill``; they are the same
+templates the parser reads. Only an instantiation chain, written
+``u[w1, w2]``, is printed by hand.
 
 ``int_str``, ``word_str`` and ``value_str`` render run-time values for
 outcomes, trace records and equivalence reports.
@@ -16,10 +18,10 @@ outcomes, trace records and equivalence reports.
 from __future__ import annotations
 
 from .syntax import (
-    T_SYNTAX, TY_SYNTAX, App, Binop, Boundary, CodeBlock, CodeT, Component,
-    Fold, HeapBinding, If0, Inst, Instr, IntVal, ISeq, Lam, Let, Loc, Mk,
-    Node, Pack, Proj, Program, Reg, Seq, SeqE, SNil, Stk, SVar, Tm, TupleVal,
-    Ty, Unfold, UnitVal, Var, stack_parts, template_parts,
+    T_SYNTAX, TM_SYNTAX, TY_SYNTAX, App, Binop, Boundary, CodeBlock, CodeT,
+    Component, Fold, HeapBinding, If0, Inst, Instr, IntVal, ISeq, Lam, Let,
+    Loc, Mk, Node, Pack, Program, Reg, Seq, SeqE, SNil, Stk, SVar, Tm,
+    TupleVal, Ty, UnitVal, Var, stack_parts, template_parts,
 )
 
 
@@ -69,83 +71,32 @@ def omega(w: Node) -> str:
     raise TypeError(f"not an instantiation argument: {w!r}")
 
 
-def _atom(e: Tm) -> str:
-    """Render e so it can stand as a prefix-form operand (a single atom)."""
-    match e:
-        case Var() | IntVal() | UnitVal() | TupleVal() | Reg() | Loc() | Boundary() | Binop():
-            return tm(e)
-        case _:
-            return f"({tm(e)})"
+def _bare(*classes):
+    """A term renderer that parenthesizes every term but those of classes."""
+    return lambda e: tm(e) if isinstance(e, classes) else f"({tm(e)})"
 
 
-def _operand(e: Tm) -> str:
-    """Render e as an arithmetic operand: forms whose bodies extend to
-    the right (lambdas, lets, sequences) need parentheses."""
-    if isinstance(e, (Lam, Let, SeqE, If0)):
-        return f"({tm(e)})"
-    return tm(e)
+def _wrapped(*classes):
+    """A term renderer that parenthesizes the terms of classes."""
+    return lambda e: f"({tm(e)})" if isinstance(e, classes) else tm(e)
+
+
+def _terms(es) -> str:
+    return ", ".join(map(tm, es))
 
 
 def tm(e: Tm) -> str:
-    match e:
-        case Var(name) | Reg(name) | Loc(name):
-            return name
-        case IntVal(n):
-            return str(n)
-        case UnitVal():
-            return "()"
-        case Binop(op, left, right):
-            return f"({_operand(left)} {op} {_operand(right)})"
-        case If0(c, t, els):
-            return f"if0 {_atom(c)} {_atom(t)} {_atom(els)}"
-        case Lam(params, body, stack):
-            pre = "" if stack is None else f"[{phi(stack[0])} => {phi(stack[1])}] "
-            return f"lam {pre}({_annotated(params)}). {tm(body)}"
-        case App(fn, args):
-            fs = tm(fn) if isinstance(fn, (Var, App, Boundary, Inst, Loc, Reg)) else f"({tm(fn)})"
-            return f"{fs}({', '.join(tm(a) for a in args)})"
-        case TupleVal(items):
-            if len(items) == 1:
-                return f"({tm(items[0])},)"
-            return f"({', '.join(tm(i) for i in items)})"
-        case Proj(idx, e2):
-            return f"pi.{idx} {_atom(e2)}"
-        case Fold(ann, e2):
-            return f"fold {ty(ann)} {_atom(e2)}"
-        case Unfold(e2):
-            return f"unfold {_atom(e2)}"
-        case Let(var, ann, rhs, body):
-            a = f" : {ty(ann)}" if ann is not None else ""
-            r = tm(rhs)
-            return f"let {var}{a} = {r} in {tm(body)}"
-        case SeqE(first, second):
-            f = tm(first)
-            if isinstance(first, (Let, Lam, SeqE)):
-                f = f"({f})"
-            return f"{f}; {tm(second)}"
-        case Boundary(ann, comp):
-            return f"FT[{ty(ann)}]" + component(comp)
-        case Pack(wit, val, ann):
-            return f"pack <{ty(wit)}, {tm(val)}> as {ty(ann)}"
-        case Inst(val, w):
-            ws = [omega(w)]
-            base = val
-            while isinstance(base, Inst):
-                ws.append(omega(base.omega))
-                base = base.val
-            ws.reverse()
-            b = tm(base) if isinstance(base, (Var, Reg, Loc)) else f"({tm(base)})"
-            return f"{b}[{', '.join(ws)}]"
-    raise TypeError(f"not a term: {e!r}")
-
-
-# How each slot of a template is written, by its field name; any other
-# field is a name or a number, written as str() gives it.
-_RENDER = {"u": tm, "body": tm, "sigma0": stk, "sigma": stk, "ann": ty,
-           "qret": mk, "phi": phi}
-_TY_RENDER = {"params": _types, "items": _types, "binders": ", ".join,
-              "chi": _annotated, "phi_in": phi, "phi_out": phi, "ret": ty,
-              "body": ty, "psi": ty, "tau": ty, "sigma": stk, "q": mk}
+    """A term, filled into its template; an instantiation chain
+    u[w1][w2] is written u[w1, w2]."""
+    if type(e) is not Inst:
+        return _fill(e, _TERMS, "a term")
+    ws = []
+    while type(e) is Inst:
+        ws.append(omega(e.omega))
+        e = e.val
+    ws.reverse()
+    b = tm(e) if isinstance(e, (Var, Reg, Loc)) else f"({tm(e)})"
+    return f"{b}[{', '.join(ws)}]"
 
 
 def _compile(template: str, render: dict) -> tuple:
@@ -163,11 +114,6 @@ def _fill(node: Node, forms: dict, what: str, cls: type | None = None) -> str:
         raise TypeError(f"not {what}: {node!r}")
     parts, end = form
     return "".join([lit + render(getattr(node, f)) for lit, f, render in parts]) + end
-
-
-_FORMS = {cls: _compile(template, _RENDER) for cls, template in T_SYNTAX.items()}
-_TYPES = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Ty)}
-_MARKERS = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Mk)}
 
 
 def instr(i: Instr | ISeq) -> str:
@@ -195,8 +141,7 @@ def binding_lines(hb: HeapBinding, ind: int) -> list[str]:
         head = f"{pad}{hb.label} -> {_fill(v, _TYPES, 'a code type', CodeT)}."
         return [head] + iseq_lines(v.body, ind + 2)
     if isinstance(v, TupleVal):
-        ws = ", ".join(tm(w) for w in v.items)
-        return [f"{pad}{hb.label} -> {hb.nu} <{ws}>"]
+        return [f"{pad}{hb.label} -> {hb.nu} <{_terms(v.items)}>"]
     raise TypeError(f"bad heap value: {v!r}")
 
 
@@ -214,6 +159,33 @@ def component(c: Component, ind: int = 0) -> str:
             lines += bl
     lines.append(f"{pad})")
     return "\n".join(lines)
+
+
+# How each slot of a T_SYNTAX or TM_SYNTAX template is written, by its
+# field name; any other field is a name or a number, written as str()
+# gives it. A prefix form's operand is a single atom; an arithmetic
+# operand, or the first term of a sequence, must not extend to the right;
+# a one-tuple's item is followed by a comma.
+_RENDER = {"u": tm, "body": tm, "sigma0": stk, "sigma": stk, "ann": ty,
+           "qret": mk, "phi": phi, "params": _annotated,
+           "stack": lambda s: "" if s is None else f"[{phi(s[0])} => {phi(s[1])}] ",
+           **dict.fromkeys(("cond", "then", "els", "e"),
+                           _bare(Var, IntVal, UnitVal, TupleVal, Reg, Loc, Boundary, Binop)),
+           **dict.fromkeys(("left", "right"), _wrapped(Lam, Let, SeqE, If0)),
+           "fn": _bare(Var, App, Boundary, Inst, Loc, Reg), "args": _terms,
+           "items": lambda es: f"{tm(es[0])}," if len(es) == 1 else _terms(es),
+           "rhs": tm, "first": _wrapped(Let, Lam, SeqE), "second": tm,
+           "comp": component, "wit": ty, "val": tm}
+_LET_RENDER = {**_RENDER, "ann": lambda t: "" if t is None else f" : {ty(t)}"}
+_TY_RENDER = {"params": _types, "items": _types, "binders": ", ".join,
+              "chi": _annotated, "phi_in": phi, "phi_out": phi, "ret": ty,
+              "body": ty, "psi": ty, "tau": ty, "sigma": stk, "q": mk}
+
+_FORMS = {cls: _compile(template, _RENDER) for cls, template in T_SYNTAX.items()}
+_TERMS = {cls: _compile(template, _LET_RENDER if cls is Let else _RENDER)
+          for cls, template in TM_SYNTAX.items()}
+_TYPES = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Ty)}
+_MARKERS = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Mk)}
 
 
 def program(p: Program) -> str:

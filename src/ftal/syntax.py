@@ -16,11 +16,15 @@ adapters onto it. A new node class needs one ``SCHEMA`` entry and
 nothing else here.
 
 The concrete syntax of T's instructions and terminators is declared once,
-in ``T_SYNTAX``, and that of types and return markers in ``TY_SYNTAX``:
-one template per class, whose slots are the class's fields. The printer
-fills in every template; the parser reads each one that starts with a
-keyword or mark, and reads the rest (type variables, arrows, and the
-register, index and ``eps`` markers) by hand.
+in ``T_SYNTAX``, that of types and return markers in ``TY_SYNTAX``, and
+that of terms in ``TM_SYNTAX``: one template per class, whose slots are
+the class's fields. Only an instantiation (``Inst``) has no template.
+The printer fills in every template; the parser reads each one that
+starts with a keyword or mark, and reads the rest by hand: type
+variables, arrows, the register, index and ``eps`` markers, lambdas, and
+the terms that start with a name, a literal or ``(`` (variables,
+registers, labels, integers, unit, binops, applications, tuples and
+sequences).
 
 Heap labels are nominal: a component binds its labels, which shadows
 them, but they are never freshened, and alpha-equality compares them by
@@ -668,7 +672,7 @@ _TYPE_KINDS = (KIND_TYPE, KIND_STACK, KIND_MARKER)
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax of T and of types
+# Concrete syntax of T, of types and of terms
 
 # One template per instruction and terminator: the text between slots is
 # literal tokens, and each {field} is one slot, holding that field of the
@@ -718,6 +722,30 @@ TY_SYNTAX: dict = {
     MEps: "{name}",
     MHalt: "ret({tau}, {sigma})",
     MOut: "out",
+}
+
+# One template per term, in the same form, but for an instantiation,
+# whose chain u[w1][w2] is written u[w1, w2]. A lambda's stack slot is
+# its prefixes, written as in a StackArrow and followed by a space, or
+# nothing; a let's ann slot is " : type", or nothing.
+TM_SYNTAX: dict = {
+    Var: "{name}",
+    IntVal: "{n}",
+    UnitVal: "()",
+    Binop: "({left} {op} {right})",
+    If0: "if0 {cond} {then} {els}",
+    Lam: "lam {stack}({params}). {body}",
+    App: "{fn}({args})",
+    TupleVal: "({items})",
+    Proj: "pi.{idx} {e}",
+    Fold: "fold {ann} {e}",
+    Unfold: "unfold {e}",
+    Let: "let {var}{ann} = {rhs} in {body}",
+    SeqE: "{first}; {second}",
+    Boundary: "FT[{ann}]{comp}",
+    Reg: "{name}",
+    Loc: "{name}",
+    Pack: "pack <{wit}, {val}> as {ann}",
 }
 
 

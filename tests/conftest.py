@@ -75,7 +75,22 @@ source_types = st.deferred(lambda: st.one_of(
 
 var_names = st.sampled_from(("x", "y", "w", "v"))
 
+# T words nest: an instantiation, a pack or a fold holds any word, and a
+# word written inside another may need parentheses.
+OMEGAS = (S.TyInt(), S.TVar("a"), S.SNil(), S.SVar("z"), S.SCons(S.TyInt(), S.SNil()),
+          S.MEps("eps"), S.MIdx(1), S.MReg("ra"))
+words = st.recursive(
+    st.one_of(st.sampled_from((S.Reg("r1"), S.Reg("ra"), S.Loc("l"), S.UnitVal())),
+              st.integers(-3, 3).map(S.IntVal)),
+    lambda inner: st.one_of(
+        st.builds(S.Inst, inner, st.sampled_from(OMEGAS)),
+        st.builds(S.Pack, st.just(S.TyInt()), inner, st.just(S.Exists("a", S.TVar("a")))),
+        st.builds(S.Fold, st.sampled_from((S.Mu("a", S.TyInt()), S.Mu("a", S.TVar("a")))), inner),
+    ), max_leaves=5)
+
 # Small source terms; variables may be free (the parser does not scope).
+# A boundary moves a word into r1 and imports a source term into r2.
+stack_prefixes = st.lists(source_types, max_size=2).map(tuple)
 source_terms = st.deferred(lambda: st.one_of(
     st.integers(min_value=-999, max_value=999).map(S.IntVal),
     st.just(S.UnitVal()),
@@ -83,10 +98,11 @@ source_terms = st.deferred(lambda: st.one_of(
     st.builds(S.Binop, st.sampled_from(("+", "-", "*")),
               source_terms, source_terms),
     st.builds(S.If0, source_terms, source_terms, source_terms),
-    st.builds(lambda ps, b: S.Lam(tuple(ps), b),
+    st.builds(lambda ps, b, s: S.Lam(tuple(ps), b, s),
               st.lists(st.tuples(var_names, source_types),
                        max_size=2, unique_by=lambda p: p[0]),
-              source_terms),
+              source_terms,
+              st.none() | st.tuples(stack_prefixes, stack_prefixes)),
     st.builds(lambda f, a: S.App(f, tuple(a)),
               source_terms, st.lists(source_terms, max_size=2)),
     st.builds(lambda ts: S.TupleVal(tuple(ts)),
@@ -95,8 +111,12 @@ source_terms = st.deferred(lambda: st.one_of(
     st.builds(S.Fold, st.builds(lambda b: S.Mu("a", b), source_types),
               source_terms),
     st.builds(S.Unfold, source_terms),
-    st.builds(S.Let, var_names, st.none(), source_terms, source_terms),
+    st.builds(S.Let, var_names, st.none() | source_types, source_terms, source_terms),
     st.builds(S.SeqE, source_terms, source_terms),
+    st.builds(lambda t, w, e: S.Boundary(t, S.Component(S.seq_of(
+                  [S.Mv("r1", w), S.ImportI("r2", S.SNil(), "z", t, e)],
+                  S.Halt(t, S.SNil(), "r2")), ())),
+              source_types, words, source_terms),
 ))
 
 # Target-language types: code types over stack and marker binders, heap

@@ -323,6 +323,116 @@ REJECTED = (
     halt[unit, *] r1
 )
 """),
+    # One per rule of F expressions, T words and markers that no program
+    # above breaks.
+    ("arith_left_operand_not_int", "E-EXPR", "arithmetic on a non-integer",
+     "() + 1\n"),
+    ("if0_condition_not_int", "E-EXPR", "condition must be an integer",
+     "if0 () 1 2\n"),
+    ("if0_branches_leave_different_stacks", "E-EXPR", "on the stack",
+     """if0 0
+  FT[int](
+    mv r1, 7;
+    salloc 1;
+    sst 0, r1;
+    halt[int, int :: *] r1
+  )
+  1
+"""),
+    ("stack_lambda_body_leaves_wrong_stack", "E-EXPR", "declared stack",
+     "lam [. => int :: .](). 1\n"),
+    ("apply_an_integer", "E-EXPR", "application of a non-function",
+     "1(2)\n"),
+    ("argument_of_wrong_type", "E-EXPR", "argument 1 has type unit",
+     "(lam (x: int). x)(())\n"),
+    ("stack_lambda_applied_to_short_stack", "E-EXPR", "required prefix",
+     "(lam [int :: . => int :: .](). 1)()\n"),
+    ("stack_lambda_applied_to_wrong_slot", "E-EXPR", "stack slot 0 is unit",
+     """FT[int](
+  mv r1, ();
+  salloc 1;
+  sst 0, r1;
+  mv r1, 0;
+  halt[int, unit :: *] r1
+);
+(lam [int :: . => int :: .](). 1)()
+"""),
+    ("project_from_integer", "E-EXPR", "projection from a non-tuple",
+     "pi.0 1\n"),
+    ("fold_at_non_recursive_type", "E-EXPR", "fold annotation must be recursive",
+     "fold int 1\n"),
+    ("fold_of_wrong_type", "E-EXPR", "folded value has type unit",
+     "fold mu a. int ()\n"),
+    ("unfold_an_integer", "E-EXPR", "unfold of a non-recursive value",
+     "unfold 1\n"),
+    ("word_from_empty_register", "E-VAL", "register r2 holds no value",
+     """entry T
+(
+  mv r1, r2;
+  halt[int, *] r1
+)
+"""),
+    ("pack_at_non_existential", "E-VAL", "pack annotation must be existential",
+     """entry T
+(
+  mv r1, pack <int, 1> as int;
+  halt[int, *] r1
+)
+"""),
+    ("pack_of_wrong_type", "E-VAL", "does not match",
+     """entry T
+(
+  mv r1, pack <int, ()> as exists a. a;
+  halt[int, *] r1
+)
+"""),
+    ("word_fold_at_non_recursive_type", "E-VAL", "fold annotation must be recursive",
+     """entry T
+(
+  mv r1, fold int 1;
+  halt[int, *] r1
+)
+"""),
+    ("word_fold_of_wrong_type", "E-VAL", "does not match",
+     """entry T
+(
+  mv r1, fold mu a. int ();
+  halt[int, *] r1
+)
+"""),
+    ("instantiate_monomorphic_code", "E-VAL", "non-polymorphic",
+     """entry T
+(
+  mv r1, 0;
+  halt[int, *] r1
+, where
+  lA -> code[]{r1: int; *} ret(int, *).
+    mv r2, lA[int];
+    halt[int, *] r1
+)
+"""),
+    ("instantiate_stack_binder_with_type", "E-VAL", "kind mismatch",
+     """entry T
+(
+  mv r1, 0;
+  halt[int, *] r1
+, where
+  lA -> code[z]{r1: int; z} ret(int, z).
+    mv r2, lA[int];
+    halt[int, z] r1
+)
+"""),
+    ("instruction_under_marker_variable", "E-WFRET", "reaches an instruction",
+     """entry T
+(
+  mv r1, 0;
+  halt[int, *] r1
+, where
+  lA -> code[eps]{r1: int; *} eps.
+    mv r1, 1;
+    halt[int, *] r1
+)
+"""),
 )
 
 # Benign edits: still typecheck, still run without getting stuck.

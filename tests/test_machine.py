@@ -260,6 +260,66 @@ def test_stuck_outcome_counts_completed_steps_only():
     assert out.steps == 1
 
 
+
+def _t(body: str, heap: str = "") -> str:
+    """An entry-T program: body, then heap bindings if any."""
+    where = f",\n  where\n    {heap}" if heap else ""
+    return f"entry T\n(\n  {body}{where}\n)\n"
+
+
+_HALT = "halt[int, *] r1"
+# One unchecked program per stuck rule, with its (kind, reason, detail,
+# steps), read by the parser and run with no check.
+STUCK_PROGRAMS = {
+    "t-arithmetic": (_t(f"mv r1, ();\n  add r1, r1, 1;\n  {_HALT}"),
+                     ("stuck", "type-confusion", "arithmetic on non-integers", 1)),
+    "t-branch": (_t(f"mv r1, ();\n  bnz r1, l;\n  {_HALT}"),
+                 ("stuck", "type-confusion", "branch on a non-integer", 1)),
+    "t-load-non-location": (_t(f"mv r1, 1;\n  ld r1, r1[0];\n  {_HALT}"),
+                            ("stuck", "type-confusion", "load through a non-location", 1)),
+    "t-load-unbound": (_t(f"mv r1, nowhere;\n  ld r1, r1[0];\n  {_HALT}"),
+                       ("stuck", "unbound-location", "nowhere", 1)),
+    "t-load-code": (_t(f"mv r1, l;\n  ld r1, r1[0];\n  {_HALT}",
+                       f"l -> code[]{{r1: int; *}} ret(int, *).\n      {_HALT}"),
+                    ("stuck", "type-confusion", "load from code", 1)),
+    "t-store-immutable": (
+        _t(f"mv r1, 1;\n  salloc 1;\n  sst 0, r1;\n  balloc r2, 1;\n  st r2[0], r1;\n  {_HALT}"),
+        ("stuck", "type-confusion", "store into an immutable binding", 4)),
+    "t-store-index": (
+        _t(f"mv r1, 1;\n  salloc 1;\n  sst 0, r1;\n  ralloc r2, 1;\n  st r2[4], r1;\n  {_HALT}"),
+        ("stuck", "bad-index", "st 4", 4)),
+    "t-alloc-underflow": (_t(f"ralloc r1, 1;\n  {_HALT}"),
+                          ("stuck", "stack-underflow", "alloc 1", 0)),
+    "t-sld-index": (_t(f"sld r1, 0;\n  {_HALT}"), ("stuck", "bad-index", "sld 0", 0)),
+    "t-sst-index": (_t(f"mv r1, 1;\n  sst 0, r1;\n  {_HALT}"),
+                    ("stuck", "bad-index", "sst 0", 1)),
+    "t-unpack": (_t(f"unpack <a, r1> 3;\n  {_HALT}"),
+                 ("stuck", "type-confusion", "unpack of a non-package", 0)),
+    "t-unfold": (_t(f"unfold r1, 3;\n  {_HALT}"),
+                 ("stuck", "type-confusion", "unfold of a non-fold", 0)),
+    "t-jump-word": (_t("jmp 1"), ("stuck", "type-confusion", "jump through non-code word 1", 0)),
+    "t-jump-tuple": (_t("jmp lt", "lt -> box <1>"),
+                     ("stuck", "type-confusion", "jump into the tuple lt#0", 0)),
+    "t-import": (_t(f"import r1, * as z, int TF{{ () }};\n  {_HALT}"),
+                 ("stuck", "type-confusion", "expected an integer value", 2)),
+    "f-if0": ("if0 () 1 2\n", ("stuck", "type-confusion", "if0 on a non-integer", 2)),
+    "f-application": ("1(2)\n", ("stuck", "type-confusion", "application of a non-function", 2)),
+    "f-arity": ("(lam (x: int). x)(1, 2)\n",
+                ("stuck", "type-confusion", "1 parameters, 2 arguments", 6)),
+    "f-projection": ("pi.0 1\n", ("stuck", "type-confusion", "projection from a non-tuple", 2)),
+    "f-projection-index": ("pi.5 (1, 2)\n", ("stuck", "bad-index", "proj.5", 2)),
+    "f-unfold": ("unfold 1\n", ("stuck", "type-confusion", "unfold of a non-fold", 2)),
+    "f-boundary": (f"FT[int](\n  mv r1, ();\n  {_HALT}\n)\n",
+                   ("stuck", "type-confusion", "expected an integer word", 2)),
+}
+
+
+@pytest.mark.parametrize("name", STUCK_PROGRAMS)
+def test_each_stuck_rule_pins_its_reason_detail_and_steps(name):
+    text, want = STUCK_PROGRAMS[name]
+    out = machine.run_program(parser.parse_program(text), FUEL)
+    assert (out.kind, out.reason, out.detail, out.steps) == want
+
 # -- rendering helpers ------------------------------------------------------
 
 

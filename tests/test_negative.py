@@ -99,6 +99,46 @@ GOLDEN = {
     "jump_disagreeing_with_branch_marker":
         ("E-SEQ", "jump target expects marker ret(unit, *), current is "
                   "ret(int, *)", ""),
+    "arith_left_operand_not_int":
+        ("E-EXPR", "arithmetic on a non-integer", ""),
+    "if0_condition_not_int":
+        ("E-EXPR", "condition must be an integer", ""),
+    "if0_branches_leave_different_stacks":
+        ("E-EXPR", "branches disagree on the stack", ""),
+    "stack_lambda_body_leaves_wrong_stack":
+        ("E-EXPR", "function body does not produce the declared stack", ""),
+    "apply_an_integer":
+        ("E-EXPR", "application of a non-function", ""),
+    "argument_of_wrong_type":
+        ("E-EXPR", "argument 1 has type unit, expected int", ""),
+    "stack_lambda_applied_to_short_stack":
+        ("E-EXPR", "the stack does not provide the required prefix", ""),
+    "stack_lambda_applied_to_wrong_slot":
+        ("E-EXPR", "stack slot 0 is unit, the function needs int", ""),
+    "project_from_integer":
+        ("E-EXPR", "projection from a non-tuple", ""),
+    "fold_at_non_recursive_type":
+        ("E-EXPR", "fold annotation must be recursive", ""),
+    "fold_of_wrong_type":
+        ("E-EXPR", "folded value has type unit, expected int", ""),
+    "unfold_an_integer":
+        ("E-EXPR", "unfold of a non-recursive value", ""),
+    "word_from_empty_register":
+        ("E-VAL", "register r2 holds no value", ""),
+    "pack_at_non_existential":
+        ("E-VAL", "pack annotation must be existential", ""),
+    "pack_of_wrong_type":
+        ("E-VAL", "packed value does not match its annotation", ""),
+    "word_fold_at_non_recursive_type":
+        ("E-VAL", "fold annotation must be recursive", ""),
+    "word_fold_of_wrong_type":
+        ("E-VAL", "folded value does not match its annotation", ""),
+    "instantiate_monomorphic_code":
+        ("E-VAL", "instantiation of a non-polymorphic value", "lA"),
+    "instantiate_stack_binder_with_type":
+        ("E-VAL", "instantiation kind mismatch for binder z", "lA"),
+    "instruction_under_marker_variable":
+        ("E-WFRET", "marker variable eps reaches an instruction", "lA"),
 }
 
 

@@ -106,7 +106,9 @@ def test_target_types_round_trip_through_pretty(t):
     assert S.alpha_equal(parser.parse_type(pretty.ty(t)), t)
 
 
-@settings(deadline=None, max_examples=60)
+# Derandomized, and enough examples that every templated form is drawn:
+# annotated lets, stack lambdas, boundaries, and pack and fold words.
+@settings(deadline=None, max_examples=100, derandomize=True)
 @given(source_terms)
 def test_terms_round_trip_through_pretty(e):
     assert S.alpha_equal(parser.parse_expr(pretty.tm(e)), e)

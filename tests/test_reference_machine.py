@@ -11,7 +11,7 @@ from ftal import machine, parser
 from ftal import syntax as S
 from ftal.typecheck import check_program
 from test_machine import (APPLIED, F_FORMS, FOLDS_AND_TUPLES, GOLDEN_FUEL, GOLDEN_INPUTS,
-                          UNPACK_SHADOWING, UNPACK_TO_JUMP, ping_pong)
+                          STUCK_PROGRAMS, UNPACK_SHADOWING, UNPACK_TO_JUMP, ping_pong)
 from test_reference import programs
 
 
@@ -85,6 +85,11 @@ def test_t_programs_step_as_the_reference_does(text):
 def test_f_forms_step_as_the_reference_does(text):
     assert_agree(parser.parse_program(text), machine.DEFAULT_FUEL)
 
+
+
+@pytest.mark.parametrize("name", STUCK_PROGRAMS)
+def test_stuck_programs_step_as_the_reference_does(name):
+    assert_agree(parser.parse_program(STUCK_PROGRAMS[name][0]), machine.DEFAULT_FUEL)
 
 def test_the_inputs_hold_every_target_rule():
     texts = (*(corpus_text(name) for name in ALL_FTAL), ping_pong(1),

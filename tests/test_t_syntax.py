@@ -1,12 +1,13 @@
-"""The concrete syntax table of T: every instruction and terminator has
-one template, which the parser reads and the printer fills in."""
+"""The concrete syntax tables: every instruction and terminator of T,
+every type and return marker, and every term but an instantiation has
+one template, which the printer fills in and the parser reads."""
 
 import dataclasses
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import words
 from ftal import machine, parser, pretty
 from ftal import syntax as S
 from ftal.parser import ParseError
@@ -93,19 +94,6 @@ def test_each_form_prints_and_reads_back(node):
     assert read(text, type(node)) == node
     assert pretty.instr(read(text, type(node))) == text
 
-
-# T words nest: an instantiation, a pack or a fold holds any word, and a
-# word written inside another may need parentheses.
-OMEGAS = (S.TyInt(), S.TVar("a"), S.SNil(), S.SVar("z"), S.SCons(S.TyInt(), S.SNil()),
-          S.MEps("eps"), S.MIdx(1), S.MReg("ra"))
-words = st.recursive(
-    st.one_of(st.sampled_from((S.Reg("r1"), S.Reg("ra"), S.Loc("l"), S.UnitVal())),
-              st.integers(-3, 3).map(S.IntVal)),
-    lambda inner: st.one_of(
-        st.builds(S.Inst, inner, st.sampled_from(OMEGAS)),
-        st.builds(S.Pack, st.just(S.TyInt()), inner, st.just(S.Exists("a", S.TVar("a")))),
-        st.builds(S.Fold, st.sampled_from((S.Mu("a", S.TyInt()), S.Mu("a", S.TVar("a")))), inner),
-    ), max_leaves=5)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -329,5 +317,104 @@ def test_code_block_header_parse_errors(text, want):
     with pytest.raises(ParseError) as exc:
         parser.parse_component(
             f"(\n  halt[int, *] r1,\n  where\n    l -> {text}.\n      halt[int, *] r1\n)")
+    e = exc.value
+    assert (e.message, e.line, e.col, e.expected) == want
+
+
+# -- terms ---------------------------------------------------------------------
+
+TERM_FORMS = tuple(cls for cls in S.Tm.__subclasses__() if cls is not S.Inst)
+
+
+def test_every_term_but_an_instantiation_has_one_template_over_its_fields():
+    assert set(S.TM_SYNTAX) == set(TERM_FORMS)
+    for cls in TERM_FORMS:
+        template = S.TM_SYNTAX[cls]
+        parts, _ = S.template_parts(template)
+        slots, names = [f for _, f in parts], [f.name for f in dataclasses.fields(cls)]
+        assert sorted(slots) == sorted(names), cls
+        # The parser builds a keyword-led term from its slots in order; a
+        # lambda, read by hand, writes its stack prefixes first.
+        if not template.startswith(("{", "(", "lam")):
+            assert slots == names, cls
+
+
+def test_term_template_literals_are_keywords_and_marks():
+    for cls, template in S.TM_SYNTAX.items():
+        parts, end = S.template_parts(template)
+        for literal in (*(lit for lit, _ in parts), end):
+            assert all(t.kind == t.text for t in parser.lex(literal)[:-1]), cls
+
+
+# Parse errors of the keyword-led terms, as (source, (message, line, col,
+# expected)), recorded from the hand-written reader. Each is read by
+# parser.parse_expr.
+EXPR_ERRORS = (
+    ('if0 1 2', ('expected an expression', 1, 8, ('expression',))),
+    ('if0 1 2 +', ('expected an expression', 1, 9, ('expression',))),
+    ('unfold', ('expected an expression', 1, 7, ('expression',))),
+    ('unfold )', ('expected an expression', 1, 8, ('expression',))),
+    ('fold mu a. int', ('expected an expression', 1, 15, ('expression',))),
+    ('pi.0', ('expected an expression', 1, 5, ('expression',))),
+    ('pi.1 ,', ('expected an expression', 1, 6, ('expression',))),
+    ('pi 0 x', ("unexpected '0' in projection", 1, 4, ('.',))),
+    ('pi.x y', ("unexpected 'x' in projection", 1, 4, ('INT',))),
+    ('pi.-1 x', ("unexpected '-' in projection", 1, 4, ('INT',))),
+    ('pi.0.1 x', ('expected an expression', 1, 5, ('expression',))),
+    ('let 1 = 2 in 3', ('expected binding name', 1, 5, ('IDENT',))),
+    ('let x 2 in 3', ("unexpected '2' in let binding", 1, 7, ('=',))),
+    ('let x = 2 3', ("unexpected '3' in let binding", 1, 11, ('in',))),
+    ('let x = 2', ("unexpected 'end of input' in let binding", 1, 10, ('in',))),
+    ('let x : = 2 in x', ('expected a type', 1, 9, ('type',))),
+    ('let x : z = 2 in x', ("'z' is a stack variable, not a type", 1, 9, ())),
+    ('let x : int 2 in x', ("unexpected '2' in let binding", 1, 13, ('=',))),
+    ('let x = 2 in', ('expected an expression', 1, 13, ('expression',))),
+    ('let\n  x = 1\nin\n  y +', ('expected an expression', 4, 6, ('expression',))),
+    ('lam x: int). x', ("unexpected 'x' in lambda parameters", 1, 5, ('(',))),
+    ('lam (x: int. x', ("unexpected '.' in lambda parameters", 1, 12, (')',))),
+    ('lam (x: int) x', ("unexpected 'x' in lambda", 1, 14, ('.',))),
+    ('lam (x int). x', ("unexpected 'int' in parameter annotation", 1, 8, (':',))),
+    ('lam (1: int). x', ('expected parameter name', 1, 6, ('IDENT',))),
+    ('lam (x: int).', ('expected an expression', 1, 14, ('expression',))),
+    ('lam [int :: . unit :: .](x: int). x', ("unexpected 'unit' in stack lambda", 1, 15, ('=>',))),
+    ('lam [int :: . => unit :: .(x: int). x', ("unexpected '(' in stack lambda", 1, 27, (']',))),
+    ('lam [int => .](x: int). x', ("unexpected '=>' in stack prefix", 1, 10, ('::',))),
+    ('FT int](halt[int, *] r1)', ("unexpected 'int' in boundary annotation", 1, 4, ('[',))),
+    ('FT[int (halt[int, *] r1)', ("unexpected '(' in boundary annotation", 1, 8, (']',))),
+    ('FT[int]', ("unexpected 'end of input' in component", 1, 8, ('(',))),
+    ('FT[]()', ('expected a type', 1, 4, ('type',))),
+    ('FT[int] halt[int, *] r1', ("unexpected 'halt' in component", 1, 9, ('(',))),
+    ('fold 3 x', ('expected a type', 1, 6, ('type',))),
+    ('fold z x', ("'z' is a stack variable, not a type", 1, 6, ())),
+    ('fold\n  (int\n  x', ("unexpected 'x' in arrow type", 3, 3, (')',))),
+)
+
+# T words, each read as "FT[int](\n  mv r1, <text>;\n  halt[int, *] r1\n)".
+WORD_ERRORS = (
+    ('pack int, 1> as exists a. a', ("unexpected 'int' in pack", 2, 15, ('<',))),
+    ('pack <int 1> as exists a. a', ("unexpected '1' in pack", 2, 20, (',',))),
+    ('pack <int, 1 as exists a. a', ("unexpected 'as' in pack", 2, 23, ('>',))),
+    ('pack <int, 1> exists a. a', ("unexpected 'exists' in pack", 2, 24, ('as',))),
+    ('pack <int, 1>', ("unexpected ';' in pack", 2, 23, ('as',))),
+    ('pack <3, 1> as exists a. a', ('expected a type', 2, 16, ('type',))),
+    ('pack <int, ,> as exists a. a', ('expected an operand', 2, 21, ('operand',))),
+    ('fold 3 1', ('expected a type', 2, 15, ('type',))),
+    ('fold mu a. int', ('expected an operand', 2, 24, ('operand',))),
+    ('fold z 1', ("'z' is a stack variable, not a type", 2, 15, ())),
+)
+
+
+@pytest.mark.parametrize("text,want", EXPR_ERRORS)
+def test_expression_parse_errors(text, want):
+    with pytest.raises(ParseError) as exc:
+        parser.parse_expr(text)
+    e = exc.value
+    assert (e.message, e.line, e.col, e.expected) == want
+
+
+@pytest.mark.parametrize("text,want", WORD_ERRORS)
+def test_word_parse_errors(text, want):
+    with pytest.raises(ParseError) as exc:
+        parser.parse_expr(f"FT[int](\n  mv r1, {text};\n  halt[int, *] r1\n)")
     e = exc.value
     assert (e.message, e.line, e.col, e.expected) == want
