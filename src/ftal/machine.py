@@ -69,11 +69,13 @@ environment instead.  So a crossing adds an entry to no cache.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
-registers it set, is rendered only while ``run`` has a trace sink (or
-for a direct call of ``step``); the text is that of the closed
-instruction.  ``trace_line`` is the one encoder of a full record: it
-writes the record's JSON line, byte for byte the line
-``json.dumps(record, sort_keys=True)`` gives.
+register it set, if any, is rendered only while ``run`` has a trace
+sink (or for a direct call of ``step``); the text is that of the closed
+instruction.  Each rule sets at most one register, so the rendered
+delta is empty or holds one entry, and neither ``step`` nor
+``trace_line`` sorts or joins a list for it.  ``trace_line`` is the one
+encoder of a full record: it writes the record's JSON line, byte for
+byte the line ``json.dumps(record, sort_keys=True)`` gives.
 
 Heap labels are renamed to label#k with a machine-owned counter when a
 component's bindings are merged in, so repeated entry into the same
@@ -508,8 +510,9 @@ class Machine:
     def step(self) -> dict | None:
         """Perform one transition; returns its trace record, or None once
         the machine is terminal.  Inside an untraced ``run`` the record
-        has no redex or registers_delta.  The registers_delta is built in
-        sorted register order, which ``trace_line`` relies on.
+        has no redex or registers_delta.  A step sets at most one
+        register, so the registers_delta holds the register it set, if
+        any; a rule that set two would fail here.
 
         The rule is looked up by the type of the node in focus: the head
         of a target sequence, a terminator, a source expression, or the
@@ -557,13 +560,16 @@ class Machine:
         if not render:
             return {"step": steps, "lang": lang, "jump": jump,
                     "stack_depth": len(self.stack)}
+        rendered = {}
+        if self._delta:
+            (r, w), = self._delta.items()
+            rendered[r] = pretty.word_str(w)
         return {
             "step": steps,
             "lang": lang,
             "redex": _redex(redex, env) if lang == "T" else redex,
             "jump": jump,
-            "registers_delta": {r: pretty.word_str(w)
-                                for r, w in sorted(self._delta.items())},
+            "registers_delta": rendered,
             "stack_depth": len(self.stack),
         }
 
@@ -587,11 +593,17 @@ def trace_line(record: dict) -> str:
     """The JSON line of a full trace record, newline included: the six
     keys in sorted order, each string escaped as ``json.dumps`` escapes
     it, so the line equals ``json.dumps(record, sort_keys=True) + "\\n"``.
-    The registers_delta is written in its own order, which
-    ``Machine.step`` makes the sorted one."""
-    jump = record["jump"]
-    delta = ", ".join([f"{_json_str(r)}: {_json_str(w)}"
-                       for r, w in record["registers_delta"].items()])
+    The registers_delta is written in its own order: a step sets at most
+    one register, so a record of ``Machine.step`` has at most one."""
+    jump, regs = record["jump"], record["registers_delta"]
+    if not regs:
+        delta = ""
+    elif len(regs) == 1:
+        (r, w), = regs.items()
+        delta = f"{_json_str(r)}: {_json_str(w)}"
+    else:
+        delta = ", ".join([f"{_json_str(r)}: {_json_str(w)}"
+                           for r, w in regs.items()])
     return (f'{{"jump": {"null" if jump is None else _json_str(jump)}, '
             f'"lang": {_json_str(record["lang"])}, '
             f'"redex": {_json_str(record["redex"])}, '

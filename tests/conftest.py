@@ -4,9 +4,16 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from ftal import syntax as S
+
+# Every property draws the same inputs on every run: its seed comes from
+# the test itself, so a failure reproduces and two runs check the same
+# cases.  A test's own @settings sets only its max_examples.
+settings.register_profile("ftal", derandomize=True, deadline=None)
+settings.load_profile("ftal")
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/ftal/corpus"
 

@@ -82,7 +82,7 @@ def test_target_only_types_are_rejected(text):
         tr(text)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(source_types)
 def test_translating_a_translation_fails_unless_fixed(t):
     # The image of a non-trivial source type is a target type; feeding
@@ -212,7 +212,7 @@ def test_shared_parts_build_the_wrappers_built_per_crossing(text):
         assert heap == want_heap
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(source_types)
 def test_shared_parts_build_every_arrow_wrapper_as_before(t):
     if not isinstance(t, S.Arrow):

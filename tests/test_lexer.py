@@ -134,7 +134,7 @@ ALPHABET = (
 )
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
+@settings(max_examples=1000)
 @given(st.lists(st.sampled_from(ALPHABET), max_size=30).map("".join))
 def test_lexer_agrees_with_the_character_loop(src):
     assert_lexes_as_the_loop(src)

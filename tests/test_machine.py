@@ -5,7 +5,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_FTAL, corpus_text
@@ -609,6 +609,8 @@ def test_trace_lines_are_the_sorted_key_json_of_every_record(entry):
     assert records
     for r in records:
         assert machine.trace_line(r) == json_line(r)
+        # Machine.step renders an empty or a one-register delta directly.
+        assert len(r["registers_delta"]) <= 1
 
 
 # Text that JSON must escape: quotes, backslashes, control characters,
@@ -631,10 +633,36 @@ def trace_records(draw) -> dict:
     }
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
+# Escape-heavy records with 0, 1 and 2 registers: trace_line writes the
+# first two without a join.
+ESCAPING = {"step": 12, "lang": "T", "redex": 'mv r1, "x"\\\x1f',
+            "jump": "call\u00e9", "stack_depth": 3}
+
+
+@settings(max_examples=500)
 @given(trace_records())
+@example({**ESCAPING, "jump": None, "registers_delta": {}})
+@example({**ESCAPING, "registers_delta": {"r1": 'l"1\\n#0\n\u00e9'}})
+@example({**ESCAPING, "registers_delta": {"r1\t": "\x00\ud800",
+                                          "ra": "\U0001f600  /"}})
 def test_trace_line_escapes_as_json_dumps_does(record):
     assert machine.trace_line(record) == json_line(record)
+
+
+@pytest.mark.parametrize("name, arg", [
+    ("factorial_t", 5), ("factorial_f", 5), ("import_one_plus_one", None)])
+def test_direct_steps_return_the_records_a_traced_run_gives(name, arg):
+    prog = parser.parse_program(corpus_text(name))
+    if arg is not None:
+        prog = S.Program("F", S.App(prog.main, (S.IntVal(arg),)))
+    m = machine.load(prog)
+    stepped = list(iter(m.step, None))
+    traced = []
+    out = machine.run_program(prog, GOLDEN_FUEL, traced.append)
+    assert len(stepped) == len(traced) == out.steps
+    assert stepped == traced
+    assert ([machine.trace_line(r) for r in stepped]
+            == [machine.trace_line(r) for r in traced])
 
 
 class _NoRendering:
@@ -1202,6 +1230,13 @@ def test_a_crossing_leaves_nothing_behind(monkeypatch):
                       sum(len(env.bodies) for env in envs),
                       sum(len(env.texts) for env in envs)))
     assert sizes[0] == sizes[1]
+
+
+def test_a_ping_pong_step_sets_at_most_one_register():
+    sizes = set()
+    machine.run_program(parser.parse_program(ping_pong(40)), FUEL,
+                        lambda r: sizes.add(len(r["registers_delta"])))
+    assert sizes == {0, 1}
 
 
 # Exported functions: an annotation, and a closed lambda to wrap.  Closing

@@ -94,13 +94,13 @@ def test_code_type_round_trips():
     assert S.alpha_equal(parser.parse_type(pretty.ty(t)), t)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(source_types)
 def test_types_round_trip_through_pretty(t):
     assert S.alpha_equal(parser.parse_type(pretty.ty(t)), t)
 
 
-@settings(deadline=None, max_examples=100, derandomize=True)
+@settings(max_examples=100)
 @given(target_types)
 def test_target_types_round_trip_through_pretty(t):
     assert S.alpha_equal(parser.parse_type(pretty.ty(t)), t)
@@ -108,7 +108,7 @@ def test_target_types_round_trip_through_pretty(t):
 
 # Derandomized, and enough examples that every templated form is drawn:
 # annotated lets, stack lambdas, boundaries, and pack and fold words.
-@settings(deadline=None, max_examples=100, derandomize=True)
+@settings(max_examples=100)
 @given(source_terms)
 def test_terms_round_trip_through_pretty(e):
     assert S.alpha_equal(parser.parse_expr(pretty.tm(e)), e)

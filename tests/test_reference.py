@@ -102,7 +102,7 @@ def programs(draw):
     return ty, draw(terms(ty, {}, 5))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(programs())
 def test_the_machine_agrees_with_the_substituting_evaluator(case):
     ty, term = case

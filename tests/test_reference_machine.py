@@ -99,7 +99,7 @@ def test_the_inputs_hold_every_target_rule():
     assert set(machine.T_RULES) - seen == set()
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(programs())
 def test_pure_f_programs_step_as_the_reference_does(case):
     assert_agree(S.Program("F", case[1]), machine.DEFAULT_FUEL)

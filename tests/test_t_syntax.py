@@ -96,7 +96,7 @@ def test_each_form_prints_and_reads_back(node):
 
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(words)
 def test_every_word_prints_and_reads_back_in_a_move(word):
     node = S.Mv("r1", word)
