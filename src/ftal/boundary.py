@@ -269,8 +269,12 @@ def _import_lambda(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Lam:
     halting block, and calls the pointer.
     """
     # The binders the wrapper picks begin with z, so only the names of w
-    # that do can change them; every other word shares the parts.
-    taken = frozenset(name for _, name in free_names(w) if name.startswith("z"))
+    # that do can change them; every other word shares the parts.  A bare
+    # label's one name is itself.
+    if type(w) is Loc:
+        taken = frozenset((w.name,) if w.name.startswith("z") else ())
+    else:
+        taken = frozenset(name for _, name in free_names(w) if name.startswith("z"))
     before, z, end_block, q, lam_params, stack_ann = _import_parts(ann, taken)
     end_label = fresh("lend")
     heap[end_label] = ("box", end_block)

@@ -41,7 +41,9 @@ only the body can name a source variable, and the body runs before any
 jump leaves it.  (In a program the checker rejects, a heap block that
 names one reads it wherever the block runs, and may get stuck where
 closing the component would have replaced it.)  The component is entered
-as it is, with no walk of its code but the renaming of its heap labels.
+as it is, with no walk of its code but the renaming of its heap labels,
+and one with no heap, as every one a boundary translation builds, with
+no walk at all.
 
 A jump enters its block with its instantiations substituted into the
 body, as in the semantics, but a block is closed once per instantiation:
@@ -65,7 +67,9 @@ never rebound, so the word always reaches the same place.  A word read
 from a register (``ret r``, ``jmp r``, ``bnz r, r``) is resolved each
 time, since each crossing makes a fresh return address.  A ``call`` adds
 its continuation's omegas, so it looks up the (label, *omegas)
-environment instead.  So a crossing adds an entry to no cache.
+environment instead.  So a crossing adds an entry to no cache.  Types,
+stacks and markers keep their hash (see ``syntax.TypeLevel``), so such a
+lookup hashes no type tree after the first.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
@@ -351,6 +355,7 @@ class _Env:
         self.texts: dict = {}  # id(node) -> (node, redex text)
 
 
+_UNIT = UnitVal()  # words are immutable, so every fresh slot shares one
 _AOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
@@ -398,6 +403,8 @@ class Machine:
         return label
 
     def _merge_component(self, comp: Component) -> ISeq:
+        if not comp.heap:
+            return comp.body
         mapping = {hb.label: self._fresh(hb.label) for hb in comp.heap}
         for hb in comp.heap:
             value = rename_locations(hb.value, mapping)
@@ -447,12 +454,10 @@ class Machine:
     def _target(self, word, extra: tuple):
         """The body of the block ``word`` names, closed under its
         instantiations followed by ``extra``, and their environment."""
-        omegas: list = []
+        omegas = extra
         while type(word) is Inst:
-            omegas.append(word.omega)
+            omegas = (word.omega, *omegas)
             word = word.val
-        omegas.reverse()
-        omegas.extend(extra)
         if type(word) is not Loc:
             raise _Stuck(STUCK_TYPE_CONFUSION,
                          f"jump through non-code word {pretty.word_str(word)}")
@@ -701,7 +706,7 @@ def _t_mv(m, ins):
 
 
 def _t_salloc(m, ins):
-    m.stack.extend([UnitVal()] * ins.n)
+    m.stack.extend([_UNIT] * ins.n)
 
 
 def _t_sfree(m, ins):

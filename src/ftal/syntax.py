@@ -7,13 +7,13 @@ variables, F term variables, and heap labels.
 Binding is declared once, in ``SCHEMA``: for each node class, its child
 fields with their shapes, and the names it binds with their namespace and
 scope. ``subterms`` walks every sub-node with the names bound around it,
-each numbered by its binder, and never recurses; ``free_names``,
-``alpha_equal`` (two walks side by side) and the checker read scope from
-it. ``substitute`` (capture-avoiding, in any namespace) has a walk of its
-own, because it rebuilds nodes; it loops along instruction sequences but
-recurses into terms. ``subst_terms`` and ``rename_locations`` are
-adapters onto it. A new node class needs one ``SCHEMA`` entry and
-nothing else here.
+each numbered by its binder, and the frame alpha-equality compares, and
+never recurses; ``free_names``, ``alpha_equal`` (two walks side by side)
+and the checker read scope from it. ``substitute`` (capture-avoiding, in
+any namespace) has a walk of its own, because it rebuilds nodes; it
+loops along instruction sequences but recurses into terms.
+``subst_terms`` and ``rename_locations`` are adapters onto it. A new
+node class needs one ``SCHEMA`` entry and nothing else here.
 
 The concrete syntax of T's instructions and terminators is declared once,
 in ``T_SYNTAX``, that of types and return markers in ``TY_SYNTAX``, and
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import count
+from operator import attrgetter
 from string import Formatter
 
 KIND_TYPE = "type"
@@ -68,19 +69,36 @@ class Node:
     __slots__ = ()
 
 
-class Ty(Node):
+class TypeLevel(Node):
+    """Base for types, stacks and markers. Each keeps the hash its
+    dataclass gives once it is first asked for, since types key the
+    machine's environments and the boundary's memos on every crossing.
+    The kept hash is not a field, so equality, printing and ``SCHEMA``
+    ignore it; it is neither pickled nor copied, as a str hash differs
+    from one process to the next."""
+
+    __slots__ = ()
+    _hash = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+class Ty(TypeLevel):
     """Base for value types (F types, T word types, heap types)."""
 
     __slots__ = ()
 
 
-class Stk(Node):
+class Stk(TypeLevel):
     """Base for stack types."""
 
     __slots__ = ()
 
 
-class Mk(Node):
+class Mk(TypeLevel):
     """Base for return markers."""
 
     __slots__ = ()
@@ -616,11 +634,15 @@ class Schema:
         self.fields = tuple((n, shapes.get(n), self.scoped and n in scope) for n in names)
         self.children = tuple(f for f in self.fields if f[1] is not None)
         self.attrs = tuple(n for n in names if n not in shapes and n != self.bfield)
-        # The fields whose _split frame alpha-equality compares: bound
+        # Reads every attribute at once: a tuple, or the only one's value.
+        self.get_attrs = attrgetter(*self.attrs) if self.attrs else None
+        # The children in the order a walk pushes them, last first, each
+        # with whether alpha-equality compares its _split frame: bound
         # names are matched where they occur, labels by name.
-        self.framed = tuple((n, shape) for n, shape, _ in self.children if shape != NODE
-                            and (n != self.bfield or self.bkind == KIND_LOC))
-        self.typelevel = issubclass(cls, (Ty, Stk, Mk))
+        self.pushed = tuple(
+            (n, shape, scoped, shape != NODE and (n != self.bfield or self.bkind == KIND_LOC))
+            for n, shape, scoped in reversed(self.children))
+        self.typelevel = issubclass(cls, TypeLevel)
 
 
 _LEAVES = (TyUnit, TyInt, SNil, MReg, MIdx, MOut, IntVal, UnitVal, Reg,
@@ -669,6 +691,19 @@ SCHEMA: dict = {sc.cls: sc for sc in (
 
 _VAR_NODES = {sc.var: cls for cls, sc in SCHEMA.items() if sc.var}
 _TYPE_KINDS = (KIND_TYPE, KIND_STACK, KIND_MARKER)
+
+
+def _kept_hash(node: TypeLevel) -> int:
+    h = node._hash
+    if h is None:
+        h = node.__dict__["_hash"] = node._field_hash()
+    return h
+
+
+# A type-level node hashes through its dataclass's hash once, and keeps it.
+for _sc in SCHEMA.values():
+    if _sc.typelevel:
+        _sc.cls._field_hash, _sc.cls.__hash__ = _sc.cls.__hash__, _kept_hash
 
 
 # ---------------------------------------------------------------------------
@@ -807,35 +842,52 @@ def binders(node) -> list:
 
 def subterms(node):
     """Every node in ``node``, itself first, in pre-order with children in
-    field order. Each comes with a dict that maps each (kind, name) pair
-    bound around it at that point to the serial number of its binder.
-    Each walk numbers binders from one counter as it meets them, so two
-    walks of alpha-equal terms number theirs alike. Iterative, so deep
-    terms do not recurse."""
+    field order, as (node, bound, frame). ``bound`` maps each (kind,
+    name) pair bound around the node at that point to the serial number
+    of its binder. Each walk numbers binders from one counter as it meets
+    them, so two walks of alpha-equal terms number theirs alike. The
+    frame is what alpha-equality compares of the node apart from its
+    class, attributes and variables: the kinds of the names it binds over
+    its fields, then the frame of each child field that ``Schema.pushed``
+    marks, in that order, or None if it has neither. A binder over the
+    rest of a sequence binds one name of its schema's kind, so its kinds
+    are its class's. Iterative, so deep terms do not recurse."""
     serial = count()
-    todo = [(node, {})]
+    todo = [(node, {}, None)]
     pop, push = todo.pop, todo.append
     while todo:
         item = pop()
-        yield item
-        node, bound = item
+        node, bound, _ = item
         sc = SCHEMA[type(node)]
         if not sc.children:
+            yield item
             continue
         if sc.cls is Seq:
             head_sc = SCHEMA[type(node.head)]
             tail = bound | dict(zip(_binders(head_sc, node.head), serial)) if head_sc.tail else bound
-            push((node.tail, tail))
-            push((node.head, bound))
+            push((node.tail, tail, None))
+            push((node.head, bound, None))
+            yield item
             continue
-        inner = bound | dict(zip(_binders(sc, node), serial)) if sc.scoped else bound
-        for name, shape, scoped in reversed(sc.children):
+        inner, frame = bound, None
+        if sc.scoped:
+            keys = _binders(sc, node)
+            inner = bound | dict(zip(keys, serial))
+            frame = [kind for kind, _ in keys]
+        for name, shape, scoped, framed in sc.pushed:
             value, b = getattr(node, name), inner if scoped else bound
             if shape == NODE:
-                push((value, b))
-            else:
-                for child in reversed(_split(shape, value)[1]):
-                    push((child, b))
+                push((value, b, None))
+                continue
+            split, children = _split(shape, value)
+            if framed:
+                if frame is None:
+                    frame = [split]
+                else:
+                    frame.append(split)
+            for child in reversed(children):
+                push((child, b, None))
+        yield item if frame is None else (node, bound, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +898,7 @@ def free_names(node) -> frozenset:
     """All free names of every kind, as (kind, name) pairs: the variable
     occurrences that no binder around them binds."""
     out: set = set()
-    for n, bound in subterms(node):
+    for n, bound, _ in subterms(node):
         kind = SCHEMA[type(n)].var
         if kind is not None and (kind, n.name) not in bound:
             out.add((kind, n.name))
@@ -1017,13 +1069,13 @@ def alpha_equal(a, b) -> bool:
     """
     if a is b:
         return True
-    if isinstance(a, (Ty, Stk, Mk)):
+    if isinstance(a, TypeLevel):
         x, y = a, b
         while type(x) is SCons and type(y) is SCons and x.head == y.head:
             x, y = x.tail, y.tail
         if x == y:
             return True
-    for (x, bx), (y, by) in zip(subterms(a), subterms(b)):
+    for (x, bx, fx), (y, by, fy) in zip(subterms(a), subterms(b)):
         if type(x) is not type(y):
             return False
         sc = SCHEMA[type(x)]
@@ -1032,13 +1084,9 @@ def alpha_equal(a, b) -> bool:
             if ix != iy or ix is None and x.name != y.name:
                 return False
             continue
-        for name in sc.attrs:
-            if getattr(x, name) != getattr(y, name):
-                return False
-        if sc.bfield is not None and \
-                [k for k, _ in _binders(sc, x)] != [k for k, _ in _binders(sc, y)]:
+        if fx != fy:
             return False
-        for name, shape in sc.framed:
-            if _split(shape, getattr(x, name))[0] != _split(shape, getattr(y, name))[0]:
-                return False
+        get = sc.get_attrs
+        if get is not None and get(x) != get(y):
+            return False
     return True

@@ -182,7 +182,7 @@ def wf(delta: Delta, *nodes) -> None:
     a continuation; that is reported after any fault inside the code type.
     """
     for node in nodes:
-        for n, bound in subterms(node):
+        for n, bound, _ in subterms(node):
             cls = type(n)
             kind = _VARS.get(cls)
             if kind is not None:

@@ -6,8 +6,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import source_types
+from conftest import OMEGAS, source_types
 from ftal import boundary, machine, parser
 from ftal import syntax as S
 from ftal.errors import KindError, TranslationError
@@ -223,6 +224,25 @@ def test_shared_parts_build_every_arrow_wrapper_as_before(t):
     want_heap, want_fresh = scratch()
     assert boundary.import_value(t, S.Loc("z"), heap, fresh) == \
         reference_import_lambda(t, S.Loc("z"), want_heap, want_fresh)
+    assert heap == want_heap
+
+
+# Code words: labels, some spelled like the names an imported lambda picks
+# (z, zi) or merely beginning with z, under instantiations.
+code_words = st.recursive(
+    st.sampled_from(("l", "l#0", "z", "zi", "zl", "z#0")).map(S.Loc),
+    lambda word: st.builds(S.Inst, word, st.sampled_from(OMEGAS + (S.SVar("zi"),))),
+    max_leaves=3)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(ARROWS).map(parser.parse_type), code_words)
+def test_an_imported_lambda_avoids_the_names_free_in_its_word(ann, w):
+    # A bare label's names are read off the label, with no walk.
+    heap, fresh = scratch()
+    want_heap, want_fresh = scratch()
+    assert boundary.import_value(ann, w, heap, fresh) == \
+        reference_import_lambda(ann, w, want_heap, want_fresh)
     assert heap == want_heap
 
 

@@ -94,7 +94,7 @@ def test_deep_program_subterms(deep):
     # The walk is iterative, and the label the component binds is bound
     # at the jump to it and at each of the block's moves.
     _, prog = deep
-    bound_at_loc = [b for n, b in S.subterms(prog) if isinstance(n, S.Loc)]
+    bound_at_loc = [b for n, b, _ in S.subterms(prog) if isinstance(n, S.Loc)]
     assert len(bound_at_loc) == 1 + N // 2
     assert all((S.KIND_LOC, "l") in b for b in bound_at_loc)
 

@@ -1207,25 +1207,39 @@ def ping_pong(k: int) -> str:
 def test_a_crossing_leaves_nothing_behind(monkeypatch):
     # Each round trip exports a wrapper block under a fresh label and
     # imports a fresh lambda.  Wrappers that share binders and
-    # instantiations share one environment; closing, term substitution
-    # and every cache kept by node identity must not grow with the number
-    # of round trips, trace text included.
-    calls = {"substitute": [], "subst_terms": []}
+    # instantiations share one environment; closing, term substitution,
+    # renaming labels (a component with no heap is entered as it is),
+    # hashing a type (each node keeps its hash) and every cache kept by
+    # node identity must not grow with the number of round trips, trace
+    # text included.
+    calls = {"substitute": [], "subst_terms": [], "rename_locations": []}
     for name, log in calls.items():
         def counting(node, mapping, fn=getattr(machine, name), log=log):
             log.append(node)
             return fn(node, mapping)
 
         monkeypatch.setattr(machine, name, counting)
+    hashed = []
+    for cls, sc in S.SCHEMA.items():
+        if sc.typelevel:
+            def spy(node, fn=cls._field_hash):
+                hashed.append(type(node))
+                return fn(node)
+
+            monkeypatch.setattr(cls, "_field_hash", spy)
+    # The boundary's memos outlive a run; fill them first, so that both
+    # runs hash only the types they build.
+    machine.load(parser.parse_program(ping_pong(1))).run(FUEL)
     sizes = []
     for k in (40, 640):
-        for log in calls.values():
+        for log in (*calls.values(), hashed):
             log.clear()
         m = machine.load(parser.parse_program(ping_pong(k)))
         out = m.run(FUEL, lambda record: None)
         assert out.kind == "f-value" and out.value == S.IntVal(k * (k + 1))
         envs = m._envs.values()
         sizes.append((len(calls["substitute"]), len(calls["subst_terms"]),
+                      len(calls["rename_locations"]), len(hashed),
                       len(m._targets), len(m._envs),
                       sum(len(env.bodies) for env in envs),
                       sum(len(env.texts) for env in envs)))

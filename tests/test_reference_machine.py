@@ -95,7 +95,7 @@ def test_the_inputs_hold_every_target_rule():
     texts = (*(corpus_text(name) for name in ALL_FTAL), ping_pong(1),
              *SCOPED, *T_PROGRAMS)
     seen = {type(node) for text in texts
-            for node, _ in S.subterms(parser.parse_program(text))}
+            for node, _, _ in S.subterms(parser.parse_program(text))}
     assert set(machine.T_RULES) - seen == set()
 
 

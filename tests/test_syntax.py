@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_syntax
-from conftest import source_terms, source_types
+from conftest import source_terms, source_types, target_types
+from ftal import pretty
 from ftal import syntax as S
 
 
@@ -26,6 +28,9 @@ def test_alpha_equal_distinguishes_structure():
     assert not S.alpha_equal(
         S.Arrow((S.TyInt(),), S.TyInt()),
         S.Arrow((S.TyInt(), S.TyInt()), S.TyInt()))
+    # Unused binders of different kinds: a stack and a type variable.
+    assert not S.alpha_equal(code(["z"], [], S.SNil(), S.MOut()),
+                             code(["a"], [], S.SNil(), S.MOut()))
 
 
 def test_alpha_equal_code_types_with_renamed_stack_binder():
@@ -186,6 +191,9 @@ def test_every_node_class_has_one_schema_entry():
         names = {f.name for f in dataclasses.fields(cls)}
         assert schema.cls is cls
         assert {name for name, _, _ in schema.children} <= names, cls
+        # Each type-level class keeps the hash its dataclass gives.
+        assert ("_field_hash" in vars(cls)) == schema.typelevel == \
+            issubclass(cls, S.TypeLevel), cls
         if schema.binds is not None:
             field, _, scope = schema.binds
             assert field in names, cls
@@ -344,9 +352,11 @@ def test_a_binder_that_heads_no_sequence_binds_nothing():
 
 def test_subterms_is_pre_order_and_binders_follow_the_schema():
     t = S.Mu("a", S.Arrow((S.TVar("a"),), S.TVar("b")))
-    assert [(type(n).__name__, sorted(b)) for n, b in S.subterms(t)] == [
+    assert [(type(n).__name__, sorted(b)) for n, b, _ in S.subterms(t)] == [
         ("Mu", []), ("Arrow", [(S.KIND_TYPE, "a")]),
         ("TVar", [(S.KIND_TYPE, "a")]), ("TVar", [(S.KIND_TYPE, "a")])]
+    # A frame: the kinds a node binds, then its framed fields' frames.
+    assert [f for _, _, f in S.subterms(t)] == [[S.KIND_TYPE], [1], None, None]
     code = S.CodeT(("a", "z", "eps"), (), S.SNil(), S.MOut())
     assert S.binders(code) == [(S.KIND_TYPE, "a"), (S.KIND_STACK, "z"),
                                (S.KIND_MARKER, "eps")]
@@ -365,3 +375,50 @@ def test_instantiate_unrolls_and_opens():
     assert S.instantiate(mu, mu) == S.Arrow((mu,), S.TyInt())
     ex = S.Exists("a", S.TyTuple((S.TVar("a"), S.TVar("b"))))
     assert S.instantiate(ex, S.TyInt()) == S.TyTuple((S.TyInt(), S.TVar("b")))
+
+
+# -- the hash a type keeps ---------------------------------------------------
+
+
+def rebuilt(x):
+    """``x`` as new nodes, none of them hashed yet."""
+    if isinstance(x, tuple):
+        return tuple(rebuilt(item) for item in x)
+    if isinstance(x, S.Node):
+        return type(x)(*[rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)])
+    return x
+
+
+def field_hash(node) -> int:
+    """The hash a frozen dataclass gives: that of its compared fields."""
+    return hash(tuple(getattr(node, f.name) for f in dataclasses.fields(node) if f.compare))
+
+
+def unhashed(t) -> bool:
+    return all("_hash" not in vars(n) for n, _, _ in S.subterms(t))
+
+
+@settings(max_examples=20)
+@given(st.one_of(source_types, target_types))
+def test_a_type_keeps_its_dataclass_hash_and_nothing_else(t):
+    t = rebuilt(t)
+    assert unhashed(t)
+    nodes = [n for n, _, _ in S.subterms(t)]
+    seen = [(repr(n), dataclasses.fields(n)) for n in nodes]
+    text, state = pretty.ty(t), pickle.dumps(t)
+    # A node comes after its parent, so in reverse its children are
+    # hashed before it is.
+    for n in reversed(nodes):
+        assert "_hash" not in vars(n)
+        want = field_hash(n)
+        assert hash(n) == want and vars(n)["_hash"] == want
+        assert hash(n) == want == field_hash(n)
+    assert [(repr(n), dataclasses.fields(n)) for n in nodes] == seen
+    assert pretty.ty(t) == text and pickle.dumps(t) == state
+    fresh = rebuilt(t)
+    assert t == fresh and fresh == t and unhashed(fresh)
+    # A kept hash is not state: a copy hashes itself anew, as a copy in
+    # another process must under another hash seed.
+    for copied in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert copied == t and unhashed(copied)
+        assert hash(copied) == hash(t)
