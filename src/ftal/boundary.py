@@ -268,13 +268,11 @@ def _import_lambda(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Lam:
     stack (last argument on top), points the return register at a fresh
     halting block, and calls the pointer.
     """
-    # The binders the wrapper picks begin with z, so only the names of w
-    # that do can change them; every other word shares the parts.  A bare
-    # label's one name is itself.
-    if type(w) is Loc:
-        taken = frozenset((w.name,) if w.name.startswith("z") else ())
-    else:
-        taken = frozenset(name for _, name in free_names(w) if name.startswith("z"))
+    # The wrapper picks z and zi, freshened to z#k and zi#k if taken, so
+    # only the names of w spelled so can change them; every other word
+    # shares the parts.  A bare label's one name is itself.
+    names = (w.name,) if type(w) is Loc else (name for _, name in free_names(w))
+    taken = frozenset(n for n in names if n.split("#", 1)[0] in ("z", "zi"))
     before, z, end_block, q, lam_params, stack_ann = _import_parts(ann, taken)
     end_label = fresh("lend")
     heap[end_label] = ("box", end_block)
@@ -284,10 +282,10 @@ def _import_lambda(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Lam:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _import_parts(ann: Ty, taken: frozenset) -> tuple:
-    """What every lambda imported at ``ann``, from a word whose names that
-    begin with z are ``taken``, shares: the instructions before it sets
-    the return register, its protected tail, its halting block, the
-    marker of its call, and its parameters and stack prefixes."""
+    """What every lambda imported at ``ann``, from a word naming the
+    ``taken`` names the wrapper could pick, shares: the instructions
+    before it sets the return register, its protected tail, its halting
+    block, the marker of its call, and its parameters and stack prefixes."""
     params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     ret_plus = translate_type(ret_ty)

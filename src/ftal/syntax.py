@@ -6,14 +6,13 @@ variables, F term variables, and heap labels.
 
 Binding is declared once, in ``SCHEMA``: for each node class, its child
 fields with their shapes, and the names it binds with their namespace and
-scope. ``subterms`` walks every sub-node with the names bound around it,
-each numbered by its binder, and the frame alpha-equality compares, and
-never recurses; ``free_names``, ``alpha_equal`` (two walks side by side)
-and the checker read scope from it. ``substitute`` (capture-avoiding, in
-any namespace) has a walk of its own, because it rebuilds nodes; it
-loops along instruction sequences but recurses into terms.
-``subst_terms`` and ``rename_locations`` are adapters onto it. A new
-node class needs one ``SCHEMA`` entry and nothing else here.
+scope. Two walks read it, and neither recurses. ``subterms`` yields every
+sub-node with the names bound around it, each numbered by its binder;
+``free_names``, ``alpha_equal`` (two walks side by side) and the checker
+read scope from it. ``substitute`` (capture-avoiding, in any namespace)
+rebuilds nodes post-order from an explicit stack; ``subst_terms``,
+``rename_locations`` and ``instantiate`` are adapters onto it. A new node
+class needs one ``SCHEMA`` entry and nothing else here.
 
 The concrete syntax of T's instructions and terminators is declared once,
 in ``T_SYNTAX``, that of types and return markers in ``TY_SYNTAX``, and
@@ -38,7 +37,7 @@ names keep their prefix so freshening preserves kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import count
 from operator import attrgetter
 from string import Formatter
@@ -618,8 +617,10 @@ class Schema:
     plain attribute (an operator, a register, an index) compared by
     equality. A field that equality ignores is neither. ``binds`` is
     (field, kind, scope): the field holding the bound names, their
-    namespace, and the sibling fields they scope over (or TAIL). ``var``
-    is the namespace of a node that is a variable occurrence.
+    namespace, and the sibling fields they scope over (or TAIL). A
+    sequence binds, over its tail, what its head binds over the rest of
+    the sequence. ``var`` is the namespace of a node that is a variable
+    occurrence.
     """
 
     def __init__(self, cls, *children, binds=None, var=None):
@@ -679,7 +680,7 @@ SCHEMA: dict = {sc.cls: sc for sc in (
     Schema(Unpack, "u", binds=("tv", KIND_TYPE, TAIL)),
     Schema(Protect, ("phi", TUPLE), binds=("zeta", KIND_STACK, TAIL)),
     Schema(ImportI, "sigma0", "ann", "body", binds=("zeta", KIND_STACK, ("body",))),
-    Schema(Seq, "head", "tail"),
+    Schema(Seq, "head", "tail", binds=("head", None, ("tail",))),
     Schema(Call, "u", "sigma0", "qret"),
     Schema(Halt, "ann", "sigma"),
     Schema(CodeBlock, ("chi", PAIRS), "sigma", "q", "body",
@@ -797,8 +798,14 @@ def template_parts(template: str) -> tuple[list[tuple[str, str]], str]:
     return parts, text
 
 
-def _binders(sc: Schema, node) -> list:
-    """The (kind, name) pairs a node binds."""
+def binders(node) -> list:
+    """The (kind, name) pairs that ``node`` binds, as its schema says; a
+    sequence binds what its head binds over the rest of the sequence."""
+    sc, seq = SCHEMA[type(node)], type(node) is Seq
+    if seq:
+        node, sc = node.head, SCHEMA[type(node.head)]
+    if sc.bfield is None or (seq and not sc.tail):
+        return []
     value = getattr(node, sc.bfield)
     if isinstance(value, str):
         value = (value,)
@@ -806,13 +813,6 @@ def _binders(sc: Schema, node) -> list:
     if sc.bkind == SPELLED:
         return [(kind_of_name(n), n) for n in names]
     return [(sc.bkind, n) for n in names]
-
-
-def _renamed(value, keys: list):
-    """A binder field (a name, names, or Lam params) renamed to ``keys``."""
-    if isinstance(value, str):
-        return keys[0][1]
-    return tuple(k[1] if isinstance(x, str) else (k[1], x[1]) for k, x in zip(keys, value))
 
 
 def _split(shape, value):
@@ -834,24 +834,19 @@ def _split(shape, value):
     return (len(value[0]), len(value[1])), value[0] + value[1]
 
 
-def binders(node) -> list:
-    """The (kind, name) pairs that ``node`` binds, as its schema says."""
-    sc = SCHEMA[type(node)]
-    return _binders(sc, node) if sc.bfield is not None else []
-
-
-def subterms(node):
+def subterms(node, frames: bool = False):
     """Every node in ``node``, itself first, in pre-order with children in
     field order, as (node, bound, frame). ``bound`` maps each (kind,
     name) pair bound around the node at that point to the serial number
     of its binder. Each walk numbers binders from one counter as it meets
-    them, so two walks of alpha-equal terms number theirs alike. The
-    frame is what alpha-equality compares of the node apart from its
-    class, attributes and variables: the kinds of the names it binds over
-    its fields, then the frame of each child field that ``Schema.pushed``
-    marks, in that order, or None if it has neither. A binder over the
-    rest of a sequence binds one name of its schema's kind, so its kinds
-    are its class's. Iterative, so deep terms do not recurse."""
+    them, so two walks of alpha-equal terms number theirs alike. With
+    ``frames``, the frame is what alpha-equality compares of the node
+    apart from its class, attributes and variables: the kinds of the
+    names it binds over its fields, then the frame of each child field
+    that ``Schema.pushed`` marks, in that order, or None if it has
+    neither; without, it is None. A binder over the rest of a sequence
+    binds one name of its schema's kind, so its kinds are its class's.
+    Iterative, so deep terms do not recurse."""
     serial = count()
     todo = [(node, {}, None)]
     pop, push = todo.pop, todo.append
@@ -864,27 +859,25 @@ def subterms(node):
             continue
         if sc.cls is Seq:
             head_sc = SCHEMA[type(node.head)]
-            tail = bound | dict(zip(_binders(head_sc, node.head), serial)) if head_sc.tail else bound
+            tail = bound | dict(zip(binders(node.head), serial)) if head_sc.tail else bound
             push((node.tail, tail, None))
             push((node.head, bound, None))
             yield item
             continue
         inner, frame = bound, None
         if sc.scoped:
-            keys = _binders(sc, node)
+            keys = binders(node)
             inner = bound | dict(zip(keys, serial))
-            frame = [kind for kind, _ in keys]
+            if frames:
+                frame = [kind for kind, _ in keys]
         for name, shape, scoped, framed in sc.pushed:
             value, b = getattr(node, name), inner if scoped else bound
             if shape == NODE:
                 push((value, b, None))
                 continue
             split, children = _split(shape, value)
-            if framed:
-                if frame is None:
-                    frame = [split]
-                else:
-                    frame.append(split)
+            if framed and frames:
+                frame = [split] if frame is None else frame + [split]
             for child in reversed(children):
                 push((child, b, None))
         yield item if frame is None else (node, bound, frame)
@@ -934,10 +927,60 @@ def substitute(node, mapping: dict):
     marker for the type-level kinds, a term for KIND_TERM, a Loc for
     KIND_LOC. A binder that would capture a free name of a replacement is
     freshened first; heap labels never are.
+
+    Iterative: an entry of the stack is a node, or a tuple in a child
+    field, to walk under its passes; or, with passes None, one to rebuild
+    from the results of its parts, which their walks left on ``done`` in
+    order, the first on top. So a heap keeps the order it is declared in.
     """
     if not mapping:
         return node
-    return _subst(node, (_pass(mapping),))
+    done: list = []
+    todo = [(node, (_pass(mapping),))]
+    push, pop = todo.append, done.pop
+    while todo:
+        node, passes = todo.pop()
+        if passes is None:
+            if type(node) is Seq:  # most of what is walked
+                done.append(Seq(pop(), pop()))
+            elif type(node) is tuple:
+                done.append(tuple([pop() for _ in node]))
+            else:
+                sc = SCHEMA[type(node)]
+                done.append(sc.cls(*[getattr(node, name) if shape is None else pop()
+                                     for name, shape, _ in sc.fields]))
+            continue
+        sc = SCHEMA.get(type(node))
+        if sc is None:
+            # Inside a child field: a tuple to rebuild, or a name or None.
+            if type(node) is tuple:
+                push((node, None))
+                todo.extend([(x, passes) for x in node])
+            else:
+                done.append(node)
+            continue
+        if sc.var is not None:
+            # A replacement is walked under the passes after its own.
+            key = (sc.var, node.name)
+            for i, (m, _, _) in enumerate(passes):
+                if key in m:
+                    push((m[key], passes[i + 1:]))
+                    break
+            else:
+                done.append(node)
+            continue
+        if not passes or not sc.children or (sc.typelevel and not any(p[2] for p in passes)):
+            done.append(node)
+            continue
+        inner = passes
+        if sc.scoped and (sc.cls is not Seq or SCHEMA[type(node.head)].tail):
+            keys = binders(node)
+            if keys:
+                inner, node = _enter(keys, passes, node)
+        push((node, None))
+        for name, _, scoped in sc.children:
+            push((getattr(node, name), inner if scoped else passes))
+    return done[0]
 
 
 def instantiate(t, omega: Ty) -> Ty:
@@ -956,13 +999,11 @@ def rename_locations(node, mapping: dict):
     return substitute(node, {(KIND_LOC, old): Loc(new) for old, new in mapping.items()})
 
 
-# One traversal applies a tuple of passes, each as if to the whole result
-# of the one before. A pass is (mapping, the names free in its
-# replacements, whether it maps a type-level kind). Freshening a binder
-# puts a renaming pass for its scope ahead of the pass that needed it.
-
-
 def _pass(mapping: dict) -> tuple:
+    """A walk applies a tuple of passes, each as if to the whole result
+    of the one before. A pass is (mapping, the names free in its
+    replacements, whether it maps a type-level kind). Freshening a binder
+    puts a renaming pass for its scope ahead of the pass that needed it."""
     avoid: set = set()
     for v in mapping.values():
         avoid |= free_names(v)
@@ -970,9 +1011,10 @@ def _pass(mapping: dict) -> tuple:
 
 
 def _enter(keys: list, passes: tuple, node):
-    """The passes for the scope of ``node``'s binders, and the binders if
-    freshened. A fresh name avoids every name free in ``node`` or named by
-    a pass, so that it neither captures nor is substituted."""
+    """The passes for the scope of ``node``'s binders, and ``node`` with
+    them freshened (a sequence's are its head's). A fresh name avoids
+    every name free in ``node`` or named by a pass, so that it neither
+    captures nor is substituted."""
     inner, renamed = [], False
     for mapping, avoid, typed in passes:
         live = mapping
@@ -995,59 +1037,15 @@ def _enter(keys: list, passes: tuple, node):
             inner.append(_pass(renaming))
             renamed = True
         inner.append((live, avoid, typed))
-    return tuple(inner), keys if renamed else None
-
-
-def _subst(node, passes: tuple):
-    if not passes:
-        return node
-    sc = SCHEMA[type(node)]
-    if sc.var is not None:
-        key = (sc.var, node.name)
-        for i, (mapping, _, _) in enumerate(passes):
-            if key in mapping:
-                return _subst(mapping[key], passes[i + 1:])
-        return node
-    if not sc.children or (sc.typelevel and not any(p[2] for p in passes)):
-        return node
-    if sc.cls is Seq:
-        heads = []
-        while type(node) is Seq and passes:
-            head, head_sc = node.head, SCHEMA[type(node.head)]
-            if head_sc.tail:
-                tail_passes, keys = _enter(_binders(head_sc, head), passes, node)
-                head = _rebuild(head, head_sc, passes, passes, keys)
-                passes = tail_passes
-            else:
-                head = _subst(head, passes)
-            heads.append(head)
-            node = node.tail
-        node = _subst(node, passes)
-        for head in reversed(heads):
-            node = Seq(head, node)
-        return node
-    if not sc.scoped:
-        return _rebuild(node, sc, passes, passes, None)
-    return _rebuild(node, sc, passes, *_enter(_binders(sc, node), passes, node))
-
-
-def _rebuild(node, sc: Schema, outer: tuple, inner: tuple, keys):
-    args = []
-    for name, shape, scoped in sc.fields:
-        v = getattr(node, name)
-        if keys is not None and name == sc.bfield:
-            v = _renamed(v, keys)
-        p = inner if scoped else outer
-        if shape == NODE or (shape == OPT and v is not None):
-            v = _subst(v, p)
-        elif shape == TUPLE or shape == HEAP:
-            v = tuple([_subst(x, p) for x in v])
-        elif shape == PAIRS:
-            v = tuple([(n, _subst(x, p)) for n, x in v])
-        elif shape == STACK and v is not None:
-            v = (tuple([_subst(x, p) for x in v[0]]), tuple([_subst(x, p) for x in v[1]]))
-        args.append(v)
-    return sc.cls(*args)
+    if not renamed:
+        return tuple(inner), node
+    target = node.head if type(node) is Seq else node
+    name = SCHEMA[type(target)].bfield
+    old = getattr(target, name)
+    new = keys[0][1] if isinstance(old, str) else tuple(
+        k[1] if isinstance(x, str) else (k[1], x[1]) for k, x in zip(keys, old))
+    target = replace(target, **{name: new})
+    return tuple(inner), Seq(target, node.tail) if type(node) is Seq else target
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1073,7 @@ def alpha_equal(a, b) -> bool:
             x, y = x.tail, y.tail
         if x == y:
             return True
-    for (x, bx, fx), (y, by, fy) in zip(subterms(a), subterms(b)):
+    for (x, bx, fx), (y, by, fy) in zip(subterms(a, True), subterms(b, True)):
         if type(x) is not type(y):
             return False
         sc = SCHEMA[type(x)]

@@ -69,16 +69,20 @@ def write_bare_job(tmp_path, left_word, right_word, compare_stack):
 
 # -- strategies -------------------------------------------------------------
 
+# Source types and terms are sized by their leaves (st.recursive): drawn
+# by unbounded st.deferred recursion, an input cost hundreds of times
+# more to draw than the property it fed took to check it.
+
 # Closed source-language types (the grammar translate_type accepts).
-source_types = st.deferred(lambda: st.one_of(
-    st.just(S.TyUnit()),
-    st.just(S.TyInt()),
-    st.builds(lambda ts: S.TyTuple(tuple(ts)),
-              st.lists(source_types, min_size=1, max_size=3)),
-    st.builds(lambda ps, r: S.Arrow(tuple(ps), r),
-              st.lists(source_types, max_size=3), source_types),
-    st.builds(lambda b: S.Mu("a", b), source_types),
-))
+source_types = st.recursive(
+    st.sampled_from((S.TyUnit(), S.TyInt())),
+    lambda inner: st.one_of(
+        st.builds(lambda ts: S.TyTuple(tuple(ts)),
+                  st.lists(inner, min_size=1, max_size=3)),
+        st.builds(lambda ps, r: S.Arrow(tuple(ps), r),
+                  st.lists(inner, max_size=3), inner),
+        st.builds(lambda b: S.Mu("a", b), inner),
+    ), max_leaves=8)
 
 var_names = st.sampled_from(("x", "y", "w", "v"))
 
@@ -98,33 +102,30 @@ words = st.recursive(
 # Small source terms; variables may be free (the parser does not scope).
 # A boundary moves a word into r1 and imports a source term into r2.
 stack_prefixes = st.lists(source_types, max_size=2).map(tuple)
-source_terms = st.deferred(lambda: st.one_of(
-    st.integers(min_value=-999, max_value=999).map(S.IntVal),
-    st.just(S.UnitVal()),
-    var_names.map(S.Var),
-    st.builds(S.Binop, st.sampled_from(("+", "-", "*")),
-              source_terms, source_terms),
-    st.builds(S.If0, source_terms, source_terms, source_terms),
-    st.builds(lambda ps, b, s: S.Lam(tuple(ps), b, s),
-              st.lists(st.tuples(var_names, source_types),
-                       max_size=2, unique_by=lambda p: p[0]),
-              source_terms,
-              st.none() | st.tuples(stack_prefixes, stack_prefixes)),
-    st.builds(lambda f, a: S.App(f, tuple(a)),
-              source_terms, st.lists(source_terms, max_size=2)),
-    st.builds(lambda ts: S.TupleVal(tuple(ts)),
-              st.lists(source_terms, min_size=1, max_size=3)),
-    st.builds(S.Proj, st.integers(min_value=0, max_value=2), source_terms),
-    st.builds(S.Fold, st.builds(lambda b: S.Mu("a", b), source_types),
-              source_terms),
-    st.builds(S.Unfold, source_terms),
-    st.builds(S.Let, var_names, st.none() | source_types, source_terms, source_terms),
-    st.builds(S.SeqE, source_terms, source_terms),
-    st.builds(lambda t, w, e: S.Boundary(t, S.Component(S.seq_of(
-                  [S.Mv("r1", w), S.ImportI("r2", S.SNil(), "z", t, e)],
-                  S.Halt(t, S.SNil(), "r2")), ())),
-              source_types, words, source_terms),
-))
+source_terms = st.recursive(
+    st.one_of(st.integers(min_value=-999, max_value=999).map(S.IntVal),
+              st.just(S.UnitVal()),
+              var_names.map(S.Var)),
+    lambda inner: st.one_of(
+        st.builds(S.Binop, st.sampled_from(("+", "-", "*")), inner, inner),
+        st.builds(S.If0, inner, inner, inner),
+        st.builds(lambda ps, b, s: S.Lam(tuple(ps), b, s),
+                  st.lists(st.tuples(var_names, source_types),
+                           max_size=2, unique_by=lambda p: p[0]),
+                  inner,
+                  st.none() | st.tuples(stack_prefixes, stack_prefixes)),
+        st.builds(lambda f, a: S.App(f, tuple(a)), inner, st.lists(inner, max_size=2)),
+        st.builds(lambda ts: S.TupleVal(tuple(ts)), st.lists(inner, min_size=1, max_size=3)),
+        st.builds(S.Proj, st.integers(min_value=0, max_value=2), inner),
+        st.builds(S.Fold, st.builds(lambda b: S.Mu("a", b), source_types), inner),
+        st.builds(S.Unfold, inner),
+        st.builds(S.Let, var_names, st.none() | source_types, inner, inner),
+        st.builds(S.SeqE, inner, inner),
+        st.builds(lambda t, w, e: S.Boundary(t, S.Component(S.seq_of(
+                      [S.Mv("r1", w), S.ImportI("r2", S.SNil(), "z", t, e)],
+                      S.Halt(t, S.SNil(), "r2")), ())),
+                  source_types, words, inner),
+    ), max_leaves=12)
 
 # Target-language types: code types over stack and marker binders, heap
 # types, existentials, recursive types and every marker form, with source

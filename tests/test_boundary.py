@@ -246,6 +246,17 @@ def test_an_imported_lambda_avoids_the_names_free_in_its_word(ann, w):
     assert heap == want_heap
 
 
+def test_an_imported_lambda_shares_its_parts_unless_its_word_names_a_pick():
+    # Of l, zl, zq and z, only z is a name the wrapper could pick, so the
+    # first three share one entry and z needs a second.
+    ann = parser.parse_type("(int) -> int")
+    boundary._import_parts.cache_clear()
+    for name in ("l", "zl", "zq", "z"):
+        heap, fresh = scratch()
+        boundary.import_value(ann, S.Loc(name), heap, fresh)
+    assert boundary._import_parts.cache_info().misses == 2
+
+
 # -- value round trips ------------------------------------------------------
 
 

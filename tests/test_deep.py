@@ -1,8 +1,13 @@
 """Programs far deeper than Python's recursion limit: one heap block of
 3000 straight-line instructions, which runs to its halt and which every
-syntax traversal walks to the end; and stack types of up to 3000 slots,
-which the parser reads, the checker compares, the machine halts at and
-the printer writes back."""
+syntax traversal walks to the end; terms nested 3000 deep, which every
+syntax traversal walks; and stack types of up to 3000 slots, which the
+parser reads, the checker compares, the machine halts at, the printer
+writes back and substitution rebuilds.
+
+A deep result is checked by ``alpha_equal``, a walk along its spine or
+its printed text, never by ``==``: a dataclass's generated equality
+recurses once per nested node."""
 
 import json
 
@@ -99,19 +104,25 @@ def test_deep_program_subterms(deep):
     assert all((S.KIND_LOC, "l") in b for b in bound_at_loc)
 
 
-def lambda_nest(n: int, prefix: str, ref: int = 0) -> S.Lam:
+def lambda_nest(n: int, prefix: str, ref: int = 0, free=S.Var("y")) -> S.Lam:
     """n nested lambdas, the i-th binding prefix + str(i), around a body
-    that adds the ref-th name to the free y."""
-    body = S.Binop("+", S.Var(f"{prefix}{ref}"), S.Var("y"))
+    that adds the ref-th name to ``free``."""
+    body = S.Binop("+", S.Var(f"{prefix}{ref}"), free)
     for i in reversed(range(n)):
         body = S.Lam(((f"{prefix}{i}", S.TyInt()),), body)
     return body
 
 
+def sum_of(first) -> S.Tm:
+    """first + 1 + ... + 1, N terms, nested to the left as a parsed sum
+    is, so that ``first`` is N - 1 nodes deep."""
+    for _ in range(N - 1):
+        first = S.Binop("+", first, S.IntVal(1))
+    return first
+
+
 def test_deep_terms_compare_and_have_free_names():
-    # A sum nests to the left as deep as it is long. substitute still
-    # recurses along a term, and loops only along an instruction
-    # sequence, so it is not run on these.
+    # A sum nests to the left as deep as it is long.
     text = "entry F\n" + " + ".join(["1"] * N) + "\n"
     a, b = parser.parse_program(text), parser.parse_program(text)
     assert S.alpha_equal(a, b)
@@ -164,3 +175,50 @@ def test_long_stack_type_checks_runs_and_round_trips(tmp_path, capsys, slots):
     again.write_text(printed)
     assert cli.main(["fmt", str(again)]) == 0
     assert capsys.readouterr().out == printed
+
+
+FOLD_A, FOLD_INT = S.Fold(S.TVar("a"), S.IntVal(1)), S.Fold(S.TyInt(), S.IntVal(1))
+
+
+def test_substitution_reaches_the_bottom_of_a_deep_sum():
+    ones = parser.parse_program("entry F\n" + " + ".join(["1"] * N) + "\n").main
+    assert S.alpha_equal(sum_of(S.IntVal(1)), ones)
+    with_x = sum_of(S.Var("x"))
+    assert S.alpha_equal(S.substitute(with_x, {(S.KIND_TERM, "x"): S.IntVal(1)}), ones)
+    assert S.alpha_equal(S.subst_terms(with_x, {"x": S.IntVal(1)}), ones)
+    got = S.rename_locations(sum_of(S.Loc("l")), {"l": "m"})
+    assert S.alpha_equal(got, sum_of(S.Loc("m")))
+    got = S.instantiate(S.Exists("a", sum_of(FOLD_A)), S.TyInt())
+    assert S.alpha_equal(got, sum_of(FOLD_INT))
+
+
+def second_binder(lam: S.Lam) -> str:
+    return lam.body.params[0][0]
+
+
+@pytest.mark.parametrize("prefix,other", [("x", "w"), ("w", "x")])
+def test_substitution_reaches_the_bottom_of_a_deep_lambda_nest(prefix, other):
+    # The replacement names the second binder, which is freshened, and
+    # the 2999 binders below it are walked under the renaming.
+    capturing = S.Var(f"{prefix}1")
+    got = S.substitute(lambda_nest(N, prefix), {(S.KIND_TERM, "y"): capturing})
+    assert second_binder(got) == f"{prefix}1#0"
+    assert S.alpha_equal(got, lambda_nest(N, other, free=capturing))
+    got = S.subst_terms(lambda_nest(N, prefix), {"y": capturing})
+    assert second_binder(got) == f"{prefix}1#0"
+    assert S.alpha_equal(got, lambda_nest(N, other, free=capturing))
+    got = S.rename_locations(lambda_nest(N, prefix, free=S.Loc("l")), {"l": "m"})
+    assert S.alpha_equal(got, lambda_nest(N, other, free=S.Loc("m")))
+    got = S.instantiate(S.Exists("a", lambda_nest(N, prefix, free=FOLD_A)), S.TyInt())
+    assert S.alpha_equal(got, lambda_nest(N, other, free=FOLD_INT))
+
+
+def test_substitution_rebuilds_a_deep_stack():
+    units = S.stack_of([S.TyUnit()] * N, S.SVar("z"))
+    assert S.stack_parts(S.substitute(units, {(S.KIND_STACK, "z"): S.SNil()})) == \
+        ([S.TyUnit()] * N, S.SNil())
+    # No pass maps a type-level kind, so the stack is returned as it is.
+    assert S.subst_terms(units, {"x": S.IntVal(0)}) is units
+    assert S.rename_locations(units, {"l": "m"}) is units
+    got = S.instantiate(S.Exists("a", S.stack_of([S.TVar("a")] * N, S.SVar("z"))), S.TyInt())
+    assert S.stack_parts(got) == ([S.TyInt()] * N, S.SVar("z"))

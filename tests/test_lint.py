@@ -1,8 +1,10 @@
 """Static checks on the package source, written with the standard
 library's ``ast`` alone: every import is used, every local variable
 that a function assigns is also read, every attribute that a class
-assigns on ``self`` is read somewhere in the repository, and no module
-imports or reads a name that another ftal module keeps private."""
+assigns on ``self`` is read somewhere in the repository, no module
+imports or reads a name that another ftal module keeps private, and no
+function in ``syntax.py`` recurses, so that every walk over syntax
+handles terms deeper than Python's recursion limit."""
 
 import ast
 import functools
@@ -201,3 +203,37 @@ def test_the_private_name_check_catches_what_it_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_reaches_into_another_modules_private_names(path):
     assert private_reach(_parse(path)) == []
+
+
+def recursive_functions(tree) -> list:
+    """The module-level functions of ``tree`` that can reach themselves
+    through the module-level functions whose names they read, whether to
+    call them or to pass them on."""
+    defs = {fn.name: fn for fn in tree.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reads = {name: _loaded(fn) & defs.keys() for name, fn in defs.items()}
+    out = []
+    for name in defs:
+        seen, todo = set(), list(reads[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(reads[callee])
+        if name in seen:
+            out.append(name)
+    return sorted(out)
+
+
+def test_the_recursion_check_catches_what_it_names():
+    tree = ast.parse("def f(n):\n    return g(n)\n"
+                     "def g(n):\n    return f(n - 1) if n else 0\n"
+                     "def h(xs):\n    return list(map(h, xs))\n"
+                     "def k(n):\n    return f(n)\n")
+    # k reaches the cycle of f and g, but not itself.
+    assert recursive_functions(tree) == ["f", "g", "h"]
+
+
+def test_no_function_in_syntax_recurses():
+    path = pathlib.Path(ftal.__file__).parent / "syntax.py"
+    assert recursive_functions(_parse(path)) == []

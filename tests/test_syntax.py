@@ -338,6 +338,28 @@ def test_free_names_and_alpha_equal_agree_with_the_recursive_reference(x, y, map
         assert S.alpha_equal(other, x) == reference_syntax.alpha_equal(other, x)
 
 
+@settings(max_examples=60)
+@given(nodes, replacements)
+def test_substitute_equals_the_recursive_reference(x, mapping):
+    # Equal, not only alpha-equal: the names substitution freshens reach
+    # printed redexes and read-back values.
+    mappings = [mapping] + [{key: S.var_node(key[0], "q9")}
+                            for key in sorted(reference_syntax.free_names(x))]
+    for m in mappings:
+        got, want = S.substitute(x, m), reference_syntax.substitute(x, m)
+        assert type(got) is type(want) and got == want
+
+
+def test_substitute_keeps_a_heap_in_declaration_order():
+    block = S.CodeBlock((), (), S.SNil(), S.MOut(), S.Jmp(S.Var("x")))
+    comp = S.Component(S.Jmp(S.Loc("m")), (S.HeapBinding("m", "box", block),
+                                           S.HeapBinding("l", "box", block)))
+    got = S.subst_terms(comp, {"x": S.Loc("k")})
+    assert got.labels() == ("m", "l")
+    assert got == reference_syntax.substitute(comp, {(S.KIND_TERM, "x"): S.Loc("k")})
+    assert got.heap[0].value.body == S.Jmp(S.Loc("k"))
+
+
 def test_a_binder_that_heads_no_sequence_binds_nothing():
     # An unpack or protect binds its name over the rest of its sequence;
     # on its own it has no scope, so the name is not compared.
@@ -356,11 +378,16 @@ def test_subterms_is_pre_order_and_binders_follow_the_schema():
         ("Mu", []), ("Arrow", [(S.KIND_TYPE, "a")]),
         ("TVar", [(S.KIND_TYPE, "a")]), ("TVar", [(S.KIND_TYPE, "a")])]
     # A frame: the kinds a node binds, then its framed fields' frames.
-    assert [f for _, _, f in S.subterms(t)] == [[S.KIND_TYPE], [1], None, None]
+    assert [f for _, _, f in S.subterms(t, frames=True)] == [[S.KIND_TYPE], [1], None, None]
+    assert [f for _, _, f in S.subterms(t)] == [None] * 4
     code = S.CodeT(("a", "z", "eps"), (), S.SNil(), S.MOut())
     assert S.binders(code) == [(S.KIND_TYPE, "a"), (S.KIND_STACK, "z"),
                                (S.KIND_MARKER, "eps")]
     assert S.binders(S.TyInt()) == []
+    # A sequence binds over its tail what its head binds over the rest.
+    tail = S.Jmp(S.Reg("r1"))
+    assert S.binders(S.Seq(S.Unpack("a", "r1", S.Reg("r2")), tail)) == [(S.KIND_TYPE, "a")]
+    assert S.binders(S.Seq(S.ImportI("r1", S.SNil(), "z", S.TyInt(), S.IntVal(0)), tail)) == []
 
 
 def test_arrow_parts_gives_a_plain_arrow_empty_prefixes():
