@@ -26,10 +26,13 @@ evaluates to a closure of itself and that environment.  A bound
 variable, or a tuple or fold whose leaves are values or bound variables,
 is a value and takes one ``value`` step, as its substituted form did, so
 steps are the same, one for one, as those of a substituting machine.
-The frames that later evaluate a subterm (``FrBinopL``, ``FrIf0``,
-``FrAppFn``, ``FrAppArgs``, ``FrTuple``, ``FrLet`` and ``FrSeq``) keep
-the environment it needs; ``FrBinopL`` keeps its operand's value, and no
-environment, when the operand is already a value.  Only the final
+The frames are the evaluator's continuations, defunctionalized: one
+class per form, whose fields record how far its subterms have got, so
+its one return rule pushes the same frame back until the last returns.
+The frames that later evaluate a subterm (``FrBinop``, ``FrIf0``,
+``FrApp``, ``FrTuple``, ``FrLet`` and ``FrSeq``) keep the environment it
+needs; ``FrBinop`` drops its right operand and environment once it
+resumes it, keeping only the left value.  Only the final
 ``f-value`` is read back to a closed term, by substituting the bindings
 free in each lambda; an exported value crosses as it is.
 
@@ -192,16 +195,11 @@ class _Stuck(Exception):
 
 
 @dataclass(slots=True)
-class FrBinopL:
+class FrBinop:
     op: str
-    right: Tm  # or its value, with no scope
+    left: Tm | None  # the left operand's value, once it has returned
+    right: Tm | None  # the right operand, or its value with no scope
     scope: tuple | None
-
-
-@dataclass(slots=True)
-class FrBinopR:
-    op: str
-    left: Tm
 
 
 @dataclass(slots=True)
@@ -212,14 +210,8 @@ class FrIf0:
 
 
 @dataclass(slots=True)
-class FrAppFn:
-    args: tuple
-    scope: tuple | None
-
-
-@dataclass(slots=True)
-class FrAppArgs:
-    fn: Tm
+class FrApp:
+    fn: _Clo | Lam | None  # the function's value, once it has returned
     args: tuple
     done: list  # values of args[:len(done)]
     scope: tuple | None
@@ -406,8 +398,11 @@ class Machine:
         if not comp.heap:
             return comp.body
         mapping = {hb.label: self._fresh(hb.label) for hb in comp.heap}
-        for hb in comp.heap:
-            value = rename_locations(hb.value, mapping)
+        # One walk renames the body and every binding, so a component of
+        # k bindings costs time linear in k.
+        body, *values = rename_locations(
+            (comp.body, *[hb.value for hb in comp.heap]), mapping)
+        for hb, value in zip(comp.heap, values):
             if isinstance(value, CodeBlock):
                 self.heap[mapping[hb.label]] = (hb.nu, value)
             elif isinstance(value, TupleVal):
@@ -416,7 +411,7 @@ class Machine:
                 raise _Stuck(STUCK_TYPE_CONFUSION,
                              f"heap binding {hb.label} is neither code nor "
                              f"a tuple")
-        return rename_locations(comp.body, mapping)
+        return body
 
     def _setreg(self, rd: str, w) -> None:
         self.regs[rd] = w
@@ -820,16 +815,8 @@ def _give(m, v):
 
 
 def _s_value(m, e, scope):
-    return _give(m, e)
-
-
-def _s_lam(m, e, scope):
-    return _give(m, _Clo(e, scope))
-
-
-def _s_var(m, e, scope):
-    v = _lookup(scope, e.name)
-    if v is None:
+    v = _value(e, scope)
+    if v is None:  # of these forms, only a variable can have no value
         raise _Stuck(STUCK_UNBOUND_VARIABLE, e.name)
     return _give(m, v)
 
@@ -840,9 +827,9 @@ def _s_binop(m, e, scope):
     # scope alive.
     right = _value(e.right, scope)
     if right is None:
-        m.frames.append(FrBinopL(e.op, e.right, scope))
+        m.frames.append(FrBinop(e.op, None, e.right, scope))
     else:
-        m.frames.append(FrBinopL(e.op, right, None))
+        m.frames.append(FrBinop(e.op, None, right, None))
     m.focus = e.left
     return f"binop {e.op}", None
 
@@ -854,7 +841,7 @@ def _s_if0(m, e, scope):
 
 
 def _s_app(m, e, scope):
-    m.frames.append(FrAppFn(e.args, scope))
+    m.frames.append(FrApp(None, e.args, [], scope))
     m.focus = e.fn
     return "app", None
 
@@ -912,7 +899,7 @@ def _s_boundary(m, e, scope):
 
 SOURCE_RULES = _Rules("not a source expression: ", {
     IntVal: _s_value, UnitVal: _s_value, _Clo: _s_value,
-    Lam: _s_lam, Var: _s_var, Binop: _s_binop, If0: _s_if0, App: _s_app,
+    Lam: _s_value, Var: _s_value, Binop: _s_binop, If0: _s_if0, App: _s_app,
     TupleVal: _s_tuple, Proj: _s_proj, Fold: _s_fold, Unfold: _s_unfold,
     Let: _s_let, SeqE: _s_seq, Boundary: _s_boundary,
 })
@@ -923,13 +910,15 @@ SOURCE_RULES = _Rules("not a source expression: ", {
 # jump kind).
 
 
-def _r_binop_l(m, fr, v):
-    m.frames.append(FrBinopR(fr.op, v))
-    m._resume(fr.right, fr.scope)
-    return "binop-right", None
-
-
-def _r_binop_r(m, fr, v):
+def _r_binop(m, fr, v):
+    right = fr.right
+    if right is not None:
+        # The left operand returned: resume the right one, and keep only
+        # the left value while it runs.
+        m._resume(right, fr.scope)
+        fr.left, fr.right, fr.scope = v, None, None
+        m.frames.append(fr)
+        return "binop-right", None
     left = fr.left
     if type(left) is not IntVal or type(v) is not IntVal:
         raise _Stuck(STUCK_TYPE_CONFUSION, "arithmetic on non-integers")
@@ -944,19 +933,14 @@ def _r_if0(m, fr, v):
     return "if0-pick", None
 
 
-def _r_app_fn(m, fr, v):
-    if type(v) is not _Clo and type(v) is not Lam:
-        raise _Stuck(STUCK_TYPE_CONFUSION, "application of a non-function")
-    if not fr.args:
-        return _beta(m, v, [])
-    m.frames.append(FrAppArgs(v, fr.args, [], fr.scope))
-    m._resume(fr.args[0], fr.scope)
-    return "app-arg", None
-
-
-def _r_app_args(m, fr, v):
+def _r_app(m, fr, v):
     done = fr.done
-    done.append(v)
+    if fr.fn is None:
+        if type(v) is not _Clo and type(v) is not Lam:
+            raise _Stuck(STUCK_TYPE_CONFUSION, "application of a non-function")
+        fr.fn = v
+    else:
+        done.append(v)
     if len(done) < len(fr.args):
         m.frames.append(fr)
         m._resume(fr.args[len(done)], fr.scope)
@@ -1037,8 +1021,7 @@ def _r_import(m, fr, v):
 
 
 RETURN_RULES = _Rules("value under frame ", {
-    FrBinopL: _r_binop_l, FrBinopR: _r_binop_r, FrIf0: _r_if0,
-    FrAppFn: _r_app_fn, FrAppArgs: _r_app_args, FrTuple: _r_tuple,
+    FrBinop: _r_binop, FrIf0: _r_if0, FrApp: _r_app, FrTuple: _r_tuple,
     FrProj: _r_proj, FrFold: _r_fold, FrUnfold: _r_unfold, FrLet: _r_let,
     FrSeq: _r_seq, FrBoundary: _r_boundary, FrImport: _r_import,
 })

@@ -41,13 +41,21 @@ from typing import NamedTuple
 
 from . import syntax as S
 
-KEYWORDS = {
-    "unit", "int", "exists", "mu", "ref", "box", "code", "lam", "if0", "pi",
-    "fold", "unfold", "pack", "as", "let", "in", "where", "entry", "import",
-    "protect", "salloc", "sfree", "sld", "sst", "ld", "st", "mv", "add",
-    "mul", "sub", "bnz", "jmp", "call", "ret", "halt", "ralloc", "balloc",
-    "unpack", "FT", "TF", "out",
-}
+_NAME = r"[^\W\d][\w'#]*"
+
+
+def _literal_words(template: str) -> list:
+    """The names a template writes between its slots."""
+    parts, end = S.template_parts(template)
+    return re.findall(_NAME, " ".join([*(literal for literal, _ in parts), end]))
+
+
+# The words of the templates of T, of types and of terms, the arithmetic
+# mnemonics, and the two words read by hand: "entry" starts a program and
+# "where" a component's heap.  None of them lexes as a name.
+KEYWORDS = {*S.AOPS, "entry", "where", *(
+    word for table in (S.T_SYNTAX, S.TY_SYNTAX, S.TM_SYNTAX)
+    for template in table.values() for word in _literal_words(template))}
 
 # Longest first: the pattern takes the first alternative that matches.
 PUNCT = (
@@ -62,7 +70,7 @@ PUNCT = (
 # rejects those.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*"
-    r"(\d+|[^\W\d][\w'#]*|" + "|".join(map(re.escape, PUNCT)) + r"|.)?",
+    r"(\d+|" + _NAME + "|" + "|".join(map(re.escape, PUNCT)) + r"|.)?",
     re.DOTALL,
 )
 

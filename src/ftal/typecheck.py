@@ -35,6 +35,8 @@ change.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .boundary import translate_type
 from .errors import CheckError, KindError
 from . import pretty
@@ -759,9 +761,9 @@ def check_heap_fragment(psi: dict, heap) -> dict:
     keep their own code with the label noted.
     """
     psi2: dict = {}
-    labels = [hb.label for hb in heap]
-    for label in labels:
-        if labels.count(label) > 1:
+    # A Counter keeps its keys in the order first declared.
+    for label, n in Counter(hb.label for hb in heap).items():
+        if n > 1:
             raise _err("E-HEAP", f"label {label} bound twice")
 
     for hb in heap:

@@ -69,9 +69,10 @@ def write_bare_job(tmp_path, left_word, right_word, compare_stack):
 
 # -- strategies -------------------------------------------------------------
 
-# Source types and terms are sized by their leaves (st.recursive): drawn
-# by unbounded st.deferred recursion, an input cost hundreds of times
-# more to draw than the property it fed took to check it.
+# Source and target types and source terms are sized by their leaves
+# (st.recursive): drawn by unbounded st.deferred recursion, an input cost
+# hundreds of times more to draw than the property it fed took to check
+# it.
 
 # Closed source-language types (the grammar translate_type accepts).
 source_types = st.recursive(
@@ -130,34 +131,40 @@ source_terms = st.recursive(
 # Target-language types: code types over stack and marker binders, heap
 # types, existentials, recursive types and every marker form, with source
 # types among their parts. Names may be free (the parser does not scope).
+# Stacks, markers, code types and tuple types are built over ``inner``,
+# the types nested in them, so that one bound sizes the whole type.
 stack_tails = st.sampled_from((S.SNil(), S.SVar("z"), S.SVar("z1")))
-target_stacks = st.deferred(lambda: st.builds(
-    S.stack_of, st.lists(target_types, max_size=2), stack_tails))
-target_markers = st.deferred(lambda: st.one_of(
-    st.sampled_from(S.REGISTERS).map(S.MReg),
-    st.integers(min_value=0, max_value=9).map(S.MIdx),
-    st.sampled_from(("eps", "eps1")).map(S.MEps),
-    st.builds(S.MHalt, target_types, target_stacks),
-    st.just(S.MOut()),
-))
-code_types = st.deferred(lambda: st.builds(
-    S.CodeT,
-    st.lists(st.sampled_from(("z", "z1", "eps", "eps1")),
-             max_size=3, unique=True).map(tuple),
-    st.dictionaries(st.sampled_from(S.REGISTERS), target_types,
-                    max_size=3).map(lambda d: S.make_chi(d.items())),
-    target_stacks,
-    target_markers,
-))
-tuple_types = st.deferred(lambda: st.lists(
-    target_types, max_size=3).map(lambda ts: S.TyTuple(tuple(ts))))
-target_types = st.deferred(lambda: st.one_of(
-    code_types,
-    st.one_of(tuple_types, code_types).map(S.Box),
-    tuple_types.map(S.Ref),
-    st.builds(S.Exists, st.sampled_from(("a", "b")), target_types),
-    st.builds(S.Mu, st.sampled_from(("a", "b")), target_types),
-    tuple_types,
-    st.sampled_from(("a", "b")).map(S.TVar),
-    source_types,
-))
+
+
+def _target_types_over(inner):
+    target_stacks = st.builds(S.stack_of, st.lists(inner, max_size=2), stack_tails)
+    target_markers = st.one_of(
+        st.sampled_from(S.REGISTERS).map(S.MReg),
+        st.integers(min_value=0, max_value=9).map(S.MIdx),
+        st.sampled_from(("eps", "eps1")).map(S.MEps),
+        st.builds(S.MHalt, inner, target_stacks),
+        st.just(S.MOut()),
+    )
+    code_types = st.builds(
+        S.CodeT,
+        st.lists(st.sampled_from(("z", "z1", "eps", "eps1")),
+                 max_size=3, unique=True).map(tuple),
+        st.dictionaries(st.sampled_from(S.REGISTERS), inner,
+                        max_size=3).map(lambda d: S.make_chi(d.items())),
+        target_stacks,
+        target_markers,
+    )
+    tuple_types = st.lists(inner, max_size=3).map(lambda ts: S.TyTuple(tuple(ts)))
+    return st.one_of(
+        code_types,
+        st.one_of(tuple_types, code_types).map(S.Box),
+        tuple_types.map(S.Ref),
+        st.builds(S.Exists, st.sampled_from(("a", "b")), inner),
+        st.builds(S.Mu, st.sampled_from(("a", "b")), inner),
+        tuple_types,
+    )
+
+
+target_types = st.recursive(
+    st.one_of(st.sampled_from(("a", "b")).map(S.TVar), source_types),
+    _target_types_over, max_leaves=8)

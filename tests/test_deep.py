@@ -1,9 +1,11 @@
 """Programs far deeper than Python's recursion limit: one heap block of
 3000 straight-line instructions, which runs to its halt and which every
 syntax traversal walks to the end; terms nested 3000 deep, which every
-syntax traversal walks; and stack types of up to 3000 slots, which the
+syntax traversal walks; stack types of up to 3000 slots, which the
 parser reads, the checker compares, the machine halts at, the printer
-writes back and substitution rebuilds.
+writes back and substitution rebuilds; and a component of 3000 heap
+bindings, which the checker and the machine take in time linear in
+their number.
 
 A deep result is checked by ``alpha_equal``, a walk along its spine or
 its printed text, never by ``==``: a dataclass's generated equality
@@ -175,6 +177,23 @@ def test_long_stack_type_checks_runs_and_round_trips(tmp_path, capsys, slots):
     again.write_text(printed)
     assert cli.main(["fmt", str(again)]) == 0
     assert capsys.readouterr().out == printed
+
+
+def wide_source(n: int) -> str:
+    """A component of n tuple bindings whose body moves the last one into
+    r1 and halts."""
+    heap = ",\n    ".join(f"t{i} -> box <{i}>" for i in range(n))
+    return (f"entry T\n(\n  mv r1, t{n - 1};\n  halt[box <int>, *] r1,\n"
+            f"  where\n    {heap}\n)\n")
+
+
+def test_wide_heap_fragment_checks_and_halts(tmp_path, capsys):
+    path = tmp_path / "wide.ftal"
+    path.write_text(wide_source(N))
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "box <int>; *"
+    assert cli.main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == f"halted t{N - 1}#{N - 1}; stack []"
 
 
 FOLD_A, FOLD_INT = S.Fold(S.TVar("a"), S.IntVal(1)), S.Fold(S.TyInt(), S.IntVal(1))

@@ -130,6 +130,21 @@ def test_merged_labels_are_renamed_in_declaration_order():
         "l1#0", "l1ret#1", "l2#2", "l2aux#3", "l2ret#4"]
 
 
+def test_a_merge_renames_its_labels_in_one_walk(monkeypatch):
+    # One call renames the body and all five bindings, so a component of
+    # k bindings is not walked k + 1 times.
+    calls = []
+
+    def counting(node, mapping, fn=machine.rename_locations):
+        calls.append(node)
+        return fn(node, mapping)
+
+    monkeypatch.setattr(machine, "rename_locations", counting)
+    m = machine.load(parser.parse_program(corpus_text("call_to_call")))
+    assert len(calls) == 1 and len(m.heap) == 5
+    assert m.run(FUEL).kind == "halted"
+
+
 def test_register_file_stays_within_the_declared_names():
     prog = parser.parse_program(corpus_text("call_to_call"))
     m = machine.load(prog)
@@ -741,6 +756,23 @@ def test_a_frame_resumes_under_its_own_scope(body, value, steps):
     out, _ = run_text(f"entry F\n(lam (x: int). {body})(1)\n")
     assert out.kind == "f-value" and pretty.tm(out.value) == value
     assert out.steps == steps
+
+
+def test_a_binop_frame_keeps_only_the_left_value_while_the_right_runs():
+    # A non-tail recursion x * f(x - 1) keeps one binop frame per level;
+    # once it resumes its right operand, the frame holds neither that
+    # operand nor the scope it runs under.
+    m = machine.load(parser.parse_program(
+        "entry F\n(lam (x: int). x * (lam (y: int). y)(x - 1))(3)\n"))
+    binops = []
+    while not any(fr.left is not None for fr in binops):
+        assert m.step() is not None
+        binops = [fr for fr in m.frames if type(fr) is machine.FrBinop]
+    fr, = binops
+    assert fr.left == S.IntVal(3) and fr.right is None and fr.scope is None
+    out = m.run(FUEL)
+    assert out.kind == "f-value" and out.value == S.IntVal(6)
+
 
 def test_a_returned_closure_reads_back_as_the_substituted_lambda():
     out, _ = run_text("entry F\n(lam (x: int). lam (y: int). x + y)(3)\n")

@@ -40,6 +40,14 @@ def test_template_literals_are_keywords_and_marks():
     assert set(S.AOPS) <= parser.KEYWORDS
 
 
+def test_every_form_the_parser_reads_by_table_starts_with_a_keyword_or_mark():
+    # A form is picked by the kind of its first token, and a name's kind
+    # is IDENT, so a key that lexed as a name would never be picked.
+    for table in (parser._FORMS, parser._TYPES, parser._MARKERS,
+                  parser._EXPRS, parser._WORDS):
+        assert table and set(table) <= parser.KEYWORDS | set(parser.PUNCT)
+
+
 L, R = S.Loc("l"), S.Reg("r2")
 INSTANCES = (
     S.Aop("add", "r1", "r2", S.IntVal(3)),

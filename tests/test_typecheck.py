@@ -279,6 +279,10 @@ PINNED = (
     ("tuple_cycle", _heap_program("lA -> box <lB>,\n  lB -> box <lA>"),
      ("E-HEAP", "unresolvable heap bindings (cycle or dangling label): "
                 "lA, lB", "")),
+    # Of two labels bound twice, the one declared first is reported.
+    ("label_bound_twice", _heap_program(
+        "lB -> box <1>,\n  lA -> box <2>,\n  lA -> box <3>,\n  lB -> box <4>"),
+     ("E-HEAP", "label lB bound twice", "")),
     ("repeated_binder", _block("code[a, a]{r1: int; *} ret(int, *)"),
      ("E-HEAP", "lA: repeated binder a", "")),
     ("two_stack_binders", _block("code[z1, z2]{r1: int; *} ret(int, *)"),
