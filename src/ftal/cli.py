@@ -8,7 +8,8 @@ equivalence job), fmt (reprint a program from its syntax tree), corpus
 Exit codes are a total function of what happened: 0 success, 1 type
 error, 2 parse error, 3 stuck, 4 distinguished, 5 inconclusive (fuel ran
 out), 6 resource limit (the interpreter ran out of recursion depth or
-memory on a program too deep or too large for it).  FTAL_FUEL sets the
+memory on a program too deep or too large for it, or a forked probe
+process of ``eq`` ended without a result).  FTAL_FUEL sets the
 default fuel bound; the --fuel flag wins.
 """
 
@@ -21,7 +22,7 @@ import os
 import sys
 
 from . import harness, machine, parser, pretty, registry
-from .errors import CheckError, FtalError, JobError
+from .errors import CheckError, FtalError, JobError, ProbeError
 from .parser import ParseError
 from .syntax import Program
 from .typecheck import check_program
@@ -269,6 +270,8 @@ def main(argv=None) -> int:
         return _fail(args, "type", e.display(), EXIT_TYPE)
     except JobError as e:
         return _fail(args, "parse", f"bad job file: {e}", EXIT_PARSE)
+    except ProbeError as e:
+        return _fail(args, "resource", str(e), EXIT_RESOURCE)
     except FtalError as e:
         return _fail(args, "type", str(e), EXIT_TYPE)
     except OSError as e:

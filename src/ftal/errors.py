@@ -38,6 +38,11 @@ class JobError(FtalError):
     """A job file that is not a well-formed equivalence job."""
 
 
+class ProbeError(FtalError):
+    """A forked probe process ended without sending back its
+    observations: it was killed, or exited early."""
+
+
 class TranslationError(FtalError):
     """Raised when a boundary translation is applied to the wrong shape.
 

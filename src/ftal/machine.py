@@ -415,7 +415,8 @@ class Machine:
 
     def _setreg(self, rd: str, w) -> None:
         self.regs[rd] = w
-        self._delta[rd] = w
+        if self._render:
+            self._delta[rd] = w
 
     def _getreg(self, r: str):
         w = self.regs.get(r)

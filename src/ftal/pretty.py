@@ -9,7 +9,8 @@ return markers and code-block headers by filling in those in
 ``syntax.TY_SYNTAX``, and terms by filling in those in
 ``syntax.TM_SYNTAX``, with one filler, ``_fill``; they are the same
 templates the parser reads. Only an instantiation chain, written
-``u[w1, w2]``, is printed by hand.
+``u[w1, w2]``, and the spine of a sequence ``e1; e2; ...`` are printed
+by hand.
 
 ``int_str``, ``word_str`` and ``value_str`` render run-time values for
 outcomes, trace records and equivalence reports.
@@ -87,7 +88,15 @@ def _terms(es) -> str:
 
 def tm(e: Tm) -> str:
     """A term, filled into its template; an instantiation chain
-    u[w1][w2] is written u[w1, w2]."""
+    u[w1][w2] is written u[w1, w2], and a right-nested sequence along
+    its second spine, so that a long one does not recurse."""
+    if type(e) is SeqE:
+        first, items = _RENDER["first"], []
+        while type(e) is SeqE:
+            items.append(first(e.first))
+            e = e.second
+        items.append(tm(e))
+        return "; ".join(items)
     if type(e) is not Inst:
         return _fill(e, _TERMS, "a term")
     ws = []

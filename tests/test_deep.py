@@ -241,3 +241,22 @@ def test_substitution_rebuilds_a_deep_stack():
     assert S.rename_locations(units, {"l": "m"}) is units
     got = S.instantiate(S.Exists("a", S.stack_of([S.TVar("a")] * N, S.SVar("z"))), S.TyInt())
     assert S.stack_parts(got) == ([S.TyInt()] * N, S.SVar("z"))
+
+
+def test_a_long_sequence_formats_and_round_trips(tmp_path, capsys):
+    # The printer walks a right-nested sequence along its second spine.
+    path = tmp_path / "seq.ftal"
+    path.write_text("entry F\n(" + "; ".join(["1"] * 500) + ")\n")
+    assert cli.main(["fmt", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert S.alpha_equal(parser.parse_program(printed),
+                         parser.parse_program(path.read_text()))
+
+
+def test_a_sequence_prints_as_its_template_gives_it():
+    # A first term that would extend to the right is parenthesized; the
+    # last term, in second position, is not.
+    items = ["(let x = 1 in x)", "1", "(1 + 2)", "(lam (y: int). y)"] * 25
+    prog = parser.parse_program("entry F\n" + "; ".join(items) + "\n")
+    assert pretty.program(prog) == (
+        "entry F\n" + "; ".join(items[:-1] + ["lam (y: int). y"]) + "\n")

@@ -713,6 +713,15 @@ def test_untraced_steps_keep_the_counting_fields(monkeypatch):
     assert [r["jump"] for r in seen].count("call") == 2
 
 
+def test_an_untraced_run_records_no_registers_delta():
+    # Only a rendering step reads the registers it set, so an untraced
+    # run keeps none of them.
+    prog = parser.parse_program(corpus_text("factorial_t"))
+    m = machine.load(S.Program("F", S.App(prog.main, (S.IntVal(-1),))))
+    assert m.run(3000).kind == "running"
+    assert m._delta == {}
+
+
 def test_a_direct_step_returns_the_full_record():
     m = machine.load(parser.parse_program(corpus_text("call_to_call")))
     r = m.step()
