@@ -8,9 +8,10 @@ equivalence job), fmt (reprint a program from its syntax tree), corpus
 Exit codes are a total function of what happened: 0 success, 1 type
 error, 2 parse error, 3 stuck, 4 distinguished, 5 inconclusive (fuel ran
 out), 6 resource limit (the interpreter ran out of recursion depth or
-memory on a program too deep or too large for it, or a forked probe
-process of ``eq`` ended without a result).  FTAL_FUEL sets the
-default fuel bound; the --fuel flag wins.
+memory on a program too deep or too large for it, or met a count past
+the host's index size, such as ``salloc`` of 2**63 slots on a 64-bit
+host; or a forked probe process of ``eq`` ended without a result).
+FTAL_FUEL sets the default fuel bound; the --fuel flag wins.
 """
 
 from __future__ import annotations
@@ -281,6 +282,9 @@ def main(argv=None) -> int:
                      "interpreter's recursion limit", EXIT_RESOURCE)
     except MemoryError:
         return _fail(args, "resource", "out of memory", EXIT_RESOURCE)
+    except OverflowError as e:
+        return _fail(args, "resource", f"number too large for the interpreter: {e}",
+                     EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

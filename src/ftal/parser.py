@@ -1,9 +1,10 @@
 """Concrete syntax reader.
 
 The lexer is one regular expression, scanned once over the source. A token
-records its kind, its text and its offset, counted in characters (not
-bytes) from the start of the source. Line and column are worked out from
-the offset only when a ParseError is raised. The parser is plain recursive
+is a pair of its kind and its text. Where a token stands is worked out
+only when a ParseError is raised: its offset, counted in characters (not
+bytes) from the start of the source, by scanning again up to the token,
+and its line and column from that offset. The parser is plain recursive
 descent; each syntactic category is predicted by its next token, so it
 never backtracks. T's instructions and terminators are read from their
 templates in ``syntax.T_SYNTAX``, picked by the mnemonic that starts them;
@@ -37,7 +38,7 @@ Conventions baked into the grammar:
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from . import syntax as S
 
@@ -78,12 +79,6 @@ _TOKEN = re.compile(
 _KINDS = {text: text for text in (*KEYWORDS, *PUNCT)}
 
 
-class Token(NamedTuple):
-    kind: str  # keyword/punct text, or "INT", "IDENT", "EOF"
-    text: str
-    offset: int  # in characters from the start of the source
-
-
 class ParseError(Exception):
     def __init__(self, message: str, offset: int, line: int, col: int, expected: tuple = ()):
         super().__init__(message)
@@ -109,17 +104,18 @@ class ParseError(Exception):
         return self.display()
 
 
-def lex(src: str) -> list[Token]:
-    toks: list[Token] = []
+def lex(src: str) -> list[tuple[str, str]]:
+    """The (kind, text) pairs of the tokens of src, ending in
+    ("EOF", "")."""
+    texts = _TOKEN.findall(src)
+    # The group matches nothing only where whitespace and comments run to
+    # the end of src, which leaves one or two empty texts there.
+    while texts and not texts[-1]:
+        texts.pop()
+    toks = []
     append = toks.append
     kinds = _KINDS.get
-    # Token(...) runs a Python-level __new__; this is the same tuple, built
-    # at C speed, once per token.
-    token = tuple.__new__
-    for m in _TOKEN.finditer(src):
-        text = m[1]
-        if text is None:  # only whitespace and comments were left
-            break
+    for text in texts:
         kind = kinds(text)
         if kind is None:
             c = text[0]
@@ -128,10 +124,18 @@ def lex(src: str) -> list[Token]:
             elif c.isalpha() or c == "_":
                 kind = "IDENT"
             else:
-                raise ParseError.at(src, m.start(1), f"unexpected character {c!r}")
-        append(token(Token, (kind, text, m.start(1))))
-    append(Token("EOF", "", len(src)))
+                raise ParseError.at(src, token_offset(src, len(toks)),
+                                    f"unexpected character {c!r}")
+        append((kind, text))
+    append(("EOF", ""))
     return toks
+
+
+def token_offset(src: str, index: int) -> int:
+    """The character offset of token number index of src, counted as lex
+    counts them; EOF's is len(src)."""
+    m = next(islice(_TOKEN.finditer(src), index, None), None)
+    return len(src) if m is None or m[1] is None else m.start(1)
 
 
 class Parser:
@@ -142,41 +146,42 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple[str, str]:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
+    def next(self) -> str:
+        """The next token's text; the token is consumed unless it is EOF."""
+        kind, text = self.toks[self.pos]
+        if kind != "EOF":
             self.pos += 1
-        return t
+        return text
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.toks[self.pos][0] in kinds
 
-    def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.toks[self.pos][0] == kind:
+            self.next()
+            return True
+        return False
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            got = t.text or "end of input"
-            self.fail(f"unexpected {got!r}" + (f" in {what}" if what else ""),
+    def expect(self, kind: str, what: str = "") -> str:
+        got, text = self.toks[self.pos]
+        if got != kind:
+            text = text or "end of input"
+            self.fail(f"unexpected {text!r}" + (f" in {what}" if what else ""),
                       expected=(kind,))
         return self.next()
 
-    def fail(self, message: str, expected: tuple = (), tok: Token | None = None):
-        """Raise a ParseError at tok, or at the next token."""
-        t = self.peek() if tok is None else tok
-        raise ParseError.at(self.src, t.offset, message, expected)
+    def fail(self, message: str, expected: tuple = (), at: int | None = None):
+        """Raise a ParseError at token number at, or at the next token."""
+        offset = token_offset(self.src, self.pos if at is None else at)
+        raise ParseError.at(self.src, offset, message, expected)
 
     def ident(self, what: str) -> str:
-        t = self.peek()
-        if t.kind != "IDENT":
+        if self.toks[self.pos][0] != "IDENT":
             self.fail(f"expected {what}", expected=("IDENT",))
-        return self.next().text
+        return self.next()
 
     # -- lists -------------------------------------------------------------
 
@@ -195,18 +200,19 @@ class Parser:
     # -- types -------------------------------------------------------------
 
     def type_(self) -> S.Ty:
-        t = self.peek()
-        form = _TYPES.get(t.kind)
+        at = self.pos
+        kind = self.toks[at][0]
+        form = _TYPES.get(kind)
         if form is not None:
             return self.form(*form)
-        if t.kind == "(":
+        if kind == "(":
             return self.arrow_or_paren_type()
-        if t.kind == "IDENT":
-            name = self.next().text
+        if kind == "IDENT":
+            name = self.next()
             if S.kind_of_name(name) != S.KIND_TYPE:
                 self.fail(
                     f"{name!r} is a {S.kind_of_name(name)} variable, not a type",
-                    tok=t,
+                    at=at,
                 )
             return S.TVar(name)
         self.fail("expected a type", expected=("type",))
@@ -244,32 +250,32 @@ class Parser:
     def stack(self) -> S.Stk:
         heads = []
         while True:
-            t = self.peek()
-            if t.kind == "*":
+            kind, text = self.peek()
+            if kind == "*":
                 self.next()
                 return S.stack_of(heads, S.SNil())
-            if t.kind == "IDENT" and S.kind_of_name(t.text) == S.KIND_STACK:
+            if kind == "IDENT" and S.kind_of_name(text) == S.KIND_STACK:
                 self.next()
-                return S.stack_of(heads, S.SVar(t.text))
+                return S.stack_of(heads, S.SVar(text))
             heads.append(self.type_())
             self.expect("::", "stack type")
 
     # -- markers and instantiation arguments -------------------------------
 
     def marker(self) -> S.Mk:
-        t = self.peek()
-        form = _MARKERS.get(t.kind)
+        kind, text = self.peek()
+        form = _MARKERS.get(kind)
         if form is not None:
             return self.form(*form)
-        if t.kind == "INT":
-            return S.MIdx(int(self.next().text))
-        if t.kind == "IDENT":
-            if S.is_register(t.text):
+        if kind == "INT":
+            return S.MIdx(int(self.next()))
+        if kind == "IDENT":
+            if S.is_register(text):
                 self.next()
-                return S.MReg(t.text)
-            if S.kind_of_name(t.text) == S.KIND_MARKER:
+                return S.MReg(text)
+            if S.kind_of_name(text) == S.KIND_MARKER:
                 self.next()
-                return S.MEps(t.text)
+                return S.MEps(text)
         self.fail("expected a return marker", expected=("marker",))
 
     def inst(self, base: S.Tm) -> S.Tm:
@@ -281,21 +287,21 @@ class Parser:
         return base
 
     def omega(self) -> S.Node:
-        t = self.peek()
-        if t.kind == "*":
+        kind, text = self.peek()
+        if kind == "*":
             self.next()
             return S.SNil()
-        if t.kind == "INT" or t.kind in _MARKERS:
+        if kind == "INT" or kind in _MARKERS:
             return self.marker()
-        if t.kind == "IDENT":
-            if S.is_register(t.text):
+        if kind == "IDENT":
+            if S.is_register(text):
                 return self.marker()
-            k = S.kind_of_name(t.text)
+            k = S.kind_of_name(text)
             if k == S.KIND_MARKER:
                 return self.marker()
             if k == S.KIND_STACK:
                 self.next()
-                return S.SVar(t.text)
+                return S.SVar(text)
         ty = self.type_()
         if self.at("::"):
             self.next()
@@ -340,7 +346,7 @@ class Parser:
     def arith(self) -> S.Tm:
         left = self.mult()
         while self.at("+", "-"):
-            op = self.next().kind
+            op = self.next()
             left = S.Binop(op, left, self.mult())
         return left
 
@@ -352,9 +358,9 @@ class Parser:
         return left
 
     def prefix_expr(self) -> S.Tm:
-        t = self.peek()
-        if t.kind in ("if0", "pi", "fold", "unfold"):
-            return self.form(*_EXPRS[t.kind])
+        kind = self.toks[self.pos][0]
+        if kind in ("if0", "pi", "fold", "unfold"):
+            return self.form(*_EXPRS[kind])
         return self.app_expr()
 
     def app_expr(self) -> S.Tm:
@@ -369,12 +375,11 @@ class Parser:
                 return e
 
     def atom_expr(self) -> S.Tm:
-        t = self.peek()
-        match t.kind:
+        match self.toks[self.pos][0]:
             case "INT" | "-":
                 return self.int_val()
             case "IDENT":
-                return S.Var(self.next().text)
+                return S.Var(self.next())
             case "FT":
                 return self.form(*_EXPRS["FT"])
             case "lam":
@@ -395,9 +400,9 @@ class Parser:
     # -- T small and word values --------------------------------------------
 
     def u_value(self) -> S.Tm:
-        t = self.peek()
+        kind = self.toks[self.pos][0]
         base: S.Tm
-        match t.kind:
+        match kind:
             case "INT" | "-":
                 base = self.int_val()
             case "(":
@@ -408,9 +413,9 @@ class Parser:
                     base = self.u_value()
                     self.expect(")", "parenthesized word")
             case "pack" | "fold":
-                base = self.form(*_WORDS[t.kind])
+                base = self.form(*_WORDS[kind])
             case "IDENT":
-                name = self.next().text
+                name = self.next()
                 base = S.Reg(name) if S.is_register(name) else S.Loc(name)
             case _:
                 self.fail("expected an operand", expected=("operand",))
@@ -419,14 +424,14 @@ class Parser:
         return base
 
     def register(self, what: str = "register") -> str:
-        t = self.peek()
+        at = self.pos
         name = self.ident(what)
         if not S.is_register(name):
-            self.fail(f"{name!r} is not a register", tok=t)
+            self.fail(f"{name!r} is not a register", at=at)
         return name
 
     def int_lit(self, what: str) -> int:
-        return int(self.expect("INT", what).text)
+        return int(self.expect("INT", what))
 
     def int_val(self) -> S.IntVal:
         """An integer literal, with its optional minus sign."""
@@ -435,10 +440,10 @@ class Parser:
         return S.IntVal(-n if neg else n)
 
     def stack_var(self) -> str:
-        t = self.peek()
+        at = self.pos
         z = self.ident("stack variable")
         if S.kind_of_name(z) != S.KIND_STACK:
-            self.fail(f"{z!r} is not a stack variable name", tok=t)
+            self.fail(f"{z!r} is not a stack variable name", at=at)
         return z
 
     # -- instructions --------------------------------------------------------
@@ -446,11 +451,11 @@ class Parser:
     def iseq(self) -> S.ISeq:
         instrs: list[S.Instr] = []
         while True:
-            t = self.peek()
-            if t.kind == "ret" and self.toks[self.pos + 1].kind == "ret":
+            kind = self.toks[self.pos][0]
+            if kind == "ret" and self.toks[self.pos + 1][0] == "ret":
                 node = self.halting_ret()
             else:
-                form = _FORMS.get(t.kind)
+                form = _FORMS.get(kind)
                 if form is None:
                     self.fail("expected an instruction", expected=("instruction",))
                 node = self.form(*form)
@@ -466,7 +471,7 @@ class Parser:
         for step in steps:
             if type(step) is not str:
                 args.append(step(self))
-            elif self.toks[self.pos].kind == step:  # expect(), inlined
+            elif self.toks[self.pos][0] == step:  # expect(), inlined
                 self.pos += 1
             else:
                 self.expect(step, what)
@@ -496,15 +501,15 @@ class Parser:
     def heap_binding(self) -> S.HeapBinding:
         label = self.ident("heap label")
         self.expect("->", "heap binding")
-        t = self.peek()
-        if t.kind == "code":
+        kind = self.toks[self.pos][0]
+        if kind == "code":
             # The header is read as the block's code type.
             c = self.form(*_TYPES["code"])
             self.expect(".", "code block")
             block = S.CodeBlock(c.binders, c.chi, c.sigma, c.q, self.iseq())
             return S.HeapBinding(label, "box", block)
-        if t.kind in ("ref", "box"):
-            nu = self.next().kind
+        if kind in ("ref", "box"):
+            nu = self.next()
             self.expect("<", "heap tuple")
             words = self.items(Parser.u_value, ">")
             self.expect(">", "heap tuple")
@@ -517,15 +522,15 @@ class Parser:
         entry = "F"
         if self.at("entry"):
             self.next()
-            t = self.peek()
+            at = self.pos
             name = self.ident("entry language")
             if name not in ("F", "T"):
-                self.fail("entry must be F or T", tok=t)
+                self.fail("entry must be F or T", at=at)
             entry = name
         main: S.Node = self.component() if entry == "T" else self.expr()
-        t = self.peek()
-        if t.kind != "EOF":
-            self.fail(f"trailing input {t.text!r}", expected=("EOF",))
+        kind, text = self.peek()
+        if kind != "EOF":
+            self.fail(f"trailing input {text!r}", expected=("EOF",))
         return S.Program(entry, main)
 
 
@@ -535,7 +540,7 @@ class Parser:
 # arithmetic must be parenthesized, so `if0 x 1 (f(x))` reads as intended
 # instead of `1` being applied to the group.
 _SLOTS = {
-    "op": lambda p: p.next().kind,
+    "op": Parser.next,
     **dict.fromkeys(("rd", "rs", "r", "r2", "reg"), Parser.register),
     "idx": lambda p: p.int_lit("tuple index"),
     "n": lambda p: p.int_lit("slot count"),
@@ -595,9 +600,9 @@ def _steps(template: str, slots: dict) -> tuple:
     parts, end = S.template_parts(template)
     steps: list = []
     for literal, field in parts:
-        steps += [tok.kind for tok in lex(literal)[:-1]]
+        steps += [kind for kind, _ in lex(literal)[:-1]]
         steps.append(slots[field])
-    steps += [tok.kind for tok in lex(end)[:-1]]
+    steps += [kind for kind, _ in lex(end)[:-1]]
     return tuple(steps)
 
 

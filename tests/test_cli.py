@@ -404,6 +404,43 @@ def test_deep_program_json_error_payload(capsys, tmp_path, name):
     assert payload["error"]["kind"] == "resource"
 
 
+# A count past a 64-bit host's index size: salloc's slots cannot be
+# made, while every other count is checked against the stack, the
+# register file or the tuple first.
+HUGE = "99999999999999999999999999"
+
+
+@pytest.mark.parametrize("cmd", ["check", "run", "trace"])
+def test_salloc_past_the_index_size_exits_six(capsys, tmp_path, cmd):
+    path = tmp_path / "salloc.ftal"
+    path.write_text(f"entry T (salloc {HUGE}; halt[int, *] r1)\n")
+    message = ("number too large for the interpreter: "
+               "cannot fit 'int' into an index-sized integer")
+    code, out, err = run_cli(capsys, [cmd, str(path)])
+    assert (code, out, err) == (6, "", f"resource error: {message}\n")
+    code, out, err = run_cli(capsys, [cmd, "--json", str(path)])
+    assert (code, err) == (6, "")
+    assert json.loads(out) == {
+        "error": {"kind": "resource", "message": message}, "exit_code": 6}
+
+
+@pytest.mark.parametrize("src", [
+    f"entry T (sfree {HUGE}; halt[int, *] r1)",
+    f"entry T (mv r1, 1; sld r2, {HUGE}; halt[int, *] r1)",
+    f"entry T (mv r1, 1; sst {HUGE}, r1; halt[int, *] r1)",
+    f"entry T (ralloc r1, {HUGE}; halt[int, *] r1)",
+    f"entry T (balloc r1, {HUGE}; halt[int, *] r1)",
+    f"entry F pi.{HUGE} (1, 2)",
+], ids=["sfree", "sld", "sst", "ralloc", "balloc", "pi"])
+def test_other_counts_past_the_index_size_are_type_errors(capsys, tmp_path, src):
+    path = tmp_path / "huge.ftal"
+    path.write_text(src + "\n")
+    for cmd in ("check", "run", "trace"):
+        code, out, err = run_cli(capsys, [cmd, str(path)])
+        assert (code, out) == (1, ""), cmd
+        assert err.startswith("type error: "), cmd
+
+
 @pytest.mark.parametrize("inputs", ["missing", [], {"range": [5, 1]}],
                          ids=["missing", "empty", "empty_range"])
 def test_eq_refuses_a_probed_job_with_no_inputs(capsys, tmp_path, inputs):

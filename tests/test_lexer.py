@@ -11,7 +11,12 @@ makes on purpose:
 
 The loop lives here only, as a reference for tests."""
 
+import functools
+import importlib.util
+import pathlib
+import random
 import string
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -116,11 +121,13 @@ def assert_lexes_as_the_loop(src: str):
         assert _error_fields(exc.value) == _error_fields(want)
         return
     got = parser.lex(src)
-    assert [tuple(t) for t in got] == [t[:3] for t in want]
+    assert got == [t[:2] for t in want]
+    offsets = [parser.token_offset(src, i) for i in range(len(got))]
+    assert offsets == [t.offset for t in want]
     last_line = src[src.rfind("\n") + 1:]
-    for t, w in zip(got, want):
-        where = ParseError.at(src, t.offset, "")
-        if t.kind == "EOF" and "--" in last_line:
+    for (kind, _), offset, w in zip(got, offsets, want):
+        where = ParseError.at(src, offset, "")
+        if kind == "EOF" and "--" in last_line:
             assert where.line == w.line and where.col >= w.col
         else:
             assert (where.line, where.col) == (w.line, w.col)
@@ -160,8 +167,57 @@ def test_mutation_sources_lex_as_the_loop(src):
     ("1 + -- c\n", 2, 1),
 ])
 def test_eof_column_counts_a_trailing_comment(src, line, col):
-    eof = parser.lex(src)[-1]
-    assert eof.kind == "EOF" and eof.offset == len(src)
+    toks = parser.lex(src)
+    assert toks[-1] == ("EOF", "")
+    assert parser.token_offset(src, len(toks) - 1) == len(src)
     with pytest.raises(ParseError) as exc:
         parser.parse_program(src)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@functools.cache
+def frontend_text(seed: int) -> str:
+    """A program of the size perfbench's frontend workload parses, about
+    6.7k tokens: its generator at the full sizes, read from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench/workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    size = workloads.SIZES["full"]
+    text, _ = workloads.frontend_program(
+        random.Random(f"frontend:{seed}"), size["frontend_blocks"],
+        size["frontend_block_len"], size["frontend_lets"])
+    return text
+
+
+def test_a_successful_parse_works_out_no_offset(monkeypatch):
+    def no_offset(src, index):
+        raise AssertionError("an offset was worked out")
+
+    monkeypatch.setattr(parser, "token_offset", no_offset)
+    for src in [*map(corpus_text, ALL_FTAL), frontend_text(1)]:
+        printed = pretty.program(parser.parse_program(src))
+        assert pretty.program(parser.parse_program(printed)) == printed
+    # The patch is in force where errors are raised.
+    with pytest.raises(AssertionError, match="an offset"):
+        parser.parse_program("1 +")
+    with pytest.raises(AssertionError, match="an offset"):
+        parser.lex("1 @")
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_an_unexpected_character_in_a_large_program(where):
+    src = frontend_text(1)
+    assert len(parser.lex(src)) > 6000
+    at = {"start": 0, "middle": len(src) // 2, "end": len(src)}[where]
+    src = src[:at] + "@" + src[at:]
+    want = expected_lexing(src)
+    assert isinstance(want, ParseError) and want.offset == at
+    for read in (parser.lex, parser.parse_program):
+        with pytest.raises(ParseError) as exc:
+            read(src)
+        e = exc.value
+        assert (e.message, e.offset, e.line, e.col) == (
+            want.message, want.offset, want.line, want.col)

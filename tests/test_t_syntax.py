@@ -36,7 +36,7 @@ def test_template_literals_are_keywords_and_marks():
     for cls, template in S.T_SYNTAX.items():
         parts, end = S.template_parts(template)
         for literal in (*(lit for lit, _ in parts), end):
-            assert all(t.kind == t.text for t in parser.lex(literal)[:-1]), cls
+            assert all(kind == text for kind, text in parser.lex(literal)[:-1]), cls
     assert set(S.AOPS) <= parser.KEYWORDS
 
 
@@ -256,7 +256,7 @@ def test_type_template_literals_are_keywords_and_marks():
     for cls, template in S.TY_SYNTAX.items():
         parts, end = S.template_parts(template)
         for literal in (*(lit for lit, _ in parts), end):
-            assert all(t.kind == t.text for t in parser.lex(literal)[:-1]), cls
+            assert all(kind == text for kind, text in parser.lex(literal)[:-1]), cls
 
 
 # Parse errors of types and markers, as (text, (message, line, col,
@@ -351,7 +351,7 @@ def test_term_template_literals_are_keywords_and_marks():
     for cls, template in S.TM_SYNTAX.items():
         parts, end = S.template_parts(template)
         for literal in (*(lit for lit, _ in parts), end):
-            assert all(t.kind == t.text for t in parser.lex(literal)[:-1]), cls
+            assert all(kind == text for kind, text in parser.lex(literal)[:-1]), cls
 
 
 # Parse errors of the keyword-led terms, as (source, (message, line, col,
