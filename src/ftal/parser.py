@@ -21,8 +21,11 @@ variables, arrow and parenthesised types, and register, index and
 ``lambda parameters`` and ``lambda``), and the terms that start with a
 name, a literal or ``(`` (variables, registers, labels, integers, unit,
 binops, applications, instantiations, tuples and sequences) are read by
-hand. One method, ``form``, reads every template, and one, ``items``,
-every comma-separated list.
+hand. One method, ``form``, reads every template, one, ``items``, every
+comma-separated list, one, ``stack``, every stack (an instantiation
+argument's too), and one, ``prefixes``, the stack prefixes
+``[phi => phi]`` of stack lambdas and arrows. A sequence
+``e1; ...; en`` is read along its spine with a loop.
 
 Conventions baked into the grammar:
   - names starting with ``z`` are stack variables, ``eps`` marker variables;
@@ -227,10 +230,7 @@ class Parser:
         params = self.items(Parser.type_, ")")
         self.expect(")", "arrow type")
         if self.accept("["):
-            phi_in = self.phi()
-            self.expect("=>", "stack arrow")
-            phi_out = self.phi()
-            self.expect("]", "stack arrow")
+            phi_in, phi_out = self.prefixes("stack arrow")
             self.expect("->", "stack arrow")
             return S.StackArrow(params, phi_in, phi_out, self.type_())
         if self.accept("->"):
@@ -247,7 +247,16 @@ class Parser:
             items.append(self.type_())
             self.expect("::", "stack prefix")
 
-    def stack(self) -> S.Stk:
+    def prefixes(self, what: str) -> tuple:
+        """The ``phi => phi ]`` of a stack-prefix pair, named what."""
+        phi_in = self.phi()
+        self.expect("=>", what)
+        phi_out = self.phi()
+        self.expect("]", what)
+        return phi_in, phi_out
+
+    def stack(self, lone: bool = False) -> S.Node:
+        """A stack type; if lone, a type with no ``::`` after it."""
         heads = []
         while True:
             kind, text = self.peek()
@@ -258,6 +267,8 @@ class Parser:
                 self.next()
                 return S.stack_of(heads, S.SVar(text))
             heads.append(self.type_())
+            if lone and len(heads) == 1 and not self.at("::"):
+                return heads[0]
             self.expect("::", "stack type")
 
     # -- markers and instantiation arguments -------------------------------
@@ -287,51 +298,30 @@ class Parser:
         return base
 
     def omega(self) -> S.Node:
+        """An instantiation argument: a marker, a stack or a type."""
         kind, text = self.peek()
-        if kind == "*":
-            self.next()
-            return S.SNil()
-        if kind == "INT" or kind in _MARKERS:
+        if kind == "INT" or kind in _MARKERS or (kind == "IDENT" and (
+                S.is_register(text) or S.kind_of_name(text) == S.KIND_MARKER)):
             return self.marker()
-        if kind == "IDENT":
-            if S.is_register(text):
-                return self.marker()
-            k = S.kind_of_name(text)
-            if k == S.KIND_MARKER:
-                return self.marker()
-            if k == S.KIND_STACK:
-                self.next()
-                return S.SVar(text)
-        ty = self.type_()
-        if self.at("::"):
-            self.next()
-            return S.SCons(ty, self.stack())
-        return ty
+        return self.stack(lone=True)
 
     # -- F expressions ------------------------------------------------------
 
     def expr(self) -> S.Tm:
-        first = self.let_level()
-        if self.accept(";"):
-            return S.SeqE(first, self.expr())
-        return first
-
-    def let_level(self) -> S.Tm:
-        if self.at("let"):
-            return self.form(*_EXPRS["let"])
-        if self.at("lam"):
-            return self.lam()
-        return self.arith()
+        """A term; a sequence ``e1; ...; en`` is read along its spine."""
+        terms = []
+        while not terms or self.accept(";"):
+            kind = self.toks[self.pos][0]
+            terms.append(self.form(*_EXPRS["let"]) if kind == "let" else
+                         self.lam() if kind == "lam" else self.arith())
+        e = terms.pop()
+        while terms:
+            e = S.SeqE(terms.pop(), e)
+        return e
 
     def lam(self) -> S.Lam:
         self.expect("lam")
-        stack = None
-        if self.accept("["):
-            phi_in = self.phi()
-            self.expect("=>", "stack lambda")
-            phi_out = self.phi()
-            self.expect("]", "stack lambda")
-            stack = (phi_in, phi_out)
+        stack = self.prefixes("stack lambda") if self.accept("[") else None
         self.expect("(", "lambda parameters")
         params = self.items(Parser.param, ")")
         self.expect(")", "lambda parameters")

@@ -36,6 +36,7 @@ change.
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heappop, heappush
 
 from .boundary import translate_type
 from .errors import CheckError, KindError
@@ -608,10 +609,8 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             raise _err("E-SEQ",
                        f"the return marker must be in a register ({iseq.r}) "
                        f"for ret, current is {shown}")
+        # Not None: wf_return_marker has just checked q at this chi and sigma.
         c = continuation_of(q, chi, sigma)
-        if c is None:
-            raise _err("E-SEQ",
-                       f"register {iseq.r} does not hold a continuation")
         if not alpha_equal(c.sigma, sigma):
             raise _err("E-SEQ",
                        f"continuation expects stack {pretty.stk(c.sigma)}, "
@@ -757,8 +756,9 @@ def check_heap_fragment(psi: dict, heap) -> dict:
     Returns the fragment's label typing. Code blocks are typed by their
     annotations; a tuple binding is checked once every label free in it
     is typed, so tuples may point at each other in any order but not in a
-    cycle. Structural problems raise E-HEAP; failures inside code bodies
-    keep their own code with the label noted.
+    cycle; a chain of n tuples is checked in O(n) examinations, not one
+    round per link. Structural problems raise E-HEAP; failures inside
+    code bodies keep their own code with the label noted.
     """
     psi2: dict = {}
     # A Counter keeps its keys in the order first declared.
@@ -776,32 +776,40 @@ def check_heap_fragment(psi: dict, heap) -> dict:
             psi2[hb.label] = ("box", code_ty)
 
     merged = {**psi, **psi2}
-    pending = [hb for hb in heap if not isinstance(hb.value, CodeBlock)]
-    while pending:
-        waiting = []
-        for hb in pending:
-            if not isinstance(hb.value, TupleVal):
-                raise _err("E-HEAP",
-                           f"{hb.label}: heap binding must be code or a tuple")
-            types = []
-            for w in hb.value.items:
-                if any(k == KIND_LOC and n not in merged
-                       for k, n in free_names(w)):
-                    waiting.append(hb)
-                    break
-                try:
-                    types.append(check_small_value(merged, (), {}, w))
-                except CheckError as e:
-                    raise _err("E-HEAP", f"{hb.label}: {e.message}")
-            else:
-                typed = (hb.nu, TyTuple(tuple(types)))
-                psi2[hb.label] = merged[hb.label] = typed
-        if len(waiting) == len(pending):
-            names = ", ".join(hb.label for hb in waiting)
+    # The tuple bindings are scanned in declaration order, round after
+    # round. One that names a label not yet typed waits for it, and comes
+    # back where a scan next reaches it once the label is typed: in the
+    # same round if it is declared after the label's binding, else in the
+    # next. A binding is so taken up only when it may get further.
+    queue = [(0, i, hb) for i, hb in enumerate(heap)
+             if not isinstance(hb.value, CodeBlock)]
+    waiting: dict = {}  # label -> the (index, binding) pairs waiting for it
+    while queue:
+        rnd, i, hb = heappop(queue)
+        if not isinstance(hb.value, TupleVal):
             raise _err("E-HEAP",
-                       f"unresolvable heap bindings (cycle or dangling "
-                       f"label): {names}")
-        pending = waiting
+                       f"{hb.label}: heap binding must be code or a tuple")
+        types = []
+        for w in hb.value.items:
+            missing = next((n for k, n in free_names(w)
+                            if k == KIND_LOC and n not in merged), None)
+            if missing is not None:
+                waiting.setdefault(missing, []).append((i, hb))
+                break
+            try:
+                types.append(check_small_value(merged, (), {}, w))
+            except CheckError as e:
+                raise _err("E-HEAP", f"{hb.label}: {e.message}")
+        else:
+            psi2[hb.label] = merged[hb.label] = (hb.nu, TyTuple(tuple(types)))
+            for j, other in waiting.pop(hb.label, ()):
+                heappush(queue, (rnd + (j < i), j, other))
+    if waiting:
+        left = sorted(entry for entries in waiting.values() for entry in entries)
+        names = ", ".join(hb.label for _, hb in left)
+        raise _err("E-HEAP",
+                   f"unresolvable heap bindings (cycle or dangling "
+                   f"label): {names}")
 
     for hb in heap:
         if isinstance(hb.value, CodeBlock):
@@ -971,8 +979,11 @@ def check_expression(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
         gamma2 = {**gamma, e.var: tr}
         return check_expression(psi, delta, gamma2, s1, e.body)
     if isinstance(e, SeqE):
-        _, s1 = check_expression(psi, delta, gamma, sigma, e.first)
-        return check_expression(psi, delta, gamma, s1, e.second)
+        # Along the second spine, so that a long sequence does not recurse.
+        while isinstance(e, SeqE):
+            _, sigma = check_expression(psi, delta, gamma, sigma, e.first)
+            e = e.second
+        return check_expression(psi, delta, gamma, sigma, e)
     if isinstance(e, Boundary):
         wf(delta, e.ann)
         _, s_out = check_component(psi, delta, gamma, sigma,

@@ -46,6 +46,13 @@ def test_type_error_exits_one(capsys, tmp_path):
     assert "type error" in err
 
 
+def test_kind_error_exits_one(capsys, tmp_path):
+    bad = tmp_path / "kind.ftal"
+    bad.write_text("entry F\nfold (mu z. int) 1\n")
+    code, out, err = run_cli(capsys, ["check", str(bad)])
+    assert (code, out, err) == (1, "", "type error: KindError: z cannot bind a type\n")
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.ftal"
     bad.write_text("lam (")
@@ -206,6 +213,13 @@ def test_eq_difference_names_the_witness(capsys):
     assert payload["witness"] == 0
 
 
+def test_eq_human_output_names_the_witness(capsys):
+    code, out, _ = run_cli(capsys, ["eq", str(registry.job_path("identity_vs_succ"))])
+    assert code == 4
+    assert out.splitlines() == ["distinguished (witness input 0)"] + [
+        f"  ! {i}: {i} vs {i + 1}" for i in range(6)]
+
+
 def test_eq_fuel_flag_overrides_the_job(capsys):
     code, out, _ = run_cli(
         capsys, ["eq", "--fuel", "24", str(registry.job_path("factorial"))])
@@ -245,6 +259,29 @@ def test_corpus_gate(capsys):
     code, out, _ = run_cli(capsys, ["corpus"])
     assert code == 0
     assert "all pass (21/21)" in out
+
+
+def test_corpus_json_payload(capsys):
+    code, out, _ = run_cli(capsys, ["corpus", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["ok"], payload["exit_code"]) == (True, 0)
+    assert len(payload["rows"]) == 21 and all(r["ok"] for r in payload["rows"])
+    assert payload["rows"][0] == {"expected": "int; *", "got": "int; *",
+                                  "name": "call_to_call", "ok": True, "stage": "check"}
+
+
+def test_entry_flag_reads_a_headerless_component(capsys, tmp_path):
+    p = tmp_path / "comp.ftal"
+    p.write_text("(mv r1, 1; halt[int, *] r1)")
+    assert run_cli(capsys, ["check", "--entry", "t", str(p)])[:2] == (0, "int; *\n")
+    assert run_cli(capsys, ["run", "--entry", "t", str(p)])[:2] == (0, "halted 1; stack []\n")
+    assert run_cli(capsys, ["fmt", "--entry", "t", str(p)])[:2] == (
+        0, "entry T\n(\n  mv r1, 1;\n  halt[int, *] r1\n)\n\n")
+    # Without the flag, a file with no header is an F program.
+    code, _, err = run_cli(capsys, ["check", str(p)])
+    assert code == 2
+    assert err == "parse error: 1:2: expected an expression (expected expression)\n"
 
 
 def test_entry_flag_reads_a_bare_expression(capsys, tmp_path):

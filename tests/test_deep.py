@@ -3,9 +3,10 @@
 syntax traversal walks to the end; terms nested 3000 deep, which every
 syntax traversal walks; stack types of up to 3000 slots, which the
 parser reads, the checker compares, the machine halts at, the printer
-writes back and substitution rebuilds; and a component of 3000 heap
+writes back and substitution rebuilds; a component of 3000 heap
 bindings, which the checker and the machine take in time linear in
-their number.
+their number; and a sequence of 5000 terms, which the parser, the
+checker and the printer walk along its spine.
 
 A deep result is checked by ``alpha_equal``, a walk along its spine or
 its printed text, never by ``==``: a dataclass's generated equality
@@ -251,6 +252,20 @@ def test_a_long_sequence_formats_and_round_trips(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert S.alpha_equal(parser.parse_program(printed),
                          parser.parse_program(path.read_text()))
+
+
+def test_a_5000_term_sequence_checks_runs_and_formats(tmp_path, capsys):
+    # The parser reads a sequence along its spine with a loop, and the
+    # checker and the printer walk it along its second spine.
+    path = tmp_path / "seq.ftal"
+    path.write_text("entry F\n" + "; ".join(["1"] * 5000) + "\n")
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "int; *\n"
+    assert cli.main(["run", "--json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["kind"], payload["value"]) == ("f-value", "1")
+    assert cli.main(["fmt", str(path)]) == 0
+    assert capsys.readouterr().out == path.read_text() + "\n"
 
 
 def test_a_sequence_prints_as_its_template_gives_it():

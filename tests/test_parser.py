@@ -112,3 +112,38 @@ def test_target_types_round_trip_through_pretty(t):
 @given(source_terms)
 def test_terms_round_trip_through_pretty(e):
     assert S.alpha_equal(parser.parse_expr(pretty.tm(e)), e)
+
+
+# An instantiation argument is a return marker, or else a stack or a
+# type, which the stack reader tells apart by the "::" after a type.
+OMEGAS = (
+    ("int", S.TyInt()),
+    ("(int) -> int", S.Arrow((S.TyInt(),), S.TyInt())),
+    ("z", S.SVar("z")),
+    ("*", S.SNil()),
+    ("int :: unit :: z", S.stack_of([S.TyInt(), S.TyUnit()], S.SVar("z"))),
+    ("eps", S.MEps("eps")),
+    ("0", S.MIdx(0)),
+    ("ra", S.MReg("ra")),
+    ("ret(int, *)", S.MHalt(S.TyInt(), S.SNil())),
+    ("out", S.MOut()),
+)
+
+
+@pytest.mark.parametrize("text,omega", OMEGAS, ids=[o[0] for o in OMEGAS])
+def test_instantiation_arguments(text, omega):
+    assert parser.parse_expr(f"f[{text}]") == S.Inst(S.Var("f"), omega)
+
+
+def test_a_lambda_is_an_arithmetic_operand():
+    e = parser.parse_expr("1 + lam (x: int). x")
+    assert e == S.Binop("+", S.IntVal(1), S.Lam((("x", S.TyInt()),), S.Var("x")))
+    assert pretty.tm(e) == "(1 + (lam (x: int). x))"
+    assert parser.parse_expr(pretty.tm(e)) == e
+
+
+def test_entry_names_one_of_the_two_languages():
+    with pytest.raises(ParseError) as exc:
+        parser.parse_program("entry G\n1")
+    e = exc.value
+    assert (e.message, e.line, e.col, e.expected) == ("entry must be F or T", 1, 7, ())

@@ -298,6 +298,8 @@ TYPE_ERRORS = (
     ('out', ('expected a type', 1, 1, ('type',))),
     ('', ('expected a type', 1, 1, ('type',))),
     ('int int', ("unexpected 'int' in type", 1, 5, ('EOF',))),
+    ('(int)[. => . -> int', ("unexpected '->' in stack arrow", 1, 14, (']',))),
+    ('(int)[. => .]', ("unexpected 'end of input' in stack arrow", 1, 14, ('->',))),
 )
 # Heap block headers, each read as
 # "(\n  halt[int, *] r1,\n  where\n    l -> <text>.\n      halt[int, *] r1\n)".
@@ -309,6 +311,7 @@ HEADER_ERRORS = (
     ('code[]{r1: int; *}', ('expected a return marker', 4, 28, ('marker',))),
     ('code[]{; *} <int>', ('expected a return marker', 4, 22, ('marker',))),
     ('code{; *} out', ("unexpected '{' in code type", 4, 14, ('[',))),
+    ('5', ('expected a heap value', 4, 10, ('code', 'ref', 'box'))),
 )
 
 
@@ -395,6 +398,14 @@ EXPR_ERRORS = (
     ('fold 3 x', ('expected a type', 1, 6, ('type',))),
     ('fold z x', ("'z' is a stack variable, not a type", 1, 6, ())),
     ('fold\n  (int\n  x', ("unexpected 'x' in arrow type", 3, 3, (')',))),
+    # Instantiation arguments, read as a marker, or by the stack reader.
+    ('f[]', ('expected a type', 1, 3, ('type',))),
+    ('f[-1]', ('expected a type', 1, 3, ('type',))),
+    ('f[int ::]', ('expected a type', 1, 9, ('type',))),
+    ('f[int :: int]', ("unexpected ']' in stack type", 1, 13, ('::',))),
+    ('f[int :: eps]', ("'eps' is a marker variable, not a type", 1, 10, ())),
+    ('f[z :: *]', ("unexpected '::' in instantiation", 1, 5, (']',))),
+    ('f[int z]', ("unexpected 'z' in instantiation", 1, 7, (']',))),
 )
 
 # T words, each read as "FT[int](\n  mv r1, <text>;\n  halt[int, *] r1\n)".

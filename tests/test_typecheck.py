@@ -9,7 +9,7 @@ typing rules and frozen here.
 import pytest
 
 from conftest import corpus_text
-from ftal import parser, pretty
+from ftal import parser, pretty, typecheck
 from ftal import syntax as S
 from ftal.errors import CheckError, KindError
 from ftal.typecheck import check_expression, check_program, regfile_subtype
@@ -259,19 +259,53 @@ def test_checking_is_repeatable():
 # -- pinned rejections ------------------------------------------------------
 
 
-def _heap_program(binding: str) -> str:
+def _heap_program(binding: str, body: str = "mv r1, 0;\n  halt[int, *] r1") -> str:
     return f"""entry T
 (
-  mv r1, 0;
-  halt[int, *] r1
+  {body}
 , where
   {binding}
 )
 """
 
 
-def _block(ann: str) -> str:
-    return _heap_program(f"lA -> {ann}.\n    halt[int, *] r1")
+def _block(ann: str, body: str = "halt[int, *] r1") -> str:
+    return _heap_program(f"lA -> {ann}.\n    {body}")
+
+
+def _main(body: str) -> str:
+    return f"entry T\n(\n  {body}\n)\n"
+
+
+# A continuation for a callee's stack and marker variables, a
+# continuation that halts, and a callee that returns through ra.
+CONT = "box code[]{r1: int; z} eps"
+HALT_CONT = "box code[]{r1: int; *} ret(int, *)"
+CALLEE = f"code[z, eps]{{ra: {CONT}; z}} ra"
+
+
+def _call(callee: str, body: str = "mv r1, 2;\n    ret ra {r1}",
+          caller: str = "mv ra, lret;\n  call lB {*, ret(int, *)}") -> str:
+    """The main body calls lB, a callee of type callee, and returns to
+    lret, which halts."""
+    return _heap_program(
+        f"lB -> {callee}.\n    {body},\n"
+        "  lret -> code[]{r1: int; *} ret(int, *).\n    halt[int, *] r1", caller)
+
+
+def _in_ra_block(body: str) -> str:
+    """body in a block whose marker is in ra."""
+    return _block(CALLEE, body)
+
+
+def _in_slot_block(body: str) -> str:
+    """body in a block whose marker is in stack slot 0."""
+    return _block(f"code[]{{r1: int; {HALT_CONT} :: *}} 0", body)
+
+
+# A callee that loops at any stack, so that a call to it may name any
+# halting marker.
+LOOP = "lret -> code[z2]{r1: int; z2} ret(int, *).\n    jmp lret[z2]"
 
 
 # Each rejection with its exact code, message and where.
@@ -306,7 +340,179 @@ PINNED = (
     ("marker_before_a_later_fault",
      _block("code[]{r1: box code[]{r1: int; *} out, r2: b; *} ret(int, *)"),
      ("E-HEAP", "lA: out marker inside a code type", "")),
+    ("two_marker_binders", _block("code[eps1, eps2]{r1: int; *} ret(int, *)"),
+     ("E-HEAP", "lA: code type abstracts more than one marker variable", "")),
+    ("index_marker_past_the_stack", _block("code[]{r1: int; *} 0"),
+     ("E-HEAP", "lA: marker 0 does not point at a continuation", "")),
+    ("marker_variable_at_an_instruction",
+     _block("code[z, eps]{r1: int; z} eps", "halt[int, z] r1"),
+     ("E-WFRET", "marker variable eps reaches an instruction", "lA")),
+    ("register_in_a_heap_tuple", _heap_program("lA -> box <r1>"),
+     ("E-HEAP", "lA: register r1 holds no value", "")),
+    # A tuple waiting for a label is taken up again only where a scan in
+    # declaration order next reaches it: lA waits a round for lB, so lC's
+    # fault is met first, and lb, which waits for lL while lL waits for
+    # lM, is met before lc in the second round.
+    ("heap_tuple_waits_a_round",
+     _heap_program("lA -> box <lB, r1>,\n  lB -> box <1>,\n  lC -> box <r2>"),
+     ("E-HEAP", "lC: register r2 holds no value", "")),
+    ("heap_tuple_resumes_in_declaration_order", _heap_program(
+        "lL -> box <lM>,\n  lb -> box <lL, r1>,\n  lc -> box <lN, r2>,\n"
+        "  lM -> box <1>,\n  lN -> box <1>"),
+     ("E-HEAP", "lb: register r1 holds no value", "")),
+
+    # The call rule.
+    ("call_target_not_code", _heap_program("lT -> box <1>", "call lT {*, ret(int, *)}"),
+     ("E-SEQ", "call target is not code", "")),
+    ("call_target_one_binder",
+     _call("code[eps]{ra: box code[]{r1: int; *} eps; *} ra"),
+     ("E-SEQ", "call target must abstract a stack and a marker", "")),
+    ("callee_stack_tail", _call("code[z, eps]{ra: box code[]{r1: int; *} eps; *} ra"),
+     ("E-SEQ", "callee stack must end in its own stack variable", "")),
+    ("callee_slot_count",
+     _call(f"code[z, eps]{{ra: {CONT}; int :: z}} ra", "sfree 1;\n    mv r1, 2;\n    ret ra {r1}"),
+     ("E-SEQ", "callee expects 1 transferred slots, the call hands over 0", "")),
+    ("callee_slot_type",
+     _call(f"code[z, eps]{{ra: {CONT}; int :: z}} ra", "sfree 1;\n    mv r1, 2;\n    ret ra {r1}",
+           "salloc 1;\n  mv ra, lret;\n  call lB {*, ret(int, *)}"),
+     ("E-SEQ", "transferred slot 0 is unit, the callee expects int", "")),
+    ("callee_without_continuation",
+     _call("code[z, eps]{r1: int; z} ret(int, z)", "halt[int, z] r1"),
+     ("E-SEQ", "call target has no continuation", "")),
+    ("callee_continuation_marker",
+     _call("code[z, eps]{ra: box code[]{r1: int; z} ret(int, *); z} ra"),
+     ("E-SEQ", "callee continuation must carry the callee's marker variable", "")),
+    ("callee_continuation_stack",
+     _call("code[z, eps]{ra: box code[]{r1: int; *} eps; z} ra", "jmp lB[z, eps]"),
+     ("E-SEQ", "callee continuation stack must end in the callee's stack variable", "")),
+    ("call_changes_the_halting_marker", _heap_program(
+        "lA -> code[]{r1: int; *} ret(int, *).\n    call lB {*, ret(unit, *)},\n"
+        f"  lB -> {CALLEE}.\n    mv r1, 2;\n    ret ra {{r1}}"),
+     ("E-SEQ", "call must pass the current halting marker on", "lA")),
+    ("call_marker_slot_in_prefix", _heap_program(
+        f"lA -> code[]{{r1: int; {HALT_CONT} :: *}} 0.\n    call lB {{*, 1}},\n"
+        f"  lB -> code[z, eps]{{ra: {CONT}; {HALT_CONT} :: z}} ra.\n"
+        "    sfree 1;\n    mv r1, 2;\n    ret ra {r1}"),
+     ("E-SEQ", "the marker slot lies inside the transferred prefix", "lA")),
+    ("callee_registers_mention_binders",
+     _call(f"code[z, eps]{{r2: {CONT}, ra: {CONT}; z}} ra"),
+     ("E-SEQ", "callee registers other than the return address must not "
+               "mention its abstracted variables", "")),
+    ("registers_do_not_satisfy_callee", _call(CALLEE, caller="call lB {*, ret(int, *)}"),
+     ("E-SEQ", "registers do not satisfy the callee", "")),
+
+    # ret and halt.
+    ("ret_continuation_stack", _in_ra_block("mv r1, 2;\n    salloc 1;\n    ret ra {r1}"),
+     ("E-SEQ", "continuation expects stack z, current is unit :: z", "lA")),
+    ("ret_result_register", _in_ra_block("mv r2, 2;\n    ret ra {r2}"),
+     ("E-SEQ", "continuation reads r1, not r2", "lA")),
+    ("ret_result_type", _in_ra_block("mv r1, ();\n    ret ra {r1}"),
+     ("E-SEQ", "result register holds unit, the continuation wants int", "lA")),
+    ("halt_stack_mismatch", _main("mv r1, 0;\n  salloc 1;\n  halt[int, *] r1"),
+     ("E-SEQ", "halt annotation stack * does not match the current stack unit :: *", "")),
+
+    # import.
+    ("import_with_register_marker",
+     _in_ra_block("import r1, z as z2, int TF{ 3 };\n    ret ra {r1}"),
+     ("E-SEQ", "import with a register marker", "lA")),
+    ("import_body_type", _main("import r1, * as z, int TF{ () };\n  halt[int, *] r1"),
+     ("E-SEQ", "import body has type unit, the annotation says int", "")),
+    # The call names a halting marker at stack *, so the body ends at *.
+    ("import_loses_protected_stack", _heap_program(
+        f"lB -> {CALLEE}.\n    mv r1, 2;\n    ret ra {{r1}},\n  {LOOP}",
+        "import r1, * as z, int TF{ FT[int](mv ra, lret[z];\n"
+        "    call lB {z, ret(int, *)}) };\n  halt[int, *] r1"),
+     ("E-SEQ", "import body does not preserve the protected stack", "")),
+    ("import_leaks_protected_stack", _heap_program(
+        LOOP,
+        "import r1, * as z, int TF{ FT[int](mv r2, lret[z];\n    salloc 1;\n"
+        "    sst 0, r2;\n    mv r1, 0;\n"
+        "    halt[int, box code[]{r1: int; z} ret(int, *) :: z] r1) };\n"
+        "  halt[int, *] r1"),
+     ("E-SEQ", "protected stack variable escapes the import", "")),
+    # The marker rides a push and a pop, then the import's one new slot:
+    # it ends at slot 1, which ret names.
+    ("import_shifts_the_marker_slot", _in_slot_block(
+        "salloc 1;\n    sfree 1;\n"
+        f"    import r2, {HALT_CONT} :: * as z, int TF{{ FT[int](salloc 1;\n"
+        "      mv r1, 0;\n      halt[int, unit :: z] r1) };\n    ret ra {r1}"),
+     ("E-SEQ", "the return marker must be in a register (ra) for ret, current is 1", "lA")),
+
+    # Instructions.
+    ("arithmetic_on_unit", _main("mv r1, ();\n  add r1, r1, 1;\n  halt[int, *] r1"),
+     ("E-SEQ", "arithmetic operand must be an integer, got unit", "")),
+    ("marker_register_as_operand", _in_ra_block("add r1, ra, 1;\n    ret ra {r1}"),
+     ("E-SEQ", "marker register used as an operand", "lA")),
+    ("marker_register_stored", _in_ra_block("st r1[0], ra;\n    ret ra {r1}"),
+     ("E-SEQ", "marker register stored to the heap", "lA")),
+    ("mv_moves_the_marker", _in_ra_block("mv r3, ra;\n    ret ra {r1}"),
+     ("E-SEQ", "the return marker must be in a register (ra) for ret, current is r3", "lA")),
+    ("load_from_an_integer", _main("mv r1, 0;\n  ld r2, r1[0];\n  halt[int, *] r1"),
+     ("E-SEQ", "load from a non-tuple", "")),
+    ("store_into_an_integer", _main("mv r1, 0;\n  st r1[0], r1;\n  halt[int, *] r1"),
+     ("E-SEQ", "store into a non-reference", "")),
+    ("store_of_the_wrong_type",
+     _main("mv r1, 0;\n  salloc 1;\n  ralloc r2, 1;\n  st r2[0], r1;\n  halt[int, *] r1"),
+     ("E-SEQ", "store of int into a slot of unit", "")),
+    ("allocation_over_the_marker_slot", _in_slot_block("ralloc r2, 1;\n    ret ra {r1}"),
+     ("E-SEQ", "allocation would consume the marker slot", "lA")),
+    ("unpack_of_an_integer", _main("mv r1, 0;\n  unpack <b, r2> r1;\n  halt[int, *] r1"),
+     ("E-SEQ", "unpack of a non-package", "")),
+    ("unfold_of_an_integer", _main("mv r1, 0;\n  unfold r2, r1;\n  halt[int, *] r1"),
+     ("E-SEQ", "unfold of a non-recursive value", "")),
+    ("protect_slot_mismatch",
+     _main("salloc 1;\n  protect int :: ., z;\n  mv r1, 0;\n  halt[int, z] r1"),
+     ("E-SEQ", "protect keeps int at slot 0, the stack has unit", "")),
+    ("jump_to_a_tuple", _heap_program("lT -> box <1>", "mv r1, 0;\n  jmp lT"),
+     ("E-SEQ", "jump target is not code", "")),
+    ("jump_at_the_wrong_stack", _heap_program(
+        "lJ -> code[]{r1: int; *} ret(int, *).\n    halt[int, *] r1",
+        "mv r1, 0;\n  salloc 1;\n  jmp lJ"),
+     ("E-SEQ", "jump target expects stack *, current is unit :: *", "")),
+    ("stack_tail_not_found", _main("import r1, int :: * as z, int TF{ 3 };\n  halt[int, *] r1"),
+     ("E-SEQ", "the stack does not end in the import tail int :: *", "")),
+
+    # Components, and a term that only T has.
+    ("mutable_binding_in_scope", _heap_program(
+        "lR -> ref <1>",
+        "import r1, * as z, int TF{ FT[int](mv r1, 1;\n    halt[int, z] r1) };\n"
+        "  halt[int, *] r1"),
+     ("E-COMPONENT", "component under a heap with mutable binding lR", "")),
+    ("label_already_bound", _heap_program(
+        "lR -> box <1>",
+        "import r1, * as z, int TF{ FT[int](mv r1, 1;\n    halt[int, z] r1,\n"
+        "    where lR -> box <2>) };\n  halt[int, *] r1"),
+     ("E-HEAP", "label lR is already bound", "")),
+    ("local_escapes", _main("mv r1, pack <int, 5> as exists a. a;\n  unpack <b, r2> r1;\n"
+                            "  halt[b, *] r2"),
+     ("E-COMPONENT", "local b escapes the component", "")),
+    ("f_instantiation", "entry F\n(lam (x: int). x)[int]\n",
+     ("E-EXPR", "not a source-language expression", "")),
 )
+
+
+def _chain(n: int) -> str:
+    """n tuples, each pointing at the one declared after it."""
+    links = "".join(f"t{i} -> box <t{i + 1}>,\n  " for i in range(n - 1))
+    return _heap_program(f"{links}t{n - 1} -> box <1>")
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_a_forward_heap_chain_takes_linearly_many_steps(monkeypatch, n):
+    # Each tuple is taken up once in the first round and once more when
+    # the next one is typed; rescanning every waiting tuple in each round
+    # would take about n * n / 2 steps.
+    calls = 0
+
+    def counted(node):
+        nonlocal calls
+        calls += 1
+        return S.free_names(node)
+
+    monkeypatch.setattr(typecheck, "free_names", counted)
+    tau, _ = check_program(parser.parse_program(_chain(n)))
+    assert pretty.ty(tau) == "int"
+    assert calls <= 2 * n + 2
 
 
 @pytest.mark.parametrize("src,expected", [p[1:] for p in PINNED],
