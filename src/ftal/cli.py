@@ -11,7 +11,9 @@ out), 6 resource limit (the interpreter ran out of recursion depth or
 memory on a program too deep or too large for it, or met a count past
 the host's index size, such as ``salloc`` of 2**63 slots on a 64-bit
 host; or a forked probe process of ``eq`` ended without a result).
-FTAL_FUEL sets the default fuel bound; the --fuel flag wins.
+FTAL_FUEL sets the default fuel bound; the --fuel flag wins.  A reader
+that closes stdout early (``ftal trace f | head -1``) ends no command:
+the rest of its output is thrown away, and it exits with its own code.
 """
 
 from __future__ import annotations
@@ -49,17 +51,34 @@ def _default_fuel() -> int:
     return machine.DEFAULT_FUEL
 
 
+def _stdout_closed() -> None:
+    """Point stdout at os.devnull once its reader has closed it, as the
+    Python documentation advises, so that no later write, nor the flush
+    at exit, fails again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _write(text: str) -> None:
+    """Write to stdout, which a closed reader turns into os.devnull."""
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        _stdout_closed()
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        _write(json.dumps(payload, sort_keys=True) + "\n")
     elif human:
-        print(human)
+        _write(human + "\n")
 
 
 def _fail(args, kind: str, message: str, code: int) -> int:
     payload = {"error": {"kind": kind, "message": message}, "exit_code": code}
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        _write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         print(f"{kind} error: {message}", file=sys.stderr)
     return code
@@ -128,9 +147,9 @@ def cmd_run(args) -> int:
     return _outcome_exit(out)
 
 
-def _run_traced(prog: Program, fuel: int, sink) -> machine.Outcome:
-    """Run ``prog``, writing each trace record's JSON line to ``sink``."""
-    write, line = sink.write, machine.trace_line
+def _run_traced(prog: Program, fuel: int, write) -> machine.Outcome:
+    """Run ``prog``, passing each trace record's JSON line to ``write``."""
+    line = machine.trace_line
     return machine.run_program(prog, fuel, lambda rec: write(line(rec)))
 
 
@@ -139,13 +158,13 @@ def cmd_trace(args) -> int:
     check_program(prog)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            out = _run_traced(prog, args.fuel, fh)
+            out = _run_traced(prog, args.fuel, fh.write)
         payload = _outcome_payload(out)
         payload["exit_code"] = _outcome_exit(out)
         payload["trace"] = args.trace_out
         _emit(args, payload, _outcome_human(out))
     else:
-        out = _run_traced(prog, args.fuel, sys.stdout)
+        out = _run_traced(prog, args.fuel, _write)
         print(_outcome_human(out), file=sys.stderr)
     return _outcome_exit(out)
 
@@ -156,16 +175,16 @@ def cmd_eq(args) -> int:
         job = dataclasses.replace(job, fuel=args.fuel)
     result = harness.run_job(job)
     if args.json:
-        print(json.dumps(result, sort_keys=True))
+        _write(json.dumps(result, sort_keys=True) + "\n")
     else:
         line = result["verdict"]
         if result.get("witness") is not None:
             line += f" (witness input {result['witness']})"
-        print(line)
+        _write(line + "\n")
         for row in result["rows"]:
             mark = "=" if row["agree"] else "!"
-            print(f"  {mark} {row['input']}: {_obs_str(row['left'])} vs "
-                  f"{_obs_str(row['right'])}")
+            _write(f"  {mark} {row['input']}: {_obs_str(row['left'])} vs "
+                   f"{_obs_str(row['right'])}\n")
     return result["exit_code"]
 
 
@@ -180,7 +199,8 @@ def _obs_str(obs: dict) -> str:
 def cmd_fmt(args) -> int:
     prog = _read_program(args)
     text = pretty.program(prog)
-    _emit(args, {"text": text, "exit_code": EXIT_OK}, text)
+    # The printed program ends in its own newline.
+    _emit(args, {"text": text, "exit_code": EXIT_OK}, text.removesuffix("\n"))
     return EXIT_OK
 
 
@@ -188,16 +208,16 @@ def cmd_corpus(args) -> int:
     rows = registry.run_all(args.fuel)
     ok = all(r["ok"] for r in rows)
     if args.json:
-        print(json.dumps({"rows": rows, "ok": ok,
-                          "exit_code": EXIT_OK if ok else EXIT_TYPE},
-                         sort_keys=True))
+        _write(json.dumps({"rows": rows, "ok": ok,
+                           "exit_code": EXIT_OK if ok else EXIT_TYPE},
+                          sort_keys=True) + "\n")
     else:
         width = max(len(r["name"]) for r in rows)
         for r in rows:
             mark = "pass" if r["ok"] else "FAIL"
-            print(f"{mark}  {r['stage']:<5} {r['name']:<{width}}  {r['got']}")
-        print(f"{'all pass' if ok else 'FAILURES'} "
-              f"({sum(1 for r in rows if r['ok'])}/{len(rows)})")
+            _write(f"{mark}  {r['stage']:<5} {r['name']:<{width}}  {r['got']}\n")
+        _write(f"{'all pass' if ok else 'FAILURES'} "
+               f"({sum(1 for r in rows if r['ok'])}/{len(rows)})\n")
     return EXIT_OK if ok else EXIT_TYPE
 
 
@@ -256,6 +276,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    code = _dispatch(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_closed()
+    return code
+
+
+def _dispatch(argv) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     args.fuel_given = getattr(args, "fuel", None) is not None

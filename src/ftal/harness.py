@@ -20,15 +20,17 @@ The runs are deterministic and independent, so where they run cannot
 change what they show.  On a host with two or more usable CPUs, every
 run takes a short head of steps in process, the probes still running
 after it are dealt into one share per CPU, and each share but the first
-is finished in a forked child that sends back its observations.
-Reports, verdicts and the exception raised are those of running every
-probe in order in one process.
+is finished in a forked child that sends back its observations, with
+``marshal``, and pickles only an exception that a run raised.  Reports,
+verdicts and the exception raised are those of running every probe in
+order in one process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import marshal
 import os
 import pathlib
 import threading
@@ -258,7 +260,6 @@ def _finish(shares: list, rest: int, fuel: int) -> dict:
     left by an exception."""
     if len(shares) == 1:
         return _finish_share(shares[0], rest, fuel)
-    import pickle
     import signal
     got: dict = {}
     local = [shares[0]]
@@ -284,7 +285,7 @@ def _finish(shares: list, rest: int, fuel: int) -> dict:
             del children[pid]
             os.close(r)
             try:
-                got.update(pickle.loads(data))
+                got.update(_unpack_share(data))
             except Exception:
                 code = os.waitstatus_to_exitcode(status)
                 how = (f"killed by signal {-code}" if code < 0
@@ -301,12 +302,40 @@ def _finish(shares: list, rest: int, fuel: int) -> dict:
     return got
 
 
+def _pack_share(got: dict) -> bytes:
+    """What ``_finish_share`` got, for the parent.  A forked share holds
+    applied probes only, so each observation is a kind, an int, unit or
+    no value, the fuel and a reason, with no stack, and marshal carries
+    it.  Only the exception a run raised, if one did, is pickled."""
+    observed, raised = {}, None
+    for i, obs in got.items():
+        if isinstance(obs, Exception):
+            import pickle
+            raised = (i, pickle.dumps(obs))
+        else:
+            v = obs.value
+            observed[i] = (obs.kind, v.n if type(v) is IntVal else
+                           None if v is None else (), obs.fuel, obs.reason)
+    return marshal.dumps((observed, raised))
+
+
+def _unpack_share(data: bytes) -> dict:
+    """The observations and exception that ``_pack_share`` packed."""
+    observed, raised = marshal.loads(data)
+    got = {i: Observation(kind, IntVal(v) if type(v) is int else
+                          None if v is None else UnitVal(), fuel, reason)
+           for i, (kind, v, fuel, reason) in observed.items()}
+    if raised is not None:
+        import pickle
+        got[raised[0]] = pickle.loads(raised[1])
+    return got
+
+
 def _fork_share(share: list, rest: int, fuel: int) -> tuple[int, int]:
-    """Fork a child that finishes ``share`` and writes what it got, pickled,
+    """Fork a child that finishes ``share`` and writes what it got, packed,
     to a pipe; the child's pid and the pipe's read end.  The child never
     returns: it ends with ``os._exit``, status 0 once its result is
     written."""
-    import pickle
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -319,7 +348,7 @@ def _fork_share(share: list, rest: int, fuel: int) -> tuple[int, int]:
         try:
             os.close(r)
             with open(w, "wb") as pipe:
-                pickle.dump(_finish_share(share, rest, fuel), pipe)
+                pipe.write(_pack_share(_finish_share(share, rest, fuel)))
             status = 0
         finally:
             os._exit(status)

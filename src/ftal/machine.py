@@ -43,10 +43,29 @@ sound because heap blocks are checked under an empty term context, so
 only the body can name a source variable, and the body runs before any
 jump leaves it.  (In a program the checker rejects, a heap block that
 names one reads it wherever the block runs, and may get stuck where
-closing the component would have replaced it.)  The component is entered
-as it is, with no walk of its code but the renaming of its heap labels,
-and one with no heap, as every one a boundary translation builds, with
-no walk at all.
+closing the component would have replaced it.)
+
+A component is entered with no walk of its code: its heap labels are
+bound, not renamed, as the CEK machine binds term variables and as
+Glew and Morrisett link TAL fragments by label maps.  Each entry draws
+a fresh label ``label#k`` per binding from a machine-owned counter, in
+declaration order, so repeated entry into one boundary cannot collide
+and runs are reproducible; an instance is the checked component's own
+code and its label map ``{label: Loc(label#k)}``.  Each heap cell of an
+instance holds the shared block with the map attached
+(``CodeBlock.labels``), and a tuple binding's words resolved through
+it.  The map travels with the code in focus, beside its type
+environment, and an operand written in the code that names a label
+(a ``Loc``, or an ``Inst``, ``Pack`` or ``Fold`` of one) is resolved
+through it when it is read, so every word in a register, on the stack
+or in the heap names the instance's label.  A component nested in an
+``import``'s source term may name the labels of the one around it,
+since the checker checks it under the outer heap typing: ``import``
+binds the map in the term environment its source term runs under, a
+closure made there keeps it, and a nested component's instance maps
+the outer labels as the outer instance does and its own labels afresh.
+One with no heap, as every one a boundary translation builds, takes
+the map it is entered under.
 
 A jump enters its block with its instantiations substituted into the
 body, as in the semantics, but a block is closed once per instantiation:
@@ -56,37 +75,40 @@ or a repeated call substitutes nothing after its first entry.
 ``unpack`` closes the rest of its sequence the same way, under the
 environment of its type variable and witness, and leaves the code's own
 in place.  So the code in focus binds every type name it uses, an
-instruction reads its operands as they are, and every word in a
-register, on the stack or in the heap is closed.  An exported wrapper is
-a fresh block for each crossing, but its body, shared by every wrapper at
-its annotation, applies a term variable that the block's own term
-environment (``CodeBlock.scope``) binds to the exported value.  Entering
-a wrapper closes its body as any other block's and switches to that
-scope, which its ``import`` reads; as with a component, no code after
-the wrapper's next jump reads it.  A ``jmp`` or ``bnz`` resolves a word
-written in the code once and caches the block and environment it
-reaches by the word's identity: labels are fresh and a code binding is
-never rebound, so the word always reaches the same place.  A word read
-from a register (``ret r``, ``jmp r``, ``bnz r, r``) is resolved each
-time, since each crossing makes a fresh return address.  A ``call`` adds
-its continuation's omegas, so it looks up the (label, *omegas)
-environment instead.  So a crossing adds an entry to no cache.  Types,
-stacks and markers keep their hash (see ``syntax.TypeLevel``), so such a
-lookup hashes no type tree after the first.
+instruction reads its operands as they are but for labels, and every
+word in a register, on the stack or in the heap is closed.  An exported
+wrapper is a fresh block for each crossing, but its body, shared by
+every wrapper at its annotation, applies a term variable that the
+block's own term environment (``CodeBlock.scope``) binds to the exported
+value.  Entering a wrapper closes its body as any other block's and
+switches to that scope, which its ``import`` reads; as with a component,
+no code after the wrapper's next jump reads it.
+
+A ``jmp`` or ``bnz`` resolves a word written in the code once and
+caches the block and environment it reaches by the word's identity:
+every instance shares the code and its blocks, so in each the word
+reaches the same block under the same environment, and the instance in
+focus stays in focus.  A word that reaches another instance's block
+(from a nested component with a heap to the one around it) is resolved
+each time.  An operand naming a label is resolved once per node and
+map.  A word read from a register (``ret r``, ``jmp r``, ``bnz r, r``)
+is resolved each time, since each crossing makes a fresh return
+address.  A ``call`` adds its continuation's omegas, so it looks up the
+(label, *omegas) environment instead.  So neither a crossing nor the
+entry into a component adds an entry to any cache.  Types, stacks and
+markers keep their hash (see ``syntax.TypeLevel``), so such a lookup
+hashes no type tree after the first.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
 register it set, if any, is rendered only while ``run`` has a trace
 sink (or for a direct call of ``step``); the text is that of the closed
-instruction.  Each rule sets at most one register, so the rendered
+instruction, with its labels renamed through the label map it ran
+under.  Each rule sets at most one register, so the rendered
 delta is empty or holds one entry, and neither ``step`` nor
 ``trace_line`` sorts or joins a list for it.  ``trace_line`` is the one
 encoder of a full record: it writes the record's JSON line, byte for
 byte the line ``json.dumps(record, sort_keys=True)`` gives.
-
-Heap labels are renamed to label#k with a machine-owned counter when a
-component's bindings are merged in, so repeated entry into the same
-boundary cannot collide and runs are reproducible.
 """
 
 from __future__ import annotations
@@ -263,6 +285,7 @@ class FrImport:
     ann: Ty
     rest: ISeq
     env: "_Env"
+    labels: dict | None
     scope: tuple | None
 
 
@@ -275,6 +298,11 @@ class _Clo:
     def __init__(self, lam: Lam, scope: tuple | None):
         self.lam = lam
         self.scope = scope
+
+
+# The name that binds a component instance's label map in a term
+# environment; no variable can be spelled so.
+_LABELS = "#labels"
 
 
 def _lookup(scope: tuple | None, name: str):
@@ -310,6 +338,30 @@ def _value(e, scope: tuple | None):
     return None
 
 
+def _bound(word, labels: dict):
+    """``word`` as read by code whose label map is ``labels``: the label
+    at its core (under any ``Inst``, ``Pack`` or ``Fold``) replaced by the
+    word ``labels`` binds it to, if any."""
+    shells = []
+    core, t = word, type(word)
+    while t is Inst or t is Pack or t is Fold:
+        shells.append(core)
+        core = core.e if t is Fold else core.val
+        t = type(core)
+    new = labels.get(core.name) if t is Loc else None
+    if new is None:
+        return word
+    for shell in reversed(shells):
+        t = type(shell)
+        if t is Inst:
+            new = Inst(new, shell.omega)
+        elif t is Pack:
+            new = Pack(shell.wit, new, shell.ann)
+        else:
+            new = Fold(shell.ann, new)
+    return new
+
+
 def _read_back(v):
     """The closed term for the value ``v``: a closure's lambda has the
     value of each term name free in it and bound in its scope read back
@@ -337,14 +389,15 @@ class _Env:
     the block bodies closed and the redex texts rendered under it, keyed
     by node identity (each entry keeps its node alive, so an id is never
     reused while cached).  Both are keyed by nodes of the program's blocks
-    and of the wrappers' shared bodies, so neither grows with crossings."""
+    and of the wrappers' shared bodies, so neither grows with crossings
+    or with the instances of a component, which share its code."""
 
     __slots__ = ("map", "bodies", "texts")
 
     def __init__(self, mapping: dict):
         self.map = mapping
         self.bodies: dict = {}  # id(body) -> (body, closed body)
-        self.texts: dict = {}  # id(node) -> (node, redex text)
+        self.texts: dict = {}  # id(node) -> (node, redex text, label map)
 
 
 _UNIT = UnitVal()  # words are immutable, so every fresh slot shares one
@@ -375,8 +428,12 @@ class Machine:
         # closed and runs under the empty one: control reaches it from
         # target code only by import and halt, which switch to it.
         self._root = self.env = _Env({})
+        # The label map of the component instance whose code is in focus,
+        # or None (see ``_merge_component``).
+        self.labels: dict | None = None
         self._envs: dict = {}  # (kind, binders, *omegas) -> _Env
         self._targets: dict = {}  # id(word) -> (word, body, _Env)
+        self._words: dict = {}  # id(word) -> (word, label map, its word)
         # The term environment of the source expression in focus, or of
         # the boundary whose component the target code in focus runs in.
         self.scope: tuple | None = None
@@ -384,7 +441,7 @@ class Machine:
         if prog.entry == "F":
             self.focus: Tm | ISeq = prog.main
         else:
-            self.focus = self._merge_component(prog.main)
+            self.focus = self._merge_component(prog.main, None)
 
     # ------------------------------------------------------------------
     # Memory helpers
@@ -394,24 +451,35 @@ class Machine:
         self.counter += 1
         return label
 
-    def _merge_component(self, comp: Component) -> ISeq:
+    def _merge_component(self, comp: Component, outer: dict | None) -> ISeq:
+        """Enter a fresh instance of ``comp`` under the label map
+        ``outer``; returns its body, as it is.  The instance's label map,
+        now in focus, is ``outer`` if it has no heap.  Otherwise each
+        binding gets a fresh label, in declaration order, and the map is
+        ``outer`` with each binding's label mapped to its fresh one.  A
+        code binding's cell holds the shared block with the map attached,
+        and a tuple's holds its words resolved through the map; no code
+        is walked."""
         if not comp.heap:
+            self.labels = outer
             return comp.body
-        mapping = {hb.label: self._fresh(hb.label) for hb in comp.heap}
-        # One walk renames the body and every binding, so a component of
-        # k bindings costs time linear in k.
-        body, *values = rename_locations(
-            (comp.body, *[hb.value for hb in comp.heap]), mapping)
-        for hb, value in zip(comp.heap, values):
+        labels = dict(outer) if outer else {}
+        for hb in comp.heap:
+            labels[hb.label] = Loc(self._fresh(hb.label))
+        for hb in comp.heap:
+            value = hb.value
             if isinstance(value, CodeBlock):
-                self.heap[mapping[hb.label]] = (hb.nu, value)
+                payload = CodeBlock(value.binders, value.chi, value.sigma,
+                                    value.q, value.body, value.scope, labels)
             elif isinstance(value, TupleVal):
-                self.heap[mapping[hb.label]] = (hb.nu, list(value.items))
+                payload = [_bound(w, labels) for w in value.items]
             else:
                 raise _Stuck(STUCK_TYPE_CONFUSION,
                              f"heap binding {hb.label} is neither code nor "
                              f"a tuple")
-        return body
+            self.heap[labels[hb.label].name] = (hb.nu, payload)
+        self.labels = labels
+        return comp.body
 
     def _setreg(self, rd: str, w) -> None:
         self.regs[rd] = w
@@ -429,21 +497,42 @@ class Machine:
         return tuple(reversed(self.stack))
 
     def _resolve(self, u: Tm):
-        """A word for an instruction operand."""
-        return self._getreg(u.name) if type(u) is Reg else u
+        """A word for an instruction operand.  One written in the code is
+        resolved through the label map in focus, once per map: the cache
+        keeps one word per node, replaced under another instance's map."""
+        t = type(u)
+        if t is Reg:
+            return self._getreg(u.name)
+        if t is IntVal:
+            return u
+        labels = self.labels
+        if labels is None:
+            return u
+        hit = self._words.get(id(u))
+        if hit is None or hit[1] is not labels:
+            hit = self._words[id(u)] = (u, labels, _bound(u, labels))
+        return hit[2]
 
     def _jump(self, u: Tm) -> ISeq:
         """Enter the block the operand ``u`` names; returns the block's
-        body.  A word written in the code is resolved once: labels are
-        fresh and never rebound, so it always reaches the same block under
-        the same environment.  A register's word is resolved each time,
-        since it may have been made by one crossing and never seen again."""
+        body.  A word written in the code is resolved once if it reaches a
+        block of the instance in focus: every instance shares the code
+        and its blocks, so the word reaches the same block under the same
+        environment in each, and the label map stays.  A register's word
+        is resolved each time, since it may have been made by one crossing
+        and never seen again."""
         if type(u) is Reg:
             body, self.env = self._target(self._getreg(u.name), ())
             return body
         hit = self._targets.get(id(u))
         if hit is None:
-            hit = self._targets[id(u)] = (u, *self._target(u, ()))
+            labels = self.labels
+            body, env = self._target(self._resolve(u), ())
+            if self.labels is not labels:
+                # Another instance's block: its map is read from its cell.
+                self.env = env
+                return body
+            hit = self._targets[id(u)] = (u, body, env)
         self.env = hit[2]
         return hit[1]
 
@@ -471,6 +560,7 @@ class Machine:
         # An exported wrapper's body reads its value from its scope.
         if block.scope is not None:
             self.scope = block.scope
+        self.labels = block.labels
         if not omegas:
             return block.body, self._root
         return self._instantiate(block.body, SPELLED, block.binders, omegas)
@@ -528,6 +618,7 @@ class Machine:
         focus, env, render = self.focus, self.env, self._render
         if render:
             self._delta = {}
+            labels = self.labels
         t = type(focus)
         try:
             if t is Seq:
@@ -568,7 +659,7 @@ class Machine:
         return {
             "step": steps,
             "lang": lang,
-            "redex": _redex(redex, env) if lang == "T" else redex,
+            "redex": _redex(redex, env, labels) if lang == "T" else redex,
             "jump": jump,
             "registers_delta": rendered,
             "stack_depth": len(self.stack),
@@ -749,9 +840,11 @@ def _t_protect(m, ins):
 
 
 def _t_import(m, ins):
-    m.frames.append(FrImport(ins.rd, ins.ann, m.focus, m.env, m.scope))
+    labels, scope = m.labels, m.scope
+    m.frames.append(FrImport(ins.rd, ins.ann, m.focus, m.env, labels, scope))
     m.env = m._root
-    m._resume(ins.body, m.scope)
+    # A component in the source term may name the instance's labels.
+    m._resume(ins.body, scope if labels is None else (_LABELS, labels, scope))
     return "boundary"
 
 
@@ -781,7 +874,7 @@ def _t_halt(m, ins):
     if type(m.frames[-1]) is not FrBoundary:
         raise _Stuck(STUCK_HALT_OUTSIDE, "")
     frame = m.frames.pop()
-    m.env = m._root
+    m.env, m.labels = m._root, None
     try:
         v = import_value(frame.ann, w, m.heap, m._fresh)
     except TranslationError as t:
@@ -891,8 +984,9 @@ def _s_seq(m, e, scope):
 
 def _s_boundary(m, e, scope):
     # The component is merged as it is and runs under ``scope``: only its
-    # body can name a source variable, and its imports read it there.
-    body = m._merge_component(e.comp)
+    # body can name a source variable, and its imports read it there.  An
+    # ``import`` around the boundary binds the labels it may name.
+    body = m._merge_component(e.comp, _lookup(scope, _LABELS))
     m.frames.append(FrBoundary(e.ann))
     m.focus = body
     return "boundary", "boundary"
@@ -1015,7 +1109,7 @@ def _r_import(m, fr, v):
         raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
     m._setreg(fr.rd, w)
     m.focus = fr.rest
-    m.env = fr.env
+    m.env, m.labels = fr.env, fr.labels
     m.scope = fr.scope
     m.returning = False
     return "export", "boundary"
@@ -1028,24 +1122,28 @@ RETURN_RULES = _Rules("value under frame ", {
 })
 
 
-def _redex(node, env: _Env) -> str:
-    """The trace text of the target redex ``node``, run under ``env``;
-    cached only under a block's environment, since code that runs under
-    the empty one may be a component whose labels are renamed for each
-    crossing."""
-    if not env.map:
-        return _redex_text(node)
+def _redex(node, env: _Env, labels: dict | None) -> str:
+    """The trace text of the target redex ``node``, run under ``env`` and
+    the label map ``labels``.  Cached by node under a block's environment
+    or a label map, since code that runs under neither may be built for
+    one crossing.  The map renames the labels in the text, so a text
+    cached under one map is rendered again under another and replaces
+    it: the cache holds one text per node of the code."""
+    if labels is None and not env.map:
+        return _redex_text(node, None)
     hit = env.texts.get(id(node))
-    if hit is None:
-        hit = env.texts[id(node)] = (node, _redex_text(node))
+    if hit is None or hit[2] is not labels:
+        hit = env.texts[id(node)] = (node, _redex_text(node, labels), labels)
     return hit[1]
 
 
-def _redex_text(node) -> str:
+def _redex_text(node, labels: dict | None) -> str:
     if isinstance(node, Halt):
         return f"halt {node.reg}"
     if isinstance(node, ImportI):
         return f"import {node.rd}"
+    if labels is not None:
+        node = rename_locations(node, {label: w.name for label, w in labels.items()})
     if isinstance(node, Call):
         return _short(f"call {pretty.tm(node.u)}")
     return _short(pretty.instr(node))

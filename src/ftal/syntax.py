@@ -573,6 +573,9 @@ class CodeBlock(Node):
     # shared body applies to the exported value.  Equality, hashing,
     # printing and ``SCHEMA`` ignore it; a rebuilt block drops it.
     scope: tuple | None = field(default=None, compare=False, repr=False)
+    # The label map of the component instance whose heap holds the block
+    # (see ``machine``), ignored as ``scope`` is.
+    labels: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

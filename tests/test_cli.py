@@ -277,7 +277,7 @@ def test_entry_flag_reads_a_headerless_component(capsys, tmp_path):
     assert run_cli(capsys, ["check", "--entry", "t", str(p)])[:2] == (0, "int; *\n")
     assert run_cli(capsys, ["run", "--entry", "t", str(p)])[:2] == (0, "halted 1; stack []\n")
     assert run_cli(capsys, ["fmt", "--entry", "t", str(p)])[:2] == (
-        0, "entry T\n(\n  mv r1, 1;\n  halt[int, *] r1\n)\n\n")
+        0, "entry T\n(\n  mv r1, 1;\n  halt[int, *] r1\n)\n")
     # Without the flag, a file with no header is an F program.
     code, _, err = run_cli(capsys, ["check", str(p)])
     assert code == 2
@@ -414,6 +414,36 @@ DEEP_INPUTS = {
     "nested_lambdas": "entry F\n" + "(lam (x: int). " * 300 + "0" + ")" * 300,
     "long_sum": "entry F\n" + " + ".join(["1"] * 1000),
 }
+
+
+def _minus_one(name: str, tmp_path) -> str:
+    """The corpus F function ``name`` applied to -1, written to a file."""
+    _, _, body = registry.program_path(name).read_text().partition("entry F\n")
+    path = tmp_path / f"{name}_at_minus_1.ftal"
+    path.write_text(f"entry F\n({body})(-1)\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, err", (
+    (["corpus", "--json"], 0, b""),
+    (["fmt", corpus("factorial_t")], 0, b""),
+    # A trace to stdout reports its outcome on stderr.
+    (["trace", "factorial_t", "--fuel", "3000"], 5, b"running after 3000 steps\n"),
+), ids=("corpus", "fmt", "trace"))
+def test_a_closed_stdout_ends_a_command_quietly(tmp_path, argv, code, err):
+    # The reader goes away before the command writes (a trace writes
+    # about 400 KB, more than a pipe holds): the command still exits with
+    # its own code, and writes nothing else to stderr.
+    argv = [_minus_one(a, tmp_path) if a == "factorial_t" else a for a in argv]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "ftal.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    got = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert got == err
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_INPUTS))

@@ -265,7 +265,7 @@ def test_a_5000_term_sequence_checks_runs_and_formats(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["kind"], payload["value"]) == ("f-value", "1")
     assert cli.main(["fmt", str(path)]) == 0
-    assert capsys.readouterr().out == path.read_text() + "\n"
+    assert capsys.readouterr().out == path.read_text()
 
 
 def test_a_sequence_prints_as_its_template_gives_it():

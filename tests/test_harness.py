@@ -4,7 +4,10 @@ observation, and job loading."""
 import dataclasses
 import json
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -235,6 +238,28 @@ def test_only_probes_outliving_the_head_are_forked(
     harness.run_job(job(name))
     assert len(forks) == want
     no_child_is_left()
+
+
+def test_forked_probes_leave_pickle_unloaded():
+    # Children send observations with marshal; nothing the parent runs
+    # needs pickle unless a child caught an exception.
+    script = """import os, sys
+from ftal import harness, registry
+harness.usable_cpus = lambda: 2
+forks = []
+fork = os.fork
+def spy():
+    pid = fork()
+    forks.append(pid)
+    return pid
+harness.os.fork = spy
+report = harness.run_job(harness.load_job(registry.job_path("factorial")))
+print(len(forks), report["verdict"], "pickle" in sys.modules)
+"""
+    src = pathlib.Path(harness.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert (done.stdout, done.stderr) == ("1 consistent-equivalent False\n", "")
 
 
 def short_factorial(tmp_path) -> str:

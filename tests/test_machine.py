@@ -130,19 +130,84 @@ def test_merged_labels_are_renamed_in_declaration_order():
         "l1#0", "l1ret#1", "l2#2", "l2aux#3", "l2ret#4"]
 
 
-def test_a_merge_renames_its_labels_in_one_walk(monkeypatch):
-    # One call renames the body and all five bindings, so a component of
-    # k bindings is not walked k + 1 times.
+def test_loading_a_component_walks_no_code(monkeypatch):
+    # The instance is the checked code and a label map: the body is
+    # entered as it is, and each cell shares its binding's block.
     calls = []
+    for name in ("substitute", "subst_terms", "rename_locations"):
+        def counting(node, mapping, fn=getattr(machine, name)):
+            calls.append(node)
+            return fn(node, mapping)
 
-    def counting(node, mapping, fn=machine.rename_locations):
-        calls.append(node)
-        return fn(node, mapping)
-
-    monkeypatch.setattr(machine, "rename_locations", counting)
-    m = machine.load(parser.parse_program(corpus_text("call_to_call")))
-    assert len(calls) == 1 and len(m.heap) == 5
+        monkeypatch.setattr(machine, name, counting)
+    prog = parser.parse_program(corpus_text("call_to_call"))
+    m = machine.load(prog)
+    assert calls == [] and m.focus is prog.main.body
+    labels = {hb.label: S.Loc(label) for hb, label in zip(prog.main.heap, m.heap)}
+    assert m.labels == labels
+    for hb, (nu, block) in zip(prog.main.heap, m.heap.values()):
+        assert nu == hb.nu and block == hb.value
+        assert block.body is hb.value.body and block.labels is m.labels
     assert m.run(FUEL).kind == "halted"
+
+
+# A component in an import's source term names the label of the one
+# around it, which it is checked under; its closure jumps there after the
+# outer component has halted.
+NESTED_LABEL = """entry F
+(FT[(int) -> int](
+  import r1, * as zq, (int) -> int TF{ lam (x: int). FT[int](protect ., zp; mv r1, 7; jmp l[zp]) };
+  halt[box code[z, eps]{ra: box code[]{r1: int; z} eps; int :: z} ra, *] r1
+, where
+  l -> code[zs]{r1: int; zs} ret(int, zs).
+    halt[int, zs] r1
+))(3)
+"""
+# The same with a heap in the nested component, entered twice; and,
+# unchecked, a nested binding that shadows the outer one.
+_NESTED = """entry F
+(lam (g: (int) -> int). g(1) + g(2))
+(FT[(int) -> int](
+  import r1, * as zq, (int) -> int TF{{ lam (x: int). FT[int](
+    protect ., zp;
+    import r1, zp as zi, int TF{{ x }};
+    jmp {entry}[zp]
+  , where
+    {inner} -> code[zm]{{r1: int; zm}} ret(int, zm).
+      add r1, r1, 10;
+      jmp {outer}[zm]) }};
+  halt[box code[z, eps]{{ra: box code[]{{r1: int; z}} eps; int :: z}} ra, *] r1
+, where
+  l -> code[zs]{{r1: int; zs}} ret(int, zs).
+    mul r1, r1, 3;
+    halt[int, zs] r1,
+  k -> code[zs]{{r1: int; zs}} ret(int, zs).
+    mul r1, r1, 5;
+    halt[int, zs] r1
+))
+"""
+NESTED_HEAP = _NESTED.format(entry="m", inner="m", outer="l")
+NESTED_SHADOWING = _NESTED.format(entry="l", inner="l", outer="k")
+
+
+def test_a_nested_component_jumps_to_the_outer_instance():
+    prog = parser.parse_program(NESTED_LABEL)
+    check_program(prog)
+    records = []
+    out = machine.run_program(prog, FUEL, records.append)
+    assert out.kind == "f-value" and out.value == S.IntVal(7)
+    assert records[34]["redex"] == "jmp l#0[zp]"
+    for text, value, jumps in (
+            (NESTED_HEAP, 69, ["m#4", "l#0", "m#5", "l#0"]),
+            (NESTED_SHADOWING, 115, ["l#4", "k#1", "l#5", "k#1"])):
+        records = []
+        out = machine.run_program(parser.parse_program(text), FUEL, records.append)
+        assert out.kind == "f-value" and out.value == S.IntVal(value)
+        assert [r["redex"] for r in records if r["jump"] == "jmp"] == [
+            f"jmp {label}[zp]" for label in jumps]
+    check_program(parser.parse_program(NESTED_HEAP))
+    with pytest.raises(CheckError, match="label l is already bound"):
+        check_program(parser.parse_program(NESTED_SHADOWING))
 
 
 def test_register_file_stays_within_the_declared_names():
@@ -334,6 +399,28 @@ def test_each_stuck_rule_pins_its_reason_detail_and_steps(name):
     text, want = STUCK_PROGRAMS[name]
     out = machine.run_program(parser.parse_program(text), FUEL)
     assert (out.kind, out.reason, out.detail, out.steps) == want
+
+
+# The typing error that rules out each stuck program.
+STUCK_CHECK_CODES = {
+    "t-arithmetic": "E-SEQ", "t-branch": "E-SEQ", "t-load-non-location": "E-SEQ",
+    "t-load-unbound": "E-VAL", "t-load-code": "E-SEQ", "t-store-immutable": "E-SEQ",
+    "t-store-index": "E-SEQ", "t-alloc-underflow": "E-SEQ", "t-sld-index": "E-SEQ",
+    "t-sst-index": "E-SEQ", "t-unpack": "E-SEQ", "t-unfold": "E-SEQ",
+    "t-jump-word": "E-SEQ", "t-jump-tuple": "E-SEQ", "t-import": "E-SEQ",
+    "f-if0": "E-EXPR", "f-application": "E-EXPR", "f-arity": "E-EXPR",
+    "f-projection": "E-EXPR", "f-projection-index": "E-EXPR", "f-unfold": "E-EXPR",
+    "f-boundary": "E-SEQ",
+}
+
+
+@pytest.mark.parametrize("name", STUCK_PROGRAMS)
+def test_the_checker_rejects_every_stuck_program(name):
+    # Progress: no program that gets stuck is well typed.
+    with pytest.raises(CheckError) as err:
+        check_program(parser.parse_program(STUCK_PROGRAMS[name][0]))
+    assert err.value.code == STUCK_CHECK_CODES[name]
+    assert set(STUCK_CHECK_CODES) == set(STUCK_PROGRAMS)
 
 # -- rendering helpers ------------------------------------------------------
 
@@ -1285,6 +1372,58 @@ def test_a_crossing_leaves_nothing_behind(monkeypatch):
                       sum(len(env.bodies) for env in envs),
                       sum(len(env.texts) for env in envs)))
     assert sizes[0] == sizes[1]
+
+
+def entry_loop(k: int) -> str:
+    """F code that adds up, for n = k..1, a boundary whose component
+    counts to 100 in one heap block, so it enters the component k times."""
+    adds = "".join("    add r1, r1, 1;\n" for _ in range(100))
+    return f"""entry F
+let g = fold mu a. (a) -> ((int) -> int)
+          (lam (f: mu a. (a) -> ((int) -> int)).
+             lam (n: int).
+               if0 n 0 (FT[int](
+                 protect ., z;
+                 mv r1, 0;
+                 jmp lb[z]
+               , where
+                 lb -> code[zb]{{r1: int; zb}} ret(int, zb).
+{adds}    halt[int, zb] r1
+               ) + ((unfold f)(f)((n - 1)))))
+in (unfold g)(g)({k})
+"""
+
+
+def test_entering_a_component_again_leaves_nothing_behind(monkeypatch):
+    # Each entry is an instance of the same code under a fresh label map,
+    # so its block is closed and its jump resolved once for every
+    # instance, untraced; a sink renders each instance's text, but keeps
+    # one per node.  The heap still gains a cell per entry.
+    calls = {"substitute": [], "subst_terms": [], "rename_locations": []}
+    for name, log in calls.items():
+        def counting(node, mapping, fn=getattr(machine, name), log=log):
+            log.append(node)
+            return fn(node, mapping)
+
+        monkeypatch.setattr(machine, name, counting)
+    sizes = []
+    for k in (50, 400):
+        size = []
+        for sink in (None, lambda record: None):
+            for log in calls.values():
+                log.clear()
+            m = machine.load(parser.parse_program(entry_loop(k)))
+            out = m.run(FUEL, sink)
+            assert out.kind == "f-value" and out.value == S.IntVal(100 * k)
+            assert len(m.heap) == k
+            envs = m._envs.values()
+            size.append((*(len(log) for log in calls.values()),
+                         len(m._targets), len(m._words), len(m._envs),
+                         sum(len(env.bodies) for env in envs),
+                         sum(len(env.texts) for env in envs)))
+        sizes.append(size)
+    assert sizes[0][0] == sizes[1][0]
+    assert sizes[0][1][-1] == sizes[1][1][-1]
 
 
 def test_a_ping_pong_step_sets_at_most_one_register():

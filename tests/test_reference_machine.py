@@ -11,7 +11,8 @@ from ftal import machine, parser
 from ftal import syntax as S
 from ftal.typecheck import check_program
 from test_machine import (APPLIED, F_FORMS, FOLDS_AND_TUPLES, GOLDEN_FUEL, GOLDEN_INPUTS,
-                          STUCK_PROGRAMS, UNPACK_SHADOWING, UNPACK_TO_JUMP, ping_pong)
+                          NESTED_HEAP, NESTED_LABEL, NESTED_SHADOWING, STUCK_PROGRAMS,
+                          UNPACK_SHADOWING, UNPACK_TO_JUMP, entry_loop, ping_pong)
 from test_reference import programs
 
 
@@ -67,6 +68,14 @@ def test_imports_step_as_the_reference_does(text):
     prog = parser.parse_program(text)
     check_program(prog)
     assert_agree(prog, machine.DEFAULT_FUEL)
+
+
+# Components nested in an import's source term that name the outer
+# component's labels, and a component entered once per recursive call.
+@pytest.mark.parametrize("text", (NESTED_LABEL, NESTED_HEAP, NESTED_SHADOWING, entry_loop(3)),
+                         ids=("nested-label", "nested-heap", "nested-shadowing", "entry-loop"))
+def test_component_instances_step_as_the_reference_does(text):
+    assert_agree(parser.parse_program(text), machine.DEFAULT_FUEL)
 
 
 # T programs that unpack, unfold and balloc, which no corpus program does.
