@@ -37,35 +37,38 @@ resumes it, keeping only the left value.  Only the final
 free in each lambda; an exported value crosses as it is.
 
 A component crossing a boundary is not closed over the term environment:
-its body runs under the boundary's, which each ``import`` resumes its
-source term under and ``FrImport`` keeps for the code after it.  That is
-sound because heap blocks are checked under an empty term context, so
-only the body can name a source variable, and the body runs before any
-jump leaves it.  (In a program the checker rejects, a heap block that
-names one reads it wherever the block runs, and may get stuck where
-closing the component would have replaced it.)
+its instance runs under the boundary's, which each ``import`` resumes
+its source term under and ``FrImport`` keeps for the code after it.
+Heap blocks are checked under an empty term context, so in a checked
+program only the body names a source variable.  (In a program the
+checker rejects, a heap block that names one reads it from the scope
+its instance was entered under, as a machine that substituted into the
+component would.)
 
 A component is entered with no walk of its code: its heap labels are
 bound, not renamed, as the CEK machine binds term variables and as
 Glew and Morrisett link TAL fragments by label maps.  Each entry draws
 a fresh label ``label#k`` per binding from a machine-owned counter, in
 declaration order, so repeated entry into one boundary cannot collide
-and runs are reproducible; an instance is the checked component's own
-code and its label map ``{label: Loc(label#k)}``.  Each heap cell of an
-instance holds the shared block with the map attached
-(``CodeBlock.labels``), and a tuple binding's words resolved through
-it.  The map travels with the code in focus, beside its type
-environment, and an operand written in the code that names a label
-(a ``Loc``, or an ``Inst``, ``Pack`` or ``Fold`` of one) is resolved
-through it when it is read, so every word in a register, on the stack
-or in the heap names the instance's label.  A component nested in an
-``import``'s source term may name the labels of the one around it,
-since the checker checks it under the outer heap typing: ``import``
-binds the map in the term environment its source term runs under, a
-closure made there keeps it, and a nested component's instance maps
+and runs are reproducible.  An instance is the checked component's own
+code and a term environment that binds ``_LABELS`` to its label map
+``{label: Loc(label#k)}`` over the boundary's.  Each heap cell of an
+instance holds the shared block with that environment as its scope
+(``CodeBlock.scope``), and a tuple binding's words resolved through the
+map.  The body and every block of the instance run under it, and an
+operand written in the code that names a label (a ``Loc``, or an
+``Inst``, ``Pack`` or ``Fold`` of one) is resolved through the map in
+scope when it is read, so every word in a register, on the stack or in
+the heap names the instance's label.  An ``import``'s source term runs
+under its code's scope, so a closure made there keeps the map, and a
+component nested there may name the labels of the one around it, since
+the checker checks it under the outer heap typing: its instance maps
 the outer labels as the outer instance does and its own labels afresh.
-One with no heap, as every one a boundary translation builds, takes
-the map it is entered under.
+One with no heap, as every one a boundary translation builds, runs
+under the scope it is entered under.  So every name the machine binds
+at run time (a term variable, a wrapper's hole, an instance's labels)
+lives in the term environment; only T type names are closed by
+substitution.
 
 A jump enters its block with its instantiations substituted into the
 body, as in the semantics, but a block is closed once per instantiation:
@@ -79,32 +82,33 @@ instruction reads its operands as they are but for labels, and every
 word in a register, on the stack or in the heap is closed.  An exported
 wrapper is a fresh block for each crossing, but its body, shared by
 every wrapper at its annotation, applies a term variable that the
-block's own term environment (``CodeBlock.scope``) binds to the exported
-value.  Entering a wrapper closes its body as any other block's and
-switches to that scope, which its ``import`` reads; as with a component,
-no code after the wrapper's next jump reads it.
+block's own scope binds to the exported value.  Entering a block closes
+its body and switches to its scope, if it has one: its instance's, or
+its wrapper's, which the wrapper's ``import`` reads.
 
 A ``jmp`` or ``bnz`` resolves a word written in the code once and
-caches the block and environment it reaches by the word's identity:
-every instance shares the code and its blocks, so in each the word
-reaches the same block under the same environment, and the instance in
-focus stays in focus.  A word that reaches another instance's block
-(from a nested component with a heap to the one around it) is resolved
-each time.  An operand naming a label is resolved once per node and
-map.  A word read from a register (``ret r``, ``jmp r``, ``bnz r, r``)
-is resolved each time, since each crossing makes a fresh return
-address.  A ``call`` adds its continuation's omegas, so it looks up the
-(label, *omegas) environment instead.  So neither a crossing nor the
-entry into a component adds an entry to any cache.  Types, stacks and
-markers keep their hash (see ``syntax.TypeLevel``), so such a lookup
-hashes no type tree after the first.
+caches the block and environment it reaches by the word's identity, if
+the jump leaves the scope as it is, which means it stays in its
+instance: every instance shares the code and its blocks, so in each the
+word reaches the same block under the same environment.  A word that
+reaches another instance's block (from a nested component to the one
+around it) switches scope, and is resolved each time.  An operand
+naming a label is resolved once per node and map.  A word read from a
+register (``ret r``, ``jmp r``, ``bnz r, r``) is resolved each time,
+since each crossing makes a fresh return address.  A ``call`` adds its
+continuation's omegas, so it looks up the (label, *omegas) environment
+instead.  So neither a crossing nor the entry into a component adds an
+entry to any cache.  Types, stacks and markers keep their hash (see
+``syntax.TypeLevel``), so such a lookup hashes no type tree after the
+first.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
 register it set, if any, is rendered only while ``run`` has a trace
 sink (or for a direct call of ``step``); the text is that of the closed
-instruction, with its labels renamed through the label map it ran
-under.  Each rule sets at most one register, so the rendered
+instruction, with its labels renamed through the label map in its
+scope, and is rendered once per node unless it names a label.  Each
+rule sets at most one register, so the rendered
 delta is empty or holds one entry, and neither ``step`` nor
 ``trace_line`` sorts or joins a list for it.  ``trace_line`` is the one
 encoder of a full record: it writes the record's JSON line, byte for
@@ -121,6 +125,7 @@ from typing import Callable
 from .boundary import export_value, import_value
 from .errors import TranslationError
 from .syntax import (
+    KIND_LOC,
     KIND_TERM,
     KIND_TYPE,
     SPELLED,
@@ -285,7 +290,6 @@ class FrImport:
     ann: Ty
     rest: ISeq
     env: "_Env"
-    labels: dict | None
     scope: tuple | None
 
 
@@ -428,14 +432,12 @@ class Machine:
         # closed and runs under the empty one: control reaches it from
         # target code only by import and halt, which switch to it.
         self._root = self.env = _Env({})
-        # The label map of the component instance whose code is in focus,
-        # or None (see ``_merge_component``).
-        self.labels: dict | None = None
         self._envs: dict = {}  # (kind, binders, *omegas) -> _Env
         self._targets: dict = {}  # id(word) -> (word, body, _Env)
         self._words: dict = {}  # id(word) -> (word, label map, its word)
         # The term environment of the source expression in focus, or of
-        # the boundary whose component the target code in focus runs in.
+        # the component instance or wrapper the target code in focus runs
+        # in, which binds its label map (see ``_merge_component``).
         self.scope: tuple | None = None
         self.returning = False
         if prog.entry == "F":
@@ -451,34 +453,34 @@ class Machine:
         self.counter += 1
         return label
 
-    def _merge_component(self, comp: Component, outer: dict | None) -> ISeq:
-        """Enter a fresh instance of ``comp`` under the label map
-        ``outer``; returns its body, as it is.  The instance's label map,
-        now in focus, is ``outer`` if it has no heap.  Otherwise each
-        binding gets a fresh label, in declaration order, and the map is
-        ``outer`` with each binding's label mapped to its fresh one.  A
-        code binding's cell holds the shared block with the map attached,
-        and a tuple's holds its words resolved through the map; no code
-        is walked."""
-        if not comp.heap:
-            self.labels = outer
-            return comp.body
-        labels = dict(outer) if outer else {}
-        for hb in comp.heap:
-            labels[hb.label] = Loc(self._fresh(hb.label))
-        for hb in comp.heap:
-            value = hb.value
-            if isinstance(value, CodeBlock):
-                payload = CodeBlock(value.binders, value.chi, value.sigma,
-                                    value.q, value.body, value.scope, labels)
-            elif isinstance(value, TupleVal):
-                payload = [_bound(w, labels) for w in value.items]
-            else:
-                raise _Stuck(STUCK_TYPE_CONFUSION,
-                             f"heap binding {hb.label} is neither code nor "
-                             f"a tuple")
-            self.heap[labels[hb.label].name] = (hb.nu, payload)
-        self.labels = labels
+    def _merge_component(self, comp: Component, scope: tuple | None) -> ISeq:
+        """Enter a fresh instance of ``comp`` under the term environment
+        ``scope``; returns its body, as it is, with the instance's scope in
+        focus: ``scope`` if it has no heap.  Otherwise each binding gets a
+        fresh label, in declaration order, and the instance's scope binds
+        ``_LABELS`` over ``scope`` to the map ``scope`` binds with each
+        binding's label mapped to its fresh one.  A code binding's cell
+        holds the shared block with that scope, and a tuple's holds its
+        words resolved through the map; no code is walked."""
+        if comp.heap:
+            outer = _lookup(scope, _LABELS)
+            labels = dict(outer) if outer else {}
+            for hb in comp.heap:
+                labels[hb.label] = Loc(self._fresh(hb.label))
+            scope = (_LABELS, labels, scope)
+            for hb in comp.heap:
+                value = hb.value
+                if isinstance(value, CodeBlock):
+                    payload = CodeBlock(value.binders, value.chi, value.sigma,
+                                        value.q, value.body, scope)
+                elif isinstance(value, TupleVal):
+                    payload = [_bound(w, labels) for w in value.items]
+                else:
+                    raise _Stuck(STUCK_TYPE_CONFUSION,
+                                 f"heap binding {hb.label} is neither code "
+                                 f"nor a tuple")
+                self.heap[labels[hb.label].name] = (hb.nu, payload)
+        self.scope = scope
         return comp.body
 
     def _setreg(self, rd: str, w) -> None:
@@ -498,14 +500,14 @@ class Machine:
 
     def _resolve(self, u: Tm):
         """A word for an instruction operand.  One written in the code is
-        resolved through the label map in focus, once per map: the cache
+        resolved through the label map in scope, once per map: the cache
         keeps one word per node, replaced under another instance's map."""
         t = type(u)
         if t is Reg:
             return self._getreg(u.name)
         if t is IntVal:
             return u
-        labels = self.labels
+        labels = _lookup(self.scope, _LABELS)
         if labels is None:
             return u
         hit = self._words.get(id(u))
@@ -518,18 +520,18 @@ class Machine:
         body.  A word written in the code is resolved once if it reaches a
         block of the instance in focus: every instance shares the code
         and its blocks, so the word reaches the same block under the same
-        environment in each, and the label map stays.  A register's word
-        is resolved each time, since it may have been made by one crossing
+        environment in each, and the scope stays.  A register's word is
+        resolved each time, since it may have been made by one crossing
         and never seen again."""
         if type(u) is Reg:
             body, self.env = self._target(self._getreg(u.name), ())
             return body
         hit = self._targets.get(id(u))
         if hit is None:
-            labels = self.labels
+            scope = self.scope
             body, env = self._target(self._resolve(u), ())
-            if self.labels is not labels:
-                # Another instance's block: its map is read from its cell.
+            if self.scope is not scope:
+                # Another instance's block: its scope is read from its cell.
                 self.env = env
                 return body
             hit = self._targets[id(u)] = (u, body, env)
@@ -557,10 +559,10 @@ class Machine:
             raise _Stuck(STUCK_UNINSTANTIATED,
                          f"{word.name} wants {len(block.binders)} "
                          f"instantiations, got {len(omegas)}")
-        # An exported wrapper's body reads its value from its scope.
+        # A block runs under its instance's scope, or its wrapper's, which
+        # binds the exported value.
         if block.scope is not None:
             self.scope = block.scope
-        self.labels = block.labels
         if not omegas:
             return block.body, self._root
         return self._instantiate(block.body, SPELLED, block.binders, omegas)
@@ -618,7 +620,7 @@ class Machine:
         focus, env, render = self.focus, self.env, self._render
         if render:
             self._delta = {}
-            labels = self.labels
+            scope = self.scope
         t = type(focus)
         try:
             if t is Seq:
@@ -659,7 +661,7 @@ class Machine:
         return {
             "step": steps,
             "lang": lang,
-            "redex": _redex(redex, env, labels) if lang == "T" else redex,
+            "redex": _redex(redex, env, scope) if lang == "T" else redex,
             "jump": jump,
             "registers_delta": rendered,
             "stack_depth": len(self.stack),
@@ -840,11 +842,11 @@ def _t_protect(m, ins):
 
 
 def _t_import(m, ins):
-    labels, scope = m.labels, m.scope
-    m.frames.append(FrImport(ins.rd, ins.ann, m.focus, m.env, labels, scope))
+    m.frames.append(FrImport(ins.rd, ins.ann, m.focus, m.env, m.scope))
     m.env = m._root
-    # A component in the source term may name the instance's labels.
-    m._resume(ins.body, scope if labels is None else (_LABELS, labels, scope))
+    # The source term runs under the code's scope: a component in it may
+    # name the labels of the instance the code runs in.
+    m._resume(ins.body, m.scope)
     return "boundary"
 
 
@@ -874,7 +876,7 @@ def _t_halt(m, ins):
     if type(m.frames[-1]) is not FrBoundary:
         raise _Stuck(STUCK_HALT_OUTSIDE, "")
     frame = m.frames.pop()
-    m.env, m.labels = m._root, None
+    m.env = m._root
     try:
         v = import_value(frame.ann, w, m.heap, m._fresh)
     except TranslationError as t:
@@ -983,10 +985,9 @@ def _s_seq(m, e, scope):
 
 
 def _s_boundary(m, e, scope):
-    # The component is merged as it is and runs under ``scope``: only its
-    # body can name a source variable, and its imports read it there.  An
-    # ``import`` around the boundary binds the labels it may name.
-    body = m._merge_component(e.comp, _lookup(scope, _LABELS))
+    # The component is merged as it is and runs under ``scope``, which
+    # binds the labels of the instance whose ``import`` it is in, if any.
+    body = m._merge_component(e.comp, scope)
     m.frames.append(FrBoundary(e.ann))
     m.focus = body
     return "boundary", "boundary"
@@ -1109,8 +1110,7 @@ def _r_import(m, fr, v):
         raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
     m._setreg(fr.rd, w)
     m.focus = fr.rest
-    m.env, m.labels = fr.env, fr.labels
-    m.scope = fr.scope
+    m.env, m.scope = fr.env, fr.scope
     m.returning = False
     return "export", "boundary"
 
@@ -1122,18 +1122,31 @@ RETURN_RULES = _Rules("value under frame ", {
 })
 
 
-def _redex(node, env: _Env, labels: dict | None) -> str:
+# The map a text that names no label is cached under, which holds under
+# any map; it is empty, so ``_redex_text`` renames nothing through it.
+_ANY_MAP: dict = {}
+
+
+def _redex(node, env: _Env, scope: tuple | None) -> str:
     """The trace text of the target redex ``node``, run under ``env`` and
-    the label map ``labels``.  Cached by node under a block's environment
-    or a label map, since code that runs under neither may be built for
-    one crossing.  The map renames the labels in the text, so a text
-    cached under one map is rendered again under another and replaces
-    it: the cache holds one text per node of the code."""
-    if labels is None and not env.map:
-        return _redex_text(node, None)
+    the term environment ``scope``.  Cached by node under a block's
+    environment or a label map, since code that runs under neither may
+    be built for one crossing.  The text of a node that names a label
+    has it renamed through the map in scope, so under another map it is
+    rendered again and replaces the cached one; the text of a node that
+    names none is rendered once."""
     hit = env.texts.get(id(node))
-    if hit is None or hit[2] is not labels:
-        hit = env.texts[id(node)] = (node, _redex_text(node, labels), labels)
+    if hit is not None and hit[2] is _ANY_MAP:
+        return hit[1]
+    labels = _lookup(scope, _LABELS)
+    if hit is None:
+        if labels is None and not env.map:
+            return _redex_text(node, None)
+        if all(kind != KIND_LOC for kind, _ in free_names(node)):
+            labels = _ANY_MAP
+    elif hit[2] is labels:
+        return hit[1]
+    hit = env.texts[id(node)] = (node, _redex_text(node, labels), labels)
     return hit[1]
 
 
@@ -1142,7 +1155,7 @@ def _redex_text(node, labels: dict | None) -> str:
         return f"halt {node.reg}"
     if isinstance(node, ImportI):
         return f"import {node.rd}"
-    if labels is not None:
+    if labels:
         node = rename_locations(node, {label: w.name for label, w in labels.items()})
     if isinstance(node, Call):
         return _short(f"call {pretty.tm(node.u)}")

@@ -9,8 +9,9 @@ return markers and code-block headers by filling in those in
 ``syntax.TY_SYNTAX``, and terms by filling in those in
 ``syntax.TM_SYNTAX``, with one filler, ``_fill``; they are the same
 templates the parser reads. Only an instantiation chain, written
-``u[w1, w2]``, and the spine of a sequence ``e1; e2; ...`` are printed
-by hand.
+``u[w1, w2]``, is printed by hand. A form whose template ends in a term
+slot (``e1; e2``, a ``let`` or a lambda) is written along that slot
+with a loop.
 
 ``int_str``, ``word_str`` and ``value_str`` render run-time values for
 outcomes, trace records and equivalence reports.
@@ -87,16 +88,19 @@ def _terms(es) -> str:
 
 
 def tm(e: Tm) -> str:
-    """A term, filled into its template; an instantiation chain
-    u[w1][w2] is written u[w1, w2], and a right-nested sequence along
-    its second spine, so that a long one does not recurse."""
-    if type(e) is SeqE:
-        first, items = _RENDER["first"], []
-        while type(e) is SeqE:
-            items.append(first(e.first))
-            e = e.second
-        items.append(tm(e))
-        return "; ".join(items)
+    """A term, filled into its template; a chain of forms whose template
+    ends in a term slot is written along those slots with a loop, and an
+    instantiation chain u[w1][w2] is written u[w1, w2]."""
+    tail = _TAILS.get(type(e))
+    if tail is not None:
+        out = []
+        while tail is not None:
+            parts, last, field = tail
+            out += [lit + render(getattr(e, f)) for lit, f, render in parts]
+            out.append(last)
+            e = getattr(e, field)
+            tail = _TAILS.get(type(e))
+        return "".join(out) + tm(e)
     if type(e) is not Inst:
         return _fill(e, _TERMS, "a term")
     ws = []
@@ -195,6 +199,10 @@ _TERMS = {cls: _compile(template, _LET_RENDER if cls is Let else _RENDER)
           for cls, template in TM_SYNTAX.items()}
 _TYPES = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Ty)}
 _MARKERS = {cls: _compile(t, _TY_RENDER) for cls, t in TY_SYNTAX.items() if issubclass(cls, Mk)}
+# The term forms whose template ends in a slot that ``tm`` fills: the
+# parts before that slot, and its literal and field.
+_TAILS = {cls: (parts[:-1], *parts[-1][:2])
+          for cls, (parts, end) in _TERMS.items() if not end and parts[-1][2] is tm}
 
 
 def program(p: Program) -> str:

@@ -569,13 +569,12 @@ class CodeBlock(Node):
     sigma: Stk
     q: Mk
     body: ISeq
-    # An exported wrapper's term environment, which binds the variable its
-    # shared body applies to the exported value.  Equality, hashing,
-    # printing and ``SCHEMA`` ignore it; a rebuilt block drops it.
+    # The term environment the block runs under: its component instance's,
+    # which binds the instance's label map (see ``machine``), or an
+    # exported wrapper's, which binds the variable its shared body applies
+    # to the exported value.  Equality, hashing, printing and ``SCHEMA``
+    # ignore it; a rebuilt block drops it.
     scope: tuple | None = field(default=None, compare=False, repr=False)
-    # The label map of the component instance whose heap holds the block
-    # (see ``machine``), ignored as ``scope`` is.
-    labels: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

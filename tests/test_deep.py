@@ -5,14 +5,19 @@ syntax traversal walks; stack types of up to 3000 slots, which the
 parser reads, the checker compares, the machine halts at, the printer
 writes back and substitution rebuilds; a component of 3000 heap
 bindings, which the checker and the machine take in time linear in
-their number; and a sequence of 5000 terms, which the parser, the
-checker and the printer walk along its spine.
+their number; a sequence of 5000 terms, which the parser, the
+checker and the printer walk along its spine; and 480 nested ``let``s,
+which the printer writes along their bodies.
 
 A deep result is checked by ``alpha_equal``, a walk along its spine or
 its printed text, never by ``==``: a dataclass's generated equality
 recurses once per nested node."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -275,3 +280,33 @@ def test_a_sequence_prints_as_its_template_gives_it():
     prog = parser.parse_program("entry F\n" + "; ".join(items) + "\n")
     assert pretty.program(prog) == (
         "entry F\n" + "; ".join(items[:-1] + ["lam (y: int). y"]) + "\n")
+
+
+LETS = 480
+
+
+def ftal(*argv) -> subprocess.CompletedProcess:
+    """The command line run in a process of its own, whose stack is not
+    under the test runner's frames."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "ftal.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_nested_lets_format_to_a_fixed_point(tmp_path):
+    # The printer writes a let along its body with a loop, so it is not
+    # what limits the depth of a let nest; the parser still recurses (C).
+    path = tmp_path / "lets.ftal"
+    path.write_text("entry F\n" + "".join(f"let x{i} = {i} in " for i in range(LETS))
+                    + "x0\n")
+    done = ftal("fmt", str(path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == path.read_text()
+    again = tmp_path / "again.ftal"
+    again.write_text(done.stdout)
+    assert ftal("fmt", str(again)).stdout == done.stdout
+    assert ftal("check", str(again)).stdout == "int; *\n"
+    done = ftal("run", "--json", str(again))
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["value"] == "0"

@@ -131,8 +131,9 @@ def test_merged_labels_are_renamed_in_declaration_order():
 
 
 def test_loading_a_component_walks_no_code(monkeypatch):
-    # The instance is the checked code and a label map: the body is
-    # entered as it is, and each cell shares its binding's block.
+    # The instance is the checked code and a scope that binds its label
+    # map: the body is entered as it is under that scope, and each cell
+    # shares its binding's block, with that scope.
     calls = []
     for name in ("substitute", "subst_terms", "rename_locations"):
         def counting(node, mapping, fn=getattr(machine, name)):
@@ -144,10 +145,10 @@ def test_loading_a_component_walks_no_code(monkeypatch):
     m = machine.load(prog)
     assert calls == [] and m.focus is prog.main.body
     labels = {hb.label: S.Loc(label) for hb, label in zip(prog.main.heap, m.heap)}
-    assert m.labels == labels
+    assert m.scope == (machine._LABELS, labels, None)
     for hb, (nu, block) in zip(prog.main.heap, m.heap.values()):
         assert nu == hb.nu and block == hb.value
-        assert block.body is hb.value.body and block.labels is m.labels
+        assert block.body is hb.value.body and block.scope is m.scope
     assert m.run(FUEL).kind == "halted"
 
 
@@ -401,16 +402,31 @@ def test_each_stuck_rule_pins_its_reason_detail_and_steps(name):
     assert (out.kind, out.reason, out.detail, out.steps) == want
 
 
-# The typing error that rules out each stuck program.
-STUCK_CHECK_CODES = {
-    "t-arithmetic": "E-SEQ", "t-branch": "E-SEQ", "t-load-non-location": "E-SEQ",
-    "t-load-unbound": "E-VAL", "t-load-code": "E-SEQ", "t-store-immutable": "E-SEQ",
-    "t-store-index": "E-SEQ", "t-alloc-underflow": "E-SEQ", "t-sld-index": "E-SEQ",
-    "t-sst-index": "E-SEQ", "t-unpack": "E-SEQ", "t-unfold": "E-SEQ",
-    "t-jump-word": "E-SEQ", "t-jump-tuple": "E-SEQ", "t-import": "E-SEQ",
-    "f-if0": "E-EXPR", "f-application": "E-EXPR", "f-arity": "E-EXPR",
-    "f-projection": "E-EXPR", "f-projection-index": "E-EXPR", "f-unfold": "E-EXPR",
-    "f-boundary": "E-SEQ",
+# The typing error that rules out each stuck program: its code, and a
+# fragment of its message.
+STUCK_GUARDS = {
+    "t-arithmetic": ("E-SEQ", "arithmetic operand must be an integer"),
+    "t-branch": ("E-SEQ", "branch condition must be an integer"),
+    "t-load-non-location": ("E-SEQ", "load from a non-tuple"),
+    "t-load-unbound": ("E-VAL", "label nowhere is not bound in the heap"),
+    "t-load-code": ("E-SEQ", "load from a non-tuple"),
+    "t-store-immutable": ("E-SEQ", "store into an immutable tuple"),
+    "t-store-index": ("E-SEQ", "store index 4 outside a 1-tuple"),
+    "t-alloc-underflow": ("E-SEQ", "allocation needs 1 visible slots"),
+    "t-sld-index": ("E-SEQ", "stack load needs 1 visible slots"),
+    "t-sst-index": ("E-SEQ", "stack store needs 1 visible slots"),
+    "t-unpack": ("E-SEQ", "unpack of a non-package"),
+    "t-unfold": ("E-SEQ", "unfold of a non-recursive value"),
+    "t-jump-word": ("E-SEQ", "jump target is not code"),
+    "t-jump-tuple": ("E-SEQ", "jump target is not code"),
+    "t-import": ("E-SEQ", "import body has type unit, the annotation says int"),
+    "f-if0": ("E-EXPR", "condition must be an integer"),
+    "f-application": ("E-EXPR", "application of a non-function"),
+    "f-arity": ("E-EXPR", "1 parameters, 2 arguments"),
+    "f-projection": ("E-EXPR", "projection from a non-tuple"),
+    "f-projection-index": ("E-EXPR", "projection index 5 outside a 2-tuple"),
+    "f-unfold": ("E-EXPR", "unfold of a non-recursive value"),
+    "f-boundary": ("E-SEQ", "halt register holds unit, the annotation says int"),
 }
 
 
@@ -419,8 +435,10 @@ def test_the_checker_rejects_every_stuck_program(name):
     # Progress: no program that gets stuck is well typed.
     with pytest.raises(CheckError) as err:
         check_program(parser.parse_program(STUCK_PROGRAMS[name][0]))
-    assert err.value.code == STUCK_CHECK_CODES[name]
-    assert set(STUCK_CHECK_CODES) == set(STUCK_PROGRAMS)
+    code, fragment = STUCK_GUARDS[name]
+    assert err.value.code == code and fragment in err.value.message
+    assert set(STUCK_GUARDS) == set(STUCK_PROGRAMS)
+
 
 # -- rendering helpers ------------------------------------------------------
 
@@ -954,7 +972,8 @@ FT[int](
     assert out.steps == 36
     # The exported wrapper's scope binds its hole to the closure.
     [scope] = [b.scope for _, b in m.heap.values()
-               if isinstance(b, S.CodeBlock) and b.scope is not None]
+               if isinstance(b, S.CodeBlock) and b.scope is not None
+               and b.scope[0] == boundary._HOLE]
     name, clo, parent = scope
     assert (name, parent) == (boundary._HOLE, None)
     assert type(clo) is machine._Clo
@@ -1397,8 +1416,9 @@ in (unfold g)(g)({k})
 def test_entering_a_component_again_leaves_nothing_behind(monkeypatch):
     # Each entry is an instance of the same code under a fresh label map,
     # so its block is closed and its jump resolved once for every
-    # instance, untraced; a sink renders each instance's text, but keeps
-    # one per node.  The heap still gains a cell per entry.
+    # instance, untraced; a sink renders again under each instance's map
+    # only the one redex of 103 that names a label, and keeps one text
+    # per node.  The heap still gains a cell per entry.
     calls = {"substitute": [], "subst_terms": [], "rename_locations": []}
     for name, log in calls.items():
         def counting(node, mapping, fn=getattr(machine, name), log=log):
@@ -1421,6 +1441,7 @@ def test_entering_a_component_again_leaves_nothing_behind(monkeypatch):
                          len(m._targets), len(m._words), len(m._envs),
                          sum(len(env.bodies) for env in envs),
                          sum(len(env.texts) for env in envs)))
+        assert [pretty.instr(node) for node in calls["rename_locations"]] == ["jmp lb[z]"] * k
         sizes.append(size)
     assert sizes[0][0] == sizes[1][0]
     assert sizes[0][1][-1] == sizes[1][1][-1]

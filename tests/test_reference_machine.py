@@ -9,6 +9,7 @@ import reference_machine
 from conftest import ALL_FTAL, corpus_text
 from ftal import machine, parser
 from ftal import syntax as S
+from ftal.errors import CheckError
 from ftal.typecheck import check_program
 from test_machine import (APPLIED, F_FORMS, FOLDS_AND_TUPLES, GOLDEN_FUEL, GOLDEN_INPUTS,
                           NESTED_HEAP, NESTED_LABEL, NESTED_SHADOWING, STUCK_PROGRAMS,
@@ -70,12 +71,81 @@ def test_imports_step_as_the_reference_does(text):
     assert_agree(prog, machine.DEFAULT_FUEL)
 
 
+_ARROW = "box code[z, eps]{ra: box code[]{r1: int; z} eps; int :: z} ra"
+# A heap block, not the body, runs an import whose closure names the
+# block's instance's label.  The first instance's closure is called after
+# a second instance has been entered, and must reach its own instance.
+CLOSURE_IN_A_BLOCK = f"""entry F
+let mk = lam (u: int). FT[(int) -> int](
+  protect ., z;
+  mv r1, 0;
+  jmp lb[z]
+, where
+  lb -> code[zb]{{r1: int; zb}} ret({_ARROW}, zb).
+    import r1, zb as zi, (int) -> int TF{{ lam (x: int). FT[int](
+      protect ., zp;
+      import r1, zp as zi, int TF{{ x }};
+      jmp lc[zp]) }};
+    halt[{_ARROW}, zb] r1,
+  lc -> code[zs]{{r1: int; zs}} ret(int, zs).
+    mul r1, r1, 3;
+    halt[int, zs] r1
+) in
+let f = mk(1) in
+let g = mk(2) in
+(f(5), g(6))
+"""
+# Unchecked: a heap block names a source variable, and is called from
+# source code that does not bind it.
+BLOCK_NAMES_A_VARIABLE = f"""entry F
+let mk = lam (y: int). FT[(int) -> int](
+  mv r1, l;
+  halt[{_ARROW}, *] r1
+, where
+  l -> code[z, eps]{{ra: box code[]{{r1: int; z}} eps; int :: z}} ra.
+    sld r1, 0;
+    sst 0, ra;
+    import r2, box code[]{{r1: int; z}} eps :: z as zi, int TF{{ y }};
+    add r1, r1, r2;
+    sld ra, 0;
+    sfree 1;
+    ret ra {{r1}}
+) in
+let f = mk(10) in
+let g = mk(20) in
+(f(1), g(2))
+"""
+
+
 # Components nested in an import's source term that name the outer
-# component's labels, and a component entered once per recursive call.
-@pytest.mark.parametrize("text", (NESTED_LABEL, NESTED_HEAP, NESTED_SHADOWING, entry_loop(3)),
-                         ids=("nested-label", "nested-heap", "nested-shadowing", "entry-loop"))
+# component's labels, a component entered once per recursive call, and
+# the two programs above.
+@pytest.mark.parametrize("text", (NESTED_LABEL, NESTED_HEAP, NESTED_SHADOWING, entry_loop(3),
+                                  CLOSURE_IN_A_BLOCK, BLOCK_NAMES_A_VARIABLE),
+                         ids=("nested-label", "nested-heap", "nested-shadowing", "entry-loop",
+                              "closure-in-a-block", "block-names-a-variable"))
 def test_component_instances_step_as_the_reference_does(text):
     assert_agree(parser.parse_program(text), machine.DEFAULT_FUEL)
+
+
+def test_a_closure_made_in_a_block_jumps_to_its_own_instance():
+    prog = parser.parse_program(CLOSURE_IN_A_BLOCK)
+    check_program(prog)
+    records = []
+    out = machine.run_program(prog, machine.DEFAULT_FUEL, records.append)
+    assert out.value == S.TupleVal((S.IntVal(15), S.IntVal(18)))
+    assert [r["redex"] for r in records if r["jump"] == "jmp"] == [
+        "jmp lb#0[z]", "jmp lb#4[z]", "jmp lc#1[zp]", "jmp lc#5[zp]"]
+
+
+def test_a_block_reads_a_source_variable_where_its_instance_was_entered():
+    # Unchecked: the block reads y from the scope its instance was
+    # entered under, as the reference reads the y it substituted.
+    prog = parser.parse_program(BLOCK_NAMES_A_VARIABLE)
+    with pytest.raises(CheckError, match="unbound variable y"):
+        check_program(prog)
+    out = machine.run_program(prog, machine.DEFAULT_FUEL)
+    assert out.value == S.TupleVal((S.IntVal(11), S.IntVal(22)))
 
 
 # T programs that unpack, unfold and balloc, which no corpus program does.
