@@ -3,9 +3,10 @@
 The configuration is a focus (a source expression being decomposed, a
 value being plugged back into its context, or a target instruction
 sequence), a stack of evaluation frames, a memory of registers, a value
-stack, and a heap; a term environment for the source expression in
-focus, and a type environment for the target code in focus.  Every
-transition costs one unit of fuel.
+stack, a heap, and a term environment for the code in focus.  Target
+code in focus is closed: T types have no run-time content, so a block's
+type binders are substituted away when it is entered, and no type
+environment is kept.  Every transition costs one unit of fuel.
 
 A step looks its rule up by node type in one of three tables:
 ``T_RULES`` for the head of a target sequence or its terminator,
@@ -72,14 +73,12 @@ substitution.
 
 A jump enters its block with its instantiations substituted into the
 body, as in the semantics, but a block is closed once per instantiation:
-each (binders, *omegas) has one environment, which maps each binder to
-its closed instantiation and keeps every body closed under it, so a loop
-or a repeated call substitutes nothing after its first entry.
-``unpack`` closes the rest of its sequence the same way, under the
-environment of its type variable and witness, and leaves the code's own
-in place.  So the code in focus binds every type name it uses, an
-instruction reads its operands as they are but for labels, and every
-word in a register, on the stack or in the heap is closed.  An exported
+one table maps a body and (binders, *omegas) to the closed body, so a
+loop or a repeated call substitutes nothing after its first entry.
+``unpack`` closes the rest of its sequence the same way, by its type
+variable and witness.  So the code in focus is closed, an instruction
+reads its operands as they are but for labels, and every word in a
+register, on the stack or in the heap is closed.  An exported
 wrapper is a fresh block for each crossing, but its body, shared by
 every wrapper at its annotation, applies a term variable that the
 block's own scope binds to the exported value.  Entering a block closes
@@ -87,29 +86,30 @@ its body and switches to its scope, if it has one: its instance's, or
 its wrapper's, which the wrapper's ``import`` reads.
 
 A ``jmp`` or ``bnz`` resolves a word written in the code once and
-caches the block and environment it reaches by the word's identity, if
-the jump leaves the scope as it is, which means it stays in its
-instance: every instance shares the code and its blocks, so in each the
-word reaches the same block under the same environment.  A word that
-reaches another instance's block (from a nested component to the one
-around it) switches scope, and is resolved each time.  An operand
-naming a label is resolved once per node and map.  A word read from a
-register (``ret r``, ``jmp r``, ``bnz r, r``) is resolved each time,
-since each crossing makes a fresh return address.  A ``call`` adds its
-continuation's omegas, so it looks up the (label, *omegas) environment
-instead.  So neither a crossing nor the entry into a component adds an
-entry to any cache.  Types, stacks and markers keep their hash (see
-``syntax.TypeLevel``), so such a lookup hashes no type tree after the
-first.
+caches the closed body it reaches by the word's identity, if the jump
+leaves the scope as it is, which means it stays in its instance: every
+instance shares the code and its blocks, so in each the word reaches
+the same closed body.  A word that reaches another instance's block
+(from a nested component to the one around it) switches scope, and is
+resolved each time.  An operand naming a label is resolved once per
+node and map.  A word read from a register (``ret r``, ``jmp r``,
+``bnz r, r``) is resolved each time, since each crossing makes a fresh
+return address.  A ``call`` adds its continuation's omegas, so it looks
+its block's body up closed under (label, *omegas) instead.  So neither a
+crossing nor the entry into a component adds an entry to any cache.
+Types, stacks and markers keep their hash (see ``syntax.TypeLevel``), so
+such a lookup hashes no type tree after the first.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
 register it set, if any, is rendered only while ``run`` has a trace
 sink (or for a direct call of ``step``); the text is that of the closed
 instruction, with its labels renamed through the label map in its
-scope, and is rendered once per node unless it names a label.  Each
-rule sets at most one register, so the rendered
-delta is empty or holds one entry, and neither ``step`` nor
+scope.  A closed node's text depends only on the node and that map, and
+two instantiations never share a node with children, so one table keyed
+by node keeps each text (see ``Machine._redex``).  Each rule sets at
+most one register, so the rendered delta is empty or holds one entry,
+and neither ``step`` nor
 ``trace_line`` sorts or joins a list for it.  ``trace_line`` is the one
 encoder of a full record: it writes the record's JSON line, byte for
 byte the line ``json.dumps(record, sort_keys=True)`` gives.
@@ -289,7 +289,6 @@ class FrImport:
     rd: str
     ann: Ty
     rest: ISeq
-    env: "_Env"
     scope: tuple | None
 
 
@@ -388,22 +387,9 @@ def _read_back(v):
     return v
 
 
-class _Env:
-    """A type environment: (kind, binder) -> closed omega, with caches of
-    the block bodies closed and the redex texts rendered under it, keyed
-    by node identity (each entry keeps its node alive, so an id is never
-    reused while cached).  Both are keyed by nodes of the program's blocks
-    and of the wrappers' shared bodies, so neither grows with crossings
-    or with the instances of a component, which share its code."""
-
-    __slots__ = ("map", "bodies", "texts")
-
-    def __init__(self, mapping: dict):
-        self.map = mapping
-        self.bodies: dict = {}  # id(body) -> (body, closed body)
-        self.texts: dict = {}  # id(node) -> (node, redex text, label map)
-
-
+# The map a text that names no label is kept under, which holds under any
+# map; it is empty, so ``_redex_text`` renames nothing through it.
+_ANY_MAP: dict = {}
 _UNIT = UnitVal()  # words are immutable, so every fresh slot shares one
 _AOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -428,13 +414,13 @@ class Machine:
         self._delta: dict = {}
         # Whether step renders the redex and register text.
         self._render = True
-        # The type environment of the code in focus.  Source code is
-        # closed and runs under the empty one: control reaches it from
-        # target code only by import and halt, which switch to it.
-        self._root = self.env = _Env({})
-        self._envs: dict = {}  # (kind, binders, *omegas) -> _Env
-        self._targets: dict = {}  # id(word) -> (word, body, _Env)
+        # Caches keyed by node identity; each entry keeps its node alive,
+        # so an id is never reused while cached.
+        self._targets: dict = {}  # id(word) -> (word, body)
         self._words: dict = {}  # id(word) -> (word, label map, its word)
+        # (id(body), kind, binders, *omegas) -> (body, closed body)
+        self._closed: dict = {}
+        self._texts: dict = {}  # id(node) -> (node, redex text, label map)
         # The term environment of the source expression in focus, or of
         # the component instance or wrapper the target code in focus runs
         # in, which binds its label map (see ``_merge_component``).
@@ -517,30 +503,27 @@ class Machine:
 
     def _jump(self, u: Tm) -> ISeq:
         """Enter the block the operand ``u`` names; returns the block's
-        body.  A word written in the code is resolved once if it reaches a
-        block of the instance in focus: every instance shares the code
-        and its blocks, so the word reaches the same block under the same
-        environment in each, and the scope stays.  A register's word is
+        closed body.  A word written in the code is resolved once if it
+        reaches a block of the instance in focus: every instance shares
+        the code and its blocks, so the word reaches the same closed body
+        in each, and the scope stays.  A register's word is
         resolved each time, since it may have been made by one crossing
         and never seen again."""
         if type(u) is Reg:
-            body, self.env = self._target(self._getreg(u.name), ())
-            return body
+            return self._target(self._getreg(u.name), ())
         hit = self._targets.get(id(u))
         if hit is None:
             scope = self.scope
-            body, env = self._target(self._resolve(u), ())
+            body = self._target(self._resolve(u), ())
             if self.scope is not scope:
                 # Another instance's block: its scope is read from its cell.
-                self.env = env
                 return body
-            hit = self._targets[id(u)] = (u, body, env)
-        self.env = hit[2]
+            hit = self._targets[id(u)] = (u, body)
         return hit[1]
 
-    def _target(self, word, extra: tuple):
+    def _target(self, word, extra: tuple) -> ISeq:
         """The body of the block ``word`` names, closed under its
-        instantiations followed by ``extra``, and their environment."""
+        instantiations followed by ``extra``."""
         omegas = extra
         while type(word) is Inst:
             omegas = (word.omega, *omegas)
@@ -564,29 +547,45 @@ class Machine:
         if block.scope is not None:
             self.scope = block.scope
         if not omegas:
-            return block.body, self._root
+            return block.body
         return self._instantiate(block.body, SPELLED, block.binders, omegas)
 
     def _instantiate(self, body: ISeq, kind: str, binders: tuple,
-                     omegas) -> tuple:
-        """``body`` closed under the environment that maps ``binders`` to
-        ``omegas``, and that environment.  Each binder is of the kind
-        ``kind``, or of the one its spelling gives if that is SPELLED.
-        The mapping depends on nothing else, so code that shares it
-        (blocks with the same binders and instantiations, exported
-        wrappers at one annotation, which share their body too, or the
-        rests of sequences that unpack one witness) shares one
-        environment, and each environment closes each body once."""
-        key = (kind, binders, *omegas)
-        env = self._envs.get(key)
-        if env is None:
-            env = self._envs[key] = _Env(
-                {(kind_of_name(b) if kind == SPELLED else kind, b): om
-                 for b, om in zip(binders, omegas)})
-        hit = env.bodies.get(id(body))
+                     omegas) -> ISeq:
+        """``body`` with ``binders`` substituted by ``omegas``, closed once
+        per body and instantiation.  Each binder is of the kind ``kind``,
+        or of the one its spelling gives if that is SPELLED.  Exported
+        wrappers at one annotation share their body, so a crossing closes
+        nothing after the first at its instantiation."""
+        key = (id(body), kind, binders, *omegas)
+        hit = self._closed.get(key)
         if hit is None:
-            hit = env.bodies[id(body)] = (body, substitute(body, env.map))
-        return hit[1], env
+            mapping = {(kind_of_name(b) if kind == SPELLED else kind, b): om
+                       for b, om in zip(binders, omegas)}
+            hit = self._closed[key] = (body, substitute(body, mapping))
+        return hit[1]
+
+    def _redex(self, node, scope: tuple | None) -> str:
+        """The trace text of the target redex ``node``, run under the term
+        environment ``scope``: the closed instruction, with its labels
+        renamed through the map in scope.  A text is kept by node, once
+        if the node names no label, else under the map it was rendered
+        by, and rendered again under another.  A node that names a label
+        under no map is rendered each time: only an imported lambda's
+        code does so, and it is built afresh for each crossing."""
+        hit = self._texts.get(id(node))
+        if hit is not None and hit[2] is _ANY_MAP:
+            return hit[1]
+        labels = _lookup(scope, _LABELS)
+        if hit is None:
+            if all(kind != KIND_LOC for kind, _ in free_names(node)):
+                labels = _ANY_MAP
+            elif labels is None:
+                return _redex_text(node, None)
+        elif hit[2] is labels:
+            return hit[1]
+        hit = self._texts[id(node)] = (node, _redex_text(node, labels), labels)
+        return hit[1]
 
     def _resume(self, e: Tm, scope: tuple | None) -> None:
         """Evaluate ``e`` under ``scope`` next."""
@@ -617,7 +616,7 @@ class Machine:
         and the jump kind."""
         if self._outcome is not None:
             return None
-        focus, env, render = self.focus, self.env, self._render
+        focus, render = self.focus, self._render
         if render:
             self._delta = {}
             scope = self.scope
@@ -661,7 +660,7 @@ class Machine:
         return {
             "step": steps,
             "lang": lang,
-            "redex": _redex(redex, env, scope) if lang == "T" else redex,
+            "redex": self._redex(redex, scope) if lang == "T" else redex,
             "jump": jump,
             "registers_delta": rendered,
             "stack_depth": len(self.stack),
@@ -825,9 +824,8 @@ def _t_unpack(m, ins):
     if type(w) is not Pack:
         raise _Stuck(STUCK_TYPE_CONFUSION, "unpack of a non-package")
     m._setreg(ins.rd, w.val)
-    # The binder is a type variable however it is spelled, and the code
-    # in focus keeps its own environment.
-    m.focus = m._instantiate(m.focus, KIND_TYPE, (ins.tv,), (w.wit,))[0]
+    # The binder is a type variable however it is spelled.
+    m.focus = m._instantiate(m.focus, KIND_TYPE, (ins.tv,), (w.wit,))
 
 
 def _t_unfold(m, ins):
@@ -842,8 +840,7 @@ def _t_protect(m, ins):
 
 
 def _t_import(m, ins):
-    m.frames.append(FrImport(ins.rd, ins.ann, m.focus, m.env, m.scope))
-    m.env = m._root
+    m.frames.append(FrImport(ins.rd, ins.ann, m.focus, m.scope))
     # The source term runs under the code's scope: a component in it may
     # name the labels of the instance the code runs in.
     m._resume(ins.body, m.scope)
@@ -857,13 +854,13 @@ def _t_jmp(m, ins):
 
 def _t_call(m, ins):
     # The continuation's omegas are added to the word's, so the block is
-    # entered by its (label, *omegas) environment, not by the word.
-    m.focus, m.env = m._target(m._resolve(ins.u), (ins.sigma0, ins.qret))
+    # closed under all of them, not cached by the word.
+    m.focus = m._target(m._resolve(ins.u), (ins.sigma0, ins.qret))
     return "call"
 
 
 def _t_ret(m, ins):
-    m.focus, m.env = m._target(m._getreg(ins.r), ())
+    m.focus = m._target(m._getreg(ins.r), ())
     return "ret"
 
 
@@ -876,7 +873,6 @@ def _t_halt(m, ins):
     if type(m.frames[-1]) is not FrBoundary:
         raise _Stuck(STUCK_HALT_OUTSIDE, "")
     frame = m.frames.pop()
-    m.env = m._root
     try:
         v = import_value(frame.ann, w, m.heap, m._fresh)
     except TranslationError as t:
@@ -1110,7 +1106,7 @@ def _r_import(m, fr, v):
         raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
     m._setreg(fr.rd, w)
     m.focus = fr.rest
-    m.env, m.scope = fr.env, fr.scope
+    m.scope = fr.scope
     m.returning = False
     return "export", "boundary"
 
@@ -1120,34 +1116,6 @@ RETURN_RULES = _Rules("value under frame ", {
     FrProj: _r_proj, FrFold: _r_fold, FrUnfold: _r_unfold, FrLet: _r_let,
     FrSeq: _r_seq, FrBoundary: _r_boundary, FrImport: _r_import,
 })
-
-
-# The map a text that names no label is cached under, which holds under
-# any map; it is empty, so ``_redex_text`` renames nothing through it.
-_ANY_MAP: dict = {}
-
-
-def _redex(node, env: _Env, scope: tuple | None) -> str:
-    """The trace text of the target redex ``node``, run under ``env`` and
-    the term environment ``scope``.  Cached by node under a block's
-    environment or a label map, since code that runs under neither may
-    be built for one crossing.  The text of a node that names a label
-    has it renamed through the map in scope, so under another map it is
-    rendered again and replaces the cached one; the text of a node that
-    names none is rendered once."""
-    hit = env.texts.get(id(node))
-    if hit is not None and hit[2] is _ANY_MAP:
-        return hit[1]
-    labels = _lookup(scope, _LABELS)
-    if hit is None:
-        if labels is None and not env.map:
-            return _redex_text(node, None)
-        if all(kind != KIND_LOC for kind, _ in free_names(node)):
-            labels = _ANY_MAP
-    elif hit[2] is labels:
-        return hit[1]
-    hit = env.texts[id(node)] = (node, _redex_text(node, labels), labels)
-    return hit[1]
 
 
 def _redex_text(node, labels: dict | None) -> str:
@@ -1160,10 +1128,6 @@ def _redex_text(node, labels: dict | None) -> str:
     if isinstance(node, Call):
         return _short(f"call {pretty.tm(node.u)}")
     return _short(pretty.instr(node))
-
-
-def load(prog: Program) -> Machine:
-    return Machine(prog)
 
 
 def run_program(prog: Program, fuel: int,

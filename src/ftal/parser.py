@@ -279,7 +279,7 @@ class Parser:
         if form is not None:
             return self.form(*form)
         if kind == "INT":
-            return S.MIdx(int(self.next()))
+            return S.MIdx(self.int_lit("return marker"))
         if kind == "IDENT":
             if S.is_register(text):
                 self.next()
@@ -421,7 +421,13 @@ class Parser:
         return name
 
     def int_lit(self, what: str) -> int:
-        return int(self.expect("INT", what))
+        at = self.pos
+        text = self.expect("INT", what)
+        try:
+            return int(text)
+        except ValueError:  # past the host's limit on digits read by int()
+            self.fail(f"integer literal of {len(text)} digits is too long",
+                      at=at)
 
     def int_val(self) -> S.IntVal:
         """An integer literal, with its optional minus sign."""

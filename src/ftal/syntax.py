@@ -71,7 +71,7 @@ class Node:
 class TypeLevel(Node):
     """Base for types, stacks and markers. Each keeps the hash its
     dataclass gives once it is first asked for, since types key the
-    machine's environments and the boundary's memos on every crossing.
+    machine's closing table and the boundary's memos on every crossing.
     The kept hash is not a field, so equality, printing and ``SCHEMA``
     ignore it; it is neither pickled nor copied, as a str hash differs
     from one process to the next."""

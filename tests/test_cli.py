@@ -92,6 +92,31 @@ def test_non_decimal_digit_is_a_parse_error(capsys, tmp_path):
         "error": {"kind": "parse", "message": message}, "exit_code": 2}
 
 
+# int() reads at most this many digits (0: any number), so a longer
+# literal cannot be read.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _MAX_DIGITS, reason="int() reads any number of digits")
+@pytest.mark.parametrize("src, where", (
+    ("entry F\n1 + {n}\n", "2:5"),
+    ("entry T\n(\n  jmp l,\n  where\n    l -> code[]{{r1: int; *}} {n}.\n"
+     "      halt[int, *] r1\n)\n", "5:29"),
+), ids=["literal", "marker"])
+@pytest.mark.parametrize("cmd", ["check", "run", "fmt", "trace"])
+def test_an_integer_too_long_to_read_is_a_parse_error(capsys, tmp_path, src, where, cmd):
+    digits = _MAX_DIGITS + 700
+    bad = tmp_path / "long.ftal"
+    bad.write_text(src.format(n="7" * digits))
+    message = f"{where}: integer literal of {digits} digits is too long"
+    code, out, err = run_cli(capsys, [cmd, str(bad)])
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+    code, out, err = run_cli(capsys, [cmd, "--json", str(bad)])
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "error": {"kind": "parse", "message": message}, "exit_code": 2}
+
+
 @pytest.mark.parametrize("data,message", (
     (b"1 + \xff\n", "1:5: invalid UTF-8 byte 0xff"),
     (b"-- \xc3\xa9\r\n1 +\r\n  \xc3(\n", "3:3: invalid UTF-8 byte 0xc3"),

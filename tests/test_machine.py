@@ -1,8 +1,11 @@
 """Abstract machine: pinned outcomes for the bundled programs, fuel
 accounting, determinism of traces, and every stuck reason."""
 
+import ast
 import hashlib
 import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -125,7 +128,7 @@ def test_negated_factorial_diverges_until_fuel_runs_out():
 
 def test_merged_labels_are_renamed_in_declaration_order():
     prog = parser.parse_program(corpus_text("call_to_call"))
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     assert sorted(m.heap) == [
         "l1#0", "l1ret#1", "l2#2", "l2aux#3", "l2ret#4"]
 
@@ -142,7 +145,7 @@ def test_loading_a_component_walks_no_code(monkeypatch):
 
         monkeypatch.setattr(machine, name, counting)
     prog = parser.parse_program(corpus_text("call_to_call"))
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     assert calls == [] and m.focus is prog.main.body
     labels = {hb.label: S.Loc(label) for hb, label in zip(prog.main.heap, m.heap)}
     assert m.scope == (machine._LABELS, labels, None)
@@ -213,7 +216,7 @@ def test_a_nested_component_jumps_to_the_outer_instance():
 
 def test_register_file_stays_within_the_declared_names():
     prog = parser.parse_program(corpus_text("call_to_call"))
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     m.run(FUEL)
     assert set(m.regs) <= set(S.REGISTERS)
 
@@ -313,7 +316,7 @@ def test_free_variable_is_stuck():
 
 
 def test_halting_under_a_source_frame_is_stuck():
-    m = machine.load(S.Program("T", S.Component(halt_int(), ())))
+    m = machine.Machine(S.Program("T", S.Component(halt_int(), ())))
     m.regs["r1"] = S.IntVal(0)
     m.frames.append(machine.FrProj(0))
     m.run(FUEL)
@@ -383,6 +386,16 @@ STUCK_PROGRAMS = {
                      ("stuck", "type-confusion", "jump into the tuple lt#0", 0)),
     "t-import": (_t(f"import r1, * as z, int TF{{ () }};\n  {_HALT}"),
                  ("stuck", "type-confusion", "expected an integer value", 2)),
+    "t-unbound-register": (_t(f"mv r1, r2;\n  {_HALT}"),
+                           ("stuck", "unbound-register", "r2", 0)),
+    "t-jump-unbound": (_t("jmp nowhere"), ("stuck", "unbound-location", "nowhere", 0)),
+    "t-jump-uninstantiated": (
+        _t("jmp l", f"l -> code[a]{{r1: int; *}} ret(int, *).\n      {_HALT}"),
+        ("stuck", "uninstantiated-binder", "l#0 wants 1 instantiations, got 0", 0)),
+    "t-load-index": (_t(f"mv r1, lt;\n  ld r1, r1[3];\n  {_HALT}", "lt -> box <1>"),
+                     ("stuck", "bad-index", "ld 3", 1)),
+    "t-sfree-underflow": (_t(f"sfree 1;\n  {_HALT}"),
+                          ("stuck", "stack-underflow", "sfree 1", 0)),
     "f-if0": ("if0 () 1 2\n", ("stuck", "type-confusion", "if0 on a non-integer", 2)),
     "f-application": ("1(2)\n", ("stuck", "type-confusion", "application of a non-function", 2)),
     "f-arity": ("(lam (x: int). x)(1, 2)\n",
@@ -392,6 +405,10 @@ STUCK_PROGRAMS = {
     "f-unfold": ("unfold 1\n", ("stuck", "type-confusion", "unfold of a non-fold", 2)),
     "f-boundary": (f"FT[int](\n  mv r1, ();\n  {_HALT}\n)\n",
                    ("stuck", "type-confusion", "expected an integer word", 2)),
+    "f-unbound-variable": ("x\n", ("stuck", "unbound-variable", "x", 0)),
+    "f-arithmetic": ("() + 1\n", ("stuck", "type-confusion", "arithmetic on non-integers", 4)),
+    "f-instantiation": ("(lam (x: int). x)[int]\n",
+                        ("stuck", "type-confusion", "not a source expression: Inst", 0)),
 }
 
 
@@ -427,6 +444,14 @@ STUCK_GUARDS = {
     "f-projection-index": ("E-EXPR", "projection index 5 outside a 2-tuple"),
     "f-unfold": ("E-EXPR", "unfold of a non-recursive value"),
     "f-boundary": ("E-SEQ", "halt register holds unit, the annotation says int"),
+    "t-unbound-register": ("E-VAL", "register r2 holds no value"),
+    "t-jump-unbound": ("E-VAL", "label nowhere is not bound in the heap"),
+    "t-jump-uninstantiated": ("E-SEQ", "jump target is not fully instantiated"),
+    "t-load-index": ("E-SEQ", "load index 3 outside a 1-tuple"),
+    "t-sfree-underflow": ("E-SEQ", "sfree needs 1 visible slots"),
+    "f-unbound-variable": ("E-EXPR", "unbound variable x"),
+    "f-arithmetic": ("E-EXPR", "arithmetic on a non-integer"),
+    "f-instantiation": ("E-EXPR", "not a source-language expression"),
 }
 
 
@@ -438,6 +463,60 @@ def test_the_checker_rejects_every_stuck_program(name):
     code, fragment = STUCK_GUARDS[name]
     assert err.value.code == code and fragment in err.value.message
     assert set(STUCK_GUARDS) == set(STUCK_PROGRAMS)
+
+
+# The ``_Stuck`` sites that no program text reaches, by function and by
+# place among that function's sites, each with the reason.
+HAND_BUILT_STUCK = {
+    ("_merge_component", 0): "the parser binds a heap label only to code or a tuple",
+    ("_t_halt", 0): "target code is entered from source code only through a "
+                    "boundary, whose frame is the innermost while it runs",
+    ("_r_boundary", 0): "a boundary's frame is the innermost only while target "
+                        "code runs, and target code leaves it only by halting",
+}
+
+
+def _stuck_sites() -> dict:
+    """Each ``_Stuck(...)`` call in machine.py, keyed by its function and
+    its place among that function's calls in source order, with the
+    first and last lines it spans."""
+    tree = ast.parse(pathlib.Path(machine.__file__).read_text(encoding="utf-8"))
+    sites = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            calls = sorted((node.lineno, node.end_lineno) for node in ast.walk(fn)
+                           if isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Name)
+                           and node.func.id == "_Stuck")
+            for i, span in enumerate(calls):
+                sites[fn.name, i] = span
+    return sites
+
+
+def test_every_stuck_site_is_reached_from_text_or_listed(monkeypatch):
+    # Progress as a case analysis: each way the machine gets stuck is
+    # pinned by a program the checker rejects, or cannot be written.
+    sites = _stuck_sites()
+    raised = []
+
+    class Recording(machine._Stuck):
+        def __init__(self, reason, detail=""):
+            super().__init__(reason, detail)
+            frame = sys._getframe(1)
+            raised.append((frame.f_code.co_name, frame.f_lineno))
+
+    monkeypatch.setattr(machine, "_Stuck", Recording)
+    reached = {}
+    for name, (text, want) in STUCK_PROGRAMS.items():
+        raised.clear()
+        out = machine.run_program(parser.parse_program(text), FUEL)
+        assert (out.kind, out.reason) == want[:2]
+        [site] = [key for fn, line in raised for key, (first, last) in sites.items()
+                  if key[0] == fn and first <= line <= last]
+        reached[site] = name
+    assert len(reached) == len(STUCK_PROGRAMS)
+    assert not set(reached) & set(HAND_BUILT_STUCK)
+    assert set(sites) == set(reached) | set(HAND_BUILT_STUCK)
 
 
 # -- rendering helpers ------------------------------------------------------
@@ -625,7 +704,7 @@ def test_import_is_closed_under_the_block_binders():
 )
 """)
     check_program(prog)
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     records = []
     out = m.run(FUEL, records.append)
     assert out.kind == "halted" and out.value == S.IntVal(7) and out.steps == 7
@@ -775,7 +854,7 @@ def test_direct_steps_return_the_records_a_traced_run_gives(name, arg):
     prog = parser.parse_program(corpus_text(name))
     if arg is not None:
         prog = S.Program("F", S.App(prog.main, (S.IntVal(arg),)))
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     stepped = list(iter(m.step, None))
     traced = []
     out = machine.run_program(prog, GOLDEN_FUEL, traced.append)
@@ -822,13 +901,13 @@ def test_an_untraced_run_records_no_registers_delta():
     # Only a rendering step reads the registers it set, so an untraced
     # run keeps none of them.
     prog = parser.parse_program(corpus_text("factorial_t"))
-    m = machine.load(S.Program("F", S.App(prog.main, (S.IntVal(-1),))))
+    m = machine.Machine(S.Program("F", S.App(prog.main, (S.IntVal(-1),))))
     assert m.run(3000).kind == "running"
     assert m._delta == {}
 
 
 def test_a_direct_step_returns_the_full_record():
-    m = machine.load(parser.parse_program(corpus_text("call_to_call")))
+    m = machine.Machine(parser.parse_program(corpus_text("call_to_call")))
     r = m.step()
     assert set(r) == {"step", "lang", "redex", "jump",
                       "registers_delta", "stack_depth"}
@@ -876,7 +955,7 @@ def test_a_binop_frame_keeps_only_the_left_value_while_the_right_runs():
     # A non-tail recursion x * f(x - 1) keeps one binop frame per level;
     # once it resumes its right operand, the frame holds neither that
     # operand nor the scope it runs under.
-    m = machine.load(parser.parse_program(
+    m = machine.Machine(parser.parse_program(
         "entry F\n(lam (x: int). x * (lam (y: int). y)(x - 1))(3)\n"))
     binops = []
     while not any(fr.left is not None for fr in binops):
@@ -966,7 +1045,7 @@ FT[int](
 )
 """)
     check_program(prog)
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     out = m.run(FUEL)
     assert out.kind == "f-value" and out.value == S.IntVal(15)
     assert out.steps == 36
@@ -996,7 +1075,7 @@ let g = rt(20) in
 (g(1), f(1))
 """)
     check_program(prog)
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     out = m.run(FUEL)
     assert out.kind == "f-value"
     assert out.value == S.TupleVal((S.IntVal(21), S.IntVal(11)))
@@ -1061,7 +1140,7 @@ LOOP = """entry T
 def test_a_loop_resolves_its_jump_word_once():
     prog = parser.parse_program(LOOP)
     check_program(prog)
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     m.heap = CountingHeap(m.heap)
     out = m.run(FUEL)
     # Recorded before jump words were cached.
@@ -1173,7 +1252,7 @@ def test_stack_slots_are_indexed_from_the_top():
 )
 """)
     check_program(prog)
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     out = m.run(FUEL)
     assert out.kind == "halted" and out.steps == 11
     assert [m.regs[r] for r in ("r4", "r5", "r6")] == [
@@ -1196,7 +1275,7 @@ def test_a_tuple_takes_the_top_slots_in_order():
 )
 """)
     check_program(prog)
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     out = m.run(FUEL)
     assert out.kind == "halted" and out.value == S.IntVal(1)
     assert m.regs["r5"] == S.IntVal(2)
@@ -1247,7 +1326,7 @@ def test_boundary_traffic_matches_the_golden_digest():
     # term environment before entering it.
     prog = parser.parse_program(PINGPONG)
     check_program(prog)
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     h = hashlib.sha256()
     out = m.run(FUEL, lambda r: h.update(
         (json.dumps(r, sort_keys=True) + "\n").encode()))
@@ -1300,7 +1379,7 @@ def test_entering_a_component_with_no_heap_keeps_its_body(body):
     assert comp.heap == ()
     prog = S.Program("F", S.Let("x", None, S.IntVal(7),
                                 S.Boundary(S.TyInt(), comp)))
-    m = machine.load(prog)
+    m = machine.Machine(prog)
     while not isinstance(m.focus, S.Boundary) or m.returning:
         m.step()
     m.step()
@@ -1353,8 +1432,8 @@ def ping_pong(k: int) -> str:
 
 def test_a_crossing_leaves_nothing_behind(monkeypatch):
     # Each round trip exports a wrapper block under a fresh label and
-    # imports a fresh lambda.  Wrappers that share binders and
-    # instantiations share one environment; closing, term substitution,
+    # imports a fresh lambda.  Wrappers at one annotation share one
+    # body, closed once per instantiation; closing, term substitution,
     # renaming labels (a component with no heap is entered as it is),
     # hashing a type (each node keeps its hash) and every cache kept by
     # node identity must not grow with the number of round trips, trace
@@ -1376,20 +1455,17 @@ def test_a_crossing_leaves_nothing_behind(monkeypatch):
             monkeypatch.setattr(cls, "_field_hash", spy)
     # The boundary's memos outlive a run; fill them first, so that both
     # runs hash only the types they build.
-    machine.load(parser.parse_program(ping_pong(1))).run(FUEL)
+    machine.Machine(parser.parse_program(ping_pong(1))).run(FUEL)
     sizes = []
     for k in (40, 640):
         for log in (*calls.values(), hashed):
             log.clear()
-        m = machine.load(parser.parse_program(ping_pong(k)))
+        m = machine.Machine(parser.parse_program(ping_pong(k)))
         out = m.run(FUEL, lambda record: None)
         assert out.kind == "f-value" and out.value == S.IntVal(k * (k + 1))
-        envs = m._envs.values()
         sizes.append((len(calls["substitute"]), len(calls["subst_terms"]),
                       len(calls["rename_locations"]), len(hashed),
-                      len(m._targets), len(m._envs),
-                      sum(len(env.bodies) for env in envs),
-                      sum(len(env.texts) for env in envs)))
+                      len(m._targets), len(m._closed), len(m._texts)))
     assert sizes[0] == sizes[1]
 
 
@@ -1432,15 +1508,13 @@ def test_entering_a_component_again_leaves_nothing_behind(monkeypatch):
         for sink in (None, lambda record: None):
             for log in calls.values():
                 log.clear()
-            m = machine.load(parser.parse_program(entry_loop(k)))
+            m = machine.Machine(parser.parse_program(entry_loop(k)))
             out = m.run(FUEL, sink)
             assert out.kind == "f-value" and out.value == S.IntVal(100 * k)
             assert len(m.heap) == k
-            envs = m._envs.values()
             size.append((*(len(log) for log in calls.values()),
-                         len(m._targets), len(m._words), len(m._envs),
-                         sum(len(env.bodies) for env in envs),
-                         sum(len(env.texts) for env in envs)))
+                         len(m._targets), len(m._words), len(m._closed),
+                         len(m._texts)))
         assert [pretty.instr(node) for node in calls["rename_locations"]] == ["jmp lb[z]"] * k
         sizes.append(size)
     assert sizes[0][0] == sizes[1][0]
@@ -1483,7 +1557,7 @@ def imports_in(body: S.ISeq) -> list:
 
 @pytest.mark.parametrize("ann, fn", WRAPPED)
 def test_entering_a_wrapper_closes_it_as_substituting_its_body_would(ann, fn):
-    m = machine.load(S.Program("F", S.UnitVal()))
+    m = machine.Machine(S.Program("F", S.UnitVal()))
     t = parser.parse_type(ann)
     lam = parser.parse_expr(fn)
     values = (lam, S.Lam(lam.params, S.SeqE(S.UnitVal(), lam.body), lam.stack))
@@ -1492,10 +1566,9 @@ def test_entering_a_wrapper_closes_it_as_substituting_its_body_would(ann, fn):
         for v in values:
             word = export_value(t, v, m.heap, m._fresh)
             block = m.heap[word.name][1]
-            body, env = m._target(word, omegas)
+            body = m._target(word, omegas)
             mapping = {(S.kind_of_name(b), b): om
                        for b, om in zip(block.binders, omegas)}
-            assert env.map == mapping
             assert body == S.substitute(block.body, mapping)
             # The body reads the value from the scope it is entered under.
             assert m.scope == block.scope == (boundary._HOLE, v, None)
