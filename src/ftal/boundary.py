@@ -14,12 +14,13 @@ a crossing builds only the cells that hold its value or word and its fresh
 labels.  The memos are keyed by types, which are immutable, and hold
 nothing built from a value.
 
-An exported wrapper's whole body is one of those parts: its import
-applies the term variable ``_HOLE``, and every wrapper at its annotation
-shares it.  The wrapper's ``CodeBlock.scope`` is a term environment
-binding ``_HOLE`` to the exported value, as the machine holds it.  So an
-export walks no syntax of its value, and the machine closes the body once
-per instantiation of its binders and enters it under that scope.
+A heap cell is a triple (nu, payload, scope): a block or a list of
+words, and the term environment a block runs under, or None.  An exported
+wrapper's whole block is one of the shared parts: its import applies the
+term variable ``_HOLE``, and its cell's scope binds ``_HOLE`` to the
+exported value, as the machine holds it.  So an export walks no syntax of
+its value and builds no block, and the machine closes the body once per
+instantiation of its binders and enters it under that scope.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def export_value(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
         words = [export_value(it, iv, heap, fresh)
                  for it, iv in zip(ann.items, v.items)]
         label = fresh("lt")
-        heap[label] = ("box", words)
+        heap[label] = ("box", words, None)
         return Loc(label)
     if isinstance(ann, Mu):
         if not isinstance(v, Fold):
@@ -159,35 +160,29 @@ def export_value(ann: Ty, v: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
         return Fold(translate_type(ann), inner)
     if isinstance(ann, (Arrow, StackArrow)):
         label = fresh("lexp")
-        heap[label] = ("box", _export_block(ann, v))
+        heap[label] = ("box", _export_block(ann), (_HOLE, v, None))
         return Loc(label)
     raise TranslationError("ill-typed", "value cannot cross at this type")
 
 
-# The term variable a wrapper's body applies, bound by its scope to its value.
+# The term variable a wrapper's body applies, bound by its cell's scope
+# to the exported value.
 _HOLE = "exported"
 
 
-def _export_block(ann: Ty, v: Tm) -> CodeBlock:
-    """Build the code block that lets target code call an exported function.
+@lru_cache(maxsize=MEMO_SIZE)
+def _export_block(ann: Ty) -> CodeBlock:
+    """The code block that lets target code call a function exported at
+    ``ann``, built once per annotation.
 
     Layout on entry matches the translated type: arguments with the last
     on top, then any visible prefix, then the caller's abstract tail.  The
     body stashes the return address below the visible slots, imports the
     applied function with one shim per argument (the last shim frees the
     argument slots), then restores the return address and returns.  The
-    body, shared at ``ann``, applies ``_HOLE``, which the block's scope
-    binds to ``v``.
+    applied function is ``_HOLE``, which the scope of the block's cell
+    binds to the exported value.
     """
-    code, body = _export_parts(ann)
-    return CodeBlock(code.binders, code.chi, code.sigma, code.q, body,
-                     (_HOLE, v, None))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _export_parts(ann: Ty) -> tuple:
-    """What every block exported at ``ann`` shares: its code type, and
-    its body with ``_HOLE`` for the applied function."""
     params, phi_in, phi_out, ret_ty = arrow_parts(ann)
     n = len(params)
     m = len(phi_in)
@@ -223,7 +218,8 @@ def _export_parts(ann: Ty) -> tuple:
         instrs.append(Sld("r2", j))
         instrs.append(Sst(j + 1, "r2"))
     instrs.append(Sfree(1))
-    return code, seq_of(instrs, Ret("ra", "r1"))
+    return CodeBlock(code.binders, code.chi, code.sigma, code.q,
+                     seq_of(instrs, Ret("ra", "r1")))
 
 
 def import_value(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
@@ -242,7 +238,7 @@ def import_value(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
         if w.name not in heap:
             raise TranslationError("dangling-location",
                                    f"location {w.name} is not allocated")
-        nu, payload = heap[w.name]
+        nu, payload, _ = heap[w.name]
         if nu != "box" or not isinstance(payload, list):
             raise TranslationError("ill-typed",
                                    "expected an immutable tuple location")
@@ -275,7 +271,7 @@ def _import_lambda(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Lam:
     taken = frozenset(n for n in names if n.split("#", 1)[0] in ("z", "zi"))
     before, z, end_block, q, lam_params, stack_ann = _import_parts(ann, taken)
     end_label = fresh("lend")
-    heap[end_label] = ("box", end_block)
+    heap[end_label] = ("box", end_block, None)
     body = seq_of(before, Seq(Mv("ra", Inst(Loc(end_label), z)), Call(w, z, q)))
     return Lam(lam_params, Boundary(ann.ret, Component(body, ())), stack_ann)
 

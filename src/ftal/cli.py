@@ -34,7 +34,6 @@ EXIT_OK = 0
 EXIT_TYPE = 1
 EXIT_PARSE = 2
 EXIT_STUCK = 3
-EXIT_DISTINGUISHED = 4
 EXIT_INCONCLUSIVE = 5
 EXIT_RESOURCE = 6
 

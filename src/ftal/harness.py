@@ -356,6 +356,11 @@ def _fork_share(share: list, rest: int, fuel: int) -> tuple[int, int]:
     return pid, r
 
 
+# The exit code of ``ftal eq`` for each verdict.
+VERDICT_EXIT = {"consistent-equivalent": 0, "distinguished": 4,
+                "inconclusive": 5}
+
+
 def run_job(job: EquivJob) -> dict:
     """Probe both programs on every input and report a verdict.
 
@@ -406,13 +411,13 @@ def run_job(job: EquivJob) -> dict:
         rows.append({"input": n, "left": lo.render(), "right": ro.render(),
                      "agree": agree})
     if witness_found:
-        verdict, code = "distinguished", 4
+        verdict = "distinguished"
     elif inconclusive:
-        verdict, code = "inconclusive", 5
+        verdict = "inconclusive"
     else:
-        verdict, code = "consistent-equivalent", 0
-    result = {"verdict": verdict, "exit_code": code, "rows": rows,
-              "left": str(job.left), "right": str(job.right),
+        verdict = "consistent-equivalent"
+    result = {"verdict": verdict, "exit_code": VERDICT_EXIT[verdict],
+              "rows": rows, "left": str(job.left), "right": str(job.right),
               "type": job.type_text, "fuel": job.fuel}
     if witness_found:
         result["witness"] = witness

@@ -53,14 +53,14 @@ a fresh label ``label#k`` per binding from a machine-owned counter, in
 declaration order, so repeated entry into one boundary cannot collide
 and runs are reproducible.  An instance is the checked component's own
 code and a term environment that binds ``_LABELS`` to its label map
-``{label: Loc(label#k)}`` over the boundary's.  Each heap cell of an
-instance holds the shared block with that environment as its scope
-(``CodeBlock.scope``), and a tuple binding's words resolved through the
-map.  The body and every block of the instance run under it, and an
-operand written in the code that names a label (a ``Loc``, or an
-``Inst``, ``Pack`` or ``Fold`` of one) is resolved through the map in
-scope when it is read, so every word in a register, on the stack or in
-the heap names the instance's label.  An ``import``'s source term runs
+``{label: Loc(label#k)}`` over the boundary's.  A heap cell is a triple
+(nu, payload, scope): an instance's code cell holds the checked block
+itself with that environment as its scope, and a tuple cell its words
+resolved through the map.  The body and every block of the instance
+run under it, and an operand written in the code that names a label (a
+``Loc``, or an ``Inst``, ``Pack`` or ``Fold`` of one) is resolved
+through the map in scope when it is read, so every word in a register,
+on the stack or in the heap names the instance's label.  An ``import``'s source term runs
 under its code's scope, so a closure made there keeps the map, and a
 component nested there may name the labels of the one around it, since
 the checker checks it under the outer heap typing: its instance maps
@@ -78,12 +78,11 @@ loop or a repeated call substitutes nothing after its first entry.
 ``unpack`` closes the rest of its sequence the same way, by its type
 variable and witness.  So the code in focus is closed, an instruction
 reads its operands as they are but for labels, and every word in a
-register, on the stack or in the heap is closed.  An exported
-wrapper is a fresh block for each crossing, but its body, shared by
-every wrapper at its annotation, applies a term variable that the
-block's own scope binds to the exported value.  Entering a block closes
-its body and switches to its scope, if it has one: its instance's, or
-its wrapper's, which the wrapper's ``import`` reads.
+register, on the stack or in the heap is closed.  Every wrapper
+exported at one annotation is one block, whose body applies a term
+variable that its cell's scope binds to the exported value.  Entering a
+block closes its body and switches to its cell's scope, if it has one:
+its instance's, or its wrapper's, which the wrapper's ``import`` reads.
 
 A ``jmp`` or ``bnz`` resolves a word written in the code once and
 caches the closed body it reaches by the word's identity, if the jump
@@ -281,6 +280,7 @@ class FrSeq:
 
 @dataclass(slots=True)
 class FrBoundary:
+    # Has no return rule: target code leaves a boundary only by halting.
     ann: Ty
 
 
@@ -446,8 +446,8 @@ class Machine:
         fresh label, in declaration order, and the instance's scope binds
         ``_LABELS`` over ``scope`` to the map ``scope`` binds with each
         binding's label mapped to its fresh one.  A code binding's cell
-        holds the shared block with that scope, and a tuple's holds its
-        words resolved through the map; no code is walked."""
+        holds the checked block itself with that scope, and a tuple's
+        holds its words resolved through the map; no code is walked."""
         if comp.heap:
             outer = _lookup(scope, _LABELS)
             labels = dict(outer) if outer else {}
@@ -457,15 +457,14 @@ class Machine:
             for hb in comp.heap:
                 value = hb.value
                 if isinstance(value, CodeBlock):
-                    payload = CodeBlock(value.binders, value.chi, value.sigma,
-                                        value.q, value.body, scope)
+                    cell = (hb.nu, value, scope)
                 elif isinstance(value, TupleVal):
-                    payload = [_bound(w, labels) for w in value.items]
+                    cell = (hb.nu, [_bound(w, labels) for w in value.items], None)
                 else:
                     raise _Stuck(STUCK_TYPE_CONFUSION,
                                  f"heap binding {hb.label} is neither code "
                                  f"nor a tuple")
-                self.heap[labels[hb.label].name] = (hb.nu, payload)
+                self.heap[labels[hb.label].name] = cell
         self.scope = scope
         return comp.body
 
@@ -534,7 +533,7 @@ class Machine:
         entry = self.heap.get(word.name)
         if entry is None:
             raise _Stuck(STUCK_UNBOUND_LOCATION, word.name)
-        _, block = entry
+        _, block, scope = entry
         if not isinstance(block, CodeBlock):
             raise _Stuck(STUCK_TYPE_CONFUSION,
                          f"jump into the tuple {word.name}")
@@ -542,10 +541,10 @@ class Machine:
             raise _Stuck(STUCK_UNINSTANTIATED,
                          f"{word.name} wants {len(block.binders)} "
                          f"instantiations, got {len(omegas)}")
-        # A block runs under its instance's scope, or its wrapper's, which
-        # binds the exported value.
-        if block.scope is not None:
-            self.scope = block.scope
+        # A block runs under its cell's scope: its instance's, or an
+        # exported wrapper's, which binds the exported value.
+        if scope is not None:
+            self.scope = scope
         if not omegas:
             return block.body
         return self._instantiate(block.body, SPELLED, block.binders, omegas)
@@ -555,7 +554,7 @@ class Machine:
         """``body`` with ``binders`` substituted by ``omegas``, closed once
         per body and instantiation.  Each binder is of the kind ``kind``,
         or of the one its spelling gives if that is SPELLED.  Exported
-        wrappers at one annotation share their body, so a crossing closes
+        wrappers at one annotation are one block, so a crossing closes
         nothing after the first at its instantiation."""
         key = (id(body), kind, binders, *omegas)
         hit = self._closed.get(key)
@@ -750,7 +749,7 @@ def _cell(m, r: str, access: str):
 
 
 def _t_ld(m, ins):
-    _, payload = _cell(m, ins.rs, "load")
+    _, payload, _ = _cell(m, ins.rs, "load")
     if type(payload) is not list:
         raise _Stuck(STUCK_TYPE_CONFUSION, "load from code")
     if ins.idx >= len(payload):
@@ -759,7 +758,7 @@ def _t_ld(m, ins):
 
 
 def _t_st(m, ins):
-    nu, payload = _cell(m, ins.rd, "store")
+    nu, payload, _ = _cell(m, ins.rd, "store")
     if nu != "ref" or type(payload) is not list:
         raise _Stuck(STUCK_TYPE_CONFUSION, "store into an immutable binding")
     if ins.idx >= len(payload):
@@ -777,7 +776,7 @@ def _alloc(m, ins, nu: str, prefix: str):
     words.reverse()
     del stack[cut:]
     label = m._fresh(prefix)
-    m.heap[label] = (nu, words)
+    m.heap[label] = (nu, words, None)
     m._setreg(ins.rd, Loc(label))
 
 
@@ -1094,11 +1093,6 @@ def _r_seq(m, fr, v):
     return "seq", None
 
 
-def _r_boundary(m, fr, v):
-    # Target code returns to a boundary by halting, never with a value.
-    raise _Stuck(STUCK_TYPE_CONFUSION, "value under frame FrBoundary")
-
-
 def _r_import(m, fr, v):
     try:
         w = export_value(fr.ann, v, m.heap, m._fresh)
@@ -1114,7 +1108,7 @@ def _r_import(m, fr, v):
 RETURN_RULES = _Rules("value under frame ", {
     FrBinop: _r_binop, FrIf0: _r_if0, FrApp: _r_app, FrTuple: _r_tuple,
     FrProj: _r_proj, FrFold: _r_fold, FrUnfold: _r_unfold, FrLet: _r_let,
-    FrSeq: _r_seq, FrBoundary: _r_boundary, FrImport: _r_import,
+    FrSeq: _r_seq, FrImport: _r_import,
 })
 
 

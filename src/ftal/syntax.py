@@ -37,7 +37,7 @@ names keep their prefix so freshening preserves kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import count
 from operator import attrgetter
 from string import Formatter
@@ -569,12 +569,6 @@ class CodeBlock(Node):
     sigma: Stk
     q: Mk
     body: ISeq
-    # The term environment the block runs under: its component instance's,
-    # which binds the instance's label map (see ``machine``), or an
-    # exported wrapper's, which binds the variable its shared body applies
-    # to the exported value.  Equality, hashing, printing and ``SCHEMA``
-    # ignore it; a rebuilt block drops it.
-    scope: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -617,7 +611,7 @@ class Schema:
     ``children`` are the fields that hold syntax, each given as (field,
     shape), or as a bare field name for one node; every other field is a
     plain attribute (an operator, a register, an index) compared by
-    equality. A field that equality ignores is neither. ``binds`` is
+    equality. ``binds`` is
     (field, kind, scope): the field holding the bound names, their
     namespace, and the sibling fields they scope over (or TAIL). A
     sequence binds, over its tail, what its head binds over the rest of
@@ -632,7 +626,7 @@ class Schema:
         # Binds over siblings; labels are nominal, so only shadow.
         self.scoped = self.bfield is not None and not self.tail
         shapes = dict((c, NODE) if isinstance(c, str) else c for c in children)
-        names = [f.name for f in fields(cls) if f.compare]
+        names = [f.name for f in fields(cls)]
         # (field, shape or None for an attribute, in the binder's scope).
         self.fields = tuple((n, shapes.get(n), self.scoped and n in scope) for n in names)
         self.children = tuple(f for f in self.fields if f[1] is not None)

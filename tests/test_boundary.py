@@ -165,7 +165,7 @@ def reference_import_lambda(ann, w, heap, fresh):
     end_label = fresh("lend")
     heap[end_label] = ("box", S.CodeBlock(
         (zend,), S.make_chi([("r1", ret_plus)]), end_sigma,
-        S.MHalt(ret_plus, end_sigma), S.Halt(ret_plus, end_sigma, "r1")))
+        S.MHalt(ret_plus, end_sigma), S.Halt(ret_plus, end_sigma, "r1")), None)
     instrs.append(S.Mv("ra", S.Inst(S.Loc(end_label), S.SVar(z))))
     comp = S.Component(S.seq_of(instrs, S.Call(
         w, S.SVar(z), S.MHalt(ret_plus, S.stack_of(phi_out, S.SVar(z))))), ())
@@ -186,14 +186,14 @@ WORDS = (S.Loc("l#0"), S.Loc("z"), S.Loc("zi"),
 
 def exported_blocks(ann, v) -> list:
     """The blocks exporting v at ann allocates, each with the value its
-    scope binds substituted for the hole in its shared body."""
+    cell's scope binds substituted for the hole in its shared body."""
     heap, fresh = scratch()
     w = boundary.export_value(ann, v, heap, fresh)
     assert w == S.Loc("lexp#0")
     out = []
-    for _, block in heap.values():
-        assert block.scope == (boundary._HOLE, v, None)
-        assert block.body is boundary._export_parts(ann)[1]
+    for _, block, scope in heap.values():
+        assert scope == (boundary._HOLE, v, None)
+        assert block is boundary._export_block(ann)
         body = S.subst_terms(block.body, {boundary._HOLE: v})
         out.append(S.CodeBlock(block.binders, block.chi, block.sigma,
                                block.q, body))
@@ -310,7 +310,7 @@ def test_import_through_dangling_location_fails():
 
 def test_import_of_mutable_binding_at_tuple_type_fails():
     heap, fresh = scratch()
-    heap["cell#0"] = ("ref", [S.IntVal(1)])
+    heap["cell#0"] = ("ref", [S.IntVal(1)], None)
     with pytest.raises(TranslationError):
         boundary.import_value(parser.parse_type("<int>"),
                               S.Loc("cell#0"), heap, fresh)

@@ -1,10 +1,11 @@
 """Static checks on the package source, written with the standard
 library's ``ast`` alone: every import is used, every local variable
 that a function assigns is also read, every attribute that a class
-assigns on ``self`` is read somewhere in the repository, no module
-imports or reads a name that another ftal module keeps private, and no
-module-level function recurses but those listed in ``RECURSIVE``.  None
-in ``syntax.py`` does, so that every walk over syntax handles terms
+assigns on ``self`` and every name that a module binds at its top
+level is read somewhere in the repository, no module imports or reads
+a name that another ftal module keeps private, and no module-level
+function recurses but those listed in ``RECURSIVE``.  None in
+``syntax.py`` does, so that every walk over syntax handles terms
 deeper than Python's recursion limit."""
 
 import ast
@@ -112,6 +113,33 @@ def unread_attributes(tree, read) -> list:
     return out
 
 
+def module_names(tree) -> list:
+    """The names that ``tree`` binds at its top level, dunders aside:
+    its functions, classes and assigned names, each with its line."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.lineno, n.id) for target in targets for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return [(line, name) for line, name in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+@functools.cache
+def _names_read_anywhere() -> frozenset:
+    return frozenset().union(*(_loaded(tree) | attribute_reads(tree)
+                               for tree in map(_parse, READERS)))
+
+
+def unread_module_names(tree, read) -> list:
+    """Module-level names of ``tree`` that are not in ``read``."""
+    return [f"line {line}: {name}" for line, name in module_names(tree)
+            if name not in read]
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
@@ -186,6 +214,22 @@ def test_the_attribute_check_catches_what_it_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_attribute_is_assigned_and_never_read(path):
     assert unread_attributes(_parse(path), _read_anywhere()) == []
+
+
+def test_the_module_name_check_catches_what_it_names():
+    tree = ast.parse("import os\nA, (B, C) = 1, (2, 3)\nD: int = 4\n__all__ = []\n"
+                     "def f():\n    return A + g.B\n"
+                     "class K:\n    pass\n"
+                     "E = getattr(os, 'C')\nE[0] = D\n")
+    # A is read by name, B as an attribute, C by a string, D and E by
+    # their uses; f and K never are, and dunders and imports are skipped.
+    assert unread_module_names(tree, _loaded(tree) | attribute_reads(tree)) == [
+        "line 5: f", "line 7: K"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_level_name_is_bound_and_never_read(path):
+    assert unread_module_names(_parse(path), _names_read_anywhere()) == []
 
 
 def test_the_private_name_check_catches_what_it_names():

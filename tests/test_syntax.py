@@ -200,6 +200,15 @@ def test_every_node_class_has_one_schema_entry():
             assert scope == S.TAIL or set(scope) <= names, cls
 
 
+def test_every_field_of_a_node_is_syntax_compared_by_equality():
+    # A node holds syntax only: run-time state kept on one would have to
+    # hide from equality, and every walk would drop it when rebuilding.
+    for cls, schema in S.SCHEMA.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert all(f.compare for f in dataclasses.fields(cls)), cls
+        assert [name for name, _, _ in schema.fields] == names, cls
+
+
 def test_substitute_renames_term_and_label_namespaces():
     term = S.Lam((("x", S.TyInt()),), S.App(S.Var("y"), (S.Var("x"),)))
     got = S.substitute(term, {(S.KIND_TERM, "y"): S.Var("x")})
