@@ -397,28 +397,22 @@ def run_job(job: EquivJob) -> dict:
          else (apply_to_input(left, n), apply_to_input(right, n))
          for n in probes], job.fuel)
     rows = []
-    witness = None
-    witness_found = False
-    inconclusive = False
+    distinguishing = []  # the inputs of the rows that distinguish the sides
     for n, (lo, ro) in zip(probes, observed):
         agree = observations_agree(lo, ro, job.compare_stack)
-        if not agree:
-            if "stuck" in (lo.kind, ro.kind) or lo.kind == ro.kind:
-                if not witness_found:
-                    witness, witness_found = n, True
-            else:
-                inconclusive = True
+        if not agree and ("stuck" in (lo.kind, ro.kind) or lo.kind == ro.kind):
+            distinguishing.append(n)
         rows.append({"input": n, "left": lo.render(), "right": ro.render(),
                      "agree": agree})
-    if witness_found:
+    if distinguishing:
         verdict = "distinguished"
-    elif inconclusive:
-        verdict = "inconclusive"
-    else:
+    elif all(row["agree"] for row in rows):
         verdict = "consistent-equivalent"
+    else:
+        verdict = "inconclusive"
     result = {"verdict": verdict, "exit_code": VERDICT_EXIT[verdict],
               "rows": rows, "left": str(job.left), "right": str(job.right),
               "type": job.type_text, "fuel": job.fuel}
-    if witness_found:
-        result["witness"] = witness
+    if distinguishing:
+        result["witness"] = distinguishing[0]
     return result

@@ -33,9 +33,10 @@ its one return rule pushes the same frame back until the last returns.
 The frames that later evaluate a subterm (``FrBinop``, ``FrIf0``,
 ``FrApp``, ``FrTuple``, ``FrLet`` and ``FrSeq``) keep the environment it
 needs; ``FrBinop`` drops its right operand and environment once it
-resumes it, keeping only the left value.  Only the final
-``f-value`` is read back to a closed term, by substituting the bindings
-free in each lambda; an exported value crosses as it is.
+resumes it, keeping only the left value.  Only the final ``f-value`` is
+read back to a closed term, by substituting the bindings free in each
+lambda; an exported value crosses as it is, and an imported lambda is a
+closure with no scope.
 
 A component crossing a boundary is not closed over the term environment:
 its instance runs under the boundary's, which each ``import`` resumes
@@ -57,11 +58,13 @@ code and a term environment that binds ``_LABELS`` to its label map
 (nu, payload, scope): an instance's code cell holds the checked block
 itself with that environment as its scope, and a tuple cell its words
 resolved through the map.  The body and every block of the instance
-run under it, and an operand written in the code that names a label (a
-``Loc``, or an ``Inst``, ``Pack`` or ``Fold`` of one) is resolved
-through the map in scope when it is read, so every word in a register,
-on the stack or in the heap names the instance's label.  An ``import``'s source term runs
-under its code's scope, so a closure made there keeps the map, and a
+run under it.  An operand is read as TAL's register-file application
+R-hat reads it: the register or label at its core (bare, or under any
+``Inst``, ``Pack`` or ``Fold``) is replaced by the word the register
+holds or the map in scope binds the label to.  So a word in a register,
+on the stack or in the heap names no register, and names the instance's
+label, not the one written in its code.  An ``import``'s source term
+runs under its code's scope, so a closure made there keeps the map, and a
 component nested there may name the labels of the one around it, since
 the checker checks it under the outer heap typing: its instance maps
 the outer labels as the outer instance does and its own labels afresh.
@@ -76,13 +79,15 @@ body, as in the semantics, but a block is closed once per instantiation:
 one table maps a body and (binders, *omegas) to the closed body, so a
 loop or a repeated call substitutes nothing after its first entry.
 ``unpack`` closes the rest of its sequence the same way, by its type
-variable and witness.  So the code in focus is closed, an instruction
-reads its operands as they are but for labels, and every word in a
-register, on the stack or in the heap is closed.  Every wrapper
-exported at one annotation is one block, whose body applies a term
-variable that its cell's scope binds to the exported value.  Entering a
-block closes its body and switches to its cell's scope, if it has one:
-its instance's, or its wrapper's, which the wrapper's ``import`` reads.
+variable and witness.  So the code in focus is closed, and so is every
+word in a register, on the stack or in the heap, but for the stack
+variable a ``protect`` binds: no rule substitutes it, so the code after
+it, and a word read there, may name it free (``jit.ftal`` runs
+``mv ra, lend#3[z]``).  Every wrapper exported at one annotation is
+one block, whose body applies a term variable that its cell's scope
+binds to the exported value.  Entering a block closes its body and
+switches to its cell's scope, if it has one: its instance's, or its
+wrapper's, which the wrapper's ``import`` reads.
 
 A ``jmp`` or ``bnz`` resolves a word written in the code once and
 caches the closed body it reaches by the word's identity, if the jump
@@ -91,13 +96,14 @@ instance shares the code and its blocks, so in each the word reaches
 the same closed body.  A word that reaches another instance's block
 (from a nested component to the one around it) switches scope, and is
 resolved each time.  An operand naming a label is resolved once per
-node and map.  A word read from a register (``ret r``, ``jmp r``,
-``bnz r, r``) is resolved each time, since each crossing makes a fresh
-return address.  A ``call`` adds its continuation's omegas, so it looks
-its block's body up closed under (label, *omegas) instead.  So neither a
-crossing nor the entry into a component adds an entry to any cache.
-Types, stacks and markers keep their hash (see ``syntax.TypeLevel``), so
-such a lookup hashes no type tree after the first.
+node and map.  An operand that reads a register (``ret r``, ``jmp r``,
+``bnz r, r[int]``) is resolved each time, since each crossing makes a
+fresh return address, and no cache keeps its word.  A ``call`` adds its
+continuation's omegas, so it looks its block's body up closed under
+(label, *omegas) instead.  So neither a crossing nor the entry into a
+component adds an entry to any cache.  Types, stacks and markers keep
+their hash (see ``syntax.TypeLevel``), so such a lookup hashes no type
+tree after the first.
 
 A step returns a record with its number, language, jump kind and stack
 depth.  The rest of a JSON-ready trace record, the redex text and the
@@ -237,7 +243,7 @@ class FrIf0:
 
 @dataclass(slots=True)
 class FrApp:
-    fn: _Clo | Lam | None  # the function's value, once it has returned
+    fn: _Clo | None  # the function's value, once it has returned
     args: tuple
     done: list  # values of args[:len(done)]
     scope: tuple | None
@@ -341,19 +347,28 @@ def _value(e, scope: tuple | None):
     return None
 
 
-def _bound(word, labels: dict):
-    """``word`` as read by code whose label map is ``labels``: the label
-    at its core (under any ``Inst``, ``Pack`` or ``Fold``) replaced by the
-    word ``labels`` binds it to, if any."""
+def _shells(word):
+    """The ``Inst``, ``Pack`` and ``Fold`` shells around ``word``'s core,
+    outermost first, and the core."""
     shells = []
     core, t = word, type(word)
     while t is Inst or t is Pack or t is Fold:
         shells.append(core)
         core = core.e if t is Fold else core.val
         t = type(core)
-    new = labels.get(core.name) if t is Loc else None
-    if new is None:
-        return word
+    return shells, core
+
+
+def _bound(word, labels: dict):
+    """``word`` as read by code whose label map is ``labels``: the label
+    at its core replaced by the word ``labels`` binds it to, if any."""
+    shells, core = _shells(word)
+    new = labels.get(core.name) if type(core) is Loc else None
+    return word if new is None else _rewrap(shells, new)
+
+
+def _rewrap(shells: list, new):
+    """The word ``new`` inside ``shells``, as ``_shells`` lists them."""
     for shell in reversed(shells):
         t = type(shell)
         if t is Inst:
@@ -484,20 +499,27 @@ class Machine:
         return tuple(reversed(self.stack))
 
     def _resolve(self, u: Tm):
-        """A word for an instruction operand.  One written in the code is
-        resolved through the label map in scope, once per map: the cache
-        keeps one word per node, replaced under another instance's map."""
+        """A word for an instruction operand, read as R-hat reads it: the
+        register at its core (under any ``Inst``, ``Pack`` or ``Fold``),
+        if any, is read and the shells rebuilt around its word.  A label
+        at its core is resolved through the label map in scope, once per
+        map: the cache keeps one word per node, replaced under another
+        instance's map, and never a word that reads a register."""
         t = type(u)
         if t is Reg:
             return self._getreg(u.name)
         if t is IntVal:
             return u
         labels = _lookup(self.scope, _LABELS)
+        hit = self._words.get(id(u))
+        if hit is not None and hit[1] is labels:
+            return hit[2]
+        shells, core = _shells(u)
+        if type(core) is Reg:
+            return _rewrap(shells, self._getreg(core.name))
         if labels is None:
             return u
-        hit = self._words.get(id(u))
-        if hit is None or hit[1] is not labels:
-            hit = self._words[id(u)] = (u, labels, _bound(u, labels))
+        hit = self._words[id(u)] = (u, labels, _bound(u, labels))
         return hit[2]
 
     def _jump(self, u: Tm) -> ISeq:
@@ -505,17 +527,18 @@ class Machine:
         closed body.  A word written in the code is resolved once if it
         reaches a block of the instance in focus: every instance shares
         the code and its blocks, so the word reaches the same closed body
-        in each, and the scope stays.  A register's word is
-        resolved each time, since it may have been made by one crossing
-        and never seen again."""
+        in each, and the scope stays.  An operand that reads a register
+        is resolved each time, since the register's word may have been
+        made by one crossing and never seen again."""
         if type(u) is Reg:
             return self._target(self._getreg(u.name), ())
         hit = self._targets.get(id(u))
         if hit is None:
             scope = self.scope
             body = self._target(self._resolve(u), ())
-            if self.scope is not scope:
-                # Another instance's block: its scope is read from its cell.
+            if self.scope is not scope or type(_shells(u)[1]) is Reg:
+                # Another instance's block, whose scope is read from its
+                # cell, or a register's word: resolved each time.
                 return body
             hit = self._targets[id(u)] = (u, body)
         return hit[1]
@@ -586,7 +609,7 @@ class Machine:
         hit = self._texts[id(node)] = (node, _redex_text(node, labels), labels)
         return hit[1]
 
-    def _resume(self, e: Tm, scope: tuple | None) -> None:
+    def _resume(self, e: Tm | ISeq, scope: tuple | None) -> None:
         """Evaluate ``e`` under ``scope`` next."""
         self.focus = e
         self.scope = scope
@@ -878,8 +901,7 @@ def _t_halt(m, ins):
         reason = (STUCK_UNBOUND_LOCATION if t.kind == "dangling-location"
                   else STUCK_TYPE_CONFUSION)
         raise _Stuck(reason, t.message)
-    m.focus = v
-    m.returning = True
+    _give(m, _value(v, None))
     return "halt"
 
 
@@ -1027,7 +1049,7 @@ def _r_if0(m, fr, v):
 def _r_app(m, fr, v):
     done = fr.done
     if fr.fn is None:
-        if type(v) is not _Clo and type(v) is not Lam:
+        if type(v) is not _Clo:
             raise _Stuck(STUCK_TYPE_CONFUSION, "application of a non-function")
         fr.fn = v
     else:
@@ -1039,9 +1061,8 @@ def _r_app(m, fr, v):
     return _beta(m, fr.fn, done)
 
 
-def _beta(m, fn, args: list):
-    # A lambda imported from target code is closed; it has no scope.
-    lam, scope = (fn.lam, fn.scope) if type(fn) is _Clo else (fn, None)
+def _beta(m, fn: _Clo, args: list):
+    lam, scope = fn.lam, fn.scope
     if len(args) != len(lam.params):
         raise _Stuck(STUCK_TYPE_CONFUSION,
                      f"{len(lam.params)} parameters, {len(args)} arguments")
@@ -1099,9 +1120,7 @@ def _r_import(m, fr, v):
     except TranslationError as t:
         raise _Stuck(STUCK_TYPE_CONFUSION, t.message)
     m._setreg(fr.rd, w)
-    m.focus = fr.rest
-    m.scope = fr.scope
-    m.returning = False
+    m._resume(fr.rest, fr.scope)
     return "export", "boundary"
 
 

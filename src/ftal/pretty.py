@@ -242,10 +242,6 @@ def word_str(w) -> str:
         return f"fold({word_str(w.e)})"
     if isinstance(w, Pack):
         return f"pack({word_str(w.val)})"
-    if isinstance(w, Lam):
-        return "<fun>"
-    if isinstance(w, TupleVal):
-        return "(..)"
     return "<value>"
 
 

@@ -399,17 +399,22 @@ def _check_target(psi, delta, chi, sigma, q, tau, u, what: str) -> Mk:
             raise _err("E-SEQ",
                        f"{what} marker {pretty.mk(c.q)} cannot be adopted "
                        "at a halting position")
-        if tau is not None and not alpha_equal(tau, c.q.tau):
-            raise _err("E-SEQ",
-                       f"{what} halts at {pretty.ty(c.q.tau)}, "
-                       f"expected {pretty.ty(tau)}")
-        q = c.q
+        q = _adopt(tau, c.q, what + " halts at {}, expected {}")
     elif not alpha_equal(q, c.q):
         raise _err("E-SEQ",
                    f"{what} expects marker {pretty.mk(c.q)}, "
                    f"current is {pretty.mk(q)}")
     if not regfile_subtype(chi, dict(c.chi)):
         raise _err("E-SEQ", f"registers do not satisfy the {what}")
+    return q
+
+
+def _adopt(tau, q: MHalt, mismatch: str) -> MHalt:
+    """The halting marker q, adopted at a halting position that must halt
+    at tau, unless tau is None; mismatch formats the error with q's type
+    and tau."""
+    if tau is not None and not alpha_equal(tau, q.tau):
+        raise _err("E-SEQ", mismatch.format(pretty.ty(q.tau), pretty.ty(tau)))
     return q
 
 
@@ -639,11 +644,8 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                        f"halt register holds {pretty.ty(tv)}, the annotation "
                        f"says {pretty.ty(iseq.ann)}")
         if q is None:
-            if tau is not None and not alpha_equal(tau, iseq.ann):
-                raise _err("E-SEQ",
-                           f"halt at {pretty.ty(iseq.ann)}, the boundary "
-                           f"expects {pretty.ty(tau)}")
-            return MHalt(iseq.ann, iseq.sigma)
+            return _adopt(tau, MHalt(iseq.ann, iseq.sigma),
+                          "halt at {}, the boundary expects {}")
         if isinstance(q, MHalt):
             if not alpha_equal(q.tau, iseq.ann) or \
                     not alpha_equal(q.sigma, iseq.sigma):
@@ -707,11 +709,7 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q, tau,
             raise _err("E-SEQ",
                        "call at a halting position must return a halting "
                        "marker")
-        if tau is not None and not alpha_equal(tau, call.qret.tau):
-            raise _err("E-SEQ",
-                       f"call returns {pretty.ty(call.qret.tau)}, the "
-                       f"boundary expects {pretty.ty(tau)}")
-        q = call.qret
+        q = _adopt(tau, call.qret, "call returns {}, the boundary expects {}")
     elif isinstance(q, MHalt):
         if not (isinstance(call.qret, MHalt)
                 and alpha_equal(q, call.qret)):

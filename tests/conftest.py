@@ -91,14 +91,23 @@ var_names = st.sampled_from(("x", "y", "w", "v"))
 # word written inside another may need parentheses.
 OMEGAS = (S.TyInt(), S.TVar("a"), S.SNil(), S.SVar("z"), S.SCons(S.TyInt(), S.SNil()),
           S.MEps("eps"), S.MIdx(1), S.MReg("ra"))
+PACKED = S.Exists("a", S.TVar("a"))
+FOLDS = (S.Mu("a", S.TyInt()), S.Mu("a", S.TVar("a")))
 words = st.recursive(
     st.one_of(st.sampled_from((S.Reg("r1"), S.Reg("ra"), S.Loc("l"), S.UnitVal())),
               st.integers(-3, 3).map(S.IntVal)),
     lambda inner: st.one_of(
         st.builds(S.Inst, inner, st.sampled_from(OMEGAS)),
-        st.builds(S.Pack, st.just(S.TyInt()), inner, st.just(S.Exists("a", S.TVar("a")))),
-        st.builds(S.Fold, st.sampled_from((S.Mu("a", S.TyInt()), S.Mu("a", S.TVar("a")))), inner),
+        st.builds(S.Pack, st.just(S.TyInt()), inner, st.just(PACKED)),
+        st.builds(S.Fold, st.sampled_from(FOLDS), inner),
     ), max_leaves=5)
+
+
+def word_shells(w) -> list:
+    """Every instantiation, pack and fold of ``w`` that ``words`` draws."""
+    return [*(S.Inst(w, om) for om in OMEGAS), S.Pack(S.TyInt(), w, PACKED),
+            *(S.Fold(mu, w) for mu in FOLDS)]
+
 
 # Small source terms; variables may be free (the parser does not scope).
 # A boundary moves a word into r1 and imports a source term into r2.

@@ -10,6 +10,8 @@ them.
 # A reusable continuation shape: a block expecting an int in r1 on a
 # caller-supplied stack tail.
 _CONT = "box code[]{r1: int; z} eps"
+# A polymorphic block that halts with the int in r1.
+_POLY = "code[a]{r1: int; *} ret(int, *)"
 
 REJECTED = (
     # (name, expected error code, message fragment, program source)
@@ -502,4 +504,91 @@ ACCEPTED = (
     halt[int, *] r1
 )
 """),
+    # Operands that read a register under an instantiation, a pack or a
+    # fold; OPERAND_VALUES gives the value each halts with.
+    ("jmp_through_instantiated_register",
+     f"""entry T
+(
+  mv r1, 5;
+  mv r3, lk;
+  jmp r3[int]
+, where
+  lk -> {_POLY}.
+    halt[int, *] r1
 )
+"""),
+    ("mv_of_instantiated_register",
+     f"""entry T
+(
+  mv r1, 5;
+  mv r3, lk;
+  mv r4, r3[int];
+  jmp r4
+, where
+  lk -> {_POLY}.
+    halt[int, *] r1
+)
+"""),
+    ("bnz_through_instantiated_register",
+     f"""entry T
+(
+  mv r1, 5;
+  mv r3, lk;
+  bnz r1, r3[int];
+  halt[int, *] r1
+, where
+  lk -> {_POLY}.
+    add r1, r1, 1;
+    halt[int, *] r1
+)
+"""),
+    ("pack_of_register",
+     """entry T
+(
+  mv r1, 5;
+  mv r2, pack <int, r1> as exists a. int;
+  unpack <b, r3> r2;
+  add r4, r3, 1;
+  halt[int, *] r4
+)
+"""),
+    ("fold_of_register",
+     """entry T
+(
+  mv r1, 5;
+  mv r2, fold (mu a. int) r1;
+  mv r1, 9;
+  unfold r3, r2;
+  halt[int, *] r3
+)
+"""),
+    # One jmp r3[int] node is reached twice, with r3 naming another block
+    # each time: a cache keyed by the node would jump to la again.
+    ("jmp_through_instantiated_register_twice",
+     f"""entry T
+(
+  mv r1, 0;
+  mv r3, la;
+  jmp lj
+, where
+  lj -> code[]{{r1: int, r3: box {_POLY}; *}} ret(int, *).
+    jmp r3[int],
+  la -> {_POLY}.
+    mv r3, lb;
+    add r1, r1, 1;
+    jmp lj,
+  lb -> {_POLY}.
+    add r1, r1, 10;
+    halt[int, *] r1
+)
+"""),
+)
+
+OPERAND_VALUES = {
+    "jmp_through_instantiated_register": 5,
+    "mv_of_instantiated_register": 5,
+    "bnz_through_instantiated_register": 6,
+    "pack_of_register": 6,
+    "fold_of_register": 5,
+    "jmp_through_instantiated_register_twice": 11,
+}

@@ -297,7 +297,18 @@ class Machine:
         return self.regs[r]
 
     def _resolve(self, u):
-        return self._getreg(u.name) if isinstance(u, S.Reg) else u
+        """The word the operand u denotes, as TAL's R-hat reads it: the
+        register at its core, bare or under any Inst, Pack or Fold, is
+        read and the shells are rebuilt around its word."""
+        if isinstance(u, S.Reg):
+            return self._getreg(u.name)
+        if isinstance(u, S.Inst):
+            return S.Inst(self._resolve(u.val), u.omega)
+        if isinstance(u, S.Pack):
+            return S.Pack(u.wit, self._resolve(u.val), u.ann)
+        if isinstance(u, S.Fold):
+            return S.Fold(u.ann, self._resolve(u.e))
+        return u
 
     def _jump(self, word, extra=()) -> S.ISeq:
         """The body of the block word names, with its instantiations (and

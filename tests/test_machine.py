@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FTAL, corpus_text
+from conftest import ALL_FTAL, corpus_text, word_shells
 from ftal import boundary, machine, parser, pretty, registry
 from ftal import syntax as S
 from ftal.boundary import export_value, translate_type
 from ftal.errors import CheckError
-from ftal.typecheck import check_program
+from ftal.typecheck import check_program, check_small_value
 
 FUEL = 100000
 
@@ -1157,6 +1157,61 @@ def test_a_loop_resolves_its_jump_word_once():
     assert out.steps == 2004
     # lloop[unit] from the entry, and lloop[a] closed under a := unit.
     assert m.heap.gets == 2
+
+
+# R-hat keeps an operand's type.  The registers hold a closed word over a
+# polymorphic code label, and an operand is a register, the label or an
+# int under at most two of the shells ``words`` draws, every one of them;
+# a ``mv`` must read each operand that types to a word of its type.
+POLY_BLOCK = """entry T
+(
+  halt[int, *] r1
+, where
+  l -> code[a, z]{r1: a; z} ret(a, z).
+    halt[a, z] r1
+)
+"""
+
+
+def shallow_words(leaves) -> list:
+    """``leaves`` under no, one and two shells, in every way."""
+    once = [shell for w in leaves for shell in word_shells(w)]
+    return [*leaves, *once, *(shell for w in once for shell in word_shells(w))]
+
+
+def test_reading_an_operand_keeps_its_type():
+    comp = parser.parse_program(POLY_BLOCK).main
+    [hb] = comp.heap
+    block = hb.value
+    psi = {"l": (hb.nu, S.CodeT(block.binders, block.chi, block.sigma, block.q))}
+    held = []
+    for w in shallow_words((S.Loc("l"), S.IntVal(3), S.UnitVal())):
+        try:
+            held.append((w, check_small_value(psi, (), {}, w)))
+        except CheckError:
+            pass
+    operands = shallow_words((S.Reg("r1"), S.Reg("ra"), S.Loc("l"), S.IntVal(2)))
+    shelled = set()  # the outer shells of typed operands that read a register
+    for w, t in held:
+        for u in operands:
+            try:
+                want = check_small_value(psi, (), {"r1": t, "ra": t}, u)
+            except CheckError:
+                continue
+            halt = S.Halt(S.TyInt(), S.SNil(), "r9")
+            m = machine.Machine(S.Program("T", S.Component(S.Seq(S.Mv("r9", u), halt),
+                                                           comp.heap)))
+            [label] = m.heap
+            m.regs["r1"] = m.regs["ra"] = S.rename_locations(w, {"l": label})
+            m.step()
+            got = check_small_value({label: psi["l"]}, (), {}, m.regs["r9"])
+            assert S.alpha_equal(got, want), (u, w)
+            core = u
+            while type(core) in (S.Inst, S.Pack, S.Fold):
+                core = core.e if type(core) is S.Fold else core.val
+            if type(core) is S.Reg and core is not u:
+                shelled.add(type(u))
+    assert shelled == {S.Inst, S.Pack, S.Fold}
 
 
 @pytest.mark.parametrize("name, inputs", [

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 import reference_machine
 from conftest import ALL_FTAL, corpus_text
+from mutations import ACCEPTED, OPERAND_VALUES
 from ftal import machine, parser
 from ftal import syntax as S
 from ftal.errors import CheckError
@@ -164,6 +165,17 @@ def test_t_programs_step_as_the_reference_does(text):
 def test_f_forms_step_as_the_reference_does(text):
     assert_agree(parser.parse_program(text), machine.DEFAULT_FUEL)
 
+
+
+@pytest.mark.parametrize("name", OPERAND_VALUES)
+def test_an_operand_reads_the_register_under_its_shells(name):
+    # R-hat reads a register under an instantiation, a pack or a fold, so
+    # each program halts with its value on both machines.
+    prog = parser.parse_program(dict(ACCEPTED)[name])
+    check_program(prog)
+    out = machine.run_program(prog, machine.DEFAULT_FUEL)
+    assert (out.kind, out.value) == ("halted", S.IntVal(OPERAND_VALUES[name]))
+    assert_agree(prog, machine.DEFAULT_FUEL)
 
 
 @pytest.mark.parametrize("name", STUCK_PROGRAMS)
