@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import harness, machine, parser, pretty, registry
-from .errors import CheckError, FtalError, JobError, ProbeError
+from .errors import CheckError, JobError, ProbeError
 from .parser import ParseError
 from .syntax import Program
 from .typecheck import check_program
@@ -301,8 +301,6 @@ def _dispatch(argv) -> int:
         return _fail(args, "parse", f"bad job file: {e}", EXIT_PARSE)
     except ProbeError as e:
         return _fail(args, "resource", str(e), EXIT_RESOURCE)
-    except FtalError as e:
-        return _fail(args, "type", str(e), EXIT_TYPE)
     except OSError as e:
         return _fail(args, "io", str(e), EXIT_PARSE)
     except RecursionError:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from .syntax import (
     T_SYNTAX, TM_SYNTAX, TY_SYNTAX, App, Binop, Boundary, CodeBlock, CodeT,
     Component, Fold, HeapBinding, If0, Inst, Instr, IntVal, ISeq, Lam, Let,
-    Loc, Mk, Node, Pack, Program, Reg, Seq, SeqE, SNil, Stk, SVar, Tm,
-    TupleVal, Ty, UnitVal, Var, stack_parts, template_parts,
+    Loc, Mk, Node, Pack, Program, Reg, Seq, SeqE, SNil, Stk, Tm, TupleVal,
+    Ty, UnitVal, Var, stack_parts, template_parts,
 )
 
 
@@ -49,13 +49,7 @@ def phi(prefix) -> str:
 
 def stk(s: Stk) -> str:
     prefix, tail = stack_parts(s)
-    match tail:
-        case SNil():
-            end = "*"
-        case SVar(name):
-            end = name
-        case _:
-            raise TypeError(f"not a stack: {s!r}")
+    end = "*" if isinstance(tail, SNil) else tail.name
     return " :: ".join([*map(ty, prefix), end])
 
 
@@ -68,9 +62,7 @@ def omega(w: Node) -> str:
         return ty(w)
     if isinstance(w, Stk):
         return stk(w)
-    if isinstance(w, Mk):
-        return mk(w)
-    raise TypeError(f"not an instantiation argument: {w!r}")
+    return mk(w)
 
 
 def _bare(*classes):
@@ -153,9 +145,7 @@ def binding_lines(hb: HeapBinding, ind: int) -> list[str]:
         # The header is the block's code type: CodeBlock has its fields.
         head = f"{pad}{hb.label} -> {_fill(v, _TYPES, 'a code type', CodeT)}."
         return [head] + iseq_lines(v.body, ind + 2)
-    if isinstance(v, TupleVal):
-        return [f"{pad}{hb.label} -> {hb.nu} <{_terms(v.items)}>"]
-    raise TypeError(f"bad heap value: {v!r}")
+    return [f"{pad}{hb.label} -> {hb.nu} <{_terms(v.items)}>"]
 
 
 def component(c: Component, ind: int = 0) -> str:

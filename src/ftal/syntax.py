@@ -213,7 +213,6 @@ def chi_get(chi: tuple[tuple[str, Ty], ...], reg: str) -> Ty | None:
     for r, t in chi:
         if r == reg:
             return t
-    return None
 
 
 def arrow_parts(t: Ty) -> tuple[list, list, list, Ty]:

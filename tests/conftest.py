@@ -93,9 +93,10 @@ OMEGAS = (S.TyInt(), S.TVar("a"), S.SNil(), S.SVar("z"), S.SCons(S.TyInt(), S.SN
           S.MEps("eps"), S.MIdx(1), S.MReg("ra"))
 PACKED = S.Exists("a", S.TVar("a"))
 FOLDS = (S.Mu("a", S.TyInt()), S.Mu("a", S.TVar("a")))
+# The leaves of ``words`` other than its integers.
+LEAVES = (S.Reg("r1"), S.Reg("ra"), S.Loc("l"), S.UnitVal())
 words = st.recursive(
-    st.one_of(st.sampled_from((S.Reg("r1"), S.Reg("ra"), S.Loc("l"), S.UnitVal())),
-              st.integers(-3, 3).map(S.IntVal)),
+    st.one_of(st.sampled_from(LEAVES), st.integers(-3, 3).map(S.IntVal)),
     lambda inner: st.one_of(
         st.builds(S.Inst, inner, st.sampled_from(OMEGAS)),
         st.builds(S.Pack, st.just(S.TyInt()), inner, st.just(PACKED)),

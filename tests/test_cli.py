@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand, every exit code, fuel
 resolution, and machine-readable output on all paths."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from conftest import ALL_FTAL, write_bare_job
-from ftal import cli, machine, registry
+from ftal import cli, harness, machine, parser, registry
 from ftal import syntax as S
 from ftal.parser import ParseError
 
@@ -185,6 +186,28 @@ def test_stuck_maps_to_exit_three():
     assert cli._outcome_exit(out) == 3
 
 
+def test_a_stuck_run_is_reported_in_full():
+    # run, trace and eq check first, so only a fault of the machine shows
+    # a stuck run through the CLI; its report must still be whole.
+    out = machine.run_program(parser.parse_program("entry F\npi.5 (1, 2)\n"), 100)
+    assert cli._outcome_payload(out) == {
+        "kind": "stuck", "steps": 2, "reason": "bad-index", "detail": "proj.5"}
+    assert cli._outcome_human(out) == "stuck after 2 steps: bad-index (proj.5)"
+    bare = machine.Outcome("stuck", reason="halt-outside-boundary", steps=3)
+    assert cli._outcome_human(bare) == "stuck after 3 steps: halt-outside-boundary"
+    row = harness.observe(out, 100).render()
+    assert row == {"kind": "stuck", "reason": "bad-index"}
+    assert cli._obs_str(row) == "stuck (bad-index)"
+
+
+def test_running_out_of_memory_exits_six(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "cmd_check", exhausted)
+    code, out, err = run_cli(capsys, ["check", corpus("jit")])
+    assert (code, out, err) == (6, "", "resource error: out of memory\n")
+
+
 def test_trace_streams_json_lines(capsys):
     code, out, err = run_cli(capsys, ["trace", corpus("call_to_call")])
     assert code == 0
@@ -284,6 +307,19 @@ def test_corpus_gate(capsys):
     code, out, _ = run_cli(capsys, ["corpus"])
     assert code == 0
     assert "all pass (21/21)" in out
+
+
+def test_corpus_gate_fails_on_a_program_that_disagrees_with_its_reference(
+        capsys, monkeypatch):
+    [entry] = [e for e in registry.PROGRAMS if e.name == "basic_blocks_f1"]
+    monkeypatch.setattr(registry, "PROGRAMS",
+                        (dataclasses.replace(entry, reference=lambda v: v + 3),))
+    monkeypatch.setattr(registry, "JOBS", ())
+    code, out, _ = run_cli(capsys, ["corpus"])
+    assert (code, out.splitlines()) == (1, [
+        "pass  check basic_blocks_f1  (int) -> int; *",
+        "FAIL  run   basic_blocks_f1  input 0: f-value",
+        "FAILURES (1/2)"])
 
 
 def test_corpus_json_payload(capsys):

@@ -8,6 +8,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -298,6 +299,31 @@ def test_a_run_raising_in_a_child_is_raised_by_the_parent(
     assert captured.err == ("resource error: program nested too deeply for "
                             "the interpreter's recursion limit\n")
     no_child_is_left()
+
+
+def test_a_run_raising_in_process_is_raised(monkeypatch, capsys):
+    monkeypatch.setattr(machine.Machine, "run",
+                        lambda m, fuel, trace=None: raise_recursion_error())
+    job_file = str(registry.job_path("identity_vs_succ"))
+    assert cli.main(["eq", job_file]) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err == ("resource error: program nested too deeply "
+                                       "for the interpreter's recursion limit\n")
+
+
+def test_probes_are_not_forked_beside_a_thread_or_without_cpu_affinity(monkeypatch):
+    # A forked child would not have the other thread; a host with no
+    # sched_getaffinity cannot tell which CPUs it may use.
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        assert harness.usable_cpus() == 1
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    assert harness.usable_cpus() == 1
 
 
 def test_a_child_ending_without_a_result_exits_six(

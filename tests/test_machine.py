@@ -15,7 +15,7 @@ from conftest import ALL_FTAL, corpus_text, word_shells
 from ftal import boundary, machine, parser, pretty, registry
 from ftal import syntax as S
 from ftal.boundary import export_value, translate_type
-from ftal.errors import CheckError
+from ftal.errors import CheckError, TranslationError
 from ftal.typecheck import check_program, check_small_value
 
 FUEL = 100000
@@ -352,8 +352,21 @@ def _t(body: str, heap: str = "") -> str:
 
 
 _HALT = "halt[int, *] r1"
-# One unchecked program per stuck rule, with its (kind, reason, detail,
-# steps), read by the parser and run with no check.
+
+
+def _ft(ann: str, body: str) -> str:
+    """An entry-F program: a boundary at ann around body, halting r1."""
+    return f"FT[{ann}](\n  {body};\n  halt[{ann}, *] r1\n)\n"
+
+
+def _import(ann: str) -> str:
+    """An entry-T program that imports 1 at ann."""
+    return _t(f"import r1, * as z, {ann} TF{{ 1 }};\n  {_HALT}")
+
+
+# One unchecked program per stuck rule, and per way a boundary
+# translation fails, with its (kind, reason, detail, steps), read by the
+# parser and run with no check.
 STUCK_PROGRAMS = {
     "t-arithmetic": (_t(f"mv r1, ();\n  add r1, r1, 1;\n  {_HALT}"),
                      ("stuck", "type-confusion", "arithmetic on non-integers", 1)),
@@ -409,6 +422,26 @@ STUCK_PROGRAMS = {
     "f-arithmetic": ("() + 1\n", ("stuck", "type-confusion", "arithmetic on non-integers", 4)),
     "f-instantiation": ("(lam (x: int). x)[int]\n",
                         ("stuck", "type-confusion", "not a source expression: Inst", 0)),
+    "t-import-unit": (_import("unit"), ("stuck", "type-confusion", "expected the unit value", 2)),
+    "t-import-tuple": (_import("<int>"), ("stuck", "type-confusion", "expected a tuple value", 2)),
+    "t-import-fold": (_import("mu a. int"),
+                      ("stuck", "type-confusion", "expected a folded value", 2)),
+    "t-import-exists": (_import("exists a. int"),
+                        ("stuck", "type-confusion", "value cannot cross at this type", 2)),
+    "f-boundary-unit": (_ft("unit", "mv r1, 1"),
+                        ("stuck", "type-confusion", "expected the unit word", 2)),
+    "f-boundary-tuple": (_ft("<int>", "mv r1, 1"),
+                         ("stuck", "type-confusion", "expected a heap location", 2)),
+    "f-boundary-unbound": (_ft("<int>", "mv r1, nowhere"),
+                           ("stuck", "unbound-location", "location nowhere is not allocated", 2)),
+    "f-boundary-mutable": (_ft("<int>", "mv r1, 1;\n  salloc 1;\n  sst 0, r1;\n  ralloc r1, 1"),
+                           ("stuck", "type-confusion", "expected an immutable tuple location", 5)),
+    "f-boundary-width": (_ft("<int, int>", "mv r1, 1;\n  salloc 1;\n  sst 0, r1;\n  balloc r1, 1"),
+                         ("stuck", "type-confusion", "tuple width mismatch", 5)),
+    "f-boundary-fold": (_ft("mu a. int", "mv r1, 1"),
+                        ("stuck", "type-confusion", "expected a folded word", 2)),
+    "f-boundary-exists": (_ft("exists a. int", "mv r1, 1"),
+                          ("stuck", "type-confusion", "word cannot cross at this type", 2)),
 }
 
 
@@ -452,6 +485,17 @@ STUCK_GUARDS = {
     "f-unbound-variable": ("E-EXPR", "unbound variable x"),
     "f-arithmetic": ("E-EXPR", "arithmetic on a non-integer"),
     "f-instantiation": ("E-EXPR", "not a source-language expression"),
+    "t-import-unit": ("E-SEQ", "import body has type int, the annotation says unit"),
+    "t-import-tuple": ("E-SEQ", "import body has type int, the annotation says <int>"),
+    "t-import-fold": ("E-SEQ", "import body has type int, the annotation says mu a. int"),
+    "t-import-exists": ("KindError", "not a source-language type: exists a. int"),
+    "f-boundary-unit": ("E-SEQ", "halt register holds int, the annotation says unit"),
+    "f-boundary-tuple": ("E-SEQ", "halt register holds int, the annotation says <int>"),
+    "f-boundary-unbound": ("E-VAL", "label nowhere is not bound in the heap"),
+    "f-boundary-mutable": ("E-SEQ", "halt register holds ref <int>, the annotation says <int>"),
+    "f-boundary-width": ("E-SEQ", "halt register holds box <int>, the annotation says <int, int>"),
+    "f-boundary-fold": ("E-SEQ", "halt register holds int, the annotation says mu a. int"),
+    "f-boundary-exists": ("KindError", "not a source-language type: exists a. int"),
 }
 
 
@@ -474,47 +518,57 @@ HAND_BUILT_STUCK = {
 }
 
 
-def _stuck_sites() -> dict:
-    """Each ``_Stuck(...)`` call in machine.py, keyed by its function and
+def _raise_sites(module, name: str) -> dict:
+    """Each ``name(...)`` call in ``module``, keyed by its function and
     its place among that function's calls in source order, with the
     first and last lines it spans."""
-    tree = ast.parse(pathlib.Path(machine.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
     sites = {}
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             calls = sorted((node.lineno, node.end_lineno) for node in ast.walk(fn)
                            if isinstance(node, ast.Call)
                            and isinstance(node.func, ast.Name)
-                           and node.func.id == "_Stuck")
+                           and node.func.id == name)
             for i, span in enumerate(calls):
                 sites[fn.name, i] = span
     return sites
 
 
 def test_every_stuck_site_is_reached_from_text_or_listed(monkeypatch):
-    # Progress as a case analysis: each way the machine gets stuck is
-    # pinned by a program the checker rejects, or cannot be written.
-    sites = _stuck_sites()
+    # Progress as a case analysis: each way the machine gets stuck, and
+    # each way a boundary translation fails, is pinned by a program the
+    # checker rejects, or cannot be written.
+    stuck, failed = _raise_sites(machine, "_Stuck"), _raise_sites(boundary, "TranslationError")
+    assert not {fn for fn, _ in stuck} & {fn for fn, _ in failed}
+    sites = {**stuck, **failed}
     raised = []
 
-    class Recording(machine._Stuck):
-        def __init__(self, reason, detail=""):
-            super().__init__(reason, detail)
-            frame = sys._getframe(1)
-            raised.append((frame.f_code.co_name, frame.f_lineno))
+    def recording(cls):
+        class Recording(cls):
+            def __init__(self, *args):
+                super().__init__(*args)
+                frame = sys._getframe(1)
+                raised.append((frame.f_code.co_name, frame.f_lineno))
+        return Recording
 
-    monkeypatch.setattr(machine, "_Stuck", Recording)
-    reached = {}
+    monkeypatch.setattr(machine, "_Stuck", recording(machine._Stuck))
+    monkeypatch.setattr(boundary, "TranslationError", recording(TranslationError))
+    reached, passed = {}, set()
     for name, (text, want) in STUCK_PROGRAMS.items():
         raised.clear()
         out = machine.run_program(parser.parse_program(text), FUEL)
         assert (out.kind, out.reason) == want[:2]
-        [site] = [key for fn, line in raised for key, (first, last) in sites.items()
-                  if key[0] == fn and first <= line <= last]
-        reached[site] = name
+        hit = [key for fn, line in raised for key, (first, last) in sites.items()
+               if key[0] == fn and first <= line <= last]
+        # A program is keyed by the site it raises first: a failed
+        # translation's boundary site, not the machine's site that turns
+        # every failed translation into a stuck state.
+        reached[hit[0]] = name
+        passed.update(hit)
     assert len(reached) == len(STUCK_PROGRAMS)
-    assert not set(reached) & set(HAND_BUILT_STUCK)
-    assert set(sites) == set(reached) | set(HAND_BUILT_STUCK)
+    assert not passed & set(HAND_BUILT_STUCK)
+    assert set(sites) == passed | set(HAND_BUILT_STUCK)
 
 
 # -- rendering helpers ------------------------------------------------------
