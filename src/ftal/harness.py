@@ -175,8 +175,8 @@ def apply_to_input(prog: Program, n: int) -> Program:
 
 
 # Steps every run takes in process before any is handed to a child, on
-# a host with two or more usable CPUs: about 20 ms.  Most probes end
-# within it, so a job whose runs all do forks nothing.
+# a host with two or more usable CPUs: 10 to 25 ms on the factorials.
+# Most probes end within it, so a job whose runs all do forks nothing.
 HEAD_STEPS = 20000
 
 

@@ -13,7 +13,7 @@ A step looks its rule up by node type in one of three tables:
 ``SOURCE_RULES`` for a source expression, and ``RETURN_RULES`` for the
 frame a value returns to.  A type with no rule is stuck.  A target rule
 takes the machine and its node, the redex, and returns the jump kind.
-Sequencing is one rule, stated in ``step``: before an instruction's rule
+Sequencing is one rule, stated in ``run``: before an instruction's rule
 runs, the focus moves to the rest of its sequence, so only a rule that
 transfers control or rewrites the rest sets the focus.  The value stack
 keeps its top at the end of a list, so pushing and popping cost nothing
@@ -105,19 +105,22 @@ component adds an entry to any cache.  Types, stacks and markers keep
 their hash (see ``syntax.TypeLevel``), so such a lookup hashes no type
 tree after the first.
 
-A step returns a record with its number, language, jump kind and stack
-depth.  The rest of a JSON-ready trace record, the redex text and the
-register it set, if any, is rendered only while ``run`` has a trace
-sink (or for a direct call of ``step``); the text is that of the closed
-instruction, with its labels renamed through the label map in its
-scope.  A closed node's text depends only on the node and that map, and
-two instantiations never share a node with children, so one table keyed
-by node keeps each text (see ``Machine._redex``).  Each rule sets at
-most one register, so the rendered delta is empty or holds one entry,
-and neither ``step`` nor
+``run`` is the machine's one step loop, and ``step`` is one step of it
+with a trace sink.  Only with a sink does a step build its JSON-ready
+trace record, whose redex text is that of the closed instruction, with
+its labels renamed through the label map in its scope.  A closed node's
+text depends only on the node and that map, and two instantiations never
+share a node with children, so one table keyed by node keeps each text
+(see ``Machine._redex``).  Each rule sets at most one register, so the
+rendered delta is empty or holds one entry, and neither ``run`` nor
 ``trace_line`` sorts or joins a list for it.  ``trace_line`` is the one
 encoder of a full record: it writes the record's JSON line, byte for
-byte the line ``json.dumps(record, sort_keys=True)`` gives.
+byte the line ``json.dumps(record, sort_keys=True)`` gives.  Traced or
+not, the machine counts in attributes ``Outcome`` leaves out:
+``t_steps`` of its ``steps`` ran T code, ``jumps`` counts them by the
+jump kind their rule returns, and ``salloc``, the one rule that grows
+the value stack, keeps ``peak_stack_depth``.  A stuck step counts
+nothing.
 """
 
 from __future__ import annotations
@@ -425,10 +428,14 @@ class Machine:
         self.frames: list = []
         self.counter = 0
         self.steps = 0
+        # Counters, kept out of ``Outcome`` (see the module docstring).
+        self.t_steps = 0
+        self.jumps = dict.fromkeys(("jmp", "call", "ret", "halt", "boundary"), 0)
+        self.peak_stack_depth = 0
         self._outcome: Outcome | None = None
         self._delta: dict = {}
-        # Whether step renders the redex and register text.
-        self._render = True
+        # Whether the step ``run`` takes renders the redex and registers.
+        self._render = False
         # Caches keyed by node identity; each entry keeps its node alive,
         # so an id is never reused while cached.
         self._targets: dict = {}  # id(word) -> (word, body)
@@ -493,10 +500,6 @@ class Machine:
         if w is None:
             raise _Stuck(STUCK_UNBOUND_REGISTER, r)
         return w
-
-    def _stack_out(self) -> tuple:
-        """The stack as ``Outcome.stack`` gives it, top first."""
-        return tuple(reversed(self.stack))
 
     def _resolve(self, u: Tm):
         """A word for an instruction operand, read as R-hat reads it: the
@@ -618,15 +621,18 @@ class Machine:
     # ------------------------------------------------------------------
     # Stepping
 
-    def outcome(self) -> Outcome | None:
-        return self._outcome
-
     def step(self) -> dict | None:
-        """Perform one transition; returns its trace record, or None once
-        the machine is terminal.  Inside an untraced ``run`` the record
-        has no redex or registers_delta.  A step sets at most one
-        register, so the registers_delta holds the register it set, if
-        any; a rule that set two would fail here.
+        """One traced step of ``run``: its record, or None if none is taken."""
+        records: list = []
+        self.run(1, records.append)
+        return records[0] if records else None
+
+    def run(self, fuel: int, trace: Callable[[dict], None] | None = None) -> Outcome:
+        """Take at most ``fuel`` steps, or fewer if the machine ends or
+        gets stuck, handing each step's record to ``trace`` if given;
+        returns the outcome so far.  A step sets at most one register, so
+        the registers_delta holds the register it set, if any; a rule that
+        set two would fail here.
 
         The rule is looked up by the type of the node in focus: the head
         of a target sequence, a terminator, a source expression, or the
@@ -636,72 +642,61 @@ class Machine:
         the focus.  A target rule returns the jump kind, and the redex is
         the node it ran; a source or return rule returns the redex text
         and the jump kind."""
-        if self._outcome is not None:
-            return None
-        focus, render = self.focus, self._render
-        if render:
-            self._delta = {}
-            scope = self.scope
-        t = type(focus)
-        try:
-            if t is Seq:
-                lang = "T"
-                redex = focus.head
-                self.focus = focus.tail
-                jump = T_RULES[type(redex)](self, redex)
-            elif self.returning:
-                lang = "F"
-                if self.frames:
-                    frame = self.frames.pop()
-                    redex, jump = RETURN_RULES[type(frame)](self, frame, focus)
-                else:
-                    self._outcome = Outcome("f-value", value=_read_back(focus),
-                                            steps=self.steps + 1,
-                                            stack=self._stack_out())
-                    # The final plugging still counts as a step.
-                    redex, jump = "result", None
-            elif t in T_RULES:
-                lang = "T"
-                redex = focus
-                jump = T_RULES[t](self, focus)
-            else:
-                lang = "F"
-                redex, jump = SOURCE_RULES[t](self, focus, self.scope)
-        except _Stuck as s:
-            self._outcome = Outcome("stuck", reason=s.reason,
-                                    detail=s.detail, steps=self.steps)
-            return None
-        self.steps = steps = self.steps + 1
-        if not render:
-            return {"step": steps, "lang": lang, "jump": jump,
-                    "stack_depth": len(self.stack)}
-        rendered = {}
-        if self._delta:
-            (r, w), = self._delta.items()
-            rendered[r] = pretty.word_str(w)
-        return {
-            "step": steps,
-            "lang": lang,
-            "redex": self._redex(redex, scope) if lang == "T" else redex,
-            "jump": jump,
-            "registers_delta": rendered,
-            "stack_depth": len(self.stack),
-        }
-
-    def run(self, fuel: int, trace: Callable[[dict], None] | None = None) -> Outcome:
-        self._render = trace is not None
+        render = self._render = trace is not None
+        frames, jumps = self.frames, self.jumps
+        t_steps = 0
         try:
             for _ in range(fuel):
-                record = self.step()
-                if record is None:
+                if self._outcome is not None:
                     break
-                if trace is not None:
-                    trace(record)
+                focus = self.focus
+                if render:
+                    self._delta = {}
+                    scope = self.scope
+                t = type(focus)
+                try:
+                    if t is Seq:
+                        redex, lang = focus.head, "T"
+                        self.focus = focus.tail
+                        jump = T_RULES[type(redex)](self, redex)
+                        t_steps += 1
+                    elif self.returning:
+                        lang = "F"
+                        if frames:
+                            frame = frames.pop()
+                            redex, jump = RETURN_RULES[type(frame)](self, frame, focus)
+                        else:
+                            self._outcome = Outcome("f-value", value=_read_back(focus),
+                                                    steps=self.steps + 1,
+                                                    stack=tuple(reversed(self.stack)))
+                            # The final plugging still counts as a step.
+                            redex, jump = "result", None
+                    elif t in T_RULES:
+                        jump = T_RULES[t](self, focus)
+                        redex, lang = focus, "T"
+                        t_steps += 1
+                    else:
+                        lang = "F"
+                        redex, jump = SOURCE_RULES[t](self, focus, self.scope)
+                except _Stuck as s:
+                    self._outcome = Outcome("stuck", reason=s.reason,
+                                            detail=s.detail, steps=self.steps)
+                    break
+                self.steps += 1
+                if jump is not None:
+                    jumps[jump] += 1
+                if render:
+                    rendered = {}
+                    if self._delta:
+                        (r, w), = self._delta.items()
+                        rendered[r] = pretty.word_str(w)
+                    trace({"step": self.steps, "lang": lang,
+                           "redex": self._redex(redex, scope) if lang == "T" else redex,
+                           "jump": jump, "registers_delta": rendered,
+                           "stack_depth": len(self.stack)})
         finally:
-            self._render = True
-        if self._outcome is None:
-            return Outcome("running", steps=self.steps)
-        return self._outcome
+            self.t_steps += t_steps
+        return self._outcome or Outcome("running", steps=self.steps)
 
 
 def trace_line(record: dict) -> str:
@@ -817,6 +812,7 @@ def _t_mv(m, ins):
 
 def _t_salloc(m, ins):
     m.stack.extend([_UNIT] * ins.n)
+    m.peak_stack_depth = max(m.peak_stack_depth, len(m.stack))
 
 
 def _t_sfree(m, ins):
@@ -889,7 +885,7 @@ def _t_ret(m, ins):
 def _t_halt(m, ins):
     w = m._getreg(ins.reg)
     if not m.frames:
-        m._outcome = Outcome("halted", value=w, stack=m._stack_out(),
+        m._outcome = Outcome("halted", value=w, stack=tuple(reversed(m.stack)),
                              steps=m.steps + 1)
         return "halt"
     if type(m.frames[-1]) is not FrBoundary:

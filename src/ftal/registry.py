@@ -82,9 +82,10 @@ def _run_row(entry: ProgramEntry, fuel: int) -> tuple[bool, str]:
     if entry.run_kind == "applied":
         for n in entry.inputs:
             out = machine.run_program(harness.apply_to_input(prog, n), fuel)
-            want = entry.reference(n)
-            if not (out.kind == "f-value" and out.value == IntVal(want)):
-                return False, f"input {n}: {out.kind}"
+            want = IntVal(entry.reference(n))
+            if not (out.kind == "f-value" and out.value == want):
+                got = "" if out.value is None else f" {pretty.value_str(out.value)}"
+                return False, f"input {n}: {out.kind}{got}, want {pretty.value_str(want)}"
         return True, f"{len(entry.inputs)} inputs agree with the reference"
     out = machine.run_program(prog, fuel)
     ok = (out.kind, out.value, len(out.stack)) == _expected(entry)[0]

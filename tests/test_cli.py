@@ -318,8 +318,13 @@ def test_corpus_gate_fails_on_a_program_that_disagrees_with_its_reference(
     code, out, _ = run_cli(capsys, ["corpus"])
     assert (code, out.splitlines()) == (1, [
         "pass  check basic_blocks_f1  (int) -> int; *",
-        "FAIL  run   basic_blocks_f1  input 0: f-value",
+        "FAIL  run   basic_blocks_f1  input 0: f-value 2, want 3",
         "FAILURES (1/2)"])
+
+
+def test_a_run_row_names_the_kind_of_a_run_with_no_value():
+    [entry] = [e for e in registry.PROGRAMS if e.name == "factorial_f"]
+    assert registry._run_row(entry, 5) == (False, "input 0: running, want 1")
 
 
 def test_corpus_json_payload(capsys):

@@ -3,6 +3,7 @@ accounting, determinism of traces, and every stuck reason."""
 
 import ast
 import hashlib
+import itertools
 import json
 import pathlib
 import sys
@@ -319,8 +320,7 @@ def test_halting_under_a_source_frame_is_stuck():
     m = machine.Machine(S.Program("T", S.Component(halt_int(), ())))
     m.regs["r1"] = S.IntVal(0)
     m.frames.append(machine.FrProj(0))
-    m.run(FUEL)
-    out = m.outcome()
+    out = m.run(FUEL)
     assert out.kind == "stuck"
     assert out.reason == machine.STUCK_HALT_OUTSIDE
 
@@ -810,6 +810,17 @@ GOLDEN_INPUTS = (-1, 0, 1, 3, 5)
 GOLDEN_FUEL = 3000
 APPLIED = ("basic_blocks_f1", "basic_blocks_f2", "factorial_f", "factorial_t",
            "identity", "succ")
+
+
+def golden_programs(name: str) -> list:
+    """The corpus program ``name``, applied to each of GOLDEN_INPUTS when
+    it is a function."""
+    prog = parser.parse_program(corpus_text(name))
+    if name not in APPLIED:
+        return [prog]
+    return [S.Program("F", S.App(prog.main, (S.IntVal(n),))) for n in GOLDEN_INPUTS]
+
+
 GOLDEN = {
     "call_to_call": "23080603380f0186362a5b8fd81c15392c57311e34eaa922537a8a9c41c9833a",
     "jit": "83a8e4b783a7ee5d88ea138ce22ad5302297747c804ffca73a48bb2a9b663a4a",
@@ -828,10 +839,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", ALL_FTAL)
 def test_traces_and_outcomes_match_the_golden_digest(name):
     h = hashlib.sha256()
-    prog = parser.parse_program(corpus_text(name))
-    progs = ([S.Program("F", S.App(prog.main, (S.IntVal(n),)))
-              for n in GOLDEN_INPUTS] if name in APPLIED else [prog])
-    for p in progs:
+    for p in golden_programs(name):
         out = machine.run_program(p, GOLDEN_FUEL, lambda r: h.update(
             (json.dumps(r, sort_keys=True) + "\n").encode()))
         h.update((json.dumps({
@@ -851,11 +859,8 @@ def json_line(record: dict) -> str:
 
 @pytest.mark.parametrize("entry", registry.PROGRAMS, ids=lambda e: e.name)
 def test_trace_lines_are_the_sorted_key_json_of_every_record(entry):
-    prog = parser.parse_program(corpus_text(entry.name))
-    progs = ([S.Program("F", S.App(prog.main, (S.IntVal(n),)))
-              for n in GOLDEN_INPUTS] if entry.run_kind == "applied" else [prog])
     records = []
-    for p in progs:
+    for p in golden_programs(entry.name):
         machine.run_program(p, GOLDEN_FUEL, records.append)
     assert records
     for r in records:
@@ -900,18 +905,21 @@ def test_trace_line_escapes_as_json_dumps_does(record):
     assert machine.trace_line(record) == json_line(record)
 
 
+# Every corpus program, at each of GOLDEN_INPUTS when it is a function.
 @pytest.mark.parametrize("name, arg", [
-    ("factorial_t", 5), ("factorial_f", 5), ("import_one_plus_one", None)])
+    (name, n) for name in ALL_FTAL
+    for n in (GOLDEN_INPUTS if name in APPLIED else (None,))])
 def test_direct_steps_return_the_records_a_traced_run_gives(name, arg):
     prog = parser.parse_program(corpus_text(name))
     if arg is not None:
         prog = S.Program("F", S.App(prog.main, (S.IntVal(arg),)))
     m = machine.Machine(prog)
-    stepped = list(iter(m.step, None))
+    stepped = list(itertools.islice(iter(m.step, None), GOLDEN_FUEL))
     traced = []
     out = machine.run_program(prog, GOLDEN_FUEL, traced.append)
     assert len(stepped) == len(traced) == out.steps
     assert stepped == traced
+    assert m.run(0) == out
     assert ([machine.trace_line(r) for r in stepped]
             == [machine.trace_line(r) for r in traced])
 
@@ -930,23 +938,16 @@ def test_an_untraced_run_renders_nothing(monkeypatch):
     assert out.steps == 39
 
 
-def test_untraced_steps_keep_the_counting_fields(monkeypatch):
-    # Wrappers of Machine.step (such as a profiler) count steps, jumps
-    # and stack depth from the record in untraced runs too.
-    seen = []
-    step = machine.Machine.step
-
-    def spy(m):
-        record = step(m)
-        if record is not None:
-            seen.append(record)
-        return record
-    monkeypatch.setattr(machine.Machine, "step", spy)
-    out = run_named("call_to_call")
-    assert len(seen) == out.steps == 13
-    for r in seen:
-        assert {"step", "lang", "jump", "stack_depth"} <= set(r)
-    assert [r["jump"] for r in seen].count("call") == 2
+def test_an_untraced_run_counts_its_steps_and_jumps(monkeypatch):
+    # The machine counts steps by language and jump kind itself, so a run
+    # takes no step through Machine.step and hands no record on.
+    def refuse(m):
+        raise AssertionError("run called Machine.step")
+    monkeypatch.setattr(machine.Machine, "step", refuse)
+    m = machine.Machine(parser.parse_program(corpus_text("call_to_call")))
+    out = m.run(FUEL)
+    assert m.steps == m.t_steps == out.steps == 13
+    assert m.jumps["call"] == 2
 
 
 def test_an_untraced_run_records_no_registers_delta():
@@ -1742,3 +1743,49 @@ def test_entering_a_wrapper_closes_it_as_substituting_its_body_would(ann, fn):
             entered.append(body)
         # Both wrappers enter one closed body: a crossing closes nothing.
         assert entered[0] is entered[1]
+
+
+# -- counters ----------------------------------------------------------------
+
+# Each case is a corpus program at GOLDEN_INPUTS, a program that crosses
+# the boundary or enters a component many times, or a stuck program run
+# with no check.
+COUNTED = ([f"corpus:{name}" for name in ALL_FTAL] + ["ping_pong", "entry_loop"]
+           + [f"stuck:{name}" for name in STUCK_PROGRAMS])
+
+
+def counted_programs(case: str) -> list:
+    """The (program, fuel) pairs the counter property runs for ``case``."""
+    kind, _, name = case.partition(":")
+    if kind == "corpus":
+        return [(prog, GOLDEN_FUEL) for prog in golden_programs(name)]
+    if kind == "stuck":
+        text = STUCK_PROGRAMS[name][0]
+    else:
+        text = ping_pong(40) if kind == "ping_pong" else entry_loop(50)
+    return [(parser.parse_program(text), FUEL)]
+
+
+def counters(m: machine.Machine) -> tuple:
+    return m.t_steps, m.steps - m.t_steps, m.jumps, m.peak_stack_depth
+
+
+@pytest.mark.parametrize("case", COUNTED)
+def test_an_untraced_run_counts_what_its_traced_records_show(case):
+    # Steps per language, jumps and crossings by kind, and the peak stack
+    # depth, counted as the machine goes, equal those read off the trace;
+    # a stuck step hands on no record, and counts nothing.
+    for prog, fuel in counted_programs(case):
+        records = []
+        traced = machine.Machine(prog)
+        out = traced.run(fuel, records.append)
+        m = machine.Machine(prog)
+        assert m.run(fuel) == out
+        langs = [r["lang"] for r in records]
+        kinds = [r["jump"] for r in records]
+        assert set(kinds) <= {None, *m.jumps}
+        want = (langs.count("T"), langs.count("F"),
+                {kind: kinds.count(kind) for kind in m.jumps},
+                max([0] + [r["stack_depth"] for r in records]))
+        assert counters(m) == counters(traced) == want
+        assert m.steps == len(records) == out.steps
