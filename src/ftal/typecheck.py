@@ -30,7 +30,8 @@ sequence starts, or when a branch fixes it, and not again at each
 instruction: delta only grows along a sequence, so a marker well formed
 at its start stays so. Register and stack-slot markers are checked at
 every instruction, because the registers and the stack they point into
-change.
+change. A stack rule reads only the slots it names, through ``_top``,
+and keeps the stack below them as it is, however deep.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ from .syntax import (
     Ret,
     SeqE,
     Salloc,
+    SCons,
     Seq,
     Sfree,
     Sld,
@@ -219,6 +221,20 @@ def wf(delta: Delta, *nodes) -> None:
 # Markers
 
 
+def _top(sigma: Stk, k: int, what: str = ""):
+    """sigma's top k slot types, top first, and the stack below them; only
+    those cells are read. A stack showing fewer slots gives all it shows,
+    or, where what names an instruction, that instruction's E-SEQ fault."""
+    items = []
+    while len(items) < k and isinstance(sigma, SCons):
+        items.append(sigma.head)
+        sigma = sigma.tail
+    if what and len(items) < k:
+        raise _err("E-SEQ", f"{what} needs {k} visible slots, "
+                            f"the stack shows {len(items)}")
+    return items, sigma
+
+
 def continuation_of(q, chi: dict, sigma: Stk) -> CodeT | None:
     """The code type a register or index marker points at, unboxed.
 
@@ -228,10 +244,10 @@ def continuation_of(q, chi: dict, sigma: Stk) -> CodeT | None:
     if isinstance(q, MReg):
         t = chi.get(q.reg)
     elif isinstance(q, MIdx):
-        prefix, _ = stack_parts(sigma)
-        if q.idx >= len(prefix):
+        top, _ = _top(sigma, q.idx + 1)
+        if q.idx >= len(top):
             return None
-        t = prefix[q.idx]
+        t = top[q.idx]
     else:
         return None
     if isinstance(t, Box) and isinstance(t.psi, CodeT):
@@ -329,26 +345,11 @@ def check_small_value(psi: dict, delta: Delta, chi: dict, u: Tm) -> Ty:
 # Instruction sequences
 
 
-def _prefix(sigma: Stk, need: int, what: str):
-    prefix, tail = stack_parts(sigma)
-    if len(prefix) < need:
-        raise _err("E-SEQ",
-                   f"{what} needs {need} visible slots, "
-                   f"the stack shows {len(prefix)}")
-    return prefix, tail
-
-
-def _shift_pop(q, n: int, what: str):
+def _shift_pop(q, n: int, verb: str):
     if isinstance(q, MIdx):
         if q.idx < n:
-            raise _err("E-SEQ", f"{what} would remove the marker slot")
+            raise _err("E-SEQ", f"{verb} the marker slot")
         return MIdx(q.idx - n)
-    return q
-
-
-def _shift_push(q, n: int):
-    if isinstance(q, MIdx):
-        return MIdx(q.idx + n)
     return q
 
 
@@ -418,14 +419,16 @@ def _adopt(tau, q: MHalt, mismatch: str) -> MHalt:
     return q
 
 
-def _smallest_peel(sigma: Stk, sigma0: Stk, what: str) -> int:
-    """The length of the shortest prefix whose removal leaves sigma0."""
-    prefix, tail = stack_parts(sigma)
-    for peel in range(len(prefix) + 1):
-        if alpha_equal(stack_of(prefix[peel:], tail), sigma0):
-            return peel
-    raise _err("E-SEQ", f"the stack does not end in the {what} tail "
-                        f"{pretty.stk(sigma0)}")
+def _peel(sigma: Stk, sigma0: Stk, what: str) -> list:
+    """The slot types above sigma0 in sigma, top first. A stack ends in
+    sigma0 only below as many slots as it shows more than sigma0; below a
+    negative count it is sigma itself, too short to equal sigma0."""
+    depth = len(stack_parts(sigma)[0]) - len(stack_parts(sigma0)[0])
+    peeled, below = _top(sigma, depth)
+    if not alpha_equal(below, sigma0):
+        raise _err("E-SEQ", f"the stack does not end in the {what} tail "
+                            f"{pretty.stk(sigma0)}")
+    return peeled
 
 
 def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
@@ -492,13 +495,10 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
 
         elif isinstance(ins, (Ralloc, Balloc)):
             _guard(q, ins.rd, "allocation")
-            if isinstance(q, MIdx) and q.idx < ins.n:
-                raise _err("E-SEQ", "allocation would consume the marker slot")
-            prefix, tail = _prefix(sigma, ins.n, "allocation")
-            tup = TyTuple(tuple(prefix[:ins.n]))
+            q = _shift_pop(q, ins.n, "allocation would consume")
+            items, sigma = _top(sigma, ins.n, "allocation")
+            tup = TyTuple(tuple(items))
             chi[ins.rd] = Ref(tup) if isinstance(ins, Ralloc) else Box(tup)
-            sigma = stack_of(prefix[ins.n:], tail)
-            q = _shift_pop(q, ins.n, "allocation")
 
         elif isinstance(ins, Mv):
             if isinstance(ins.u, Reg) and _is_reg_marker(q, ins.u.name):
@@ -509,31 +509,31 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
 
         elif isinstance(ins, Salloc):
             sigma = stack_of([TyUnit()] * ins.n, sigma)
-            q = _shift_push(q, ins.n)
+            if isinstance(q, MIdx):
+                q = MIdx(q.idx + ins.n)
 
         elif isinstance(ins, Sfree):
-            prefix, tail = _prefix(sigma, ins.n, "sfree")
-            q = _shift_pop(q, ins.n, "sfree")
-            sigma = stack_of(prefix[ins.n:], tail)
+            _, sigma = _top(sigma, ins.n, "sfree")
+            q = _shift_pop(q, ins.n, "sfree would remove")
 
         elif isinstance(ins, Sld):
-            prefix, _ = _prefix(sigma, ins.idx + 1, "stack load")
+            items, _ = _top(sigma, ins.idx + 1, "stack load")
             if isinstance(q, MIdx) and q.idx == ins.idx:
                 q = MReg(ins.rd)
             else:
                 _guard(q, ins.rd, "stack load")
-            chi[ins.rd] = prefix[ins.idx]
+            chi[ins.rd] = items[ins.idx]
 
         elif isinstance(ins, Sst):
-            prefix, tail = _prefix(sigma, ins.idx + 1, "stack store")
+            items, below = _top(sigma, ins.idx + 1, "stack store")
             t = check_small_value(psi, delta, chi, Reg(ins.rs))
             if _is_reg_marker(q, ins.rs):
                 q = MIdx(ins.idx)
             elif isinstance(q, MIdx) and q.idx == ins.idx:
                 raise _err("E-SEQ",
                            "stack store would overwrite the marker slot")
-            prefix[ins.idx] = t
-            sigma = stack_of(prefix, tail)
+            items[ins.idx] = t
+            sigma = stack_of(items, below)
 
         elif isinstance(ins, Unpack):
             _guard(q, ins.rd, "unpack")
@@ -553,32 +553,29 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
         elif isinstance(ins, Protect):
             wf(delta, *ins.phi)
             k = len(ins.phi)
-            prefix, tail = _prefix(sigma, k, "protect")
+            items, hidden = _top(sigma, k, "protect")
             for i in range(k):
-                if not alpha_equal(prefix[i], ins.phi[i]):
+                if not alpha_equal(items[i], ins.phi[i]):
                     raise _err("E-SEQ",
                                f"protect keeps {pretty.ty(ins.phi[i])} at "
                                f"slot {i}, the stack has "
-                               f"{pretty.ty(prefix[i])}")
+                               f"{pretty.ty(items[i])}")
             if isinstance(q, MIdx) and q.idx >= k:
                 raise _err("E-WFRET", "protect would hide the marker slot")
-            hidden = stack_of(prefix[k:], tail)
             delta, name, iseq = _open(delta, KIND_STACK, ins.zeta, iseq)
             sigma = stack_of(ins.phi, SVar(name))
             aliases.append((name, hidden))
 
         elif isinstance(ins, ImportI):
             wf(delta, ins.sigma0)
-            peel = _smallest_peel(sigma, ins.sigma0, "import")
+            peeled = _peel(sigma, ins.sigma0, "import")
             if isinstance(q, MReg):
                 raise _err("E-SEQ", "import with a register marker")
-            if isinstance(q, MIdx) and q.idx < peel:
+            if isinstance(q, MIdx) and q.idx < len(peeled):
                 raise _err("E-SEQ", "import would expose the marker slot")
-            prefix, _ = stack_parts(sigma)
             inner, name, body = _open(delta, KIND_STACK, ins.zeta, ins.body)
             te, se = check_expression(psi, inner, gamma,
-                                      stack_of(prefix[:peel], SVar(name)),
-                                      body)
+                                      stack_of(peeled, SVar(name)), body)
             ann = translate_type(ins.ann)
             if not alpha_equal(te, ins.ann):
                 raise _err("E-SEQ",
@@ -595,7 +592,7 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             chi[ins.rd] = ann
             sigma = stack_of(out_prefix, ins.sigma0)
             if isinstance(q, MIdx):
-                q = MIdx(q.idx + len(out_prefix) - peel)
+                q = MIdx(q.idx + len(out_prefix) - len(peeled))
 
         else:
             raise _err("E-SEQ", f"unknown instruction {ins!r}")
@@ -673,8 +670,8 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q, tau,
                    "call target must abstract a stack and a marker")
     z_h, eps_h = code.binders
 
-    peel = _smallest_peel(sigma, call.sigma0, "call")
-    prefix, _ = stack_parts(sigma)
+    prefix = _peel(sigma, call.sigma0, "call")
+    peel = len(prefix)
     ph, ptail = stack_parts(code.sigma)
     if not (isinstance(ptail, SVar) and ptail.name == z_h):
         raise _err("E-SEQ",
@@ -927,17 +924,17 @@ def check_expression(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
                 raise _err("E-EXPR",
                            f"argument {i + 1} has type {pretty.ty(ti)}, "
                            f"expected {pretty.ty(params[i])}")
-        prefix, tail = stack_parts(s)
         k = len(phi_in)
-        if len(prefix) < k:
+        items, rest = _top(s, k)
+        if len(items) < k:
             raise _err("E-EXPR",
                        "the stack does not provide the required prefix")
         for i in range(k):
-            if not alpha_equal(prefix[i], phi_in[i]):
+            if not alpha_equal(items[i], phi_in[i]):
                 raise _err("E-EXPR",
-                           f"stack slot {i} is {pretty.ty(prefix[i])}, the "
+                           f"stack slot {i} is {pretty.ty(items[i])}, the "
                            f"function needs {pretty.ty(phi_in[i])}")
-        return ret, stack_of(phi_out + prefix[k:], tail)
+        return ret, stack_of(phi_out, rest)
     if isinstance(e, TupleVal):
         s = sigma
         types = []

@@ -3,9 +3,11 @@
 syntax traversal walks to the end; terms nested 3000 deep, which every
 syntax traversal walks; stack types of up to 3000 slots, which the
 parser reads, the checker compares, the machine halts at, the printer
-writes back and substitution rebuilds; a component of 3000 heap
-bindings, which the checker and the machine take in time linear in
-their number; a sequence of 5000 terms, which the parser, the
+writes back and substitution rebuilds; a stack of 3000 slots that
+``sld``, ``sst``, ``import`` and ``call`` use, for which the checker
+builds stack cells only for the slots each rule names; a component of
+3000 heap bindings, which the checker and the machine take in time
+linear in their number; a sequence of 5000 terms, which the parser, the
 checker and the printer walk along its spine; and 480 nested ``let``s,
 which the printer writes along their bodies.
 
@@ -21,7 +23,7 @@ import sys
 
 import pytest
 
-from ftal import cli, parser, pretty
+from ftal import cli, parser, pretty, typecheck
 from ftal import syntax as S
 
 N = 3000
@@ -145,11 +147,14 @@ def test_deep_terms_compare_and_have_free_names():
 SLOTS = 400
 
 
+def units(n: int) -> str:
+    return " :: ".join(["unit"] * n)
+
+
 def stack_source(n: int) -> str:
     """A component that allocates n stack slots and halts at a stack type
     that spells each of them out."""
-    slots = " :: ".join(["unit"] * n)
-    return f"entry T\n(\n  mv r1, 0;\n  salloc {n};\n  halt[int, {slots} :: *] r1\n)\n"
+    return f"entry T\n(\n  mv r1, 0;\n  salloc {n};\n  halt[int, {units(n)} :: *] r1\n)\n"
 
 
 def test_deep_stack_type_checks_and_halts(tmp_path, capsys):
@@ -183,6 +188,108 @@ def test_long_stack_type_checks_runs_and_round_trips(tmp_path, capsys, slots):
     again.write_text(printed)
     assert cli.main(["fmt", str(again)]) == 0
     assert capsys.readouterr().out == printed
+
+
+def deep_stack_source(n: int) -> str:
+    """A component that allocates n stack slots, stores over the top one,
+    imports an F term that applies a stack lambda to the top slot, and
+    calls a block that takes all n slots, stores over the top one again
+    and frees them; it halts with 5 in r1 and an empty stack."""
+    return f"""entry T
+(
+  mv r1, 0;
+  salloc {n};
+  sld r2, 0;
+  sst 0, r2;
+  import r1, * as z, int TF{{ (lam [unit :: . => unit :: .](). 2)() + 3 }};
+  mv ra, lret;
+  call lc {{*, ret(int, *)}}
+, where
+  lc -> code[z, eps]{{r1: int, ra: box code[]{{r1: int; z}} eps; {units(n)} :: z}} ra.
+    sld r2, 0;
+    sst 0, r2;
+    sfree {n};
+    ret ra {{r1}},
+  lret -> code[]{{r1: int; *}} ret(int, *).
+    halt[int, *] r1
+)
+"""
+
+
+@pytest.mark.parametrize("slots", [3, N])
+def test_a_deep_stack_is_imported_under_called_with_and_stored_to(tmp_path, capsys, slots):
+    # The same type and value at 3 slots and at N: each rule reads only
+    # the slots it names, and import and call find their depth at once.
+    path = tmp_path / "stack.ftal"
+    path.write_text(deep_stack_source(slots))
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "int; *\n"
+    assert cli.main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == "halted 5; stack []\n"
+
+
+# Programs of n stack slots and about M instructions, one per stack rule
+# of the checker, each with the type it checks at.
+M = 100
+COST_PROGRAMS = {
+    "sld_sst": lambda n: (
+        f"entry T\n(\n  mv r1, 0;\n  salloc {n};\n"
+        + "  sld r2, 0;\n  sst 0, r2;\n" * (M // 2)
+        + f"  halt[int, {units(n)} :: *] r1\n)\n",
+        f"int; {units(n)} :: *"),
+    "sfree": lambda n: (
+        f"entry T\n(\n  mv r1, 0;\n  salloc {n + M};\n" + "  sfree 1;\n" * M
+        + f"  halt[int, {units(n)} :: *] r1\n)\n",
+        f"int; {units(n)} :: *"),
+    "ralloc": lambda n: (
+        f"entry T\n(\n  mv r1, 0;\n  salloc {n};\n"
+        + "  ralloc r2, 1;\n  salloc 1;\n" * (M // 2)
+        + f"  halt[int, {units(n)} :: *] r1\n)\n",
+        f"int; {units(n)} :: *"),
+    "protect": lambda n: (
+        f"entry T\n(\n  mv r1, 0;\n  salloc {n};\n  protect unit :: ., z;\n"
+        + "  mv r2, 0;\n" * M + "  halt[int, unit :: z] r1\n)\n",
+        f"int; {units(n)} :: *"),
+    "import": lambda n: (
+        f"entry T\n(\n  salloc {n};\n  import r1, * as z, int TF{{5}};\n"
+        + "  mv r2, 0;\n" * M + f"  halt[int, {units(n)} :: *] r1\n)\n",
+        f"int; {units(n)} :: *"),
+    "call": lambda n: (deep_stack_source(n).replace(
+        "  mv ra, lret;\n", "  mv ra, lret;\n" + "  mv r2, 0;\n" * M), "int; *"),
+    "marker_slot": lambda n: (
+        "entry T\n(\n  mv r1, 0;\n  halt[int, *] r1\n, where\n"
+        f"  lb -> code[]{{r1: int; {units(n)} :: box code[]{{r1: int; *}} ret(int, *) :: *}} {n}.\n"
+        + "    sld r2, 0;\n    sst 0, r2;\n" * (M // 2)
+        + f"    sfree {n};\n    sld ra, 0;\n    sfree 1;\n    ret ra {{r1}}\n)\n",
+        "int; *"),
+    "stack_lambda": lambda n: (
+        f"entry T\n(\n  salloc {n};\n  import r1, * as z, int TF{{\n"
+        "    let f = lam [unit :: . => unit :: .](). 1 in\n"
+        + "    f();\n" * M + f"    5\n  }};\n  halt[int, {units(n)} :: *] r1\n)\n",
+        f"int; {units(n)} :: *"),
+}
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize("name", COST_PROGRAMS)
+def test_checking_builds_stack_cells_for_the_slots_named(monkeypatch, name, n):
+    # Reading slots through a whole-stack list and rebuilding the chain
+    # below them would build about n cells per instruction.
+    src, expected = COST_PROGRAMS[name](n)
+    prog = parser.parse_program(src)
+    built = 0
+    init = S.SCons.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(S.SCons, "__init__", counting)
+    tau, sigma = typecheck.check_program(prog)
+    monkeypatch.undo()
+    assert f"{pretty.ty(tau)}; {pretty.stk(sigma)}" == expected
+    assert built <= 5 * (n + M)
 
 
 def wide_source(n: int) -> str:
