@@ -223,7 +223,8 @@ def _export_block(ann: Ty) -> CodeBlock:
 
 
 def import_value(ann: Ty, w: Tm, heap: HeapDict, fresh: FreshFn) -> Tm:
-    """Translate a target word at translated type ann back to a source value."""
+    """Translate a target word back to a source value of ann, a source
+    type: a boundary's FT annotation, not its translation."""
     if isinstance(ann, TyInt):
         if isinstance(w, IntVal):
             return w

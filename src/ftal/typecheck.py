@@ -24,7 +24,8 @@ sub-node of the same walk.
 
 A component's body starts with q None, and the first branch, jump, call
 or halt that names a halting marker fixes it; check_instruction_sequence
-returns the marker a sequence ends under, and check_component reads the
+returns the marker a sequence ends under, with the stack each protect
+hid put back for its variable, and check_component reads the
 component's (tau, sigma') off it. A halting marker is checked when a
 sequence starts, or when a branch fixes it, and not again at each
 instruction: delta only grows along a sequence, so a marker well formed
@@ -433,17 +434,17 @@ def _peel(sigma: Stk, sigma0: Stk, what: str) -> list:
 
 def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                                chi: dict, sigma: Stk, q, iseq: ISeq,
-                               aliases: list, tau: Ty | None = None) -> Mk:
+                               tau: Ty | None = None) -> Mk:
     """Walk a sequence, threading chi, sigma, and the marker; returns the
-    marker the sequence ends under.
+    marker the sequence ends under, with the stack each protect hid put
+    back for the variable that stood for it, the last protect first.
 
     q None is a halting position whose marker is not yet inferred; the
     marker that fixes it must halt at tau, unless tau is None.
-    aliases collects (zeta, hidden stack) pairs introduced by protect, in
-    order, for the caller to substitute away at the component boundary.
     """
     chi = dict(chi)
     checked = None  # the halting marker last found well formed
+    protects = []  # (zeta, the stack it hides), in order
 
     while True:
         if q is not checked:
@@ -564,7 +565,7 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                 raise _err("E-WFRET", "protect would hide the marker slot")
             delta, name, iseq = _open(delta, KIND_STACK, ins.zeta, iseq)
             sigma = stack_of(ins.phi, SVar(name))
-            aliases.append((name, hidden))
+            protects.append((name, hidden))
 
         elif isinstance(ins, ImportI):
             wf(delta, ins.sigma0)
@@ -599,13 +600,13 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
 
     # Terminators.
     if isinstance(iseq, Jmp):
-        return _check_target(psi, delta, chi, sigma, q, tau, iseq.u,
-                             "jump target")
+        q = _check_target(psi, delta, chi, sigma, q, tau, iseq.u,
+                          "jump target")
 
-    if isinstance(iseq, Call):
-        return _check_call(psi, delta, chi, sigma, q, tau, iseq)
+    elif isinstance(iseq, Call):
+        q = _check_call(psi, delta, chi, sigma, q, tau, iseq)
 
-    if isinstance(iseq, Ret):
+    elif isinstance(iseq, Ret):
         if not _is_reg_marker(q, iseq.r):
             shown = "unresolved" if q is None else pretty.mk(q)
             raise _err("E-SEQ",
@@ -626,9 +627,8 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
             raise _err("E-SEQ",
                        f"result register holds {pretty.ty(tv)}, the "
                        f"continuation wants {pretty.ty(res_ty)}")
-        return q
 
-    if isinstance(iseq, Halt):
+    elif isinstance(iseq, Halt):
         _wf_as("E-SEQ", "halt annotation is ill-formed: ", delta, iseq.ann,
                iseq.sigma)
         if not alpha_equal(iseq.sigma, sigma):
@@ -641,17 +641,20 @@ def check_instruction_sequence(psi: dict, delta: Delta, gamma: dict,
                        f"halt register holds {pretty.ty(tv)}, the annotation "
                        f"says {pretty.ty(iseq.ann)}")
         if q is None:
-            return _adopt(tau, MHalt(iseq.ann, iseq.sigma),
-                          "halt at {}, the boundary expects {}")
-        if isinstance(q, MHalt):
-            if not alpha_equal(q.tau, iseq.ann) or \
-                    not alpha_equal(q.sigma, iseq.sigma):
-                raise _err("E-SEQ",
-                           "halt does not match the halting marker")
-            return q
-        raise _err("E-SEQ", "halt without a halting marker")
+            q = _adopt(tau, MHalt(iseq.ann, iseq.sigma),
+                       "halt at {}, the boundary expects {}")
+        elif not isinstance(q, MHalt):
+            raise _err("E-SEQ", "halt without a halting marker")
+        elif not alpha_equal(q.tau, iseq.ann) or \
+                not alpha_equal(q.sigma, iseq.sigma):
+            raise _err("E-SEQ", "halt does not match the halting marker")
 
-    raise _err("E-SEQ", f"unknown terminator {iseq!r}")
+    else:
+        raise _err("E-SEQ", f"unknown terminator {iseq!r}")
+
+    for name, hidden in reversed(protects):
+        q = substitute(q, {(KIND_STACK, name): hidden})
+    return q
 
 
 def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q, tau,
@@ -748,19 +751,20 @@ def _check_call(psi: dict, delta: Delta, chi: dict, sigma: Stk, q, tau,
 def check_heap_fragment(psi: dict, heap) -> dict:
     """Check the bindings of a component's heap fragment against psi.
 
-    Returns the fragment's label typing. Code blocks are typed by their
-    annotations; a tuple binding is checked once every label free in it
-    is typed, so tuples may point at each other in any order but not in a
-    cycle; a chain of n tuples is checked in O(n) examinations, not one
-    round per link. Structural problems raise E-HEAP; failures inside
-    code bodies keep their own code with the label noted.
+    Returns psi extended with the fragment's label typing. Code blocks
+    are typed by their annotations; a tuple binding is checked once every
+    label free in it is typed, so tuples may point at each other in any
+    order but not in a cycle; a chain of n tuples is checked in O(n)
+    examinations, not one round per link. Structural problems raise
+    E-HEAP; failures inside code bodies keep their own code with the
+    label noted.
     """
-    psi2: dict = {}
     # A Counter keeps its keys in the order first declared.
     for label, n in Counter(hb.label for hb in heap).items():
         if n > 1:
             raise _err("E-HEAP", f"label {label} bound twice")
 
+    merged = dict(psi)
     for hb in heap:
         if isinstance(hb.value, CodeBlock):
             if hb.nu != "box":
@@ -768,9 +772,8 @@ def check_heap_fragment(psi: dict, heap) -> dict:
             block = hb.value
             code_ty = CodeT(block.binders, block.chi, block.sigma, block.q)
             _wf_as("E-HEAP", f"{hb.label}: ", (), Box(code_ty))
-            psi2[hb.label] = ("box", code_ty)
+            merged[hb.label] = ("box", code_ty)
 
-    merged = {**psi, **psi2}
     # The tuple bindings are scanned in declaration order, round after
     # round. One that names a label not yet typed waits for it, and comes
     # back where a scan next reaches it once the label is typed: in the
@@ -796,7 +799,7 @@ def check_heap_fragment(psi: dict, heap) -> dict:
             except CheckError as e:
                 raise _err("E-HEAP", f"{hb.label}: {e.message}")
         else:
-            psi2[hb.label] = merged[hb.label] = (hb.nu, TyTuple(tuple(types)))
+            merged[hb.label] = (hb.nu, TyTuple(tuple(types)))
             for j, other in waiting.pop(hb.label, ()):
                 heappush(queue, (rnd + (j < i), j, other))
     if waiting:
@@ -812,12 +815,12 @@ def check_heap_fragment(psi: dict, heap) -> dict:
             try:
                 check_instruction_sequence(merged, tuple(binders(block)), {},
                                            dict(block.chi), block.sigma,
-                                           block.q, block.body, [])
+                                           block.q, block.body)
             except CheckError as e:
                 if not e.where:
                     e.where = hb.label
                 raise
-    return psi2
+    return merged
 
 
 def check_component(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
@@ -831,24 +834,15 @@ def check_component(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
     for label in comp.labels():
         if label in psi:
             raise _err("E-HEAP", f"label {label} is already bound")
-    psi2 = check_heap_fragment(psi, comp.heap)
-    merged = {**psi, **psi2}
-
-    aliases: list = []
-    q = check_instruction_sequence(merged, delta, gamma, {}, sigma, None,
-                                   comp.body, aliases, tau)
-    tau, s_out = q.tau, q.sigma
-
-    for name, hidden in reversed(aliases):
-        tau = substitute(tau, {(KIND_STACK, name): hidden})
-        s_out = substitute(s_out, {(KIND_STACK, name): hidden})
-
-    escaped = sorted(k for k in free_names(tau) | free_names(s_out)
+    q = check_instruction_sequence(check_heap_fragment(psi, comp.heap),
+                                   delta, gamma, {}, sigma, None, comp.body,
+                                   tau)
+    escaped = sorted(k for k in free_names(q)
                      if k[0] in _SORTS and k not in delta)
     if escaped:
         raise _err("E-COMPONENT",
                    f"local {escaped[0][1]} escapes the component")
-    return tau, s_out
+    return q.tau, q.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -894,10 +888,7 @@ def check_expression(psi: dict, delta: Delta, gamma: dict, sigma: Stk,
         params = tuple(t for _, t in e.params)
         phi_in, phi_out = e.stack or ((), ())
         wf(delta, *params, *phi_in, *phi_out)
-        avoid = {n for _, n in delta}
-        for t in params + phi_in + phi_out:
-            avoid |= {n for _, n in free_names(t)}
-        zf = fresh_name("z", avoid)
+        zf = fresh_name("z", {n for _, n in delta})
         gamma2 = {**gamma, **dict(e.params)}
         tb, sb = check_expression(psi, delta + ((KIND_STACK, zf),), gamma2,
                                   stack_of(phi_in, SVar(zf)), e.body)

@@ -9,7 +9,7 @@ typing rules and frozen here.
 import pytest
 
 from conftest import corpus_text
-from ftal import parser, pretty, typecheck
+from ftal import machine, parser, pretty, typecheck
 from ftal import syntax as S
 from ftal.errors import CheckError, KindError
 from ftal.typecheck import check_expression, check_program, regfile_subtype
@@ -217,6 +217,25 @@ def test_protect_hides_and_restores_the_tail():
         "halt[int, z2] r1)")
     assert tau == S.TyInt()
     assert pretty.stk(sigma) == "*"
+
+
+@pytest.mark.parametrize("src,checked,kind,stack,steps", (
+    ("entry T (salloc 2; protect unit :: unit :: ., z1; "
+     "protect unit :: ., z2; mv r1, 4; halt[int, unit :: z2] r1)",
+     "int; unit :: unit :: *", "halted", (S.UnitVal(), S.UnitVal()), 5),
+    ("entry F FT[int](salloc 2; protect unit :: unit :: ., z1; "
+     "protect unit :: ., z2; sfree 1; mv r1, 4; halt[int, z2] r1)",
+     "int; unit :: *", "f-value", (S.UnitVal(),), 8),
+))
+def test_nested_protects_are_put_back_last_first(src, checked, kind, stack,
+                                                 steps):
+    # z2 hides unit :: z1, so z2 must be put back before z1 is.
+    prog = parser.parse_program(src)
+    tau, sigma = check_program(prog)
+    assert f"{pretty.ty(tau)}; {pretty.stk(sigma)}" == checked
+    out = machine.run_program(prog, 100)
+    assert (out.kind, out.value, out.stack, out.steps) == \
+        (kind, S.IntVal(4), stack, steps)
 
 
 def test_heap_block_error_names_the_label():
