@@ -125,6 +125,9 @@ def load_job(path: str | pathlib.Path) -> EquivJob:
             raise TypeError("left, right and type must be strings")
         inputs = data.get("inputs", [])
         if isinstance(inputs, dict):
+            for key in inputs:
+                if key != "range":
+                    raise ValueError(f"unknown field {key!r} in inputs")
             bounds = inputs["range"]
             if not (isinstance(bounds, list) and len(bounds) == 2
                     and all(type(n) is int for n in bounds)):

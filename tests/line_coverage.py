@@ -52,13 +52,13 @@ UNREACHED = {
      'f"nor a tuple")'):
         "the parser binds a heap label only to code or a tuple "
         "(HAND_BUILT_STUCK in tests/test_machine.py)",
-    ("pretty", "_fill", 'raise TypeError(f"not {what}: {node!r}")'):
+    ("pretty", "_fill", 'raise TypeError(f"no form for {piece!r}")'):
         "a node of a class with no template: every class the parser builds has one",
-    ("pretty", "iseq_lines",
+    ("pretty", "_lines",
      'raise TypeError(f"sequence does not end in a terminator: {s!r}")'):
         "a sequence ending in an instruction, which the parser cannot build; "
         "without the guard it would print with no error",
-    ("pretty", "word_str", 'return "<value>"'):
+    ("pretty", "word_str", 'base = "<value>"'):
         "a word that no rule puts in a register, on the stack or in the heap; "
         "a machine that reads an operand's register only when it is bare "
         "reports its jump through such a word as the stuck detail "

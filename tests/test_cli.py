@@ -431,6 +431,9 @@ MALFORMED_JOBS = {
     "unknown_field": (b'{"left": "a.ftal", "right": "b.ftal", '
                       b'"type": "int", "fule": 5}',
                       "unknown field 'fule'"),
+    "range_unknown_key": (b'{"left": "a.ftal", "right": "b.ftal", '
+                          b'"type": "int", "inputs": {"range": [1, 2], "step": 2}}',
+                          "unknown field 'step' in inputs"),
 }
 
 
@@ -592,3 +595,31 @@ def test_eq_refuses_a_probed_job_with_no_inputs(capsys, tmp_path, inputs):
     assert json.loads(out) == {
         "error": {"kind": "parse", "message": "bad job file: no inputs to probe"},
         "exit_code": 2}
+
+
+# 2 squared 16 times has 19729 digits, more than the 4300 that str()
+# writes of an int on Python 3.11 and later.
+SQUARES = "entry F\nlet a0 = 2 in\n" + "".join(
+    f"let a{i} = a{i - 1} * a{i - 1} in\n" for i in range(1, 17))
+HUGE_IN_VALUES = {
+    "t_pack": ("entry T (\n  mv r1, 2;\n" + "  mul r1, r1, r1;\n" * 16
+               + "  mv r2, pack <int, r1> as exists a. a;\n  halt[exists a. a, *] r2\n)\n",
+               "pack <int, <int ~10^19728>> as exists a. a"),
+    "f_tuple": (SQUARES + "(a16, 1)\n", "(<int ~10^19728>, 1)"),
+    "f_closure": (SQUARES + "lam (y: int). y + a16\n", "lam (y: int). (y + <int ~10^19728>)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_IN_VALUES))
+def test_a_huge_integer_inside_a_value_is_abbreviated(capsys, tmp_path, name):
+    src, value = HUGE_IN_VALUES[name]
+    path = tmp_path / f"{name}.ftal"
+    path.write_text(src)
+    human = f"halted {value}; stack []\n" if src.startswith("entry T") else f"{value}\n"
+    code, out, err = run_cli(capsys, ["run", str(path)])
+    assert (code, out, err) == (0, human, "")
+    code, out, err = run_cli(capsys, ["run", "--json", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == value
+    code, _, err = run_cli(capsys, ["trace", str(path)])
+    assert (code, err) == (0, human)

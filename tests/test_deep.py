@@ -8,8 +8,10 @@ writes back and substitution rebuilds; a stack of 3000 slots that
 builds stack cells only for the slots each rule names; a component of
 3000 heap bindings, which the checker and the machine take in time
 linear in their number; a sequence of 5000 terms, which the parser, the
-checker and the printer walk along its spine; and 480 nested ``let``s,
-which the printer writes along their bodies.
+checker and the printer walk along its spine; 480 nested ``let``s,
+which the printer writes along their bodies; and a word folded 3000
+deep, a 3000-term sum and a 3000-deep type, which the printer writes
+with its one loop.
 
 A deep result is checked by ``alpha_equal``, a walk along its spine or
 its printed text, never by ``==``: a dataclass's generated equality
@@ -417,3 +419,57 @@ def test_nested_lets_format_to_a_fixed_point(tmp_path):
     done = ftal("run", "--json", str(again))
     assert done.returncode == 0
     assert json.loads(done.stdout)["value"] == "0"
+
+
+# Each pass wraps r1 in one more fold and pack, so the machine halts with
+# a word N + 1 shells deep, which the printer writes with its one loop.
+FOLD_LOOP = f"""entry T
+(
+  mv r1, fold (mu a. exists b. b) pack <int, 0> as exists b. b;
+  mv r2, {N};
+  jmp lloop
+, where
+  lloop -> code[]{{r1: mu a. exists b. b, r2: int; *}} ret(mu a. exists b. b, *).
+    mv r1, fold (mu a. exists b. b) pack <mu a. exists b. b, r1> as exists b. b;
+    sub r2, r2, 1;
+    bnz r2, lloop;
+    halt[mu a. exists b. b, *] r1
+)
+"""
+
+
+def test_a_word_folded_3000_deep_runs_and_traces_to_its_halt(tmp_path):
+    path = tmp_path / "folds.ftal"
+    path.write_text(FOLD_LOOP)
+    value = ("fold mu a. exists b. b (pack <mu a. exists b. b, " * N
+             + "fold mu a. exists b. b (pack <int, 0> as exists b. b)"
+             + "> as exists b. b)" * N)
+    done = ftal("run", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"halted {value}; stack []\n", "")
+    records = tmp_path / "trace.jsonl"
+    done = ftal("trace", str(path), "--trace-out", str(records))
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"halted {value}; stack []\n", "")
+    with records.open(encoding="utf-8") as lines:
+        # Three steps, N passes of three, and the halt; the last mv sets
+        # r1 to the whole word.
+        last = [json.loads(line) for k, line in enumerate(lines) if k >= 3 * N]
+    assert [r["step"] for r in last] == [3 * N + 1, 3 * N + 2, 3 * N + 3, 3 * N + 4]
+    assert last[0]["registers_delta"] == {"r1": "fold(pack(" * (N + 1) + "0" + "))" * (N + 1)}
+
+
+def test_a_3000_term_sum_formats(tmp_path):
+    # The printer writes each binop in parentheses, so a left-nested sum
+    # opens N - 1 of them at its start.
+    path = tmp_path / "sum.ftal"
+    path.write_text("entry F\n" + " + ".join(["1"] * N) + "\n")
+    done = ftal("fmt", str(path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "entry F\n" + "(" * (N - 1) + "1" + " + 1)" * (N - 1) + "\n"
+
+
+def test_a_3000_deep_type_and_word_print():
+    t, w = S.TVar("a"), S.IntVal(0)
+    for _ in range(N):
+        t, w = S.Mu("a", S.Arrow((t,), S.TyInt())), S.Fold(S.TVar("a"), w)
+    assert pretty.ty(t) == "mu a. (" * N + "a" + ") -> int" * N
+    assert pretty.word_str(w) == "fold(" * N + "0" + ")" * N

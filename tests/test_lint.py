@@ -3,10 +3,10 @@ library's ``ast`` alone: every import is used, every local variable
 that a function assigns is also read, every attribute that a class
 assigns on ``self`` and every name that a module binds at its top
 level is read somewhere in the repository, no module imports or reads
-a name that another ftal module keeps private, and no module-level
-function recurses but those listed in ``RECURSIVE``.  None in
-``syntax.py`` does, so that every walk over syntax handles terms
-deeper than Python's recursion limit."""
+a name that another ftal module keeps private, and no function or
+method recurses but those listed in ``RECURSIVE``.  None in
+``syntax.py`` or ``pretty.py`` does, so that every walk over syntax
+and the printer handle terms deeper than Python's recursion limit."""
 
 import ast
 import functools
@@ -251,20 +251,48 @@ def test_no_module_reaches_into_another_modules_private_names(path):
 
 
 def recursive_functions(tree) -> list:
-    """The module-level functions of ``tree`` that can reach themselves
-    through the module-level functions whose names they read, whether to
-    call them or to pass them on."""
-    defs = {fn.name: fn for fn in tree.body
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    reads = {name: _loaded(fn) & defs.keys() for name, fn in defs.items()}
+    """The functions of ``tree`` that can reach themselves: its
+    module-level functions, and its classes' methods, named
+    ``Class.method``.  A function reaches the module-level functions and
+    tables whose names it reads, whether to call them or to pass them on,
+    and the methods it reads as ``self.method`` in its own class or as
+    ``Class.method``.  A module-level table reaches what its value reads,
+    so a method that hands a table of readers to another reaches each
+    reader; a function that the value calls to build the table runs once,
+    when the module is imported, and is not reached through it."""
+    functions, tables = {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions[node.name] = (node, None)
+        elif isinstance(node, ast.ClassDef):
+            functions.update((f"{node.name}.{fn.name}", (fn, node.name)) for fn in node.body
+                             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for n in (n for target in targets for n in ast.walk(target)):
+                if isinstance(n, ast.Name):
+                    tables.setdefault(n.id, []).append(node.value)
+    names = functions.keys() | tables.keys()
+
+    def reads(node, cls, skip=frozenset()) -> set:
+        methods = {f"{cls if n.value.id == 'self' else n.value.id}.{n.attr}"
+                   for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+        return ((_loaded(node) - skip) | methods) & names
+
+    edges = {name: reads(*functions[name]) for name in functions}
+    for name, values in tables.items():
+        edges[name] = set().union(*(reads(v, None, {
+            n.func.id for n in ast.walk(v)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}) for v in values))
     out = []
-    for name in defs:
-        seen, todo = set(), list(reads[name])
+    for name in functions:
+        seen, todo = set(), list(edges[name])
         while todo:
             callee = todo.pop()
             if callee not in seen:
                 seen.add(callee)
-                todo.extend(reads[callee])
+                todo.extend(edges[callee])
         if name in seen:
             out.append(name)
     return sorted(out)
@@ -274,16 +302,33 @@ def test_the_recursion_check_catches_what_it_names():
     tree = ast.parse("def f(n):\n    return g(n)\n"
                      "def g(n):\n    return f(n - 1) if n else 0\n"
                      "def h(xs):\n    return list(map(h, xs))\n"
-                     "def k(n):\n    return f(n)\n")
-    # k reaches the cycle of f and g, but not itself.
-    assert recursive_functions(tree) == ["f", "g", "h"]
+                     "def k(n):\n    return f(n)\n"
+                     "class P:\n"
+                     "    def a(self):\n        return self.form(READERS['b'])\n"
+                     "    def b(self):\n        return self.a()\n"
+                     "    def c(self):\n        return self.b()\n"
+                     "    def form(self, read):\n        return read(self)\n"
+                     "    def d(self, p):\n        return p.d(self)\n"
+                     "READERS = {'b': P.b}\n"
+                     "def build(table):\n        return {**table, **EXTRA}\n"
+                     "EXTRA = {'x': lambda p: BUILT}\n"
+                     "BUILT = build({'y': P.d})\n")
+    # k reaches the cycle of f and g, but not itself; P.a hands P.b on
+    # through the READERS table, and P.c reaches that cycle without being
+    # in it. A method read on another object, as in P.d, is not followed,
+    # and build, called once to make BUILT, is not reached through it.
+    assert recursive_functions(tree) == ["P.a", "P.b", "f", "g", "h"]
 
 
-# The module-level functions that recurse, by module; no other does.
+# The functions and methods that recurse, by module; no other does.
 RECURSIVE = {
     "boundary": ["export_value", "import_value", "translate_type"],
     "machine": ["_read_back", "_value"],
-    "pretty": ["tm", "word_str"],
+    "parser": ["Parser.app_expr", "Parser.arith", "Parser.arrow_or_paren_type",
+               "Parser.atom_expr", "Parser.chi_entry", "Parser.component", "Parser.expr",
+               "Parser.heap_binding", "Parser.iseq", "Parser.lam", "Parser.marker",
+               "Parser.mult", "Parser.phi", "Parser.prefix_expr", "Parser.prefixes",
+               "Parser.stack", "Parser.type_", "Parser.u_value"],
     "typecheck": ["check_component", "check_expression", "check_heap_fragment",
                   "check_instruction_sequence", "check_small_value", "wf"],
 }
@@ -293,7 +338,7 @@ RECURSIVE = {
 def test_only_the_listed_functions_recurse(path):
     """A ratchet: a new recursion fails here, and removing one means
     shrinking ``RECURSIVE``, which lists the walks that Python's recursion
-    limit still bounds.  The check follows module-level names only, so a
-    recursion through methods, such as the parser's, is out of its
-    reach."""
+    limit still bounds.  The check follows module-level names, methods read
+    through ``self`` or their class, and the readers in module-level
+    tables; a method read on another object is out of its reach."""
     assert recursive_functions(_parse(path)) == RECURSIVE.get(path.stem, [])

@@ -768,6 +768,29 @@ def test_import_is_closed_under_the_block_binders():
     assert (S.KIND_TYPE, "a") not in S.free_names(block)
 
 
+def test_a_halted_word_is_closed_under_the_block_instantiation():
+    # The pack's witness is the block binder a, which is int at run time:
+    # a word built from an operand carries its types into the halted
+    # value, so a block's code cannot run unclosed even with no sink.
+    prog = parser.parse_program("""entry T
+(
+  mv r2, 5;
+  jmp l[int]
+, where
+  l -> code[a]{r2: a; *} ret(exists b. b, *).
+    mv r1, pack <a, r2> as exists b. b;
+    halt[exists b. b, *] r1
+)
+""")
+    check_program(prog)
+    records = []
+    out = machine.run_program(prog, FUEL, records.append)
+    assert (out.kind, out.steps) == ("halted", 4)
+    assert pretty.value_str(out.value) == "pack <int, 5> as exists b. b"
+    assert records[2]["redex"] == "mv r1, pack <int, r2> as exists b. b"
+    assert machine.run_program(prog, FUEL).value == out.value
+
+
 def test_instantiated_loop_jump_is_traced_with_its_closed_types():
     prog = parser.parse_program(corpus_text("factorial_t"))
     records = []
