@@ -25,8 +25,8 @@ instantiation of its binders and enters it under that scope.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from . import pretty
 from .errors import KindError, TranslationError

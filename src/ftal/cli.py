@@ -19,7 +19,6 @@ the rest of its output is thrown away, and it exits with its own code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -27,6 +26,7 @@ import sys
 from . import harness, machine, parser, pretty, registry
 from .errors import CheckError, JobError, ProbeError
 from .parser import ParseError
+from .record import replace
 from .syntax import Program
 from .typecheck import check_program
 
@@ -171,7 +171,7 @@ def cmd_trace(args) -> int:
 def cmd_eq(args) -> int:
     job = harness.load_job(args.job)
     if args.fuel_given:
-        job = dataclasses.replace(job, fuel=args.fuel)
+        job = replace(job, fuel=args.fuel)
     result = harness.run_job(job)
     if args.json:
         _write(json.dumps(result, sort_keys=True) + "\n")

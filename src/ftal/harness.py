@@ -34,17 +34,17 @@ import marshal
 import os
 import pathlib
 import threading
-from dataclasses import dataclass
 
 from . import machine, parser, pretty
 from .errors import CheckError, JobError, ProbeError
+from .record import Record, record
 from .syntax import (App, Arrow, IntVal, Program, Tm, Ty, TyInt, TyUnit,
                      UnitVal, alpha_equal)
 from .typecheck import check_program
 
 
-@dataclass(frozen=True)
-class Observation:
+@record
+class Observation(Record):
     """What a bounded run showed: terminated with a first-order value,
     still running after the fuel bound, or stuck.
 
@@ -96,8 +96,8 @@ def observations_agree(a: Observation, b: Observation,
     return a.kind == "running" and b.kind == "running"
 
 
-@dataclass(frozen=True)
-class EquivJob:
+@record
+class EquivJob(Record):
     left: pathlib.Path
     right: pathlib.Path
     type_text: str

@@ -105,33 +105,34 @@ component adds an entry to any cache.  Types, stacks and markers keep
 their hash (see ``syntax.TypeLevel``), so such a lookup hashes no type
 tree after the first.
 
-``run`` is the machine's one step loop, and ``step`` is one step of it
-with a trace sink.  Only with a sink does a step build its JSON-ready
-trace record, whose redex text is that of the closed instruction, with
-its labels renamed through the label map in its scope.  A closed node's
-text depends only on the node and that map, and two instantiations never
-share a node with children, so one table keyed by node keeps each text
-(see ``Machine._redex``).  Each rule sets at most one register, so the
-rendered delta is empty or holds one entry, and neither ``run`` nor
-``trace_line`` sorts or joins a list for it.  ``trace_line`` is the one
-encoder of a full record: it writes the record's JSON line, byte for
-byte the line ``json.dumps(record, sort_keys=True)`` gives.  Traced or
-not, the machine counts in attributes ``Outcome`` leaves out:
-``t_steps`` of its ``steps`` ran T code, ``jumps`` counts them by the
-jump kind their rule returns, and ``salloc``, the one rule that grows
-the value stack, keeps ``peak_stack_depth``.  A stuck step counts
-nothing.
+``_take`` is the machine's one step loop: ``run`` takes its steps and
+builds the outcome so far, and ``step`` is ``_take`` under its defaults,
+one step that returns its record.  Only a step of ``step``, or of a run
+with a trace sink, builds its JSON-ready trace record, whose redex text
+is that of the closed instruction, with its labels renamed through the
+label map in its scope.  A closed node's text depends only on the node
+and that map, and two instantiations never share a node with children,
+so one table keyed by node keeps each text (see ``Machine._redex``).
+Each rule sets at most one register, so the rendered delta is empty or
+holds one entry, and neither ``_take`` nor ``trace_line`` sorts or joins
+a list for it.  ``trace_line`` is the one encoder of a full record: it
+writes the record's JSON line, byte for byte the line
+``json.dumps(record, sort_keys=True)`` gives.  Traced or not, the
+machine counts in attributes ``Outcome`` leaves out: ``t_steps`` of its
+``steps`` ran T code, ``jumps`` counts them by the jump kind their rule
+returns, and ``salloc``, the one rule that grows the value stack, keeps
+``peak_stack_depth``.  A stuck step counts nothing.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable
 
 from .boundary import export_value, import_value
 from .errors import TranslationError
+from .record import MutableRecord, Record, record
 from .syntax import (
     KIND_LOC,
     KIND_TERM,
@@ -201,8 +202,8 @@ STUCK_HALT_OUTSIDE = "halt-outside-boundary"
 STUCK_UNINSTANTIATED = "uninstantiated-binder"
 
 
-@dataclass(frozen=True)
-class Outcome:
+@record
+class Outcome(Record):
     """Result of running a program for a bounded number of steps.
 
     kind is "f-value" (a source value), "halted" (target halt at top
@@ -225,76 +226,77 @@ class _Stuck(Exception):
         self.detail = detail
 
 
-# Evaluation frames.  ``scope`` is the term environment under which a
-# frame's pending subterms run.
+# Evaluation frames: mutable records, each holding its fields in
+# ``__slots__``, as an F recursion holds thousands of them.  ``scope`` is
+# the term environment under which a frame's pending subterms run.
 
 
-@dataclass(slots=True)
-class FrBinop:
+@record
+class FrBinop(MutableRecord):
     op: str
     left: Tm | None  # the left operand's value, once it has returned
     right: Tm | None  # the right operand, or its value with no scope
     scope: tuple | None
 
 
-@dataclass(slots=True)
-class FrIf0:
+@record
+class FrIf0(MutableRecord):
     then: Tm
     els: Tm
     scope: tuple | None
 
 
-@dataclass(slots=True)
-class FrApp:
+@record
+class FrApp(MutableRecord):
     fn: _Clo | None  # the function's value, once it has returned
     args: tuple
     done: list  # values of args[:len(done)]
     scope: tuple | None
 
 
-@dataclass(slots=True)
-class FrTuple:
+@record
+class FrTuple(MutableRecord):
     items: tuple
     done: list  # values of items[:len(done)]
     scope: tuple | None
 
 
-@dataclass(slots=True)
-class FrProj:
+@record
+class FrProj(MutableRecord):
     idx: int
 
 
-@dataclass(slots=True)
-class FrFold:
+@record
+class FrFold(MutableRecord):
     ann: Ty
 
 
-@dataclass(slots=True)
-class FrUnfold:
+@record
+class FrUnfold(MutableRecord):
     pass
 
 
-@dataclass(slots=True)
-class FrLet:
+@record
+class FrLet(MutableRecord):
     var: str
     body: Tm
     scope: tuple | None
 
 
-@dataclass(slots=True)
-class FrSeq:
+@record
+class FrSeq(MutableRecord):
     second: Tm
     scope: tuple | None
 
 
-@dataclass(slots=True)
-class FrBoundary:
+@record
+class FrBoundary(MutableRecord):
     # Has no return rule: target code leaves a boundary only by halting.
     ann: Ty
 
 
-@dataclass(slots=True)
-class FrImport:
+@record
+class FrImport(MutableRecord):
     rd: str
     ann: Ty
     rest: ISeq
@@ -434,7 +436,7 @@ class Machine:
         self.peak_stack_depth = 0
         self._outcome: Outcome | None = None
         self._delta: dict = {}
-        # Whether the step ``run`` takes renders the redex and registers.
+        # Whether the step ``_take`` takes renders the redex and registers.
         self._render = False
         # Caches keyed by node identity; each entry keeps its node alive,
         # so an id is never reused while cached.
@@ -621,18 +623,19 @@ class Machine:
     # ------------------------------------------------------------------
     # Stepping
 
-    def step(self) -> dict | None:
-        """One traced step of ``run``: its record, or None if none is taken."""
-        records: list = []
-        self.run(1, records.append)
-        return records[0] if records else None
-
     def run(self, fuel: int, trace: Callable[[dict], None] | None = None) -> Outcome:
+        """Take at most ``fuel`` steps, as ``_take`` does, handing each
+        step's record to ``trace`` if given; returns the outcome so far."""
+        self._take(fuel, trace, trace is not None)
+        return self._outcome or Outcome("running", steps=self.steps)
+
+    def _take(self, fuel: int = 1, trace: Callable[[dict], None] | None = None,
+              render: bool = True) -> dict | None:
         """Take at most ``fuel`` steps, or fewer if the machine ends or
-        gets stuck, handing each step's record to ``trace`` if given;
-        returns the outcome so far.  A step sets at most one register, so
-        the registers_delta holds the register it set, if any; a rule that
-        set two would fail here.
+        gets stuck.  With ``render``, build each step's record, hand it to
+        ``trace`` if given, and return the last one; else return None.  A
+        step sets at most one register, so the registers_delta holds the
+        register it set, if any; a rule that set two would fail here.
 
         The rule is looked up by the type of the node in focus: the head
         of a target sequence, a terminator, a source expression, or the
@@ -642,13 +645,13 @@ class Machine:
         the focus.  A target rule returns the jump kind, and the redex is
         the node it ran; a source or return rule returns the redex text
         and the jump kind."""
-        render = self._render = trace is not None
+        self._render = render
         frames, jumps = self.frames, self.jumps
         t_steps = 0
+        record = None
         try:
-            for _ in range(fuel):
-                if self._outcome is not None:
-                    break
+            while fuel > 0 and self._outcome is None:
+                fuel -= 1
                 focus = self.focus
                 if render:
                     self._delta = {}
@@ -690,13 +693,21 @@ class Machine:
                     if self._delta:
                         (r, w), = self._delta.items()
                         rendered[r] = pretty.word_str(w)
-                    trace({"step": self.steps, "lang": lang,
-                           "redex": self._redex(redex, scope) if lang == "T" else redex,
-                           "jump": jump, "registers_delta": rendered,
-                           "stack_depth": len(self.stack)})
+                    record = {"step": self.steps, "lang": lang,
+                              "redex": self._redex(redex, scope) if lang == "T" else redex,
+                              "jump": jump, "registers_delta": rendered,
+                              "stack_depth": len(self.stack)}
+                    if trace is not None:
+                        trace(record)
         finally:
             self.t_steps += t_steps
-        return self._outcome or Outcome("running", steps=self.steps)
+        return record
+
+    # ``step()`` takes one step and returns its record, or None if none is
+    # taken.  It is ``_take`` under its defaults, so a step pays for no
+    # extra call and builds no outcome; ``run`` calls ``_take``, so a
+    # wrapper of ``step`` sees no step of a run.
+    step = _take
 
 
 def trace_line(record: dict) -> str:

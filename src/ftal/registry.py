@@ -8,18 +8,18 @@ from __future__ import annotations
 
 import math
 import pathlib
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import harness, machine, parser, pretty
+from .record import Record, record
 from .syntax import IntVal, Program, UnitVal
 from .typecheck import check_program
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
 
-@dataclass(frozen=True)
-class ProgramEntry:
+@record
+class ProgramEntry(Record):
     """One bundled program: its reported type and its expected run."""
 
     name: str

@@ -1,8 +1,9 @@
 """Abstract syntax shared by the functional language F and the assembly T.
 
-Every node is a frozen dataclass; all operations build new nodes. Names
-live in five namespaces: type variables, stack variables, return-marker
-variables, F term variables, and heap labels.
+Every node is a frozen record (see the ``record`` module); all
+operations build new nodes. Names live in five namespaces: type
+variables, stack variables, return-marker variables, F term variables,
+and heap labels.
 
 Binding is declared once, in ``SCHEMA``: for each node class, its child
 fields with their shapes, and the names it binds with their namespace and
@@ -37,10 +38,11 @@ names keep their prefix so freshening preserves kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from itertools import count
 from operator import attrgetter
 from string import Formatter
+
+from .record import Record, record, replace
 
 KIND_TYPE = "type"
 KIND_STACK = "stack"
@@ -64,25 +66,20 @@ def is_register(name: str) -> bool:
     return name in _REG_ORDER
 
 
-class Node:
+class Node(Record):
     __slots__ = ()
 
 
 class TypeLevel(Node):
-    """Base for types, stacks and markers. Each keeps the hash its
-    dataclass gives once it is first asked for, since types key the
-    machine's closing table and the boundary's memos on every crossing.
-    The kept hash is not a field, so equality, printing and ``SCHEMA``
-    ignore it; it is neither pickled nor copied, as a str hash differs
-    from one process to the next."""
+    """Base for types, stacks and markers. Each keeps the hash of its
+    fields once it is first asked for, since types key the machine's
+    closing table and the boundary's memos on every crossing. The kept
+    hash is not a field, so equality, printing and ``SCHEMA`` ignore it,
+    and a record is pickled and copied by its fields alone, so the kept
+    hash is neither: a str hash differs from one process to the next."""
 
     __slots__ = ()
     _hash = None
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
 
 class Ty(TypeLevel):
@@ -125,28 +122,28 @@ class ISeq(Node):
 # Types
 
 
-@dataclass(frozen=True)
+@record
 class TVar(Ty):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TyUnit(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TyInt(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Arrow(Ty):
     params: tuple[Ty, ...]
     ret: Ty
 
 
-@dataclass(frozen=True)
+@record
 class StackArrow(Ty):
     """Function type with a visible stack prefix: (params)[phi_in => phi_out] -> ret."""
 
@@ -156,38 +153,38 @@ class StackArrow(Ty):
     ret: Ty
 
 
-@dataclass(frozen=True)
+@record
 class TyTuple(Ty):
     items: tuple[Ty, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Mu(Ty):
     var: str
     body: Ty
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Ty):
     var: str
     body: Ty
 
 
-@dataclass(frozen=True)
+@record
 class Ref(Ty):
     """Mutable heap tuple; psi is always a TyTuple."""
 
     psi: Ty
 
 
-@dataclass(frozen=True)
+@record
 class Box(Ty):
     """Immutable heap value; psi is a TyTuple or a CodeT."""
 
     psi: Ty
 
 
-@dataclass(frozen=True)
+@record
 class CodeT(Ty):
     """Code type: forall binders, register-file precondition, stack, marker.
 
@@ -227,17 +224,17 @@ def arrow_parts(t: Ty) -> tuple[list, list, list, Ty]:
 # Stack types
 
 
-@dataclass(frozen=True)
+@record
 class SNil(Stk):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SVar(Stk):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class SCons(Stk):
     head: Ty
     tail: Stk
@@ -263,28 +260,28 @@ def stack_parts(sigma: Stk) -> tuple[list[Ty], Stk]:
 # Return markers
 
 
-@dataclass(frozen=True)
+@record
 class MReg(Mk):
     reg: str
 
 
-@dataclass(frozen=True)
+@record
 class MIdx(Mk):
     idx: int
 
 
-@dataclass(frozen=True)
+@record
 class MEps(Mk):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class MHalt(Mk):
     tau: Ty
     sigma: Stk
 
 
-@dataclass(frozen=True)
+@record
 class MOut(Mk):
     pass
 
@@ -293,36 +290,36 @@ class MOut(Mk):
 # Terms: F expressions and T value forms
 
 
-@dataclass(frozen=True)
+@record
 class Var(Tm):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class IntVal(Tm):
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class UnitVal(Tm):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Binop(Tm):
     op: str
     left: Tm
     right: Tm
 
 
-@dataclass(frozen=True)
+@record
 class If0(Tm):
     cond: Tm
     then: Tm
     els: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Lam(Tm):
     """Plain lambda when stack is None, stack lambda otherwise.
 
@@ -334,35 +331,35 @@ class Lam(Tm):
     stack: tuple[tuple[Ty, ...], tuple[Ty, ...]] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class App(Tm):
     fn: Tm
     args: tuple[Tm, ...]
 
 
-@dataclass(frozen=True)
+@record
 class TupleVal(Tm):
     items: tuple[Tm, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Proj(Tm):
     idx: int
     e: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Fold(Tm):
     ann: Ty
     e: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Unfold(Tm):
     e: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Let(Tm):
     var: str
     ann: Ty | None
@@ -370,13 +367,13 @@ class Let(Tm):
     body: Tm
 
 
-@dataclass(frozen=True)
+@record
 class SeqE(Tm):
     first: Tm
     second: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Boundary(Tm):
     """FT[ann](component): run T code, give its halting value back to F."""
 
@@ -384,24 +381,24 @@ class Boundary(Tm):
     comp: "Component"
 
 
-@dataclass(frozen=True)
+@record
 class Reg(Tm):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Loc(Tm):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Pack(Tm):
     wit: Ty
     val: Tm
     ann: Ty
 
 
-@dataclass(frozen=True)
+@record
 class Inst(Tm):
     """Type-level instantiation u[omega]; omega is a type, stack, or marker."""
 
@@ -413,7 +410,7 @@ class Inst(Tm):
 # Instructions
 
 
-@dataclass(frozen=True)
+@record
 class Aop(Instr):
     op: str
     rd: str
@@ -421,67 +418,67 @@ class Aop(Instr):
     u: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Bnz(Instr):
     r: str
     u: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Ld(Instr):
     rd: str
     rs: str
     idx: int
 
 
-@dataclass(frozen=True)
+@record
 class St(Instr):
     rd: str
     idx: int
     rs: str
 
 
-@dataclass(frozen=True)
+@record
 class Ralloc(Instr):
     rd: str
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class Balloc(Instr):
     rd: str
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class Mv(Instr):
     rd: str
     u: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Salloc(Instr):
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class Sfree(Instr):
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class Sld(Instr):
     rd: str
     idx: int
 
 
-@dataclass(frozen=True)
+@record
 class Sst(Instr):
     idx: int
     rs: str
 
 
-@dataclass(frozen=True)
+@record
 class Unpack(Instr):
     """unpack <a, rd> u; binds the type variable a over the rest of the sequence."""
 
@@ -490,13 +487,13 @@ class Unpack(Instr):
     u: Tm
 
 
-@dataclass(frozen=True)
+@record
 class UnfoldI(Instr):
     rd: str
     u: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Protect(Instr):
     """protect phi, zeta; hides the stack below phi behind zeta for the rest."""
 
@@ -504,7 +501,7 @@ class Protect(Instr):
     zeta: str
 
 
-@dataclass(frozen=True)
+@record
 class ImportI(Instr):
     """import rd, sigma0 as zeta, ann TF{ body }; zeta scopes over body only."""
 
@@ -519,31 +516,31 @@ class ImportI(Instr):
 # Instruction sequences
 
 
-@dataclass(frozen=True)
+@record
 class Seq(ISeq):
     head: Instr
     tail: ISeq
 
 
-@dataclass(frozen=True)
+@record
 class Jmp(ISeq):
     u: Tm
 
 
-@dataclass(frozen=True)
+@record
 class Call(ISeq):
     u: Tm
     sigma0: Stk
     qret: Mk
 
 
-@dataclass(frozen=True)
+@record
 class Ret(ISeq):
     r: str
     r2: str
 
 
-@dataclass(frozen=True)
+@record
 class Halt(ISeq):
     ann: Ty
     sigma: Stk
@@ -561,7 +558,7 @@ def seq_of(instrs, terminator: ISeq) -> ISeq:
 # Heap fragments, components, programs
 
 
-@dataclass(frozen=True)
+@record
 class CodeBlock(Node):
     binders: tuple[str, ...]
     chi: tuple[tuple[str, Ty], ...]
@@ -570,14 +567,14 @@ class CodeBlock(Node):
     body: ISeq
 
 
-@dataclass(frozen=True)
+@record
 class HeapBinding(Node):
     label: str
     nu: str  # "box" or "ref"
     value: Node  # CodeBlock or TupleVal of word values
 
 
-@dataclass(frozen=True)
+@record
 class Component(Node):
     body: ISeq
     heap: tuple[HeapBinding, ...]
@@ -586,7 +583,7 @@ class Component(Node):
         return tuple(hb.label for hb in self.heap)
 
 
-@dataclass(frozen=True)
+@record
 class Program(Node):
     entry: str  # "F" or "T"
     main: Node  # Tm when entry == "F", Component when entry == "T"
@@ -625,7 +622,7 @@ class Schema:
         # Binds over siblings; labels are nominal, so only shadow.
         self.scoped = self.bfield is not None and not self.tail
         shapes = dict((c, NODE) if isinstance(c, str) else c for c in children)
-        names = [f.name for f in fields(cls)]
+        names = cls._fields
         # (field, shape or None for an attribute, in the binder's scope).
         self.fields = tuple((n, shapes.get(n), self.scoped and n in scope) for n in names)
         self.children = tuple(f for f in self.fields if f[1] is not None)
@@ -696,7 +693,8 @@ def _kept_hash(node: TypeLevel) -> int:
     return h
 
 
-# A type-level node hashes through its dataclass's hash once, and keeps it.
+# A type-level node hashes its fields once, through its record's hash,
+# and keeps it.
 for _sc in SCHEMA.values():
     if _sc.typelevel:
         _sc.cls._field_hash, _sc.cls.__hash__ = _sc.cls.__hash__, _kept_hash

@@ -1,7 +1,6 @@
 """Command-line interface: every subcommand, every exit code, fuel
 resolution, and machine-readable output on all paths."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -14,6 +13,7 @@ from conftest import ALL_FTAL, write_bare_job
 from ftal import cli, harness, machine, parser, registry
 from ftal import syntax as S
 from ftal.parser import ParseError
+from ftal.record import replace
 
 
 def corpus(name: str) -> str:
@@ -313,7 +313,7 @@ def test_corpus_gate_fails_on_a_program_that_disagrees_with_its_reference(
         capsys, monkeypatch):
     [entry] = [e for e in registry.PROGRAMS if e.name == "basic_blocks_f1"]
     monkeypatch.setattr(registry, "PROGRAMS",
-                        (dataclasses.replace(entry, reference=lambda v: v + 3),))
+                        (replace(entry, reference=lambda v: v + 3),))
     monkeypatch.setattr(registry, "JOBS", ())
     code, out, _ = run_cli(capsys, ["corpus"])
     assert (code, out.splitlines()) == (1, [

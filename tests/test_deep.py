@@ -14,7 +14,7 @@ deep, a 3000-term sum and a 3000-deep type, which the printer writes
 with its one loop.
 
 A deep result is checked by ``alpha_equal``, a walk along its spine or
-its printed text, never by ``==``: a dataclass's generated equality
+its printed text, never by ``==``: a record's generated equality
 recurses once per nested node."""
 
 import json

@@ -1,7 +1,6 @@
 """Differential equivalence harness: verdict policy, first-order
 observation, and job loading."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -16,6 +15,7 @@ from conftest import corpus_text, write_bare_job
 from ftal import cli, harness, machine, parser, registry
 from ftal import syntax as S
 from ftal.errors import CheckError
+from ftal.record import replace
 
 
 def job(name: str) -> harness.EquivJob:
@@ -375,7 +375,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
         kill(pid, sig)
     monkeypatch.setattr(harness.os, "kill", spy)
     with pytest.raises(KeyboardInterrupt):
-        harness.run_job(dataclasses.replace(job("factorial"), fuel=200000))
+        harness.run_job(replace(job("factorial"), fuel=200000))
     assert len(forks) == 1
     assert kills == [(forks[0], signal.SIGKILL)]
     no_child_is_left()

@@ -1,7 +1,6 @@
 """Syntax-tree basics: alpha equality, substitution, helpers."""
 
 import copy
-import dataclasses
 import pickle
 
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ import reference_syntax
 from conftest import source_terms, source_types, target_types
 from ftal import pretty
 from ftal import syntax as S
+from ftal.record import replace
 
 
 def code(binders, chi, sigma, q):
@@ -184,14 +184,15 @@ def test_free_names_entries_are_kind_name_pairs(e):
 
 
 def test_every_node_class_has_one_schema_entry():
+    # ``record`` gives each record class its own field list.
     nodes = {c for c in vars(S).values() if isinstance(c, type)
-             and issubclass(c, S.Node) and dataclasses.is_dataclass(c)}
+             and issubclass(c, S.Node) and "_fields" in vars(c)}
     assert nodes and nodes == set(S.SCHEMA)
     for cls, schema in S.SCHEMA.items():
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = set(cls._fields)
         assert schema.cls is cls
         assert {name for name, _, _ in schema.children} <= names, cls
-        # Each type-level class keeps the hash its dataclass gives.
+        # Each type-level class keeps the hash of its fields.
         assert ("_field_hash" in vars(cls)) == schema.typelevel == \
             issubclass(cls, S.TypeLevel), cls
         if schema.binds is not None:
@@ -204,9 +205,13 @@ def test_every_field_of_a_node_is_syntax_compared_by_equality():
     # A node holds syntax only: run-time state kept on one would have to
     # hide from equality, and every walk would drop it when rebuilding.
     for cls, schema in S.SCHEMA.items():
-        names = [f.name for f in dataclasses.fields(cls)]
-        assert all(f.compare for f in dataclasses.fields(cls)), cls
+        names = list(cls._fields)
         assert [name for name, _, _ in schema.fields] == names, cls
+        values = [object() for _ in names]
+        node = cls(*values)
+        assert node == cls(*values) and hash(node) == hash(tuple(values)), cls
+        for name in names:
+            assert node != replace(node, **{name: object()}), (cls, name)
 
 
 def test_substitute_renames_term_and_label_namespaces():
@@ -421,13 +426,13 @@ def rebuilt(x):
     if isinstance(x, tuple):
         return tuple(rebuilt(item) for item in x)
     if isinstance(x, S.Node):
-        return type(x)(*[rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)])
+        return type(x)(*[rebuilt(getattr(x, name)) for name in x._fields])
     return x
 
 
 def field_hash(node) -> int:
-    """The hash a frozen dataclass gives: that of its compared fields."""
-    return hash(tuple(getattr(node, f.name) for f in dataclasses.fields(node) if f.compare))
+    """The hash of a node's fields, all of which its equality compares."""
+    return hash(tuple(getattr(node, name) for name in node._fields))
 
 
 def unhashed(t) -> bool:
@@ -436,11 +441,11 @@ def unhashed(t) -> bool:
 
 @settings(max_examples=20)
 @given(st.one_of(source_types, target_types))
-def test_a_type_keeps_its_dataclass_hash_and_nothing_else(t):
+def test_a_type_keeps_its_field_hash_and_nothing_else(t):
     t = rebuilt(t)
     assert unhashed(t)
     nodes = [n for n, _, _ in S.subterms(t)]
-    seen = [(repr(n), dataclasses.fields(n)) for n in nodes]
+    seen = [(repr(n), n._fields) for n in nodes]
     text, state = pretty.ty(t), pickle.dumps(t)
     # A node comes after its parent, so in reverse its children are
     # hashed before it is.
@@ -449,7 +454,7 @@ def test_a_type_keeps_its_dataclass_hash_and_nothing_else(t):
         want = field_hash(n)
         assert hash(n) == want and vars(n)["_hash"] == want
         assert hash(n) == want == field_hash(n)
-    assert [(repr(n), dataclasses.fields(n)) for n in nodes] == seen
+    assert [(repr(n), n._fields) for n in nodes] == seen
     assert pretty.ty(t) == text and pickle.dumps(t) == state
     fresh = rebuilt(t)
     assert t == fresh and fresh == t and unhashed(fresh)

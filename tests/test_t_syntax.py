@@ -2,8 +2,6 @@
 every type and return marker, and every term but an instantiation has
 one template, which the printer fills in and the parser reads."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 
@@ -28,7 +26,7 @@ def test_every_form_has_one_template_over_its_fields():
     assert set(S.T_SYNTAX) == set(forms)
     for cls in forms:
         parts, _ = S.template_parts(S.T_SYNTAX[cls])
-        assert [f for _, f in parts] == [f.name for f in dataclasses.fields(cls)], cls
+        assert [f for _, f in parts] == list(cls._fields), cls
 
 
 def test_template_literals_are_keywords_and_marks():
@@ -249,7 +247,7 @@ def test_every_type_and_marker_has_one_template_over_its_fields():
     assert set(S.TY_SYNTAX) == set(TYPE_FORMS)
     for cls in TYPE_FORMS:
         parts, _ = S.template_parts(S.TY_SYNTAX[cls])
-        assert [f for _, f in parts] == [f.name for f in dataclasses.fields(cls)], cls
+        assert [f for _, f in parts] == list(cls._fields), cls
 
 
 def test_type_template_literals_are_keywords_and_marks():
@@ -342,7 +340,7 @@ def test_every_term_but_an_instantiation_has_one_template_over_its_fields():
     for cls in TERM_FORMS:
         template = S.TM_SYNTAX[cls]
         parts, _ = S.template_parts(template)
-        slots, names = [f for _, f in parts], [f.name for f in dataclasses.fields(cls)]
+        slots, names = [f for _, f in parts], list(cls._fields)
         assert sorted(slots) == sorted(names), cls
         # The parser builds a keyword-led term from its slots in order; a
         # lambda, read by hand, writes its stack prefixes first.
