@@ -19,6 +19,7 @@ the rest of its output is thrown away, and it exits with its own code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,9 +148,10 @@ def cmd_run(args) -> int:
 
 
 def _run_traced(prog: Program, fuel: int, write) -> machine.Outcome:
-    """Run ``prog``, passing each trace record's JSON line to ``write``."""
-    line = machine.trace_line
-    return machine.run_program(prog, fuel, lambda rec: write(line(rec)))
+    """Run ``prog``, handing ``write`` each step's trace line as the
+    machine writes it: the sorted-key JSON of its record, newline
+    included.  No step's line is encoded anywhere else."""
+    return machine.run_program(prog, fuel, write)
 
 
 def cmd_trace(args) -> int:
@@ -220,7 +222,11 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if ok else EXIT_TYPE
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The one parser of ``ftal``'s arguments, built on the first call.
+    Each parse fills a fresh namespace, so no call sees another's
+    arguments."""
     ap = argparse.ArgumentParser(
         prog="ftal",
         description="Typecheck, run, trace, and compare programs that mix "

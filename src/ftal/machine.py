@@ -106,19 +106,19 @@ their hash (see ``syntax.TypeLevel``), so such a lookup hashes no type
 tree after the first.
 
 ``_take`` is the machine's one step loop: ``run`` takes its steps and
-builds the outcome so far, and ``step`` is ``_take`` under its defaults,
-one step that returns its record.  Only a step of ``step``, or of a run
-with a trace sink, builds its JSON-ready trace record, whose redex text
-is that of the closed instruction, with its labels renamed through the
-label map in its scope.  A closed node's text depends only on the node
-and that map, and two instantiations never share a node with children,
-so one table keyed by node keeps each text (see ``Machine._redex``).
-Each rule sets at most one register, so the rendered delta is empty or
-holds one entry, and neither ``_take`` nor ``trace_line`` sorts or joins
-a list for it.  ``trace_line`` is the one encoder of a full record: it
-writes the record's JSON line, byte for byte the line
-``json.dumps(record, sort_keys=True)`` gives.  Traced or not, the
-machine counts in attributes ``Outcome`` leaves out: ``t_steps`` of its
+builds the outcome so far, and ``step`` takes one and decodes its line.
+Only a step of ``step``, or of a run with a trace sink, writes its trace
+line, the one encoding of a record: one f-string, byte for byte the line
+``json.dumps(record, sort_keys=True)`` gives.  Each piece of it is
+encoded once: a jump kind and a language come from a constant table, and
+a T redex's text, that of the closed instruction with its labels renamed
+through the label map in its scope, is kept JSON-encoded.  A closed
+node's text depends only on the node and that map, and two
+instantiations never share a node with children, so one table keyed by
+node keeps each text (see ``Machine._redex``).  Each rule sets at most
+one register, so the registers_delta is empty or holds one entry,
+encoded in place with no sort or join.  Traced or not, the machine
+counts in attributes ``Outcome`` leaves out: ``t_steps`` of its
 ``steps`` ran T code, ``jumps`` counts them by the jump kind their rule
 returns, and ``salloc``, the one rule that grows the value stack, keeps
 ``peak_stack_depth``.  A stuck step counts nothing.
@@ -126,6 +126,7 @@ returns, and ``salloc``, the one rule that grows the value stack, keeps
 
 from __future__ import annotations
 
+import json
 import operator
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _json_str
@@ -413,6 +414,9 @@ _ANY_MAP: dict = {}
 _UNIT = UnitVal()  # words are immutable, so every fresh slot shares one
 _AOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_JUMP_KINDS = ("jmp", "call", "ret", "halt", "boundary")
+# The JSON text of each jump kind and language a trace line holds.
+_JSON_NAME = {None: "null", **{name: _json_str(name) for name in (*_JUMP_KINDS, "T", "F")}}
 
 
 def _short(s: str, limit: int = 80) -> str:
@@ -432,11 +436,11 @@ class Machine:
         self.steps = 0
         # Counters, kept out of ``Outcome`` (see the module docstring).
         self.t_steps = 0
-        self.jumps = dict.fromkeys(("jmp", "call", "ret", "halt", "boundary"), 0)
+        self.jumps = dict.fromkeys(_JUMP_KINDS, 0)
         self.peak_stack_depth = 0
         self._outcome: Outcome | None = None
         self._delta: dict = {}
-        # Whether the step ``_take`` takes renders the redex and registers.
+        # Whether the step ``_take`` takes writes its trace line.
         self._render = False
         # Caches keyed by node identity; each entry keeps its node alive,
         # so an id is never reused while cached.
@@ -444,7 +448,7 @@ class Machine:
         self._words: dict = {}  # id(word) -> (word, label map, its word)
         # (id(body), kind, binders, *omegas) -> (body, closed body)
         self._closed: dict = {}
-        self._texts: dict = {}  # id(node) -> (node, redex text, label map)
+        self._texts: dict = {}  # id(node) -> (node, redex JSON, label map)
         # The term environment of the source expression in focus, or of
         # the component instance or wrapper the target code in focus runs
         # in, which binds its label map (see ``_merge_component``).
@@ -594,12 +598,13 @@ class Machine:
 
     def _redex(self, node, scope: tuple | None) -> str:
         """The trace text of the target redex ``node``, run under the term
-        environment ``scope``: the closed instruction, with its labels
-        renamed through the map in scope.  A text is kept by node, once
-        if the node names no label, else under the map it was rendered
-        by, and rendered again under another.  A node that names a label
-        under no map is rendered each time: only an imported lambda's
-        code does so, and it is built afresh for each crossing."""
+        environment ``scope``, JSON-encoded: the closed instruction, with
+        its labels renamed through the map in scope.  A text is encoded
+        and kept by node, once if the node names no label, else under the
+        map it was rendered by, and rendered again under another.  A node
+        that names a label under no map is rendered each time: only an
+        imported lambda's code does so, and it is built afresh for each
+        crossing."""
         hit = self._texts.get(id(node))
         if hit is not None and hit[2] is _ANY_MAP:
             return hit[1]
@@ -608,11 +613,12 @@ class Machine:
             if all(kind != KIND_LOC for kind, _ in free_names(node)):
                 labels = _ANY_MAP
             elif labels is None:
-                return _redex_text(node, None)
+                return _json_str(_redex_text(node, None))
         elif hit[2] is labels:
             return hit[1]
-        hit = self._texts[id(node)] = (node, _redex_text(node, labels), labels)
-        return hit[1]
+        text = _json_str(_redex_text(node, labels))
+        self._texts[id(node)] = (node, text, labels)
+        return text
 
     def _resume(self, e: Tm | ISeq, scope: tuple | None) -> None:
         """Evaluate ``e`` under ``scope`` next."""
@@ -623,19 +629,27 @@ class Machine:
     # ------------------------------------------------------------------
     # Stepping
 
-    def run(self, fuel: int, trace: Callable[[dict], None] | None = None) -> Outcome:
+    def run(self, fuel: int, trace: Callable[[str], None] | None = None) -> Outcome:
         """Take at most ``fuel`` steps, as ``_take`` does, handing each
-        step's record to ``trace`` if given; returns the outcome so far."""
+        step's trace line to ``trace`` if given; returns the outcome so far."""
         self._take(fuel, trace, trace is not None)
         return self._outcome or Outcome("running", steps=self.steps)
 
-    def _take(self, fuel: int = 1, trace: Callable[[dict], None] | None = None,
-              render: bool = True) -> dict | None:
+    def step(self) -> dict | None:
+        """Take one step and return its record, decoded from its trace
+        line, or None if none is taken.  ``run`` calls ``_take``, so a
+        wrapper of ``step`` sees no step of a run."""
+        line = self._take()
+        return None if line is None else json.loads(line)
+
+    def _take(self, fuel: int = 1, trace: Callable[[str], None] | None = None,
+              render: bool = True) -> str | None:
         """Take at most ``fuel`` steps, or fewer if the machine ends or
-        gets stuck.  With ``render``, build each step's record, hand it to
-        ``trace`` if given, and return the last one; else return None.  A
-        step sets at most one register, so the registers_delta holds the
-        register it set, if any; a rule that set two would fail here.
+        gets stuck.  With ``render``, write each step's trace line, the
+        JSON of its record with sorted keys and a newline, hand it to
+        ``trace`` if given, and return the last one; else return None.
+        A step sets at most one register, so the registers_delta holds
+        the register it set, if any; a rule that set two would fail here.
 
         The rule is looked up by the type of the node in focus: the head
         of a target sequence, a terminator, a source expression, or the
@@ -646,15 +660,14 @@ class Machine:
         the node it ran; a source or return rule returns the redex text
         and the jump kind."""
         self._render = render
-        frames, jumps = self.frames, self.jumps
+        frames, jumps, delta = self.frames, self.jumps, self._delta
         t_steps = 0
-        record = None
+        line = None
         try:
             while fuel > 0 and self._outcome is None:
                 fuel -= 1
                 focus = self.focus
                 if render:
-                    self._delta = {}
                     scope = self.scope
                 t = type(focus)
                 try:
@@ -689,47 +702,21 @@ class Machine:
                 if jump is not None:
                     jumps[jump] += 1
                 if render:
-                    rendered = {}
-                    if self._delta:
-                        (r, w), = self._delta.items()
-                        rendered[r] = pretty.word_str(w)
-                    record = {"step": self.steps, "lang": lang,
-                              "redex": self._redex(redex, scope) if lang == "T" else redex,
-                              "jump": jump, "registers_delta": rendered,
-                              "stack_depth": len(self.stack)}
+                    if delta:
+                        (r, w), = delta.items()
+                        delta.clear()
+                        written = f"{_json_str(r)}: {_json_str(pretty.word_str(w))}"
+                    else:
+                        written = ""
+                    text = self._redex(redex, scope) if lang == "T" else _json_str(redex)
+                    line = (f'{{"jump": {_JSON_NAME[jump]}, "lang": {_JSON_NAME[lang]}, '
+                            f'"redex": {text}, "registers_delta": {{{written}}}, '
+                            f'"stack_depth": {len(self.stack)}, "step": {self.steps}}}\n')
                     if trace is not None:
-                        trace(record)
+                        trace(line)
         finally:
             self.t_steps += t_steps
-        return record
-
-    # ``step()`` takes one step and returns its record, or None if none is
-    # taken.  It is ``_take`` under its defaults, so a step pays for no
-    # extra call and builds no outcome; ``run`` calls ``_take``, so a
-    # wrapper of ``step`` sees no step of a run.
-    step = _take
-
-
-def trace_line(record: dict) -> str:
-    """The JSON line of a full trace record, newline included: the six
-    keys in sorted order, each string escaped as ``json.dumps`` escapes
-    it, so the line equals ``json.dumps(record, sort_keys=True) + "\\n"``.
-    The registers_delta is written in its own order: a step sets at most
-    one register, so a record of ``Machine.step`` has at most one."""
-    jump, regs = record["jump"], record["registers_delta"]
-    if not regs:
-        delta = ""
-    elif len(regs) == 1:
-        (r, w), = regs.items()
-        delta = f"{_json_str(r)}: {_json_str(w)}"
-    else:
-        delta = ", ".join([f"{_json_str(r)}: {_json_str(w)}"
-                           for r, w in regs.items()])
-    return (f'{{"jump": {"null" if jump is None else _json_str(jump)}, '
-            f'"lang": {_json_str(record["lang"])}, '
-            f'"redex": {_json_str(record["redex"])}, '
-            f'"registers_delta": {{{delta}}}, '
-            f'"stack_depth": {record["stack_depth"]}, "step": {record["step"]}}}\n')
+        return line
 
 
 class _Rules(dict):
@@ -1151,5 +1138,5 @@ def _redex_text(node, labels: dict | None) -> str:
 
 
 def run_program(prog: Program, fuel: int,
-                trace: Callable[[dict], None] | None = None) -> Outcome:
+                trace: Callable[[str], None] | None = None) -> Outcome:
     return Machine(prog).run(fuel, trace)

@@ -689,7 +689,8 @@ _TYPE_KINDS = (KIND_TYPE, KIND_STACK, KIND_MARKER)
 def _kept_hash(node: TypeLevel) -> int:
     h = node._hash
     if h is None:
-        h = node.__dict__["_hash"] = node._field_hash()
+        h = node._field_hash()
+        object.__setattr__(node, "_hash", h)
     return h
 
 

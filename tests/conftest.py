@@ -41,6 +41,12 @@ def corpus_text(name: str) -> str:
     return (CORPUS_DIR / f"{name}.ftal").read_text()
 
 
+def decoding(records: list):
+    """A trace sink that decodes each line the machine writes into
+    ``records``."""
+    return lambda line: records.append(json.loads(line))
+
+
 # -- bare target-language equivalence jobs ----------------------------------
 
 # Two halting programs that leave {word} on the stack and 1 in r1.

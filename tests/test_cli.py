@@ -201,9 +201,9 @@ def test_a_stuck_run_is_reported_in_full():
 
 
 def test_running_out_of_memory_exits_six(capsys, monkeypatch):
-    def exhausted(args):
+    def exhausted(prog):
         raise MemoryError
-    monkeypatch.setattr(cli, "cmd_check", exhausted)
+    monkeypatch.setattr(cli, "check_program", exhausted)
     code, out, err = run_cli(capsys, ["check", corpus("jit")])
     assert (code, out, err) == (6, "", "resource error: out of memory\n")
 
@@ -239,9 +239,11 @@ def test_both_trace_sinks_write_the_sorted_key_json_lines(capsys, tmp_path, name
     code_file, _, _ = run_cli(capsys, ["trace", corpus(name), "--fuel", str(fuel),
                                        "--trace-out", str(dest)])
     assert code == code_file
-    records = []
-    machine.run_program(registry.load_program(name), fuel, records.append)
-    want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    lines = []
+    machine.run_program(registry.load_program(name), fuel, lines.append)
+    assert all(line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+               for line in lines)
+    want = "".join(lines)
     assert out == want
     assert dest.read_bytes() == want.encode()
 
@@ -378,6 +380,24 @@ def test_bad_environment_fuel_is_ignored(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["run", corpus("jit")])
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_successive_commands_share_no_arguments(capsys, monkeypatch, tmp_path):
+    # One parser serves every call in a process; no call sees the flags,
+    # the fuel or the trace file of the one before it.
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    code, out, _ = run_cli(capsys, ["trace", corpus("jit"), "--fuel", "5", "--json",
+                                    "--trace-out", str(first)])
+    assert (code, json.loads(out)["steps"]) == (5, 5)
+    monkeypatch.setenv("FTAL_FUEL", "7")
+    code, out, err = run_cli(capsys, ["trace", corpus("jit")])
+    assert (code, len(out.splitlines()), err) == (5, 7, "running after 7 steps\n")
+    monkeypatch.delenv("FTAL_FUEL")
+    code, out, err = run_cli(capsys, ["trace", corpus("jit"), "--trace-out", str(second)])
+    assert (code, out, err) == (0, "2\n", "")
+    assert len(second.read_text().splitlines()) == 64
+    assert len(first.read_text().splitlines()) == 5
 
 
 def test_bad_job_file_is_a_parse_error(capsys, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FTAL, corpus_text, word_shells
+from conftest import ALL_FTAL, corpus_text, decoding, word_shells
 from ftal import boundary, machine, parser, pretty, registry
 from ftal import syntax as S
 from ftal.boundary import export_value, translate_type
@@ -199,14 +199,14 @@ def test_a_nested_component_jumps_to_the_outer_instance():
     prog = parser.parse_program(NESTED_LABEL)
     check_program(prog)
     records = []
-    out = machine.run_program(prog, FUEL, records.append)
+    out = machine.run_program(prog, FUEL, decoding(records))
     assert out.kind == "f-value" and out.value == S.IntVal(7)
     assert records[34]["redex"] == "jmp l#0[zp]"
     for text, value, jumps in (
             (NESTED_HEAP, 69, ["m#4", "l#0", "m#5", "l#0"]),
             (NESTED_SHADOWING, 115, ["l#4", "k#1", "l#5", "k#1"])):
         records = []
-        out = machine.run_program(parser.parse_program(text), FUEL, records.append)
+        out = machine.run_program(parser.parse_program(text), FUEL, decoding(records))
         assert out.kind == "f-value" and out.value == S.IntVal(value)
         assert [r["redex"] for r in records if r["jump"] == "jmp"] == [
             f"jmp {label}[zp]" for label in jumps]
@@ -227,7 +227,7 @@ def test_register_file_stays_within_the_declared_names():
 
 def collect_trace(name: str):
     records = []
-    run_named(name, trace=records.append)
+    run_named(name, trace=decoding(records))
     return records
 
 
@@ -632,7 +632,7 @@ def test_unpacked_type_variable_reaches_the_next_jump():
     prog = parser.parse_program(UNPACK_TO_JUMP)
     check_program(prog)
     records = []
-    out = machine.run_program(prog, FUEL, records.append)
+    out = machine.run_program(prog, FUEL, decoding(records))
     assert out.kind == "halted" and out.value == S.IntVal(1) and out.steps == 7
     assert [r["redex"] for r in records[2:5]] == [
         "jmp lA#0[unit]", "unpack <c, r2> r1", "jmp lB#1[int, unit]"]
@@ -661,7 +661,7 @@ def test_an_unpack_that_rebinds_a_block_binder_shadows_it():
     prog = parser.parse_program(UNPACK_SHADOWING)
     check_program(prog)
     records = []
-    out = machine.run_program(prog, FUEL, records.append)
+    out = machine.run_program(prog, FUEL, decoding(records))
     assert (out.kind, out.value) == ("halted", S.IntVal(1))
     assert [r["redex"] for r in records[2:5]] == [
         "unpack <a, r2> r1", "mv r3, lB#1[unit]", "jmp lB#1[unit]"]
@@ -758,7 +758,7 @@ def test_import_is_closed_under_the_block_binders():
     check_program(prog)
     m = machine.Machine(prog)
     records = []
-    out = m.run(FUEL, records.append)
+    out = m.run(FUEL, decoding(records))
     assert out.kind == "halted" and out.value == S.IntVal(7) and out.steps == 7
     assert [r["redex"] for r in records[2:]] == [
         "import r2", "value", "export", "jmp lB#1[int]", "halt r1"]
@@ -784,7 +784,7 @@ def test_a_halted_word_is_closed_under_the_block_instantiation():
 """)
     check_program(prog)
     records = []
-    out = machine.run_program(prog, FUEL, records.append)
+    out = machine.run_program(prog, FUEL, decoding(records))
     assert (out.kind, out.steps) == ("halted", 4)
     assert pretty.value_str(out.value) == "pack <int, 5> as exists b. b"
     assert records[2]["redex"] == "mv r1, pack <int, r2> as exists b. b"
@@ -795,7 +795,7 @@ def test_instantiated_loop_jump_is_traced_with_its_closed_types():
     prog = parser.parse_program(corpus_text("factorial_t"))
     records = []
     out = machine.run_program(S.Program("F", S.App(prog.main, (S.IntVal(3),))),
-                              FUEL, records.append)
+                              FUEL, decoding(records))
     assert out.value == S.IntVal(6) and out.steps == 33
     assert records[18]["step"] == 19
     assert records[18]["redex"] == "bnz r3, lloop#1[z, ret(int, z)]"
@@ -818,7 +818,7 @@ def test_a_binder_that_would_capture_is_renamed_as_in_a_rewritten_block():
 """)
     check_program(prog)
     records = []
-    out = machine.run_program(prog, 7, records.append)
+    out = machine.run_program(prog, 7, decoding(records))
     assert out.kind == "running"
     assert [r["redex"] for r in records] == [
         "protect ., z", "jmp lA#0[z]", "protect ., z#0", "jmp lA#0[z#0]",
@@ -863,8 +863,7 @@ GOLDEN = {
 def test_traces_and_outcomes_match_the_golden_digest(name):
     h = hashlib.sha256()
     for p in golden_programs(name):
-        out = machine.run_program(p, GOLDEN_FUEL, lambda r: h.update(
-            (json.dumps(r, sort_keys=True) + "\n").encode()))
+        out = machine.run_program(p, GOLDEN_FUEL, lambda line: h.update(line.encode()))
         h.update((json.dumps({
             "kind": out.kind, "steps": out.steps,
             "value": None if out.value is None else pretty.value_str(out.value),
@@ -882,14 +881,15 @@ def json_line(record: dict) -> str:
 
 @pytest.mark.parametrize("entry", registry.PROGRAMS, ids=lambda e: e.name)
 def test_trace_lines_are_the_sorted_key_json_of_every_record(entry):
-    records = []
+    lines = []
     for p in golden_programs(entry.name):
-        machine.run_program(p, GOLDEN_FUEL, records.append)
-    assert records
-    for r in records:
-        assert machine.trace_line(r) == json_line(r)
-        # Machine.step renders an empty or a one-register delta directly.
-        assert len(r["registers_delta"]) <= 1
+        machine.run_program(p, GOLDEN_FUEL, lines.append)
+    assert lines
+    for line in lines:
+        record = json.loads(line)
+        assert line == json_line(record)
+        # The machine writes an empty or a one-register delta directly.
+        assert len(record["registers_delta"]) <= 1
 
 
 # Text that JSON must escape: quotes, backslashes, control characters,
@@ -899,33 +899,49 @@ TRACE_TEXT = st.text(st.one_of(
     st.characters(exclude_categories=())))
 
 
-@st.composite
-def trace_records(draw) -> dict:
-    regs = sorted(draw(st.sets(TRACE_TEXT, max_size=3)))
-    return {
-        "step": draw(st.integers(min_value=1)),
-        "lang": draw(st.sampled_from("TF")),
-        "redex": draw(TRACE_TEXT),
-        "jump": draw(st.none() | TRACE_TEXT),
-        "registers_delta": {r: draw(TRACE_TEXT) for r in regs},
-        "stack_depth": draw(st.integers(min_value=0)),
-    }
+def short(text: str) -> str:
+    """A T redex's text as the trace shows it, cut to 80 characters."""
+    return text if len(text) <= 80 else text[:78] + ".."
 
 
-# Escape-heavy records with 0, 1 and 2 registers: trace_line writes the
-# first two without a join.
-ESCAPING = {"step": 12, "lang": "T", "redex": 'mv r1, "x"\\\x1f',
-            "jump": "call\u00e9", "stack_depth": 3}
+def escaping_programs(var: str, label: str) -> list:
+    """F code that binds ``var`` with a ``let``, and T code that moves and
+    jumps to the heap label ``label``, built without the parser, each with
+    its language and the (redex, jump, registers_delta) of each step."""
+    let = S.Let(var, None, S.IntVal(1), S.Var(var))
+    block = S.CodeBlock((), (("r1", S.TyInt()),), S.SNil(), S.MHalt(S.TyInt(), S.SNil()),
+                        S.Halt(S.TyInt(), S.SNil(), "r1"))
+    comp = S.Component(S.Seq(S.Mv("r1", S.Loc(label)), S.Jmp(S.Loc(label))),
+                       (S.HeapBinding(label, "box", block),))
+    fresh = label + "#0"
+    return [
+        (S.Program("F", let), "F",
+         [("let " + var, None, {}), ("value", None, {}), ("let " + var, None, {}),
+          ("value", None, {}), ("result", None, {})]),
+        (S.Program("T", comp), "T",
+         [(short("mv r1, " + fresh), None, {"r1": fresh}),
+          (short("jmp " + fresh), "jmp", {}), ("halt r1", "halt", {})]),
+    ]
 
 
-@settings(max_examples=500)
-@given(trace_records())
-@example({**ESCAPING, "jump": None, "registers_delta": {}})
-@example({**ESCAPING, "registers_delta": {"r1": 'l"1\\n#0\n\u00e9'}})
-@example({**ESCAPING, "registers_delta": {"r1\t": "\x00\ud800",
-                                          "ra": "\U0001f600  /"}})
-def test_trace_line_escapes_as_json_dumps_does(record):
-    assert machine.trace_line(record) == json_line(record)
+@settings(max_examples=200)
+@given(TRACE_TEXT, TRACE_TEXT)
+@example('x"\\\x1f', 'l"1\\n\n\u00e9')
+@example("\x00\ud800", "\U0001f600  /\ud800\udfff")
+@example("v", "l" * 90 + "\t")
+def test_the_machine_writes_its_lines_as_json_dumps_does(var, label):
+    for prog, lang, steps in escaping_programs(var, label):
+        lines = []
+        out = machine.run_program(prog, FUEL, lines.append)
+        assert out.kind in ("f-value", "halted")
+        for line in lines:
+            assert line == json_line(json.loads(line))
+        want = [{"step": k, "lang": lang, "redex": redex, "jump": jump,
+                 "registers_delta": delta, "stack_depth": 0}
+                for k, (redex, jump, delta) in enumerate(steps, 1)]
+        # Both sides are decoded, so a pair of lone surrogates reads back
+        # as the one character it encodes on each.
+        assert [json.loads(line) for line in lines] == [json.loads(json.dumps(r)) for r in want]
 
 
 # Every corpus program, at each of GOLDEN_INPUTS when it is a function.
@@ -938,13 +954,12 @@ def test_direct_steps_return_the_records_a_traced_run_gives(name, arg):
         prog = S.Program("F", S.App(prog.main, (S.IntVal(arg),)))
     m = machine.Machine(prog)
     stepped = list(itertools.islice(iter(m.step, None), GOLDEN_FUEL))
-    traced = []
-    out = machine.run_program(prog, GOLDEN_FUEL, traced.append)
-    assert len(stepped) == len(traced) == out.steps
-    assert stepped == traced
+    lines = []
+    out = machine.run_program(prog, GOLDEN_FUEL, lines.append)
+    assert len(stepped) == len(lines) == out.steps
+    assert stepped == [json.loads(line) for line in lines]
     assert m.run(0) == out
-    assert ([machine.trace_line(r) for r in stepped]
-            == [machine.trace_line(r) for r in traced])
+    assert [json_line(r) for r in stepped] == lines
 
 
 class _NoRendering:
@@ -1000,7 +1015,7 @@ def test_a_direct_step_returns_the_full_record():
 
 def run_text(text: str, fuel: int = FUEL):
     records = []
-    out = machine.run_program(parser.parse_program(text), fuel, records.append)
+    out = machine.run_program(parser.parse_program(text), fuel, decoding(records))
     return out, [r["redex"] for r in records]
 
 
@@ -1367,7 +1382,7 @@ def test_a_call_and_a_jump_enter_one_block_under_their_own_omegas():
 """)
     check_program(prog)
     records = []
-    out = machine.run_program(prog, FUEL, records.append)
+    out = machine.run_program(prog, FUEL, decoding(records))
     assert out.kind == "halted" and out.value == S.IntVal(1)
     assert out.steps == 15
     jumps = [r["redex"] for r in records if r["jump"] in ("jmp", "call")]
@@ -1470,8 +1485,7 @@ def test_boundary_traffic_matches_the_golden_digest():
     check_program(prog)
     m = machine.Machine(prog)
     h = hashlib.sha256()
-    out = m.run(FUEL, lambda r: h.update(
-        (json.dumps(r, sort_keys=True) + "\n").encode()))
+    out = m.run(FUEL, lambda line: h.update(line.encode()))
     assert out.kind == "f-value"
     assert out.value == S.IntVal(2 * sum(n + 3 for n in range(1, 11)))
     assert (out.steps, len(m.heap)) == (897, 24)
@@ -1712,7 +1726,7 @@ def test_a_code_cell_holds_its_block_itself():
 def test_a_ping_pong_step_sets_at_most_one_register():
     sizes = set()
     machine.run_program(parser.parse_program(ping_pong(40)), FUEL,
-                        lambda r: sizes.add(len(r["registers_delta"])))
+                        lambda line: sizes.add(len(json.loads(line)["registers_delta"])))
     assert sizes == {0, 1}
 
 
@@ -1801,7 +1815,7 @@ def test_an_untraced_run_counts_what_its_traced_records_show(case):
     for prog, fuel in counted_programs(case):
         records = []
         traced = machine.Machine(prog)
-        out = traced.run(fuel, records.append)
+        out = traced.run(fuel, decoding(records))
         m = machine.Machine(prog)
         assert m.run(fuel) == out
         langs = [r["lang"] for r in records]
